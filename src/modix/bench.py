@@ -23,7 +23,7 @@ from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef, parse_head
 from .errors import EmptyReport
 from .gmi import IndexFlavor
 from .interp import run_script
-from .loader import CostModel, LoadStats, Session, Strategy, open_session
+from .loader import INDEX_FLAVORS, CostModel, LoadStats, Session, Strategy, open_session
 from .modfile import DeclFlags
 from .modulemap import ModuleDef, ModuleMap, SearchPaths, concat_modulemaps, load_modulemap
 
@@ -196,6 +196,7 @@ def write_corpus(
     out.mkdir(parents=True, exist_ok=True)
 
     map_entries = []
+    map_texts: list[str] = []
     compiled: list[modfile.ModuleFile] = []
     for module_id, (name, headers, module_imports) in enumerate(modules):
         module_dir = out / name
@@ -205,11 +206,7 @@ def write_corpus(
             text = headers[header_name]
             (module_dir / header_name).write_text(text, "utf-8")
             asts.append(parse_header(text, header_name))
-        data = modfile.compile_module(name, asts, tuple(module_imports))
-        (out / f"{name}.pcm").write_bytes(data)
-        mf = modfile.read_module_summary(data)
-        mf.module_id = module_id
-        compiled.append(mf)
+        compiled.append(modfile.write_module(out, module_id, name, asts, tuple(module_imports)))
 
         header_paths = tuple(f"{name}/{h}" for h in sorted(headers))
         map_text = f"module {name} {{\n" + "".join(
@@ -217,22 +214,17 @@ def write_corpus(
         ) + "}\n"
         map_file = out / f"{name}.modulemap"
         map_file.write_text(map_text, "utf-8")
+        map_texts.append(map_text)
         map_entries.append((str(map_file), [ModuleDef(name, header_paths, str(map_file))]))
 
     module_map = concat_modulemaps(map_entries)
-    final = "".join(
-        f"module {d.name} {{\n" + "".join(f'    header "{h}"\n' for h in d.headers) + "}\n"
-        for d in module_map.defs
-    )
-    (out / "module.modulemap").write_text(final, "utf-8")
+    (out / "module.modulemap").write_text("".join(map_texts), "utf-8")
 
     (out / "__pch__.pcm").write_bytes(modfile.build_pch(compiled))
-    (out / gmi_mod.INDEX_FILE_NAME).write_bytes(
-        gmi_mod.build_index(module_map, out, IndexFlavor.SEMANTIC)
-    )
-    (out / gmi_mod.LEXICAL_INDEX_FILE_NAME).write_bytes(
-        gmi_mod.build_index(module_map, out, IndexFlavor.LEXICAL)
-    )
+    for flavor in (IndexFlavor.SEMANTIC, IndexFlavor.LEXICAL):
+        (out / gmi_mod.index_file_name(flavor)).write_bytes(
+            gmi_mod.build_index(module_map, out, flavor)
+        )
     (out / "modules.rootmap").write_text(build_rootmap(compiled), "utf-8")
     return module_map
 
@@ -277,11 +269,8 @@ def open_corpus_session(
     corpus_dir = Path(corpus_dir)
     module_map = load_modulemap(corpus_dir / "module.modulemap")
     paths = SearchPaths(tuple(str(r) for r in local_roots), str(corpus_dir))
-    index_path = None
-    if strategy is Strategy.SEMANTIC_GMI:
-        index_path = corpus_dir / gmi_mod.INDEX_FILE_NAME
-    elif strategy is Strategy.LEXICAL_GMI:
-        index_path = corpus_dir / gmi_mod.LEXICAL_INDEX_FILE_NAME
+    flavor = INDEX_FLAVORS.get(strategy)
+    index_path = corpus_dir / gmi_mod.index_file_name(flavor) if flavor is not None else None
     return open_session(
         module_map, paths, strategy, cost, index_path, allow_stale=allow_stale
     )

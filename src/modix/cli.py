@@ -22,10 +22,10 @@ from . import bench as bench_mod
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import parse_header
-from .errors import ModixError, ModuleNotFound
+from .errors import ModixError
 from .gmi import IndexFlavor
 from .interp import format_result, repl, run_script
-from .loader import CostModel, Strategy, open_session
+from .loader import INDEX_FLAVORS, CostModel, Strategy, open_session
 from .modulemap import (
     Overlay,
     SearchPaths,
@@ -73,12 +73,9 @@ def _load_overlay(path: str | None) -> Overlay | None:
     return parse_overlay(Path(path).read_text("utf-8"))
 
 
-def _default_index(corpus_dir: Path, strategy: Strategy) -> Path:
-    if strategy is Strategy.LEXICAL_GMI:
-        candidate = corpus_dir / gmi_mod.LEXICAL_INDEX_FILE_NAME
-        if candidate.is_file():
-            return candidate
-    return corpus_dir / gmi_mod.INDEX_FILE_NAME
+def _default_index(corpus_dir: Path, flavor: IndexFlavor) -> Path:
+    candidate = corpus_dir / gmi_mod.index_file_name(flavor)
+    return candidate if candidate.is_file() else corpus_dir / gmi_mod.INDEX_FILE_NAME
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -103,11 +100,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                 owner = owners.get(include)
                 if owner is not None and owner != d.name and owner not in imports:
                     imports.append(owner)
-        data = modfile.compile_module(d.name, asts, imports)
-        (out / f"{d.name}.pcm").write_bytes(data)
-        mf = modfile.read_module_summary(data)
-        mf.module_id = module_id
-        compiled.append(mf)
+        compiled.append(modfile.write_module(out, module_id, d.name, asts, imports))
     (out / "module.modulemap").write_text(map_path.read_text("utf-8"), "utf-8")
     (out / "modules.rootmap").write_text(bench_mod.build_rootmap(compiled), "utf-8")
     print(f"compiled {len(module_map.defs)} modules into {out}")
@@ -117,14 +110,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_pch(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
     module_map = load_modulemap(corpus / "module.modulemap")
-    compiled = []
-    for module_id, name in enumerate(module_map.names):
-        path = corpus / f"{name}.pcm"
-        if not path.is_file():
-            raise ModuleNotFound(name)
-        mf = modfile.read_module_summary(path.read_bytes())
-        mf.module_id = module_id
-        compiled.append(mf)
+    compiled = modfile.read_modules(corpus, module_map.names)
     out = Path(args.out) if args.out else corpus / f"{modfile.PCH_MODULE_NAME}.pcm"
     out.write_bytes(modfile.build_pch(compiled))
     print(f"wrote {out}")
@@ -136,12 +122,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     module_map = load_modulemap(corpus / "module.modulemap")
     flavor = IndexFlavor.SEMANTIC if args.semantic else IndexFlavor.LEXICAL
     data = gmi_mod.build_index(module_map, corpus, flavor, args.exclude)
-    if args.out:
-        out = Path(args.out)
-    elif flavor is IndexFlavor.SEMANTIC:
-        out = corpus / gmi_mod.INDEX_FILE_NAME
-    else:
-        out = corpus / gmi_mod.LEXICAL_INDEX_FILE_NAME
+    out = Path(args.out) if args.out else corpus / gmi_mod.index_file_name(flavor)
     out.write_bytes(data)
     print(f"wrote {out} ({flavor.name.lower()}, {len(data)} bytes)")
     return 0
@@ -168,8 +149,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     module_map = load_modulemap(corpus / "module.modulemap")
     paths = SearchPaths(tuple(args.local), str(corpus))
     index_path = None
-    if strategy in (Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI):
-        index_path = Path(args.index) if args.index else _default_index(corpus, strategy)
+    flavor = INDEX_FLAVORS.get(strategy)
+    if flavor is not None:
+        index_path = Path(args.index) if args.index else _default_index(corpus, flavor)
     session = open_session(
         module_map,
         paths,

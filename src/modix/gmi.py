@@ -22,15 +22,11 @@ from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Sequence
 
-from ._wire import Reader, Writer, fnv1a_64
-from .errors import (
-    BadMagic,
-    BadVersion,
-    CorruptTable,
-    ModuleNotFound,
-    WrongFlavor,
-)
-from .modfile import DeclFlags, read_module_summary
+from ._wire import Reader, Writer
+from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
+from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
+from .modfile import DeclFlags, content_hashes, read_modules
+from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap
 
 MAGIC = b"GMIX"
@@ -42,6 +38,11 @@ LEXICAL_INDEX_FILE_NAME = "modules.lexical.gmi"
 class IndexFlavor(Enum):
     LEXICAL = 1
     SEMANTIC = 2
+
+
+def index_file_name(flavor: IndexFlavor) -> str:
+    """A corpus's file name for an index of this flavor."""
+    return INDEX_FILE_NAME if flavor is IndexFlavor.SEMANTIC else LEXICAL_INDEX_FILE_NAME
 
 
 class PostingFlags(IntFlag):
@@ -109,23 +110,16 @@ def build_index(
     to consult them directly; each indexed module's content hash is stored for
     staleness checks.
     """
-    module_dir = Path(module_dir)
     excluded_set = set(excluded)
     rows: list[IndexedModule] = []
     postings: dict[str, list[Posting]] = {}
-    for module_id, name in enumerate(map.names):
-        if name in excluded_set:
-            continue
-        path = module_dir / (name + ".pcm")
-        if not path.is_file():
-            raise ModuleNotFound(name)
-        mf = read_module_summary(path.read_bytes())
-        rows.append(IndexedModule(module_id, name, mf.content_hash))
+    for mf in read_modules(module_dir, map.names, excluded_set):
+        rows.append(IndexedModule(mf.module_id, map.defs[mf.module_id].name, mf.content_hash))
         for entry in mf.ident_table:
             flags = PostingFlags.MENTIONS
             if flavor is IndexFlavor.SEMANTIC and entry.flags & DeclFlags.HAS_DEFINITION:
                 flags |= PostingFlags.DEFINES
-            postings.setdefault(entry.name, []).append(Posting(module_id, flags))
+            postings.setdefault(entry.name, []).append(Posting(mf.module_id, flags))
 
     w = Writer()
     w.raw(MAGIC)
@@ -231,12 +225,7 @@ def validate_index(index: GlobalIndex, module_dir: str | Path) -> StalenessRepor
         if not path.is_file():
             statuses.append((row.name, Staleness.MISSING))
             continue
-        data = bytearray(path.read_bytes())
-        if len(data) < 16:
-            statuses.append((row.name, Staleness.HASH_MISMATCH))
-            continue
-        stored = int.from_bytes(data[8:16], "little")
-        data[8:16] = b"\x00" * 8
-        ok = stored == row.content_hash and fnv1a_64(bytes(data)) == stored
+        hashes = content_hashes(path.read_bytes())
+        ok = hashes is not None and hashes[0] == hashes[1] == row.content_hash
         statuses.append((row.name, Staleness.FRESH if ok else Staleness.HASH_MISMATCH))
     return StalenessReport(tuple(statuses))

@@ -3,15 +3,20 @@
 A session extends name lookup through one of five strategies:
 
 * ``preload-all``  -- read every module file (summaries and all blobs) up
-  front; lookups hit resident tables only.
+  front into the resident name table; lookups hit it only.
 * ``pch``          -- read the single merged ``__pch__`` file's summary up
   front; blobs stream in lazily.
 * ``textual``      -- legacy fallback: a rootmap maps identifiers to header
-  files which are re-parsed on demand, includes and all.
+  files which are re-parsed on demand, includes and all, into the resident
+  name table.
 * ``lexical-gmi``  -- consult the on-disk index and load every module that
   mentions the identifier, false positives included.
 * ``semantic-gmi`` -- consult the index's definition postings and load only
   the defining module; forward-only uses are synthesized without any load.
+
+Each strategy is one startup and one resolve method, paired in
+``Session._STRATEGIES``.  The resident name table maps a name to its
+declarations, each with its source: a module or a header.
 
 Costs are simulated, not measured: every module load charges a fixed
 per-module overhead (standing in for eager side effects such as source-location
@@ -42,7 +47,7 @@ from .errors import (
 )
 from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
 from .modfile import DeclFlags, Entity, ModuleFile, PCH_MODULE_NAME, merge_entities
-from .modulemap import ModuleMap, Overlay, SearchPaths, resolve_module_path
+from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module, resolve_module_path
 
 ROOTMAP_FILE_NAME = "modules.rootmap"
 
@@ -53,6 +58,13 @@ class Strategy(Enum):
     TEXTUAL = "textual"
     LEXICAL_GMI = "lexical-gmi"
     SEMANTIC_GMI = "semantic-gmi"
+
+
+# The index flavor each index strategy reads.
+INDEX_FLAVORS = {
+    Strategy.LEXICAL_GMI: IndexFlavor.LEXICAL,
+    Strategy.SEMANTIC_GMI: IndexFlavor.SEMANTIC,
+}
 
 
 @dataclass(frozen=True)
@@ -158,7 +170,7 @@ class Session:
         self._index: GlobalIndex | None = None
         self._rootmap: dict[str, str] | None = None
         self._parsed_headers: set[str] = set()
-        self._textual_decls: dict[str, list[tuple[Decl, str]]] = {}
+        self._resident: dict[str, list[tuple[Decl, str]]] = {}
         self._merge_order: dict[str, int] = {name: i for i, name in enumerate(map.names)}
         self._merge_order[PCH_MODULE_NAME] = 2**32
         self._header_seq = 0
@@ -173,93 +185,83 @@ class Session:
         self._ticks = 0
         self._lookups = 0
 
-        self._startup(index_path, allow_stale)
+        startup, _ = self._STRATEGIES[strategy]
+        startup(self, index_path, allow_stale)
 
     # -- startup --
 
-    def _startup(self, index_path: str | Path | None, allow_stale: bool) -> None:
-        strategy = self.strategy
-        if strategy is Strategy.PRELOAD_ALL:
-            for name in self.map.names:
-                self._load_module(name, resolution=False)
-            for name in list(self._load_order):
-                lm = self._loaded[name]
-                for ident in lm.mf.names:
-                    self._deserialize(name, ident)
-            return
-
-        if strategy is Strategy.PCH:
-            try:
-                self._load_module(PCH_MODULE_NAME, resolution=False)
-            except ModuleNotFound as exc:
-                raise MissingPch("no __pch__.pcm under the search paths") from exc
-        elif strategy is Strategy.TEXTUAL:
-            path = self._apply_overlay(str(Path(self.paths.release_root) / ROOTMAP_FILE_NAME))
-            if not Path(path).is_file():
-                raise MissingRootmap(f"no {ROOTMAP_FILE_NAME} in the release root")
-            text = Path(path).read_text("utf-8")
-            raw = text.encode("utf-8")
-            self._charge_read(len(raw), resident=True)
-            self._rootmap = {}
-            for line in text.splitlines():
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                ident, _, header = line.partition(" ")
-                if ident and header and ident not in self._rootmap:
-                    self._rootmap[ident] = header.strip()
-        elif strategy in (Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI):
-            if index_path is None:
-                raise MissingIndex("a global index path is required for this strategy")
-            real = Path(self._apply_overlay(str(index_path)))
-            if not real.is_file():
-                raise MissingIndex(f"index file not found: {index_path}")
-            data = real.read_bytes()
-            index = gmi_mod.load_index(data)
-            wanted = (
-                IndexFlavor.LEXICAL
-                if strategy is Strategy.LEXICAL_GMI
-                else IndexFlavor.SEMANTIC
-            )
-            if index.flavor is not wanted:
-                raise WrongFlavor(
-                    f"strategy {strategy.value} needs a {wanted.name.lower()} index, "
-                    f"got {index.flavor.name.lower()}"
-                )
-            if not allow_stale:
-                report = validate_index(index, self.paths.release_root)
-                stale = report.modules_with(Staleness.HASH_MISMATCH)
-                if stale:
-                    raise IndexStale(stale)
-            self._index = index
-            self._charge_read(len(data), resident=True)
-
-        # Local checkouts shadow the release: their summaries come up eagerly
-        # and any index postings for them are ignored.  Modules excluded from
-        # the index are consulted directly as well.
+    def _start_preload(self, index_path: str | Path | None, allow_stale: bool) -> None:
         for name in self.map.names:
-            if self._find_local(name):
+            self._load_module(name, resolution=False)
+        for name in self._load_order:
+            for ident in self._loaded[name].mf.names:
+                decl = self._deserialize(name, ident)
+                self._resident.setdefault(ident, []).append((decl, name))
+
+    def _start_pch(self, index_path: str | Path | None, allow_stale: bool) -> None:
+        try:
+            self._load_module(PCH_MODULE_NAME, resolution=False)
+        except ModuleNotFound as exc:
+            raise MissingPch("no __pch__.pcm under the search paths") from exc
+        self._load_direct()
+
+    def _start_textual(self, index_path: str | Path | None, allow_stale: bool) -> None:
+        path = self._apply_overlay(str(Path(self.paths.release_root) / ROOTMAP_FILE_NAME))
+        if not Path(path).is_file():
+            raise MissingRootmap(f"no {ROOTMAP_FILE_NAME} in the release root")
+        text = Path(path).read_text("utf-8")
+        self._charge_read(len(text.encode("utf-8")), resident=True)
+        self._rootmap = {}
+        for line in text.splitlines():
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            ident, _, header = line.partition(" ")
+            if ident and header and ident not in self._rootmap:
+                self._rootmap[ident] = header.strip()
+        self._load_direct()
+
+    def _start_index(self, index_path: str | Path | None, allow_stale: bool) -> None:
+        if index_path is None:
+            raise MissingIndex("a global index path is required for this strategy")
+        real = Path(self._apply_overlay(str(index_path)))
+        if not real.is_file():
+            raise MissingIndex(f"index file not found: {index_path}")
+        data = real.read_bytes()
+        index = gmi_mod.load_index(data)
+        wanted = INDEX_FLAVORS[self.strategy]
+        if index.flavor is not wanted:
+            raise WrongFlavor(
+                f"strategy {self.strategy.value} needs a {wanted.name.lower()} index, "
+                f"got {index.flavor.name.lower()}"
+            )
+        if not allow_stale:
+            report = validate_index(index, self.paths.release_root)
+            stale = report.modules_with(Staleness.HASH_MISMATCH)
+            if stale:
+                raise IndexStale(stale)
+        self._index = index
+        self._charge_read(len(data), resident=True)
+        self._load_direct()
+        # Modules excluded from the index are consulted directly as well.
+        for name in index.excluded:
+            if name in self._loaded:
+                continue
+            self._shadowed.add(name)
+            try:
+                self._load_module(name, resolution=False)
+            except ModuleNotFound:
+                continue
+            self._direct.append(name)
+
+    def _load_direct(self) -> None:
+        """Local checkouts shadow the release: their summaries come up eagerly
+        and any index postings for them are ignored."""
+        for name in self.map.names:
+            if find_local_module(self.paths, name, self.overlay) is not None:
                 self._shadowed.add(name)
                 self._load_module(name, resolution=False)
                 self._direct.append(name)
-        if self._index is not None:
-            for name in self._index.excluded:
-                if name in self._loaded:
-                    continue
-                self._shadowed.add(name)
-                try:
-                    self._load_module(name, resolution=False)
-                except ModuleNotFound:
-                    continue
-                self._direct.append(name)
-
-    def _find_local(self, name: str) -> bool:
-        filename = name + ".pcm"
-        for root in self.paths.local_roots:
-            candidate = self._apply_overlay(str(Path(root) / filename))
-            if Path(candidate).is_file():
-                return True
-        return False
 
     # -- cost accounting --
 
@@ -327,7 +329,8 @@ class Session:
         self._lookups += 1
         cached = self._cache.get(identifier)
         if cached is None or (cached is _Marker.FORWARD_ONLY and need is Need.DEFINITION):
-            cached = self._resolve_uncached(identifier, need)
+            _, resolve_uncached = self._STRATEGIES[self.strategy]
+            cached = resolve_uncached(self, identifier, need)
             self._cache[identifier] = cached
         return self._to_resolution(identifier, need, cached)
 
@@ -347,56 +350,31 @@ class Session:
             self._contributors.add(entity.defining_module)
         return Resolution(identifier, need, ResolutionOutcome.RESOLVED, entity)
 
-    def _resolve_uncached(self, identifier: str, need: Need) -> Entity | _Marker:
-        strategy = self.strategy
-        if strategy is Strategy.PRELOAD_ALL:
-            return self._resolve_resident(identifier)
-        if strategy is Strategy.PCH:
-            return self._resolve_pch(identifier)
-        if strategy is Strategy.TEXTUAL:
-            return self._resolve_textual(identifier)
-        if strategy is Strategy.LEXICAL_GMI:
-            return self._resolve_lexical(identifier)
-        return self._resolve_semantic(identifier, need)
-
     def _direct_hits(self, identifier: str) -> list[str]:
         return [name for name in self._direct if self._loaded[name].mf.find(identifier)]
 
-    def _merge(self, candidates: list[tuple[Decl, str]]) -> Entity:
-        return merge_entities(candidates, self._merge_order)
+    def _merge(self, candidates: list[tuple[Decl, str]]) -> Entity | _Marker:
+        return merge_entities(candidates, self._merge_order) if candidates else _Marker.ABSENT
 
-    def _resolve_resident(self, identifier: str) -> Entity | _Marker:
-        candidates = [
-            (self._deserialize(name, identifier), name)
-            for name in self._load_order
-            if self._loaded[name].mf.find(identifier)
-        ]
-        if not candidates:
-            return _Marker.ABSENT
-        return self._merge(candidates)
+    def _merge_resident(self, identifier: str, need: Need) -> Entity | _Marker:
+        return self._merge(self._resident.get(identifier, []))
 
-    def _resolve_pch(self, identifier: str) -> Entity | _Marker:
+    def _resolve_pch(self, identifier: str, need: Need) -> Entity | _Marker:
+        # A local checkout wins wholesale: the merged cache has no per-module
+        # provenance left to shadow-filter.
         hits = self._direct_hits(identifier)
-        if hits:
-            # A local checkout wins wholesale: the merged cache has no
-            # per-module provenance left to shadow-filter.
-            return self._merge([(self._deserialize(n, identifier), n) for n in hits])
-        if self._loaded[PCH_MODULE_NAME].mf.find(identifier):
-            decl = self._deserialize(PCH_MODULE_NAME, identifier)
-            return self._merge([(decl, PCH_MODULE_NAME)])
-        return _Marker.ABSENT
+        if not hits and self._loaded[PCH_MODULE_NAME].mf.find(identifier):
+            hits = [PCH_MODULE_NAME]
+        return self._merge([(self._deserialize(n, identifier), n) for n in hits])
 
-    def _resolve_textual(self, identifier: str) -> Entity | _Marker:
+    def _resolve_textual(self, identifier: str, need: Need) -> Entity | _Marker:
         hits = self._direct_hits(identifier)
         if hits:
             return self._merge([(self._deserialize(n, identifier), n) for n in hits])
         header = self._rootmap.get(identifier)
         if header is not None:
             self._parse_header_cascade(header)
-        sources = self._textual_decls.get(identifier)
-        if not sources:
-            return _Marker.ABSENT
-        return self._merge(list(sources))
+        return self._merge_resident(identifier, need)
 
     def _parse_header_cascade(self, relpath: str) -> None:
         if relpath in self._parsed_headers:
@@ -410,7 +388,7 @@ class Session:
         self._merge_order[relpath] = 2**33 + self._header_seq
         self._header_seq += 1
         for decl in ast.items:
-            self._textual_decls.setdefault(decl.name, []).append((decl, relpath))
+            self._resident.setdefault(decl.name, []).append((decl, relpath))
         for include in ast.includes:
             self._parse_header_cascade(include)
 
@@ -424,17 +402,14 @@ class Session:
             if self._index.module_name(p.module_id) not in self._shadowed
         ]
 
-    def _resolve_lexical(self, identifier: str) -> Entity | _Marker:
+    def _resolve_lexical(self, identifier: str, need: Need) -> Entity | _Marker:
         postings = self._visible_postings(identifier)
         candidates: list[tuple[Decl, str]] = []
         for p in postings:
             name = self._index.module_name(p.module_id)
             self._load_module(name, resolution=True)
             candidates.append((self._deserialize(name, identifier), name))
-        for name in self._direct_hits(identifier):
-            candidates.append((self._deserialize(name, identifier), name))
-        if not candidates:
-            return _Marker.ABSENT
+        candidates += [(self._deserialize(n, identifier), n) for n in self._direct_hits(identifier)]
         return self._merge(candidates)
 
     def _resolve_semantic(self, identifier: str, need: Need) -> Entity | _Marker:
@@ -454,14 +429,21 @@ class Session:
             # Forward declarations alone never force a load; the equivalence
             # oracle keeps this synthesis honest.
             return _Marker.FORWARD_ONLY if known else _Marker.ABSENT
-        candidates: list[tuple[Decl, str]] = []
-        for name in defining_hits:
-            candidates.append((self._deserialize(name, identifier), name))
+        candidates = [(self._deserialize(n, identifier), n) for n in defining_hits]
         if def_posting is not None:
             name = self._index.module_name(def_posting.module_id)
             self._load_module(name, resolution=True)
             candidates.append((self._deserialize(name, identifier), name))
         return self._merge(candidates)
+
+    # Each strategy's startup and uncached resolve, side by side.
+    _STRATEGIES = {
+        Strategy.PRELOAD_ALL: (_start_preload, _merge_resident),
+        Strategy.PCH: (_start_pch, _resolve_pch),
+        Strategy.TEXTUAL: (_start_textual, _resolve_textual),
+        Strategy.LEXICAL_GMI: (_start_index, _resolve_lexical),
+        Strategy.SEMANTIC_GMI: (_start_index, _resolve_semantic),
+    }
 
     # -- stats --
 

@@ -25,7 +25,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
-from typing import Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Container, Iterable, Mapping, Sequence
 
 from . import declang
 from ._wire import Reader, Writer, fnv1a_64
@@ -35,6 +36,7 @@ from .errors import (
     BadVersion,
     CorruptTable,
     HashMismatch,
+    ModuleNotFound,
     OdrInModule,
     OdrViolation,
     UnknownIdentifier,
@@ -45,8 +47,8 @@ VERSION = 1
 FILE_EXTENSION = ".pcm"
 PCH_MODULE_NAME = "__pch__"
 
-# Offset of the content_hash field inside the file (after magic + version).
-_HASH_OFFSET = 8
+# The content_hash field inside the file (after magic + version).
+_HASH_FIELD = slice(8, 16)
 
 
 class DeclFlags(IntFlag):
@@ -270,9 +272,19 @@ def _emit(module_name: str, imports: Sequence[str], decls: Sequence[tuple[str, D
     w.u64(len(region))
     w.raw(region)
     data = bytearray(w.getvalue())
-    digest = fnv1a_64(bytes(data))
-    data[_HASH_OFFSET:_HASH_OFFSET + 8] = digest.to_bytes(8, "little")
+    _, digest = content_hashes(data)
+    data[_HASH_FIELD] = digest.to_bytes(8, "little")
     return bytes(data)
+
+
+def content_hashes(data: bytes) -> tuple[int, int] | None:
+    """(stored, computed) content hash of module file bytes: the value of the
+    hash field, and 64-bit FNV-1a over the bytes with that field zeroed.
+    None when the bytes are too short to hold the field."""
+    if len(data) < _HASH_FIELD.stop:
+        return None
+    stored = int.from_bytes(data[_HASH_FIELD], "little")
+    return stored, fnv1a_64(data[:_HASH_FIELD.start] + bytes(8) + data[_HASH_FIELD.stop:])
 
 
 def compile_module(
@@ -351,9 +363,7 @@ def read_module_summary(data: bytes) -> ModuleFile:
     for e in entries:
         if e.blob_offset + e.blob_len > region_len:
             raise CorruptTable(f"blob for '{e.name}' out of range")
-    patched = bytearray(data)
-    patched[_HASH_OFFSET:_HASH_OFFSET + 8] = b"\x00" * 8
-    if fnv1a_64(bytes(patched)) != stored_hash:
+    if content_hashes(data)[1] != stored_hash:
         raise HashMismatch(f"content hash mismatch in module '{module_name}'")
     return ModuleFile(
         module_name=module_name,
@@ -363,6 +373,37 @@ def read_module_summary(data: bytes) -> ModuleFile:
         content_hash=stored_hash,
         summary_bytes=summary_bytes,
     )
+
+
+def write_module(
+    out_dir: Path, module_id: int, name: str, headers: Iterable[HeaderAST], imports: Sequence[str]
+) -> ModuleFile:
+    """Compile a module into `out_dir/<name>.pcm` and return its summary, with
+    `module_id` set."""
+    data = compile_module(name, headers, imports)
+    (out_dir / f"{name}{FILE_EXTENSION}").write_bytes(data)
+    mf = read_module_summary(data)
+    mf.module_id = module_id
+    return mf
+
+
+def read_modules(
+    module_dir: str | Path, names: Sequence[str], excluded: Container[str] = ()
+) -> list[ModuleFile]:
+    """Summaries of `module_dir/<name>.pcm` for each name not excluded, each
+    with `module_id` set to the name's position in `names`."""
+    module_dir = Path(module_dir)
+    modules = []
+    for module_id, name in enumerate(names):
+        if name in excluded:
+            continue
+        path = module_dir / f"{name}{FILE_EXTENSION}"
+        if not path.is_file():
+            raise ModuleNotFound(name)
+        mf = read_module_summary(path.read_bytes())
+        mf.module_id = module_id
+        modules.append(mf)
+    return modules
 
 
 def deserialize_decl(module: ModuleFile, name: str) -> Decl:

@@ -207,22 +207,34 @@ class SearchPaths:
     release_root: str
 
 
+def _module_file(root: str, module_name: str, overlay: Overlay | None) -> str | None:
+    candidate = os.path.join(root, module_name + ".pcm")
+    if overlay is not None:
+        candidate = overlay.apply(candidate)
+    return candidate if os.path.isfile(candidate) else None
+
+
+def find_local_module(
+    paths: SearchPaths, module_name: str, overlay: Overlay | None = None
+) -> str | None:
+    """First `<root>/<module_name>.pcm` under the local roots, or None.  With
+    an overlay, candidates are remapped before the existence check; with no
+    local roots, nothing is looked up."""
+    for root in paths.local_roots:
+        found = _module_file(root, module_name, overlay)
+        if found is not None:
+            return found
+    return None
+
+
 def resolve_module_path(
     paths: SearchPaths, module_name: str, overlay: Overlay | None = None
 ) -> tuple[str, Origin]:
-    """First `<root>/<module_name>.pcm` under the local roots, else the
-    release root.  With an overlay, candidates are remapped before the
-    existence check."""
-    filename = module_name + ".pcm"
-    for root in paths.local_roots:
-        candidate = os.path.join(root, filename)
-        if overlay is not None:
-            candidate = overlay.apply(candidate)
-        if os.path.isfile(candidate):
-            return candidate, Origin.LOCAL
-    candidate = os.path.join(paths.release_root, filename)
-    if overlay is not None:
-        candidate = overlay.apply(candidate)
-    if os.path.isfile(candidate):
-        return candidate, Origin.RELEASE
+    """`find_local_module`'s answer, else `<release_root>/<module_name>.pcm`."""
+    found = find_local_module(paths, module_name, overlay)
+    if found is not None:
+        return found, Origin.LOCAL
+    found = _module_file(paths.release_root, module_name, overlay)
+    if found is not None:
+        return found, Origin.RELEASE
     raise ModuleNotFound(module_name)

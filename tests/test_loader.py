@@ -19,8 +19,8 @@ from modix.errors import (
 )
 from modix.gmi import INDEX_FILE_NAME, LEXICAL_INDEX_FILE_NAME, IndexFlavor, build_index
 from modix.loader import CostModel, ResolutionOutcome, Strategy, open_session
-from modix.modfile import compile_module, read_module_summary
-from modix.modulemap import Overlay, SearchPaths, load_modulemap
+from modix.modfile import PCH_MODULE_NAME, compile_module, read_module_summary
+from modix.modulemap import Origin, Overlay, SearchPaths, load_modulemap, resolve_module_path
 
 ZERO_COST = CostModel(0, 0, 0)
 
@@ -417,6 +417,45 @@ class TestOverlay:
         )
         assert session.resolve("S0_0", Need.DEFINITION).succeeded
         assert session.stats().modules_loaded == 1
+
+    def test_startup_local_checkouts_match_module_path_search(self, tmp_path, monkeypatch):
+        # The overlay remaps the prefix `mnt`, which `./mnt/Pkg.pcm` does not
+        # start with: Pkg is a release module, and only Other is checked out.
+        corpus_dir = tmp_path / "release"
+        write_corpus(
+            corpus_dir,
+            [
+                ("Pkg", {"t.dh": "struct Thing { x: i32; };\n"}, []),
+                ("Other", {"t.dh": "struct OtherT { x: i32; };\n"}, []),
+            ],
+        )
+        mounted = tmp_path / "mounted"
+        checkout = tmp_path / "checkout"
+        for directory, name, text in (
+            (mounted, "Pkg", "struct Thing { x: i64; };"),
+            (checkout, "Other", "struct OtherT { x: i64; };"),
+        ):
+            directory.mkdir()
+            header = parse_header(text, "t.dh")
+            (directory / f"{name}.pcm").write_bytes(compile_module(name, [header]))
+        monkeypatch.chdir(tmp_path)
+        module_map = load_modulemap(corpus_dir / "module.modulemap")
+        paths = SearchPaths(("./mnt", str(checkout)), str(corpus_dir))
+        overlay = Overlay((("mnt", str(mounted)),))
+        local = {
+            name
+            for name in module_map.names
+            if resolve_module_path(paths, name, overlay)[1] is Origin.LOCAL
+        }
+        assert local == {"Other"}
+        for strategy in (Strategy.PCH, Strategy.TEXTUAL, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI):
+            index_name = (
+                LEXICAL_INDEX_FILE_NAME if strategy is Strategy.LEXICAL_GMI else INDEX_FILE_NAME
+            )
+            session = open_session(
+                module_map, paths, strategy, index_path=corpus_dir / index_name, overlay=overlay
+            )
+            assert set(session.stats().load_order) - {PCH_MODULE_NAME} == local, strategy
 
 
 class TestBounds:
