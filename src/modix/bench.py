@@ -23,9 +23,11 @@ from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef, parse_head
 from .errors import EmptyReport
 from .gmi import IndexFlavor
 from .interp import run_script
-from .loader import INDEX_FLAVORS, CostModel, LoadStats, Session, Strategy, open_session
+from .loader import INDEX_FLAVORS, ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy
+from .loader import open_session
 from .modfile import DeclFlags
-from .modulemap import ModuleDef, ModuleMap, SearchPaths, concat_modulemaps, load_modulemap
+from .modulemap import FINAL_MAP_NAME, ModuleDef, ModuleMap, SearchPaths, concat_modulemaps
+from .modulemap import load_modulemap
 
 CSV_COLUMNS = (
     "scenario",
@@ -218,14 +220,14 @@ def write_corpus(
         map_entries.append((str(map_file), [ModuleDef(name, header_paths, str(map_file))]))
 
     module_map = concat_modulemaps(map_entries)
-    (out / "module.modulemap").write_text("".join(map_texts), "utf-8")
+    (out / FINAL_MAP_NAME).write_text("".join(map_texts), "utf-8")
 
-    (out / "__pch__.pcm").write_bytes(modfile.build_pch(compiled))
+    (out / modfile.PCH_FILE_NAME).write_bytes(modfile.build_pch(compiled))
     for flavor in (IndexFlavor.SEMANTIC, IndexFlavor.LEXICAL):
         (out / gmi_mod.index_file_name(flavor)).write_bytes(
             gmi_mod.build_index(module_map, out, flavor)
         )
-    (out / "modules.rootmap").write_text(build_rootmap(compiled), "utf-8")
+    (out / ROOTMAP_FILE_NAME).write_text(build_rootmap(compiled), "utf-8")
     return module_map
 
 
@@ -267,7 +269,7 @@ def open_corpus_session(
 ) -> Session:
     """Open a session over a generated corpus directory."""
     corpus_dir = Path(corpus_dir)
-    module_map = load_modulemap(corpus_dir / "module.modulemap")
+    module_map = load_modulemap(corpus_dir / FINAL_MAP_NAME)
     paths = SearchPaths(tuple(str(r) for r in local_roots), str(corpus_dir))
     flavor = INDEX_FLAVORS.get(strategy)
     index_path = corpus_dir / gmi_mod.index_file_name(flavor) if flavor is not None else None

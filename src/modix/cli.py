@@ -25,13 +25,8 @@ from .declang import parse_header
 from .errors import ModixError
 from .gmi import IndexFlavor
 from .interp import format_result, repl, run_script
-from .loader import INDEX_FLAVORS, CostModel, Strategy, open_session
-from .modulemap import (
-    Overlay,
-    SearchPaths,
-    load_modulemap,
-    parse_overlay,
-)
+from .loader import INDEX_FLAVORS, ROOTMAP_FILE_NAME, CostModel, Strategy, open_session
+from .modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, load_modulemap, parse_overlay
 
 
 class _UsageError(Exception):
@@ -101,17 +96,17 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                 if owner is not None and owner != d.name and owner not in imports:
                     imports.append(owner)
         compiled.append(modfile.write_module(out, module_id, d.name, asts, imports))
-    (out / "module.modulemap").write_text(map_path.read_text("utf-8"), "utf-8")
-    (out / "modules.rootmap").write_text(bench_mod.build_rootmap(compiled), "utf-8")
+    (out / FINAL_MAP_NAME).write_text(map_path.read_text("utf-8"), "utf-8")
+    (out / ROOTMAP_FILE_NAME).write_text(bench_mod.build_rootmap(compiled), "utf-8")
     print(f"compiled {len(module_map.defs)} modules into {out}")
     return 0
 
 
 def _cmd_pch(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
-    module_map = load_modulemap(corpus / "module.modulemap")
+    module_map = load_modulemap(corpus / FINAL_MAP_NAME)
     compiled = modfile.read_modules(corpus, module_map.names)
-    out = Path(args.out) if args.out else corpus / f"{modfile.PCH_MODULE_NAME}.pcm"
+    out = Path(args.out) if args.out else corpus / modfile.PCH_FILE_NAME
     out.write_bytes(modfile.build_pch(compiled))
     print(f"wrote {out}")
     return 0
@@ -119,7 +114,7 @@ def _cmd_pch(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
-    module_map = load_modulemap(corpus / "module.modulemap")
+    module_map = load_modulemap(corpus / FINAL_MAP_NAME)
     flavor = IndexFlavor.SEMANTIC if args.semantic else IndexFlavor.LEXICAL
     data = gmi_mod.build_index(module_map, corpus, flavor, args.exclude)
     out = Path(args.out) if args.out else corpus / gmi_mod.index_file_name(flavor)
@@ -146,7 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     strategy = _strategy(args.strategy)
     cost = _cost_model(args.cost)
     corpus = Path(args.dir)
-    module_map = load_modulemap(corpus / "module.modulemap")
+    module_map = load_modulemap(corpus / FINAL_MAP_NAME)
     paths = SearchPaths(tuple(args.local), str(corpus))
     index_path = None
     flavor = INDEX_FLAVORS.get(strategy)

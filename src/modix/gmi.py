@@ -25,9 +25,9 @@ from typing import Sequence
 from ._wire import Reader, Writer
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
-from .modfile import DeclFlags, content_hashes, read_modules
+from .modfile import FILE_EXTENSION, DeclFlags, content_hashes, read_modules
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .modulemap import ModuleMap
+from .modulemap import ModuleMap, Overlay, root_file
 
 MAGIC = b"GMIX"
 VERSION = 1
@@ -216,12 +216,14 @@ class StalenessReport:
         return tuple(name for name, s in self.statuses if s is status)
 
 
-def validate_index(index: GlobalIndex, module_dir: str | Path) -> StalenessReport:
-    """Compare stored hashes against the module files on disk; touches nothing."""
-    module_dir = Path(module_dir)
+def validate_index(
+    index: GlobalIndex, module_dir: str | Path, overlay: Overlay | None = None
+) -> StalenessReport:
+    """Compare stored hashes against the module files on disk, remapped by
+    the overlay if one is given; touches nothing."""
     statuses: list[tuple[str, Staleness]] = []
     for row in index.modules:
-        path = module_dir / (row.name + ".pcm")
+        path = Path(root_file(module_dir, row.name + FILE_EXTENSION, overlay))
         if not path.is_file():
             statuses.append((row.name, Staleness.MISSING))
             continue

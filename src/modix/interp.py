@@ -101,12 +101,11 @@ def _directive_output(session: Session, name: str) -> str:
 def eval(session: Session, stmt: Statement) -> EvalResult:
     """Evaluate one parsed statement against the session."""
     echo = render_statement(stmt)
-    before = session.stats()
-
     if isinstance(stmt, DirectiveStmt):
         output = _directive_output(session, stmt.name) if stmt.name != "quit" else None
-        return EvalResult(echo, True, stats_delta=session.stats() - before, output=output)
+        return EvalResult(echo, True, output=output)
 
+    before = session.stats()
     ok = True
     value: int | None = None
     reason: FailReason | None = None

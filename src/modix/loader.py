@@ -23,7 +23,10 @@ per-module overhead (standing in for eager side effects such as source-location
 preallocation), every byte that the strategy logically reads is counted, and
 ticks derive from both.  ``sim_memory_bytes`` is the sum over loaded modules of
 overhead + table bytes + deserialized blob bytes, plus the resident index,
-rootmap, and parsed header text where a strategy keeps those around.
+rootmap, and parsed header text where a strategy keeps those around.  A false
+positive is a module that a lookup loaded and that has not yet been the
+defining module of a resolved hit.  Every counter is kept where its work
+happens, so a stats snapshot only reads values.
 
 Sessions are single-threaded by contract; distinct sessions over the same
 immutable corpus may run concurrently.
@@ -46,8 +49,9 @@ from .errors import (
     WrongFlavor,
 )
 from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
-from .modfile import DeclFlags, Entity, ModuleFile, PCH_MODULE_NAME, merge_entities
-from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module, resolve_module_path
+from .modfile import PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile, merge_entities
+from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module
+from .modulemap import resolve_module_path, root_file
 
 ROOTMAP_FILE_NAME = "modules.rootmap"
 
@@ -84,8 +88,8 @@ class CostModel:
 @dataclass(frozen=True)
 class LoadStats:
     """Deterministic cost snapshot.  ``false_positive_loads`` counts modules
-    loaded during resolution that have not (yet) supplied the winning payload
-    of any resolution; a later hit can redeem an earlier load, so unlike every
+    that a lookup loaded and that have not yet been the defining module of a
+    resolved hit; a later hit can redeem an earlier load, so unlike every
     other counter it may decrease."""
 
     modules_loaded: int = 0
@@ -172,11 +176,8 @@ class Session:
         self._parsed_headers: set[str] = set()
         self._resident: dict[str, list[tuple[Decl, str]]] = {}
         self._merge_order: dict[str, int] = {name: i for i, name in enumerate(map.names)}
-        self._merge_order[PCH_MODULE_NAME] = 2**32
-        self._header_seq = 0
         self._cache: dict[str, Entity | _Marker] = {}
-        self._resolution_loads: set[str] = set()
-        self._contributors: set[str] = set()
+        self._unredeemed: set[str] = set()
 
         self._decls = 0
         self._bytes = 0
@@ -202,15 +203,15 @@ class Session:
         try:
             self._load_module(PCH_MODULE_NAME, resolution=False)
         except ModuleNotFound as exc:
-            raise MissingPch("no __pch__.pcm under the search paths") from exc
+            raise MissingPch(f"no {PCH_FILE_NAME} under the search paths") from exc
         self._load_direct()
 
     def _start_textual(self, index_path: str | Path | None, allow_stale: bool) -> None:
-        path = self._apply_overlay(str(Path(self.paths.release_root) / ROOTMAP_FILE_NAME))
+        path = root_file(self.paths.release_root, ROOTMAP_FILE_NAME, self.overlay)
         if not Path(path).is_file():
             raise MissingRootmap(f"no {ROOTMAP_FILE_NAME} in the release root")
         text = Path(path).read_text("utf-8")
-        self._charge_read(len(text.encode("utf-8")), resident=True)
+        self._charge_read(len(text.encode("utf-8")))
         self._rootmap = {}
         for line in text.splitlines():
             line = line.strip()
@@ -236,12 +237,12 @@ class Session:
                 f"got {index.flavor.name.lower()}"
             )
         if not allow_stale:
-            report = validate_index(index, self.paths.release_root)
+            report = validate_index(index, self.paths.release_root, self.overlay)
             stale = report.modules_with(Staleness.HASH_MISMATCH)
             if stale:
                 raise IndexStale(stale)
         self._index = index
-        self._charge_read(len(data), resident=True)
+        self._charge_read(len(data))
         self._load_direct()
         # Modules excluded from the index are consulted directly as well.
         for name in index.excluded:
@@ -268,16 +269,12 @@ class Session:
     def _apply_overlay(self, path: str) -> str:
         return self.overlay.apply(path) if self.overlay is not None else path
 
-    def _tick_for(self, nbytes: int) -> int:
-        if self.cost.bytes_per_tick == 0:
-            return 0
-        return -(-nbytes // self.cost.bytes_per_tick)
-
-    def _charge_read(self, nbytes: int, resident: bool) -> None:
+    def _charge_read(self, nbytes: int) -> None:
+        """Count bytes read into resident memory; ticks round up per read."""
         self._bytes += nbytes
-        self._ticks += self._tick_for(nbytes)
-        if resident:
-            self._mem += nbytes
+        self._mem += nbytes
+        if self.cost.bytes_per_tick:
+            self._ticks += -(-nbytes // self.cost.bytes_per_tick)
 
     # -- module loading --
 
@@ -292,16 +289,15 @@ class Session:
         try:
             path, _ = resolve_module_path(self.paths, name, self.overlay)
             mf = modfile.read_module_summary(Path(path).read_bytes())
-            mf.module_id = self._merge_order.get(name, 2**32)
             for imp in mf.imports:
                 self._load_module(imp, resolution)
-            self._charge_read(mf.summary_bytes, resident=True)
+            self._charge_read(mf.summary_bytes)
             self._mem += self.cost.per_module_overhead_bytes
             self._ticks += self.cost.per_module_overhead_ticks
             self._loaded[name] = _Loaded(mf)
             self._load_order.append(name)
             if resolution:
-                self._resolution_loads.add(name)
+                self._unredeemed.add(name)
         finally:
             self._loading.discard(name)
 
@@ -313,7 +309,7 @@ class Session:
         entry = lm.mf.find(identifier)
         decl = modfile.deserialize_decl(lm.mf, identifier)
         self._decls += 1
-        self._charge_read(entry.blob_len, resident=True)
+        self._charge_read(entry.blob_len)
         lm.decls[identifier] = decl
         return decl
 
@@ -346,8 +342,7 @@ class Session:
         entity = cached
         if need is Need.DEFINITION and entity.kind is modfile.EntityKind.FORWARD:
             return Resolution(identifier, need, ResolutionOutcome.NOT_FOUND)
-        if entity.defining_module is not None:
-            self._contributors.add(entity.defining_module)
+        self._unredeemed.discard(entity.defining_module)
         return Resolution(identifier, need, ResolutionOutcome.RESOLVED, entity)
 
     def _direct_hits(self, identifier: str) -> list[str]:
@@ -380,13 +375,12 @@ class Session:
         if relpath in self._parsed_headers:
             return
         self._parsed_headers.add(relpath)
-        path = self._apply_overlay(str(Path(self.paths.release_root) / relpath))
+        path = root_file(self.paths.release_root, relpath, self.overlay)
         text = Path(path).read_text("utf-8")
         self._headers += 1
-        self._charge_read(len(text.encode("utf-8")), resident=True)
+        self._charge_read(len(text.encode("utf-8")))
         ast = parse_header(text, relpath)
-        self._merge_order[relpath] = 2**33 + self._header_seq
-        self._header_seq += 1
+        self._merge_order[relpath] = 2**33 + self._headers
         for decl in ast.items:
             self._resident.setdefault(decl.name, []).append((decl, relpath))
         for include in ast.includes:
@@ -449,9 +443,6 @@ class Session:
 
     def stats(self) -> LoadStats:
         """Pure value snapshot; no side effects."""
-        false_positives = sum(
-            1 for name in self._resolution_loads if name not in self._contributors
-        )
         return LoadStats(
             modules_loaded=len(self._load_order),
             load_order=tuple(self._load_order),
@@ -461,7 +452,7 @@ class Session:
             sim_memory_bytes=self._mem,
             ticks=self._ticks,
             lookups=self._lookups,
-            false_positive_loads=false_positives,
+            false_positive_loads=len(self._unredeemed),
         )
 
 

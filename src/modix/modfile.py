@@ -46,6 +46,7 @@ MAGIC = b"MODF"
 VERSION = 1
 FILE_EXTENSION = ".pcm"
 PCH_MODULE_NAME = "__pch__"
+PCH_FILE_NAME = f"{PCH_MODULE_NAME}{FILE_EXTENSION}"
 
 # The content_hash field inside the file (after magic + version).
 _HASH_FIELD = slice(8, 16)

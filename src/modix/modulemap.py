@@ -25,9 +25,9 @@ from .errors import (
     ModuleNotFound,
     ParseError,
 )
+from .modfile import FILE_EXTENSION
 
 FINAL_MAP_NAME = "module.modulemap"
-OVERLAY_NAME = "overlay.txt"
 
 
 @dataclass(frozen=True)
@@ -207,10 +207,16 @@ class SearchPaths:
     release_root: str
 
 
+def root_file(root: str | Path, name: str, overlay: Overlay | None = None) -> str:
+    """`<root>/<name>` joined with `os.path.join`, then remapped by the
+    overlay; every file under a search root is spelled this one way, so one
+    overlay line matches all of them."""
+    path = os.path.join(root, name)
+    return overlay.apply(path) if overlay is not None else path
+
+
 def _module_file(root: str, module_name: str, overlay: Overlay | None) -> str | None:
-    candidate = os.path.join(root, module_name + ".pcm")
-    if overlay is not None:
-        candidate = overlay.apply(candidate)
+    candidate = root_file(root, module_name + FILE_EXTENSION, overlay)
     return candidate if os.path.isfile(candidate) else None
 
 

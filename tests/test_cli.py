@@ -150,6 +150,19 @@ class TestBenchCommand:
         assert (corpus / "module.modulemap").is_file()
         assert capsys.readouterr().out.startswith("| scenario")
 
+    def test_cmssw319_csv_matches_golden(self, capsys):
+        # Pins the simulated currency: a change that moves any simulated
+        # column must say why and regenerate the golden with this command.
+        data = Path(__file__).parent / "data"
+        assert main(
+            [
+                "bench", "--spec", "cmssw319",
+                "--workload", str(data / "cmssw319_workload.dscript"),
+                "--strategies", "preload-all,pch,textual,lexical-gmi,semantic-gmi",
+            ]
+        ) == 0
+        assert capsys.readouterr().out == (data / "cmssw319_bench.csv").read_text("utf-8")
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_random_corpus, random_workload, run_equivalence_check
+from conftest import build_random_corpus, outcome_signature, random_workload, run_equivalence_check
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.declang import Need, parse_header
 from modix.errors import (
@@ -17,8 +17,14 @@ from modix.errors import (
     ModuleNotFound,
     WrongFlavor,
 )
-from modix.gmi import INDEX_FILE_NAME, LEXICAL_INDEX_FILE_NAME, IndexFlavor, build_index
-from modix.loader import CostModel, ResolutionOutcome, Strategy, open_session
+from modix.gmi import (
+    INDEX_FILE_NAME,
+    LEXICAL_INDEX_FILE_NAME,
+    IndexFlavor,
+    build_index,
+    index_file_name,
+)
+from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Strategy, open_session
 from modix.modfile import PCH_MODULE_NAME, compile_module, read_module_summary
 from modix.modulemap import Origin, Overlay, SearchPaths, load_modulemap, resolve_module_path
 
@@ -457,6 +463,50 @@ class TestOverlay:
             )
             assert set(session.stats().load_order) - {PCH_MODULE_NAME} == local, strategy
 
+    @staticmethod
+    def _open_mounted(corpus_dir, strategy, allow_stale=False):
+        # `./rel` is kept verbatim by `os.path.join` but normalized away by
+        # `pathlib`, so only one spelling of release-root files matches.
+        module_map = load_modulemap(corpus_dir / "module.modulemap")
+        flavor = INDEX_FLAVORS.get(strategy)
+        index_path = f"./rel/{index_file_name(flavor)}" if flavor is not None else None
+        return open_session(
+            module_map,
+            SearchPaths((), "./rel"),
+            strategy,
+            index_path=index_path,
+            allow_stale=allow_stale,
+            overlay=Overlay((("./rel", str(corpus_dir)),)),
+        )
+
+    def test_release_root_overlay_opens_every_strategy(self, tmp_path, monkeypatch):
+        rng = random.Random(41)
+        corpus = build_random_corpus(rng, tmp_path / "corpus")
+        workload = random_workload(rng, corpus, 40)
+        monkeypatch.chdir(tmp_path)
+        for strategy in Strategy:
+            direct = open_corpus_session(corpus.dir, strategy)
+            mounted = self._open_mounted(corpus.dir, strategy)
+            assert [outcome_signature(mounted, i, n) for i, n in workload] == [
+                outcome_signature(direct, i, n) for i, n in workload
+            ], strategy
+
+    def test_release_root_overlay_keeps_staleness_check(self, tmp_path, monkeypatch, gpad_corpus):
+        corpus_dir, _ = gpad_corpus
+        headers = [
+            parse_header((corpus_dir / "M1" / name).read_text("utf-8"), name)
+            for name in ("fwd.dh", "types.dh")
+        ]
+        headers.append(parse_header("struct Extra { x: i32; };", "extra.dh"))
+        (corpus_dir / "M1.pcm").write_bytes(compile_module("M1", headers))
+        monkeypatch.chdir(tmp_path)
+        for strategy in INDEX_FLAVORS:
+            with pytest.raises(IndexStale) as excinfo:
+                self._open_mounted(corpus_dir, strategy)
+            assert excinfo.value.stale_modules == ("M1",)
+            session = self._open_mounted(corpus_dir, strategy, allow_stale=True)
+            assert session.resolve("S0_0", Need.DEFINITION).succeeded
+
 
 class TestBounds:
     def test_fresh_session_single_resolve_bound(self, tmp_path):
@@ -507,6 +557,28 @@ class TestFalsePositiveElimination:
                 assert session.resolve(f"S{m}_{k}", Need.DEFINITION).succeeded
         assert session.stats().false_positive_loads == 0
         assert session.stats().modules_loaded == 9
+
+    def test_running_count_matches_recount_from_public_data(self, tmp_path):
+        # A false positive is a module a lookup loaded that has not yet been
+        # the defining module of a resolved hit; recount that from the load
+        # order and the resolutions alone after every resolve.
+        rng = random.Random(2718)
+        for case in range(12):
+            corpus = build_random_corpus(rng, tmp_path / f"fp{case}")
+            workload = random_workload(rng, corpus, 40)
+            for strategy in INDEX_FLAVORS:
+                session = open_corpus_session(corpus.dir, strategy)
+                startup = session.stats().modules_loaded
+                redeemed: set[str] = set()
+                for ident, need in workload:
+                    resolution = session.resolve(ident, need)
+                    if resolution.outcome is ResolutionOutcome.RESOLVED:
+                        redeemed.add(resolution.entity.defining_module)
+                    stats = session.stats()
+                    recount = sum(
+                        1 for name in stats.load_order[startup:] if name not in redeemed
+                    )
+                    assert stats.false_positive_loads == recount, (case, strategy, ident)
 
 
 class TestMonotonicity:
