@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from .errors import CorruptTable
@@ -12,11 +13,20 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a over the raw bytes."""
+    """64-bit FNV-1a over the raw bytes (the version 1 content hash)."""
     h = FNV_OFFSET
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & _MASK64
     return h
+
+
+def digest64(*parts: bytes | memoryview) -> int:
+    """64-bit BLAKE2b over the parts in order, read as a little-endian u64:
+    the content hash of module files, which index rows also store."""
+    h = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        h.update(part)
+    return int.from_bytes(h.digest(), "little")
 
 
 class Writer:

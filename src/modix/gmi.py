@@ -6,11 +6,15 @@ loading modules that merely forward-declare a name.
 
 File layout (little-endian)::
 
-    magic "GMIX" | version u32 = 1 | flavor u8 (1 lexical, 2 semantic) |
+    magic "GMIX" | version u32 = 2 | flavor u8 (1 lexical, 2 semantic) |
     excluded_count u32 | excluded names (u32 len + UTF-8 each) |
     module_count u32 | rows: (module_id u32 | u32 len + name | content_hash u64) |
     entry_count u32 | entries sorted by identifier bytes:
         (u32 len + identifier | posting_count u32 | postings: (module_id u32 | flags u8))
+
+Each module row stores that module file's BLAKE2b-64 content hash (see
+``modfile``); validation rehashes every indexed module file in full and
+compares.  Version 1 indexes (FNV-1a hashes) are rejected.
 
 Indexes are immutable after load; building is a batch single-writer step.
 """
@@ -30,7 +34,7 @@ from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spa
 from .modulemap import ModuleMap, Overlay, root_file
 
 MAGIC = b"GMIX"
-VERSION = 1
+VERSION = 2
 INDEX_FILE_NAME = "modules.gmi"
 LEXICAL_INDEX_FILE_NAME = "modules.lexical.gmi"
 

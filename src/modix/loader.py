@@ -396,13 +396,20 @@ class Session:
             if self._index.module_name(p.module_id) not in self._shadowed
         ]
 
+    def _load_posted(self, posting: gmi_mod.Posting, identifier: str) -> list[tuple[Decl, str]]:
+        """Load the module an index posting names and return its declaration
+        of the identifier: none when a stale index (``allow_stale``) lists a
+        module that was rebuilt without it."""
+        name = self._index.module_name(posting.module_id)
+        self._load_module(name, resolution=True)
+        if self._loaded[name].mf.find(identifier) is None:
+            return []
+        return [(self._deserialize(name, identifier), name)]
+
     def _resolve_lexical(self, identifier: str, need: Need) -> Entity | _Marker:
-        postings = self._visible_postings(identifier)
         candidates: list[tuple[Decl, str]] = []
-        for p in postings:
-            name = self._index.module_name(p.module_id)
-            self._load_module(name, resolution=True)
-            candidates.append((self._deserialize(name, identifier), name))
+        for p in self._visible_postings(identifier):
+            candidates += self._load_posted(p, identifier)
         candidates += [(self._deserialize(n, identifier), n) for n in self._direct_hits(identifier)]
         return self._merge(candidates)
 
@@ -417,18 +424,17 @@ class Session:
         def_posting = next(
             (p for p in postings if p.flags & PostingFlags.DEFINES), None
         )
-        has_definition = bool(defining_hits) or def_posting is not None
-        known = bool(hits) or bool(postings)
-        if not has_definition:
-            # Forward declarations alone never force a load; the equivalence
-            # oracle keeps this synthesis honest.
-            return _Marker.FORWARD_ONLY if known else _Marker.ABSENT
         candidates = [(self._deserialize(n, identifier), n) for n in defining_hits]
         if def_posting is not None:
-            name = self._index.module_name(def_posting.module_id)
-            self._load_module(name, resolution=True)
-            candidates.append((self._deserialize(name, identifier), name))
-        return self._merge(candidates)
+            posted = self._load_posted(def_posting, identifier)
+            if not posted:
+                postings.remove(def_posting)
+            candidates += posted
+        if candidates:
+            return self._merge(candidates)
+        # Forward declarations alone never force a load; the equivalence
+        # oracle keeps this synthesis honest.
+        return _Marker.FORWARD_ONLY if hits or postings else _Marker.ABSENT
 
     # Each strategy's startup and uncached resolve, side by side.
     _STRATEGIES = {

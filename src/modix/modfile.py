@@ -3,14 +3,16 @@ merge, and build the monolithic precompiled cache.
 
 File layout (all integers little-endian)::
 
-    magic "MODF" | version u32 = 1 | content_hash u64 |
+    magic "MODF" | version u32 = 2 | content_hash u64 |
     name (u32 len + UTF-8) |
     import_count u32 | imports (u32 len + UTF-8 each) |
     ident_count u32 | entries sorted by name bytes:
         (u32 len + UTF-8 name | flags u8 | blob_offset u64 | blob_len u32) |
     blob_region_len u64 | blob_region bytes
 
-The content hash is 64-bit FNV-1a over the file with the hash field zeroed.
+The content hash is BLAKE2b with an 8-byte digest over the whole file with
+the hash field zeroed, stored little-endian; every load and every index
+validation recomputes it.  Version 1 files (FNV-1a hashes) are rejected.
 Each blob is the canonical serialization of one declaration: a kind tag, then
 length-prefixed fields in source order, then the origin (header path relative
 to the module root, plus line).  The origin is excluded from the payload bytes
@@ -29,7 +31,8 @@ from pathlib import Path
 from typing import Container, Iterable, Mapping, Sequence
 
 from . import declang
-from ._wire import Reader, Writer, fnv1a_64
+from ._wire import Reader, Writer, digest64
+from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
 from .errors import (
     BadMagic,
@@ -43,13 +46,14 @@ from .errors import (
 )
 
 MAGIC = b"MODF"
-VERSION = 1
+VERSION = 2
 FILE_EXTENSION = ".pcm"
 PCH_MODULE_NAME = "__pch__"
 PCH_FILE_NAME = f"{PCH_MODULE_NAME}{FILE_EXTENSION}"
 
 # The content_hash field inside the file (after magic + version).
 _HASH_FIELD = slice(8, 16)
+_ZERO_HASH = bytes(_HASH_FIELD.stop - _HASH_FIELD.start)
 
 
 class DeclFlags(IntFlag):
@@ -280,12 +284,15 @@ def _emit(module_name: str, imports: Sequence[str], decls: Sequence[tuple[str, D
 
 def content_hashes(data: bytes) -> tuple[int, int] | None:
     """(stored, computed) content hash of module file bytes: the value of the
-    hash field, and 64-bit FNV-1a over the bytes with that field zeroed.
+    hash field, and BLAKE2b-64 over the bytes with that field zeroed.
     None when the bytes are too short to hold the field."""
     if len(data) < _HASH_FIELD.stop:
         return None
-    stored = int.from_bytes(data[_HASH_FIELD], "little")
-    return stored, fnv1a_64(data[:_HASH_FIELD.start] + bytes(8) + data[_HASH_FIELD.stop:])
+    with memoryview(data) as view:
+        stored = int.from_bytes(view[_HASH_FIELD], "little")
+        return stored, digest64(
+            view[:_HASH_FIELD.start], _ZERO_HASH, view[_HASH_FIELD.stop:]
+        )
 
 
 def compile_module(

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from modix.declang import parse_header
-from modix.errors import CorruptTable, BadMagic, ModuleNotFound, WrongFlavor
+from modix.errors import CorruptTable, BadMagic, BadVersion, ModuleNotFound, WrongFlavor
 from modix.gmi import (
     IndexFlavor,
     PostingFlags,
@@ -156,6 +156,13 @@ class TestFormat:
             load_index(data[:-3])
         with pytest.raises(CorruptTable):
             load_index(data + b"\x00")
+
+    def test_version_1_rejected(self, gpad_dir):
+        directory, module_map = gpad_dir
+        data = bytearray(build_index(module_map, directory, IndexFlavor.SEMANTIC))
+        data[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(BadVersion):
+            load_index(bytes(data))
 
 
 def assert_index_consistent(index, directory, module_map):

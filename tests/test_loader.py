@@ -21,8 +21,11 @@ from modix.gmi import (
     INDEX_FILE_NAME,
     LEXICAL_INDEX_FILE_NAME,
     IndexFlavor,
+    Staleness,
     build_index,
     index_file_name,
+    load_index,
+    validate_index,
 )
 from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Strategy, open_session
 from modix.modfile import PCH_MODULE_NAME, compile_module, read_module_summary
@@ -407,6 +410,49 @@ class TestLocalShadowing:
         entry = local_mf.find("Thing")
         blob = local_mf.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
         assert resolution.entity.canonical_payload in blob
+
+
+class TestStaleIndex:
+    def test_flipped_blob_byte_is_stale(self, gpad_corpus):
+        # The hash field is left as it was, so only a full rehash notices.
+        corpus_dir, _ = gpad_corpus
+        path = corpus_dir / "M3.pcm"
+        data = bytearray(path.read_bytes())
+        data[read_module_summary(bytes(data)).summary_bytes] ^= 0x01
+        path.write_bytes(data)
+        index = load_index((corpus_dir / INDEX_FILE_NAME).read_bytes())
+        report = validate_index(index, corpus_dir)
+        assert report.modules_with(Staleness.HASH_MISMATCH) == ("M3",)
+        with pytest.raises(IndexStale) as excinfo:
+            open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI)
+        assert excinfo.value.stale_modules == ("M3",)
+
+    @pytest.mark.parametrize(
+        "module, headers, s0_definition",
+        [
+            # M1 loses its forward declaration of S0_0, which M0 defines.
+            ("M1", ("types.dh",), ("definition",)),
+            # M0, the definer of S0_0, loses it; M1..M5 still forward-declare it.
+            ("M0", ("fwd.dh",), ("not-found",)),
+        ],
+        ids=["mentioner", "definer"],
+    )
+    def test_posting_for_a_rebuilt_module_adds_no_candidate(
+        self, gpad_corpus, module, headers, s0_definition
+    ):
+        corpus_dir, _ = gpad_corpus
+        path = corpus_dir / f"{module}.pcm"
+        imports = read_module_summary(path.read_bytes()).imports
+        asts = [parse_header((corpus_dir / module / h).read_text("utf-8"), h) for h in headers]
+        path.write_bytes(compile_module(module, asts, imports))
+        lexical = open_corpus_session(corpus_dir, Strategy.LEXICAL_GMI, allow_stale=True)
+        semantic = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, allow_stale=True)
+        for ident in (f"S{m}_0" for m in range(6)):
+            for need in (Need.FORWARD_OK, Need.DEFINITION):
+                assert outcome_signature(lexical, ident, need) == outcome_signature(
+                    semantic, ident, need
+                ), (ident, need)
+        assert outcome_signature(lexical, "S0_0", Need.DEFINITION)[:1] == s0_definition
 
 
 class TestOverlay:

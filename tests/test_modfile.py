@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -9,6 +10,7 @@ from modix.declang import Decl, DeclKind, StructField, TypeRef, parse_header
 from modix.errors import (
     BadMagic,
     BadVersion,
+    CorruptModule,
     CorruptTable,
     HashMismatch,
     OdrInModule,
@@ -119,6 +121,35 @@ class TestFormatErrors:
         data[-1] ^= 0xFF
         with pytest.raises(HashMismatch):
             read_module_summary(bytes(data))
+
+    def test_version_1_rejected(self):
+        data = bytearray(_module("M", "struct A;"))
+        data[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(BadVersion):
+            read_module_summary(bytes(data))
+
+    def test_every_single_bit_flip_is_rejected(self):
+        data = _module("M", "struct A { x: i32; p: ptr<B>; };", "struct B;\nenum E { a };",
+                       imports=("N",))
+        for bit in range(len(data) * 8):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            try:
+                read_module_summary(bytes(flipped))
+            except CorruptModule:
+                continue
+            except Exception as exc:
+                pytest.fail(f"flipping bit {bit} raised {type(exc).__name__}: {exc}")
+            pytest.fail(f"flipping bit {bit} was accepted")
+
+
+class TestContentHash:
+    def test_stored_hash_is_blake2b_64_with_the_field_zeroed(self):
+        data = _module("M", "struct A { x: i32; };", "struct B;", imports=("N",))
+        zeroed = data[:8] + bytes(8) + data[16:]
+        digest = hashlib.blake2b(zeroed, digest_size=8).digest()
+        assert data[8:16] == digest
+        assert read_module_summary(data).content_hash == int.from_bytes(digest, "little")
 
 
 class TestDeserialize:
