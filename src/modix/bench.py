@@ -4,6 +4,9 @@ A corpus is a self-contained release directory: header sources, per-library
 and concatenated module maps, compiled `.pcm` files, a merged `__pch__.pcm`,
 both index flavors (`modules.gmi` semantic, `modules.lexical.gmi` lexical),
 and a `modules.rootmap`.  Generation is deterministic for a fixed spec.
+Generators only describe header sources; `write_corpus` writes them and builds
+the release through `compile_tree`, the one compile path, which `modix compile`
+also runs.
 
 The harness runs one fresh session per strategy over an identical workload and
 reports startup and workload costs separately.  Ticks, not wall-clock, are the
@@ -19,15 +22,14 @@ from typing import Sequence
 
 from . import gmi as gmi_mod
 from . import modfile
-from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef, parse_header, render_decl
+from .declang import Decl, DeclKind, StructField, TypeRef, parse_header, render_decl
 from .errors import EmptyReport
 from .gmi import IndexFlavor
 from .interp import run_script
 from .loader import INDEX_FLAVORS, ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy
 from .loader import open_session
 from .modfile import DeclFlags
-from .modulemap import FINAL_MAP_NAME, ModuleDef, ModuleMap, SearchPaths, concat_modulemaps
-from .modulemap import load_modulemap
+from .modulemap import FINAL_MAP_NAME, ModuleMap, SearchPaths, load_modulemap
 
 CSV_COLUMNS = (
     "scenario",
@@ -165,7 +167,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> ModuleMap:
         headers = {"types.dh": "\n".join(lines) + "\n"}
         if forwards[m]:
             headers["fwd.dh"] = "".join(f"struct {name};\n" for name in forwards[m])
-        modules.append((names[m], headers, imports[m]))
+        modules.append((names[m], headers))
     return write_corpus(out_dir, modules)
 
 
@@ -183,62 +185,88 @@ def generate_replicated_corpus(
         f"struct A{k} {{ x: i32; y: f64; }};\n" for k in range(defs_per_module)
     )
     modules = [
-        (f"R{m:04d}", {"types.dh": body}, []) for m in range(n_modules)
+        (f"R{m:04d}", {"types.dh": body}) for m in range(n_modules)
     ]
     return write_corpus(out_dir, modules)
 
 
 def write_corpus(
-    out_dir: str | Path,
-    modules: Sequence[tuple[str, dict[str, str], Sequence[str]]],
+    out_dir: str | Path, modules: Sequence[tuple[str, dict[str, str]]]
 ) -> ModuleMap:
-    """Write headers, maps, module files, PCH, both indexes, and the rootmap
-    for (module name, {header name: text}, imports) descriptions."""
+    """Write the sources of (module name, {header name: text}) descriptions
+    (headers, per-library maps and `module.modulemap`), then build the release
+    from them: module files and rootmap (`compile_tree`), PCH and both indexes.
+    Imports come from includes, as in `compile_tree`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    map_entries = []
     map_texts: list[str] = []
-    compiled: list[modfile.ModuleFile] = []
-    for module_id, (name, headers, module_imports) in enumerate(modules):
+    for name, headers in modules:
         module_dir = out / name
         module_dir.mkdir(exist_ok=True)
-        asts: list[HeaderAST] = []
         for header_name in sorted(headers):
-            text = headers[header_name]
-            (module_dir / header_name).write_text(text, "utf-8")
-            asts.append(parse_header(text, header_name))
-        compiled.append(modfile.write_module(out, module_id, name, asts, tuple(module_imports)))
-
-        header_paths = tuple(f"{name}/{h}" for h in sorted(headers))
+            (module_dir / header_name).write_text(headers[header_name], "utf-8")
         map_text = f"module {name} {{\n" + "".join(
-            f'    header "{h}"\n' for h in header_paths
+            f'    header "{name}/{h}"\n' for h in sorted(headers)
         ) + "}\n"
-        map_file = out / f"{name}.modulemap"
-        map_file.write_text(map_text, "utf-8")
+        (out / f"{name}.modulemap").write_text(map_text, "utf-8")
         map_texts.append(map_text)
-        map_entries.append((str(map_file), [ModuleDef(name, header_paths, str(map_file))]))
-
-    module_map = concat_modulemaps(map_entries)
     (out / FINAL_MAP_NAME).write_text("".join(map_texts), "utf-8")
 
+    module_map, compiled = compile_tree(out / FINAL_MAP_NAME, out)
     (out / modfile.PCH_FILE_NAME).write_bytes(modfile.build_pch(compiled))
     for flavor in (IndexFlavor.SEMANTIC, IndexFlavor.LEXICAL):
         (out / gmi_mod.index_file_name(flavor)).write_bytes(
             gmi_mod.build_index(module_map, out, flavor)
         )
-    (out / ROOTMAP_FILE_NAME).write_text(build_rootmap(compiled), "utf-8")
     return module_map
+
+
+def compile_tree(
+    map_path: str | Path, out_dir: str | Path
+) -> tuple[ModuleMap, list[modfile.ModuleFile]]:
+    """Compile every module of a final module map into `out_dir`.
+
+    Headers are read relative to the map's directory.  A module imports each
+    other module that owns a header it includes, in include order.  Origins
+    are stored relative to the module's own directory, so the module files
+    stay relocatable.  Writes `<name>.pcm` per module, a copy of the map and
+    the rootmap; returns the map and the summaries in map order.
+    """
+    map_path = Path(map_path)
+    root = map_path.parent
+    module_map = load_modulemap(map_path)
+    owners = module_map.header_owners()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    compiled = []
+    for d in module_map.defs:
+        asts = []
+        imports: list[str] = []
+        for header in d.headers:
+            origin = header[len(d.name) + 1:] if header.startswith(d.name + "/") else header
+            ast = parse_header((root / header).read_text("utf-8"), origin)
+            asts.append(ast)
+            for include in ast.includes:
+                owner = owners.get(include)
+                if owner is not None and owner != d.name and owner not in imports:
+                    imports.append(owner)
+        data = modfile.compile_module(d.name, asts, imports)
+        (out / f"{d.name}{modfile.FILE_EXTENSION}").write_bytes(data)
+        compiled.append(modfile.read_module_summary(data))
+    (out / FINAL_MAP_NAME).write_text(map_path.read_text("utf-8"), "utf-8")
+    (out / ROOTMAP_FILE_NAME).write_text(build_rootmap(compiled), "utf-8")
+    return module_map, compiled
 
 
 def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
     """One `IDENT HEADER` line per identifier, pointing at the header holding
-    its winning declaration (definitions beat forwards, lowest module id)."""
+    its winning declaration (definitions beat forwards, then the earliest
+    module in `compiled`, which callers pass in module map order)."""
     best: dict[str, tuple[int, int, str]] = {}
-    for mf in compiled:
+    for position, mf in enumerate(compiled):
         for entry in mf.ident_table:
             defined = 0 if entry.flags & DeclFlags.HAS_DEFINITION else 1
-            key = (defined, mf.module_id)
+            key = (defined, position)
             current = best.get(entry.name)
             if current is None or key < current[:2]:
                 decl = modfile.deserialize_decl(mf, entry.name)

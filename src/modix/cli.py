@@ -21,11 +21,11 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import gmi as gmi_mod
 from . import modfile
-from .declang import parse_header
+from .declang import parse_header  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import ModixError
 from .gmi import IndexFlavor
 from .interp import format_result, repl, run_script
-from .loader import INDEX_FLAVORS, ROOTMAP_FILE_NAME, CostModel, Strategy, open_session
+from .loader import INDEX_FLAVORS, CostModel, Strategy, open_session
 from .modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, load_modulemap, parse_overlay
 
 
@@ -74,31 +74,8 @@ def _default_index(corpus_dir: Path, flavor: IndexFlavor) -> Path:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    map_path = Path(args.modulemap)
-    root = map_path.parent
-    module_map = load_modulemap(map_path)
-    owners = module_map.header_owners()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    compiled = []
-    for module_id, d in enumerate(module_map.defs):
-        asts = []
-        imports: list[str] = []
-        for header in d.headers:
-            # Origins are stored relative to the module's own directory so the
-            # emitted files stay relocatable.
-            origin = header[len(d.name) + 1:] if header.startswith(d.name + "/") else header
-            text = (root / header).read_text("utf-8")
-            ast = parse_header(text, origin)
-            asts.append(ast)
-            for include in ast.includes:
-                owner = owners.get(include)
-                if owner is not None and owner != d.name and owner not in imports:
-                    imports.append(owner)
-        compiled.append(modfile.write_module(out, module_id, d.name, asts, imports))
-    (out / FINAL_MAP_NAME).write_text(map_path.read_text("utf-8"), "utf-8")
-    (out / ROOTMAP_FILE_NAME).write_text(bench_mod.build_rootmap(compiled), "utf-8")
-    print(f"compiled {len(module_map.defs)} modules into {out}")
+    module_map, _ = bench_mod.compile_tree(args.modulemap, args.out)
+    print(f"compiled {len(module_map.defs)} modules into {Path(args.out)}")
     return 0
 
 

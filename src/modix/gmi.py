@@ -108,22 +108,25 @@ def build_index(
     flavor: IndexFlavor,
     excluded: Sequence[str] = (),
 ) -> bytes:
-    """Index every non-excluded module's identifier table.
+    """Index every non-excluded module's identifier table; a module's id is
+    its position in the map.
 
     Excluded modules contribute no postings but are recorded so sessions know
     to consult them directly; each indexed module's content hash is stored for
     staleness checks.
     """
     excluded_set = set(excluded)
+    indexed = [name for name in map.names if name not in excluded_set]
     rows: list[IndexedModule] = []
     postings: dict[str, list[Posting]] = {}
-    for mf in read_modules(module_dir, map.names, excluded_set):
-        rows.append(IndexedModule(mf.module_id, map.defs[mf.module_id].name, mf.content_hash))
+    for name, mf in zip(indexed, read_modules(module_dir, indexed)):
+        module_id = map.module_id(name)
+        rows.append(IndexedModule(module_id, name, mf.content_hash))
         for entry in mf.ident_table:
             flags = PostingFlags.MENTIONS
             if flavor is IndexFlavor.SEMANTIC and entry.flags & DeclFlags.HAS_DEFINITION:
                 flags |= PostingFlags.DEFINES
-            postings.setdefault(entry.name, []).append(Posting(mf.module_id, flags))
+            postings.setdefault(entry.name, []).append(Posting(module_id, flags))
 
     w = Writer()
     w.raw(MAGIC)

@@ -28,7 +28,7 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import declang
 from ._wire import Reader, Writer, digest64
@@ -118,9 +118,9 @@ class IdentEntry:
 
 @dataclass
 class ModuleFile:
-    """In-memory handle over one module file.  `module_id` is assigned by the
-    module map when the file joins a session; the on-disk format carries no id
-    so files stay relocatable."""
+    """In-memory handle over one module file.  It carries no module id, and
+    neither does the file, so files stay relocatable: a module's id is its
+    position in the module map."""
 
     module_name: str
     imports: tuple[str, ...]
@@ -128,7 +128,6 @@ class ModuleFile:
     blob_region: bytes
     content_hash: int
     summary_bytes: int
-    module_id: int = 0
     _names: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -383,34 +382,15 @@ def read_module_summary(data: bytes) -> ModuleFile:
     )
 
 
-def write_module(
-    out_dir: Path, module_id: int, name: str, headers: Iterable[HeaderAST], imports: Sequence[str]
-) -> ModuleFile:
-    """Compile a module into `out_dir/<name>.pcm` and return its summary, with
-    `module_id` set."""
-    data = compile_module(name, headers, imports)
-    (out_dir / f"{name}{FILE_EXTENSION}").write_bytes(data)
-    mf = read_module_summary(data)
-    mf.module_id = module_id
-    return mf
-
-
-def read_modules(
-    module_dir: str | Path, names: Sequence[str], excluded: Container[str] = ()
-) -> list[ModuleFile]:
-    """Summaries of `module_dir/<name>.pcm` for each name not excluded, each
-    with `module_id` set to the name's position in `names`."""
+def read_modules(module_dir: str | Path, names: Sequence[str]) -> list[ModuleFile]:
+    """Summaries of `module_dir/<name>.pcm` for each name, in order."""
     module_dir = Path(module_dir)
     modules = []
-    for module_id, name in enumerate(names):
-        if name in excluded:
-            continue
+    for name in names:
         path = module_dir / f"{name}{FILE_EXTENSION}"
         if not path.is_file():
             raise ModuleNotFound(name)
-        mf = read_module_summary(path.read_bytes())
-        mf.module_id = module_id
-        modules.append(mf)
+        modules.append(read_module_summary(path.read_bytes()))
     return modules
 
 
@@ -478,10 +458,10 @@ def build_pch(modules: Sequence[ModuleFile]) -> bytes:
     """Merge whole modules into one precompiled cache named `__pch__`.
 
     Duplicate names collapse to the winning declaration; its flags replace the
-    per-module flag unions.  Callers must have assigned `module_id`s so the
-    tie-break is deterministic.
+    per-module flag unions.  A module's position in `modules` is its id for
+    the tie-break, so callers pass them in module map order.
     """
-    order = {mf.module_name: mf.module_id for mf in modules}
+    order = {mf.module_name: position for position, mf in enumerate(modules)}
     gathered: dict[str, list[tuple[Decl, str]]] = {}
     for mf in modules:
         for entry in mf.ident_table:

@@ -129,7 +129,7 @@ def build_random_corpus(rng: random.Random, out_dir: Path) -> BuiltCorpus:
                     continue
                 seen_nonfwd.add(decl.name)
             lines.append(render_decl(decl))
-        modules.append((module_names[m], {"lib.dh": "\n".join(lines) + "\n"}, imports[m]))
+        modules.append((module_names[m], {"lib.dh": "\n".join(lines) + "\n"}))
 
     module_map = write_corpus(out_dir, modules)
     unknown = [fresh("X") for _ in range(3)]

@@ -219,10 +219,8 @@ def test_criterion_5_odr_machinery(tmp_path):
             corpus_dir,
         )
         modules = []
-        for i, path in enumerate(sorted(corpus_dir.glob("M*.pcm"))):
-            mf = read_module_summary(path.read_bytes())
-            mf.module_id = i
-            modules.append(mf)
+        for path in sorted(corpus_dir.glob("M*.pcm")):
+            modules.append(read_module_summary(path.read_bytes()))
         pch = read_module_summary(build_pch(modules))
         assert len(pch.ident_table) < sum(len(m.ident_table) for m in modules)
 

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
+import pytest
+
+from conftest import build_random_corpus
 from modix.bench import CorpusSpec, generate_corpus
 from modix.cli import main
+
+ARTIFACT_SUFFIXES = (".pcm", ".gmi", ".rootmap")
 
 
 def _write_source_tree(root: Path):
@@ -52,6 +58,37 @@ class TestWorkflow:
             lines = capsys.readouterr().out.strip().splitlines()
             assert lines[0] == "ok"
             assert lines[1] == "ok 8"
+
+    @pytest.mark.parametrize("shape", ["generated", "random"])
+    def test_cli_rebuild_matches_generated_release(self, tmp_path, capsys, shape):
+        tree = tmp_path / "tree"
+        if shape == "generated":
+            spec = CorpusSpec(
+                n_modules=12, defs_per_module=2, fwd_fanout=3, dup_fraction=0.5,
+                import_density=1.5, seed=3,
+            )
+            generate_corpus(spec, tree)
+        else:
+            build_random_corpus(random.Random(11), tree)
+        generated = {
+            p.name: p.read_bytes() for p in tree.iterdir() if p.suffix in ARTIFACT_SUFFIXES
+        }
+        for name in generated:
+            (tree / name).unlink()
+        for argv in (
+            ["compile", str(tree / "module.modulemap"), "-o", str(tree)],
+            ["pch", str(tree)],
+            ["index", str(tree), "--semantic"],
+            ["index", str(tree), "--lexical"],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        rebuilt = {
+            p.name: p.read_bytes() for p in tree.iterdir() if p.suffix in ARTIFACT_SUFFIXES
+        }
+        assert sorted(rebuilt) == sorted(generated)
+        for name, data in generated.items():
+            assert rebuilt[name] == data, name
 
     def test_compile_derives_imports_from_includes(self, tmp_path):
         map_file = _write_source_tree(tmp_path)
@@ -211,6 +248,18 @@ class TestExitCodes:
         assert main(args) == 2
         assert main(args[:1] + ["--allow-stale"] + args[1:]) == 0
         capsys.readouterr()
+
+    def test_deleted_module_blocks_run_before_any_statement(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=6, defs_per_module=1, fwd_fanout=5, seed=7), corpus)
+        (corpus / "M1.pcm").unlink()
+        script = tmp_path / "w.dscript"
+        script.write_text("new S0_0;\n", "utf-8")
+        args = ["run", "--strategy", "lexical-gmi", "--dir", str(corpus), str(script)]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "index is stale for modules: M1" in err
 
     def test_odr_conflict_exits_2(self, tmp_path, capsys):
         root = tmp_path / "src"

@@ -30,7 +30,6 @@ def sized_corpus(tmp_path):
                         "fn mk() -> ptr<A>;\n"
                     )
                 },
-                [],
             ),
             (
                 "Cyclic",
@@ -42,7 +41,6 @@ def sized_corpus(tmp_path):
                         "struct SelfRef2 { s: SelfRef; };\n"
                     )
                 },
-                [],
             ),
         ],
     )

@@ -37,10 +37,10 @@ ZERO_COST = CostModel(0, 0, 0)
 def _corpus_with_imports(tmp_path):
     """A -> B -> C import chain plus an unrelated D."""
     modules = [
-        ("C", {"types.dh": "struct CT { x: i32; };\n"}, []),
-        ("B", {"types.dh": 'include "C/types.dh";\nstruct BT { c: CT; };\n'}, ["C"]),
-        ("A", {"types.dh": 'include "B/types.dh";\nstruct AT { b: BT; };\n'}, ["B"]),
-        ("D", {"types.dh": "struct DT { x: bool; };\n"}, []),
+        ("C", {"types.dh": "struct CT { x: i32; };\n"}),
+        ("B", {"types.dh": 'include "C/types.dh";\nstruct BT { c: CT; };\n'}),
+        ("A", {"types.dh": 'include "B/types.dh";\nstruct AT { b: BT; };\n'}),
+        ("D", {"types.dh": "struct DT { x: bool; };\n"}),
     ]
     return write_corpus(tmp_path / "chain", modules)
 
@@ -144,9 +144,13 @@ class TestLoadModule:
         assert session.stats() == before
 
     def test_missing_import_names_the_import(self, tmp_path):
+        # Imports come from includes, and a release has no header of Ghost's
+        # to include: a module file built elsewhere brings the import.
         corpus_dir = tmp_path / "broken"
-        write_corpus(corpus_dir, [("A", {"t.dh": "struct AT;\n"}, ["Ghost"])])
-        session = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI)
+        write_corpus(corpus_dir, [("A", {"t.dh": "struct AT;\n"})])
+        header = parse_header("struct AT;\n", "t.dh")
+        (corpus_dir / "A.pcm").write_bytes(compile_module("A", [header], ["Ghost"]))
+        session = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, allow_stale=True)
         with pytest.raises(ModuleNotFound) as excinfo:
             session.load_module("A")
         assert excinfo.value.name == "Ghost"
@@ -231,8 +235,8 @@ class TestSemanticForwardSynthesis:
         write_corpus(
             corpus_dir,
             [
-                ("M0", {"t.dh": "struct Ghost;\nstruct Real { x: i32; };\n"}, []),
-                ("M1", {"t.dh": "struct Ghost;\n"}, []),
+                ("M0", {"t.dh": "struct Ghost;\nstruct Real { x: i32; };\n"}),
+                ("M1", {"t.dh": "struct Ghost;\n"}),
             ],
         )
         return corpus_dir
@@ -316,7 +320,7 @@ class TestTextual:
 
     def test_header_bytes_are_charged(self, tmp_path):
         corpus_dir = tmp_path / "single"
-        write_corpus(corpus_dir, [("M", {"t.dh": "struct A { x: i32; };\n"}, [])])
+        write_corpus(corpus_dir, [("M", {"t.dh": "struct A { x: i32; };\n"})])
         session = open_corpus_session(corpus_dir, Strategy.TEXTUAL)
         rootmap_size = (corpus_dir / "modules.rootmap").stat().st_size
         assert session.stats().bytes_read == rootmap_size
@@ -332,8 +336,8 @@ class TestLocalShadowing:
         write_corpus(
             corpus_dir,
             [
-                ("Pkg", {"t.dh": "struct Thing { x: i32; };\n"}, []),
-                ("Other", {"t.dh": "struct OtherT { x: i32; };\n"}, []),
+                ("Pkg", {"t.dh": "struct Thing { x: i32; };\n"}),
+                ("Other", {"t.dh": "struct OtherT { x: i32; };\n"}),
             ],
         )
         local = tmp_path / "local"
@@ -413,6 +417,17 @@ class TestLocalShadowing:
 
 
 class TestStaleIndex:
+    def test_deleted_module_file_is_stale(self, gpad_corpus):
+        # A session open applies `modix validate`'s rule: every module that
+        # is not fresh, missing ones included, makes the index stale.
+        corpus_dir, _ = gpad_corpus
+        (corpus_dir / "M1.pcm").unlink()
+        for strategy in INDEX_FLAVORS:
+            with pytest.raises(IndexStale) as excinfo:
+                open_corpus_session(corpus_dir, strategy)
+            assert excinfo.value.stale_modules == ("M1",)
+            open_corpus_session(corpus_dir, strategy, allow_stale=True)
+
     def test_flipped_blob_byte_is_stale(self, gpad_corpus):
         # The hash field is left as it was, so only a full rehash notices.
         corpus_dir, _ = gpad_corpus
@@ -477,8 +492,8 @@ class TestOverlay:
         write_corpus(
             corpus_dir,
             [
-                ("Pkg", {"t.dh": "struct Thing { x: i32; };\n"}, []),
-                ("Other", {"t.dh": "struct OtherT { x: i32; };\n"}, []),
+                ("Pkg", {"t.dh": "struct Thing { x: i32; };\n"}),
+                ("Other", {"t.dh": "struct OtherT { x: i32; };\n"}),
             ],
         )
         mounted = tmp_path / "mounted"

@@ -260,22 +260,20 @@ class TestMergeEntities:
 
 
 class TestBuildPch:
-    def _mf(self, name, module_id, *texts, imports=()):
-        mf = read_module_summary(_module(name, *texts, imports=imports))
-        mf.module_id = module_id
-        return mf
+    def _mf(self, name, *texts, imports=()):
+        return read_module_summary(_module(name, *texts, imports=imports))
 
     def test_disjoint_modules_sum_their_names(self):
         pch = read_module_summary(
-            build_pch([self._mf("M0", 0, "struct A;"), self._mf("M1", 1, "struct B;")])
+            build_pch([self._mf("M0", "struct A;"), self._mf("M1", "struct B;")])
         )
         assert pch.module_name == "__pch__"
         assert pch.imports == ()
         assert pch.names == ("A", "B")
 
     def test_forwards_collapse_into_the_definition(self):
-        mods = [self._mf("M0", 0, "struct Gpad { x: i32; };")]
-        mods += [self._mf(f"M{i}", i, "struct Gpad;") for i in range(1, 6)]
+        mods = [self._mf("M0", "struct Gpad { x: i32; };")]
+        mods += [self._mf(f"M{i}", "struct Gpad;") for i in range(1, 6)]
         pch = read_module_summary(build_pch(mods))
         (entry,) = pch.ident_table
         assert entry.flags == DeclFlags.HAS_DEFINITION
@@ -283,8 +281,8 @@ class TestBuildPch:
     def test_duplicated_content_dedups(self):
         shared = "struct Boost { x: i64; };"
         mods = [
-            self._mf("M0", 0, shared + "struct A;"),
-            self._mf("M1", 1, shared + "struct B;"),
+            self._mf("M0", shared + "struct A;"),
+            self._mf("M1", shared + "struct B;"),
         ]
         pch = read_module_summary(build_pch(mods))
         assert len(pch.ident_table) == 3
@@ -292,14 +290,14 @@ class TestBuildPch:
 
     def test_odr_violation_propagates(self):
         mods = [
-            self._mf("M0", 0, "struct A { x: i32; };"),
-            self._mf("M1", 1, "struct A { x: i64; };"),
+            self._mf("M0", "struct A { x: i32; };"),
+            self._mf("M1", "struct A { x: i64; };"),
         ]
         with pytest.raises(OdrViolation):
             build_pch(mods)
 
     def test_pch_round_trips(self):
-        mods = [self._mf("M0", 0, "struct A { x: i32; };"), self._mf("M1", 1, "struct A;")]
+        mods = [self._mf("M0", "struct A { x: i32; };"), self._mf("M1", "struct A;")]
         pch = read_module_summary(build_pch(mods))
         assert deserialize_decl(pch, "A").kind is DeclKind.STRUCT_DEF
 
