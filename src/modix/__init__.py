@@ -32,7 +32,7 @@ from .gmi import (
     lookup_definition,
     validate_index,
 )
-from .interp import EvalResult, FailReason, eval, repl, run_script
+from .interp import EvalResult, FailReason, eval, iter_script, repl, run_script
 from .loader import (
     CostModel,
     LoadStats,

@@ -5,7 +5,8 @@ merge them, `index` to build a global index, `validate` to check index
 staleness, `run` for a script or REPL session, and `bench` for the strategy
 comparison harness.
 
-Exit codes: 0 success, 1 usage error, 2 corpus/ODR/staleness error.
+Exit codes: 0 success, 1 usage error, 2 corpus/ODR/staleness error (input
+that is not valid UTF-8 included).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import modfile
 from .declang import parse_header  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import ModixError
 from .gmi import IndexFlavor
-from .interp import format_result, repl, run_script
+from .interp import format_result, iter_script, repl
 from .loader import INDEX_FLAVORS, CostModel, Strategy, open_session
 from .modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, load_modulemap, parse_overlay
 
@@ -135,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.script:
         text = Path(args.script).read_text("utf-8")
-        for result in run_script(session, text):
+        for result in iter_script(session, text):
             print(format_result(result))
         return 0
     repl(session)
@@ -235,10 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"modix: {exc}", file=sys.stderr)
         return 1
-    except ModixError as exc:
-        print(f"modix: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ModixError, OSError, UnicodeDecodeError) as exc:
         print(f"modix: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,8 @@
 """The miniature declaration language and the interpreter statement language.
 
+One scanner (`tokenize`) and one token `Cursor` serve both, and the module
+map parser in `modulemap` as well.
+
 Headers (`.dh`) hold struct definitions, struct forward declarations, enums,
 aliases, and function declarations.  The classifier attached to every parsed
 declaration records which referenced names require a full definition and which
@@ -14,8 +17,10 @@ concurrently.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DuplicateDefinition, LexError, ParseError
 
@@ -43,8 +48,14 @@ BUILTIN_SIZES = {"i32": 4, "i64": 8, "f64": 8, "bool": 1}
 POINTER_SIZE = 8
 ENUM_SIZE = 4
 
-_PUNCT_TWO = ("->",)
-_PUNCT_ONE = frozenset("{}();:,<>=")
+# Whitespace and `//` comments, then one token: a `\w+` word (an error unless
+# it starts with a letter or `_`), a one-line string, punctuation, or a single
+# offending character.  Only at the end of input does no token group match.
+_TOKEN = re.compile(
+    r'[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*'
+    r'(?:(?P<word>\w+)|(?P<string>"[^"\n]*")|(?P<punct>->|[{}();:,<>=])|(?P<bad>.))?',
+    re.DOTALL,
+)
 
 
 class TokenKind(Enum):
@@ -55,8 +66,7 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -66,58 +76,30 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Scan UTF-8 text into tokens; `//` comments run to end of line."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(source)
-
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "/" and source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise LexError(start_line, start_col, "unterminated string literal")
-            tokens.append(Token(TokenKind.STRING, source[i + 1:j], start_line, start_col))
-            advance(j + 1 - i)
-            continue
-        two = source[i:i + 2]
-        if two in _PUNCT_TWO:
-            tokens.append(Token(TokenKind.PUNCT, two, start_line, start_col))
-            advance(2)
-            continue
-        if ch in _PUNCT_ONE:
-            tokens.append(Token(TokenKind.PUNCT, ch, start_line, start_col))
-            advance()
-            continue
-        raise LexError(start_line, start_col, f"unexpected character {ch!r}")
-
+    line, line_start = 1, 0
+    newline = source.find("\n")  # the first newline not yet counted, or -1
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start = m.start(kind) if kind else m.end()
+        if 0 <= newline < start:
+            line += source.count("\n", newline, start)
+            line_start = source.rindex("\n", newline, start) + 1
+            newline = source.find("\n", start)
+        col = start - line_start + 1
+        if kind is None:
+            break
+        text = m.group(kind)
+        if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            word_kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(word_kind, text, line, col))
+        elif kind == "punct":
+            tokens.append(Token(TokenKind.PUNCT, text, line, col))
+        elif kind == "string":
+            tokens.append(Token(TokenKind.STRING, text[1:-1], line, col))
+        elif text == '"':
+            raise LexError(line, col, "unterminated string literal")
+        else:
+            raise LexError(line, col, f"unexpected character {text[0]!r}")
     tokens.append(Token(TokenKind.EOF, "", line, col))
     return tokens
 
@@ -229,7 +211,10 @@ def with_deps(decl: Decl) -> Decl:
 # --- parsing ---
 
 
-class _Cursor:
+class Cursor:
+    """Position in a token list: the one cursor behind the header, statement
+    and module map parsers.  Errors name what was expected at the next token."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -243,72 +228,66 @@ class _Cursor:
             self.pos += 1
         return tok
 
-    def error(self, expected: str) -> ParseError:
-        tok = self.peek()
+    def at_end(self) -> bool:
+        return self.tokens[self.pos].kind is TokenKind.EOF
+
+    def error(self, expected: str, tok: Token | None = None) -> ParseError:
+        """A ParseError at `tok`, by default the next token."""
+        if tok is None:
+            tok = self.peek()
         got = tok.text if tok.kind is not TokenKind.EOF else "end of input"
         return ParseError(tok.line, tok.col, expected, got)
 
+    def accept(self, kind: TokenKind, text: str | None = None) -> Token | None:
+        """Consume and return the next token if it has this kind (and text)."""
+        tok = self.tokens[self.pos]
+        if tok.kind is kind and (text is None or tok.text == text):
+            return self.next()
+        return None
+
+    def expect(self, kind: TokenKind, text: str | None = None, expected: str = "") -> Token:
+        """`accept`, or raise an error expecting `expected` (default: the quoted text)."""
+        tok = self.accept(kind, text)
+        if tok is None:
+            raise self.error(expected or f"'{text}'")
+        return tok
+
     def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind is TokenKind.PUNCT and tok.text == text:
-            return self.next()
-        raise self.error(f"'{text}'")
-
-    def expect_keyword(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind is TokenKind.KEYWORD and tok.text == text:
-            return self.next()
-        raise self.error(f"'{text}'")
-
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind is TokenKind.IDENT:
-            return self.next()
-        raise self.error("identifier")
+        return self.expect(TokenKind.PUNCT, text)
 
     def accept_punct(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind is TokenKind.PUNCT and tok.text == text:
-            self.next()
-            return True
-        return False
+        return self.accept(TokenKind.PUNCT, text) is not None
+
+    def expect_ident(self) -> Token:
+        return self.expect(TokenKind.IDENT, expected="identifier")
 
 
-def _parse_type(cur: _Cursor) -> TypeRef:
-    tok = cur.peek()
-    if tok.kind is TokenKind.KEYWORD and tok.text == "ptr":
-        cur.next()
+def _parse_type(cur: Cursor) -> TypeRef:
+    if cur.accept(TokenKind.KEYWORD, "ptr"):
         cur.expect_punct("<")
         inner = _parse_type(cur)
         cur.expect_punct(">")
         return TypeRef(inner.base, inner.indirection + 1)
-    if tok.kind is TokenKind.KEYWORD and tok.text in BUILTIN_SIZES:
-        cur.next()
-        return TypeRef(tok.text)
-    if tok.kind is TokenKind.IDENT:
+    tok = cur.peek()
+    if tok.kind is TokenKind.IDENT or (
+        tok.kind is TokenKind.KEYWORD and tok.text in BUILTIN_SIZES
+    ):
         cur.next()
         return TypeRef(tok.text)
     raise cur.error("type")
 
 
-def _parse_item(cur: _Cursor, path: str) -> Decl | str:
+def _parse_item(cur: Cursor, path: str) -> Decl | str:
     """Parse one header item; include directives come back as their path."""
-    tok = cur.peek()
-    if tok.kind is not TokenKind.KEYWORD:
-        raise cur.error("declaration")
+    tok = cur.expect(TokenKind.KEYWORD, expected="declaration")
     origin = (path, tok.line)
 
     if tok.text == "include":
-        cur.next()
-        target = cur.peek()
-        if target.kind is not TokenKind.STRING:
-            raise cur.error("string literal")
-        cur.next()
+        target = cur.expect(TokenKind.STRING, expected="string literal")
         cur.expect_punct(";")
         return target.text
 
     if tok.text == "struct":
-        cur.next()
         name = cur.expect_ident().text
         if cur.accept_punct(";"):
             return Decl(name, DeclKind.STRUCT_FWD, origin=origin)
@@ -324,7 +303,6 @@ def _parse_item(cur: _Cursor, path: str) -> Decl | str:
         return with_deps(Decl(name, DeclKind.STRUCT_DEF, fields=tuple(fields), origin=origin))
 
     if tok.text == "enum":
-        cur.next()
         name = cur.expect_ident().text
         cur.expect_punct("{")
         enumerators = [cur.expect_ident().text]
@@ -335,7 +313,6 @@ def _parse_item(cur: _Cursor, path: str) -> Decl | str:
         return Decl(name, DeclKind.ENUM_DEF, enumerators=tuple(enumerators), origin=origin)
 
     if tok.text == "using":
-        cur.next()
         name = cur.expect_ident().text
         cur.expect_punct("=")
         target = _parse_type(cur)
@@ -343,7 +320,6 @@ def _parse_item(cur: _Cursor, path: str) -> Decl | str:
         return with_deps(Decl(name, DeclKind.ALIAS, alias_target=target, origin=origin))
 
     if tok.text == "fn":
-        cur.next()
         name = cur.expect_ident().text
         cur.expect_punct("(")
         params: list[TypeRef] = []
@@ -359,18 +335,18 @@ def _parse_item(cur: _Cursor, path: str) -> Decl | str:
             Decl(name, DeclKind.FUNC_DECL, params=tuple(params), returns=returns, origin=origin)
         )
 
-    raise cur.error("declaration")
+    raise cur.error("declaration", tok)
 
 
 def parse_header(source: str, path: str) -> HeaderAST:
     """Parse one header.  A name may be forward-declared and defined in the
     same header (the definition wins later); two non-forward declarations of
     one name are rejected here."""
-    cur = _Cursor(tokenize(source))
+    cur = Cursor(tokenize(source))
     items: list[Decl] = []
     includes: list[str] = []
     declared: dict[str, DeclKind] = {}
-    while cur.peek().kind is not TokenKind.EOF:
+    while not cur.at_end():
         item = _parse_item(cur, path)
         if isinstance(item, str):
             includes.append(item)
@@ -427,36 +403,30 @@ def parse_statement(source: str) -> Statement:
             raise ParseError(1, 1, "directive (.stats .loaded .strategy .quit)", stripped)
         return DirectiveStmt(name)
 
-    cur = _Cursor(tokenize(source))
-    tok = cur.peek()
-    if tok.kind is not TokenKind.KEYWORD:
-        raise cur.error("statement")
+    cur = Cursor(tokenize(source))
+    tok = cur.expect(TokenKind.KEYWORD, expected="statement")
     stmt: Statement
     if tok.text == "new":
-        cur.next()
         stmt = NewStmt(cur.expect_ident().text)
         cur.expect_punct(";")
     elif tok.text == "declare":
-        cur.next()
         var = cur.expect_ident().text
         cur.expect_punct(":")
         ref = _parse_type(cur)
         cur.expect_punct(";")
         stmt = DeclareStmt(var, ref)
     elif tok.text == "sizeof":
-        cur.next()
         cur.expect_punct("(")
         name = cur.expect_ident().text
         cur.expect_punct(")")
         cur.expect_punct(";")
         stmt = SizeOfStmt(name)
     elif tok.text == "call":
-        cur.next()
         stmt = CallStmt(cur.expect_ident().text)
         cur.expect_punct(";")
     else:
-        raise cur.error("statement")
-    if cur.peek().kind is not TokenKind.EOF:
+        raise cur.error("statement", tok)
+    if not cur.at_end():
         raise cur.error("end of statement")
     return stmt
 

@@ -54,6 +54,14 @@ class PostingFlags(IntFlag):
     DEFINES = 2
 
 
+# Every flags byte that sets only known bits, decoded once; others are corrupt.
+_POSTING_FLAGS = {
+    v: PostingFlags(v)
+    for v in range(256)
+    if not v & ~int(PostingFlags.MENTIONS | PostingFlags.DEFINES)
+}
+
+
 @dataclass(frozen=True)
 class Posting:
     module_id: int
@@ -168,13 +176,24 @@ def load_index(data: bytes) -> GlobalIndex:
     modules = tuple(
         IndexedModule(r.u32(), r.lpstr(), r.u64()) for _ in range(r.u32())
     )
-    entries = []
+    module_ids = {m.module_id for m in modules}
+    entries: list[IndexEntry] = []
+    prev_key: bytes | None = None
     for _ in range(r.u32()):
         identifier = r.lpstr()
-        postings = tuple(
-            Posting(r.u32(), PostingFlags(r.u8())) for _ in range(r.u32())
-        )
-        entries.append(IndexEntry(identifier, postings))
+        key = identifier.encode("utf-8")
+        if prev_key is not None and key <= prev_key:
+            raise CorruptTable("index identifiers not strictly sorted")
+        prev_key = key
+        postings = []
+        for _ in range(r.u32()):
+            module_id, flags = r.u32(), _POSTING_FLAGS.get(r.u8())
+            if module_id not in module_ids:
+                raise CorruptTable(f"posting for unknown module id {module_id}")
+            if flags is None:
+                raise CorruptTable("posting flags with unknown bits")
+            postings.append(Posting(module_id, flags))
+        entries.append(IndexEntry(identifier, tuple(postings)))
     if not r.at_end():
         raise CorruptTable("trailing bytes after index entries")
     return GlobalIndex(flavor, modules, tuple(entries), excluded, len(data))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from .declang import (
     BUILTIN_SIZES,
@@ -126,13 +126,13 @@ def eval(session: Session, stmt: Statement) -> EvalResult:
     return EvalResult(echo, ok, value, reason, session.stats() - before)
 
 
-def run_script(session: Session, text: str) -> list[EvalResult]:
-    """Evaluate a script, one statement or directive per line.
+def iter_script(session: Session, text: str) -> Iterator[EvalResult]:
+    """Evaluate a script, one statement or directive per line, yielding each
+    result as it is evaluated.
 
     Blank lines and `//` comments are skipped; `.quit` stops evaluation; the
     first parse error aborts with its script position.
     """
-    results: list[EvalResult] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("//"):
@@ -144,9 +144,13 @@ def run_script(session: Session, text: str) -> list[EvalResult]:
         except LexError as exc:
             raise LexError(lineno, exc.col, "invalid statement") from None
         if isinstance(stmt, DirectiveStmt) and stmt.name == "quit":
-            break
-        results.append(eval(session, stmt))
-    return results
+            return
+        yield eval(session, stmt)
+
+
+def run_script(session: Session, text: str) -> list[EvalResult]:
+    """All of `iter_script`'s results."""
+    return list(iter_script(session, text))
 
 
 def format_result(result: EvalResult) -> str:

@@ -403,9 +403,14 @@ class Session:
     def _load_posted(self, posting: gmi_mod.Posting, identifier: str) -> list[tuple[Decl, str]]:
         """Load the module an index posting names and return its declaration
         of the identifier: none when a stale index (``allow_stale``) lists a
-        module that was rebuilt without it."""
+        module that was rebuilt without it or deleted."""
         name = self._index.module_name(posting.module_id)
-        self._load_module(name, resolution=True)
+        try:
+            self._load_module(name, resolution=True)
+        except ModuleNotFound as exc:
+            if exc.name != name:
+                raise
+            return []
         if self._loaded[name].mf.find(identifier) is None:
             return []
         return [(self._deserialize(name, identifier), name)]

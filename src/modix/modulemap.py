@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .declang import Token, TokenKind, tokenize
+from .declang import Cursor, TokenKind, tokenize
 from .errors import (
     DuplicateModule,
     EmptyModule,
@@ -66,53 +66,21 @@ class ModuleMap:
 
 def parse_modulemap(text: str, source_file: str = "<text>") -> list[ModuleDef]:
     """Parse one module map file; `//` comments allowed."""
-    tokens = tokenize(text)
-    pos = 0
-
-    def peek() -> Token:
-        return tokens[pos]
-
-    def error(expected: str) -> ParseError:
-        tok = peek()
-        got = tok.text if tok.kind is not TokenKind.EOF else "end of input"
-        return ParseError(tok.line, tok.col, expected, got)
-
+    cur = Cursor(tokenize(text))
     defs: list[ModuleDef] = []
-    while peek().kind is not TokenKind.EOF:
-        tok = peek()
-        if tok.kind is not TokenKind.IDENT or tok.text != "module":
-            raise error("'module'")
-        pos += 1
-        name_tok = peek()
-        if name_tok.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
-            raise error("module name")
-        pos += 1
-        brace = peek()
-        if brace.kind is not TokenKind.PUNCT or brace.text != "{":
-            raise error("'{'")
-        pos += 1
+    while not cur.at_end():
+        cur.expect(TokenKind.IDENT, "module")
+        name_tok = cur.accept(TokenKind.IDENT) or cur.expect(
+            TokenKind.KEYWORD, expected="module name"
+        )
+        cur.expect_punct("{")
         headers: list[str] = []
-        while True:
-            tok = peek()
-            if tok.kind is TokenKind.PUNCT and tok.text == "}":
-                pos += 1
-                break
-            if tok.kind is TokenKind.IDENT and tok.text == "header":
-                pos += 1
-                path_tok = peek()
-                if path_tok.kind is not TokenKind.STRING:
-                    raise error("header path string")
-                if path_tok.text in headers:
-                    raise ParseError(
-                        path_tok.line,
-                        path_tok.col,
-                        "distinct header path",
-                        path_tok.text,
-                    )
-                headers.append(path_tok.text)
-                pos += 1
-                continue
-            raise error("'header' or '}'")
+        while not cur.accept_punct("}"):
+            cur.expect(TokenKind.IDENT, "header", "'header' or '}'")
+            path_tok = cur.expect(TokenKind.STRING, expected="header path string")
+            if path_tok.text in headers:
+                raise cur.error("distinct header path", path_tok)
+            headers.append(path_tok.text)
         if not headers:
             raise EmptyModule(name_tok.text)
         defs.append(ModuleDef(name_tok.text, tuple(headers), source_file))

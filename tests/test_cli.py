@@ -261,6 +261,28 @@ class TestExitCodes:
         assert out == ""
         assert "index is stale for modules: M1" in err
 
+    def test_results_before_a_failing_statement_are_printed(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=6, defs_per_module=1, fwd_fanout=5, seed=7), corpus)
+        script = tmp_path / "w.dscript"
+        script.write_text("new S0_0;\nnew ;\n", "utf-8")
+        assert main(["run", "--strategy", "pch", "--dir", str(corpus), str(script)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "ok\n"
+        assert "2:5: expected identifier" in err
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        map_file = _write_source_tree(tmp_path / "src")
+        (tmp_path / "src" / "Hist" / "hist.dh").write_bytes(b"struct Hist { n: i64; }; // \xff\n")
+        assert main(["compile", str(map_file), "-o", str(tmp_path / "build")]) == 2
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=1, seed=1), corpus)
+        script = tmp_path / "w.dscript"
+        script.write_bytes(b"new S0_0; // \xff\n")
+        assert main(["run", "--strategy", "pch", "--dir", str(corpus), str(script)]) == 2
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+
     def test_odr_conflict_exits_2(self, tmp_path, capsys):
         root = tmp_path / "src"
         (root / "A").mkdir(parents=True)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modix.declang import (
+    KEYWORDS,
     CallStmt,
     Decl,
     DeclareStmt,
@@ -23,9 +24,82 @@ from modix.declang import (
     resolution_request,
     tokenize,
     with_deps,
+    Token,
     TokenKind,
 )
 from modix.errors import DuplicateDefinition, LexError, ParseError
+
+# --- the character-loop scanner `tokenize` replaced, kept as its reference ---
+
+_PUNCT_TWO = ("->",)
+_PUNCT_ONE = frozenset("{}();:,<>=")
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    """Scan UTF-8 text into tokens; `//` comments run to end of line."""
+    tokens: list[Token] = []
+    line, col, i = 1, 1, 0
+    n = len(source)
+
+    def advance(count: int = 1) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == "/" and source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                advance()
+            continue
+        start_line, start_col = line, col
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(kind, text, start_line, start_col))
+            advance(j - i)
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and source[j] not in '"\n':
+                j += 1
+            if j >= n or source[j] != '"':
+                raise LexError(start_line, start_col, "unterminated string literal")
+            tokens.append(Token(TokenKind.STRING, source[i + 1:j], start_line, start_col))
+            advance(j + 1 - i)
+            continue
+        two = source[i:i + 2]
+        if two in _PUNCT_TWO:
+            tokens.append(Token(TokenKind.PUNCT, two, start_line, start_col))
+            advance(2)
+            continue
+        if ch in _PUNCT_ONE:
+            tokens.append(Token(TokenKind.PUNCT, ch, start_line, start_col))
+            advance()
+            continue
+        raise LexError(start_line, start_col, f"unexpected character {ch!r}")
+
+    tokens.append(Token(TokenKind.EOF, "", line, col))
+    return tokens
+
+
+def _scan(scanner, source: str):
+    """Tokens, or the (line, col, message) of the LexError raised."""
+    try:
+        return scanner(source)
+    except LexError as exc:
+        return (exc.line, exc.col, str(exc))
 
 
 class TestTokenize:
@@ -75,6 +149,20 @@ class TestTokenize:
     def test_lone_minus_rejected(self):
         with pytest.raises(LexError):
             tokenize("a - b")
+
+
+# Letters that `isalpha` and `isalnum` disagree on (superscripts, fractions),
+# whitespace the scanner rejects (NEL, no-break space), comments, strings,
+# every punctuator and the lone `-` and `$` it rejects.
+_SCANNER_ALPHABET = st.sampled_from(
+    ["²", "½", "é", "\x85", "\xa0", " ", "\t", "\r", "\n", "//", "/", '"', "-", "->",
+     "$", "_", "a", "Z", "ptr", "struct", *"0123456789", *"{}();:,<>="]
+)
+
+
+@given(st.lists(_SCANNER_ALPHABET, max_size=40).map("".join))
+def test_tokenize_matches_character_loop_reference(source):
+    assert _scan(tokenize, source) == _scan(reference_tokenize, source)
 
 
 class TestParseHeader:

@@ -6,7 +6,10 @@ import pytest
 
 from modix.declang import parse_header
 from modix.errors import CorruptTable, BadMagic, BadVersion, ModuleNotFound, WrongFlavor
+from modix._wire import Writer
 from modix.gmi import (
+    MAGIC,
+    VERSION,
     IndexFlavor,
     PostingFlags,
     Staleness,
@@ -136,6 +139,29 @@ class TestValidate:
         assert validate_index(index, directory).all_fresh
 
 
+def _index_bytes(modules, entries):
+    """A semantic index with (module_id, name) rows and (identifier,
+    [(module_id, flags), ...]) entries, written as given."""
+    w = Writer()
+    w.raw(MAGIC)
+    w.u32(VERSION)
+    w.u8(IndexFlavor.SEMANTIC.value)
+    w.u32(0)  # no excluded modules
+    w.u32(len(modules))
+    for module_id, name in modules:
+        w.u32(module_id)
+        w.lpstr(name)
+        w.u64(0)
+    w.u32(len(entries))
+    for identifier, postings in entries:
+        w.lpstr(identifier)
+        w.u32(len(postings))
+        for module_id, flags in postings:
+            w.u32(module_id)
+            w.u8(flags)
+    return w.getvalue()
+
+
 class TestFormat:
     def test_round_trip(self, gpad_dir):
         directory, module_map = gpad_dir
@@ -163,6 +189,28 @@ class TestFormat:
         data[4:8] = (1).to_bytes(4, "little")
         with pytest.raises(BadVersion):
             load_index(bytes(data))
+
+    def test_written_index_loads(self):
+        index = load_index(_index_bytes([(0, "M0"), (1, "M1")], [("A", [(0, 3), (1, 1)])]))
+        assert lookup(index, "A") == [
+            ("M0", PostingFlags.MENTIONS | PostingFlags.DEFINES),
+            ("M1", PostingFlags.MENTIONS),
+        ]
+
+    def test_posting_for_unknown_module_id_rejected(self):
+        with pytest.raises(CorruptTable):
+            load_index(_index_bytes([(0, "M0")], [("A", [(0, 1), (99, 1)])]))
+
+    @pytest.mark.parametrize("flags", [4, 6, 0x80])
+    def test_unknown_posting_flag_bits_rejected(self, flags):
+        with pytest.raises(CorruptTable):
+            load_index(_index_bytes([(0, "M0")], [("A", [(0, flags)])]))
+
+    @pytest.mark.parametrize("identifiers", [("B", "A"), ("A", "A"), ("é", "z")])
+    def test_identifiers_not_strictly_increasing_rejected(self, identifiers):
+        entries = [(identifier, [(0, 1)]) for identifier in identifiers]
+        with pytest.raises(CorruptTable):
+            load_index(_index_bytes([(0, "M0")], entries))
 
 
 def assert_index_consistent(index, directory, module_map):

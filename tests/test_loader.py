@@ -469,6 +469,22 @@ class TestStaleIndex:
                 ), (ident, need)
         assert outcome_signature(lexical, "S0_0", Need.DEFINITION)[:1] == s0_definition
 
+    def test_posting_for_a_deleted_module_adds_no_candidate(self, gpad_corpus):
+        # M1 forward-declares S0_0 (which M0 defines) and defines S1_0.
+        corpus_dir, _ = gpad_corpus
+        index = load_index((corpus_dir / INDEX_FILE_NAME).read_bytes())
+        names = [entry.identifier for entry in index.entries]
+        (corpus_dir / "M1.pcm").unlink()
+        lexical = open_corpus_session(corpus_dir, Strategy.LEXICAL_GMI, allow_stale=True)
+        semantic = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, allow_stale=True)
+        for ident in names:
+            for need in (Need.FORWARD_OK, Need.DEFINITION):
+                assert outcome_signature(lexical, ident, need) == outcome_signature(
+                    semantic, ident, need
+                ), (ident, need)
+        assert outcome_signature(lexical, "S0_0", Need.DEFINITION)[0] == "definition"
+        assert outcome_signature(lexical, "S1_0", Need.DEFINITION) == ("not-found",)
+
 
 class TestOverlay:
     def test_session_reads_through_overlay(self, tmp_path, gpad_corpus):

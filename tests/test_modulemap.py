@@ -45,6 +45,25 @@ class TestParseModulemap:
         with pytest.raises(ParseError):
             parse_modulemap('module M { header "a.dh" header "a.dh" }')
 
+    @pytest.mark.parametrize(
+        "text, line, col, expected, got",
+        [
+            ('header "a.dh"', 1, 1, "'module'", "header"),
+            ("module { }", 1, 8, "module name", "{"),
+            ("module", 1, 7, "module name", "end of input"),
+            ("module M ( )", 1, 10, "'{'", "("),
+            ("module M { header a }", 1, 19, "header path string", "a"),
+            ('module M {\n  heder "a.dh" }', 2, 3, "'header' or '}'", "heder"),
+            ('module M { header "a.dh"', 1, 25, "'header' or '}'", "end of input"),
+            ('module M {\n header "a.dh"\n header "a.dh" }', 3, 9, "distinct header path", "a.dh"),
+        ],
+    )
+    def test_error_positions(self, text, line, col, expected, got):
+        with pytest.raises(ParseError) as excinfo:
+            parse_modulemap(text)
+        err = excinfo.value
+        assert (err.line, err.col, err.expected, err.got) == (line, col, expected, got)
+
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_modulemap("module M ( )")
