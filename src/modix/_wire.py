@@ -1,11 +1,15 @@
-"""Little-endian binary plumbing shared by the module-file and index formats."""
+"""Little-endian binary plumbing shared by the module-file and index formats,
+including their one keyed-table codec, `Writer.table` and `Reader.table`."""
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import CorruptTable
+
+T = TypeVar("T")
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -29,6 +33,21 @@ def digest64(*parts: bytes | memoryview) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def byte_order(keys: Iterable[str]) -> list[str]:
+    """Keys in UTF-8 byte order, the order of every on-disk table.  For text
+    that encodes, code-point order is UTF-8 byte order."""
+    return sorted(keys)
+
+
+def known_flags(flag_type: type[T]) -> dict[int, T]:
+    """Every flags byte that sets only known bits of `flag_type`, decoded
+    once; `Reader.flags` rejects any other byte."""
+    known = 0
+    for flag in flag_type:
+        known |= int(flag)
+    return {v: flag_type(v) for v in range(256) if not v & ~known}
+
+
 class Writer:
     def __init__(self) -> None:
         self._parts: list[bytes] = []
@@ -42,13 +61,21 @@ class Writer:
     def u64(self, value: int) -> None:
         self._parts.append(struct.pack("<Q", value))
 
-    def raw(self, data: bytes) -> None:
+    def raw(self, data: bytes | bytearray) -> None:
         self._parts.append(data)
 
     def lpstr(self, text: str) -> None:
         encoded = text.encode("utf-8")
         self.u32(len(encoded))
         self.raw(encoded)
+
+    def table(self, rows: Mapping[str, T], write_row: Callable[[T], None]) -> None:
+        """A u32 count, then each key (as `lpstr`) and its row, in byte order."""
+        keys = byte_order(rows)
+        self.u32(len(keys))
+        for key in keys:
+            self.lpstr(key)
+            write_row(rows[key])
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
@@ -87,6 +114,25 @@ class Reader:
             return self._take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptTable(f"invalid UTF-8 at byte {self.pos}") from exc
+
+    def flags(self, known: Mapping[int, T]) -> T:
+        value = known.get(self.u8())
+        if value is None:
+            raise CorruptTable(f"unknown flag bits at byte {self.pos - 1}")
+        return value
+
+    def table(self, read_row: Callable[[str], T]) -> dict[str, T]:
+        """A `Writer.table`: each key mapped to `read_row(key)`, in file
+        order.  Keys that do not strictly increase raise CorruptTable."""
+        rows: dict[str, T] = {}
+        prev = None
+        for _ in range(self.u32()):
+            key = self.lpstr()
+            if prev is not None and key <= prev:
+                raise CorruptTable(f"table keys not strictly increasing at '{key}'")
+            rows[key] = read_row(key)
+            prev = key
+        return rows
 
     def at_end(self) -> bool:
         return self.pos == len(self.data)

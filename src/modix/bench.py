@@ -29,7 +29,7 @@ from .interp import run_script
 from .loader import INDEX_FLAVORS, ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy
 from .loader import open_session
 from .modfile import DeclFlags
-from .modulemap import FINAL_MAP_NAME, ModuleMap, SearchPaths, load_modulemap
+from .modulemap import FINAL_MAP_NAME, ModuleMap, SearchPaths, load_modulemap, read_text
 
 CSV_COLUMNS = (
     "scenario",
@@ -244,7 +244,7 @@ def compile_tree(
         imports: list[str] = []
         for header in d.headers:
             origin = header[len(d.name) + 1:] if header.startswith(d.name + "/") else header
-            ast = parse_header((root / header).read_text("utf-8"), origin)
+            ast = parse_header(read_text(root / header), origin)
             asts.append(ast)
             for include in ast.includes:
                 owner = owners.get(include)
@@ -253,7 +253,7 @@ def compile_tree(
         data = modfile.compile_module(d.name, asts, imports)
         (out / f"{d.name}{modfile.FILE_EXTENSION}").write_bytes(data)
         compiled.append(modfile.read_module_summary(data))
-    (out / FINAL_MAP_NAME).write_text(map_path.read_text("utf-8"), "utf-8")
+    (out / FINAL_MAP_NAME).write_text(read_text(map_path), "utf-8")
     (out / ROOTMAP_FILE_NAME).write_text(build_rootmap(compiled), "utf-8")
     return module_map, compiled
 
@@ -264,7 +264,7 @@ def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
     module in `compiled`, which callers pass in module map order)."""
     best: dict[str, tuple[int, int, str]] = {}
     for position, mf in enumerate(compiled):
-        for entry in mf.ident_table:
+        for entry in mf.table.values():
             defined = 0 if entry.flags & DeclFlags.HAS_DEFINITION else 1
             key = (defined, position)
             current = best.get(entry.name)

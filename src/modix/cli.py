@@ -5,8 +5,8 @@ merge them, `index` to build a global index, `validate` to check index
 staleness, `run` for a script or REPL session, and `bench` for the strategy
 comparison harness.
 
-Exit codes: 0 success, 1 usage error, 2 corpus/ODR/staleness error (input
-that is not valid UTF-8 included).
+Exit codes: 0 success, 1 usage error, 2 corpus/ODR/staleness error (a text
+input that is missing or not valid UTF-8 included, named by its path).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .gmi import IndexFlavor
 from .interp import format_result, iter_script, repl
 from .loader import INDEX_FLAVORS, CostModel, Strategy, open_session
 from .modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, load_modulemap, parse_overlay
+from .modulemap import read_text
 
 
 class _UsageError(Exception):
@@ -66,7 +67,7 @@ def _cost_model(pairs: list[str]) -> CostModel:
 def _load_overlay(path: str | None) -> Overlay | None:
     if path is None:
         return None
-    return parse_overlay(Path(path).read_text("utf-8"))
+    return parse_overlay(read_text(path))
 
 
 def _default_index(corpus_dir: Path, flavor: IndexFlavor) -> Path:
@@ -135,7 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overlay=_load_overlay(args.overlay),
     )
     if args.script:
-        text = Path(args.script).read_text("utf-8")
+        text = read_text(args.script)
         for result in iter_script(session, text):
             print(format_result(result))
         return 0
@@ -154,10 +155,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         scenario = "cmssw319"
     else:
-        spec_text = Path(args.spec).read_text("utf-8")
+        spec_text = read_text(args.spec)
         scenario = Path(args.spec).stem
     spec = bench_mod.load_spec(spec_text)
-    workload = Path(args.workload).read_text("utf-8")
+    workload = read_text(args.workload)
 
     def run_in(corpus_dir: Path) -> list[bench_mod.BenchRow]:
         started = time.perf_counter()
@@ -236,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"modix: {exc}", file=sys.stderr)
         return 1
-    except (ModixError, OSError, UnicodeDecodeError) as exc:
+    except (ModixError, OSError) as exc:
         print(f"modix: error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,10 @@ class ParseError(ModixError):
         super().__init__(f"{line}:{col}: expected {expected}{detail}")
 
 
+class UnreadableFile(ModixError):
+    """A text input that cannot be read or is not valid UTF-8, named by path."""
+
+
 class DuplicateDefinition(ModixError):
     def __init__(self, name: str):
         self.name = name

@@ -12,6 +12,9 @@ File layout (little-endian)::
     entry_count u32 | entries sorted by identifier bytes:
         (u32 len + identifier | posting_count u32 | postings: (module_id u32 | flags u8))
 
+Module rows have distinct ids and names; each entry's postings have strictly
+increasing module ids, so the first defining posting is the lowest-id one.
+
 Each module row stores that module file's BLAKE2b-64 content hash (see
 ``modfile``); validation rehashes every indexed module file in full and
 compares.  Version 1 indexes (FNV-1a hashes) are rejected.
@@ -26,7 +29,7 @@ from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Sequence
 
-from ._wire import Reader, Writer
+from ._wire import Reader, Writer, byte_order, known_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
 from .modfile import FILE_EXTENSION, DeclFlags, content_hashes, read_modules
@@ -54,24 +57,13 @@ class PostingFlags(IntFlag):
     DEFINES = 2
 
 
-# Every flags byte that sets only known bits, decoded once; others are corrupt.
-_POSTING_FLAGS = {
-    v: PostingFlags(v)
-    for v in range(256)
-    if not v & ~int(PostingFlags.MENTIONS | PostingFlags.DEFINES)
-}
+_POSTING_FLAGS = known_flags(PostingFlags)
 
 
 @dataclass(frozen=True)
 class Posting:
-    module_id: int
+    module: str
     flags: PostingFlags
-
-
-@dataclass(frozen=True)
-class IndexEntry:
-    identifier: str
-    postings: tuple[Posting, ...]
 
 
 @dataclass(frozen=True)
@@ -83,31 +75,16 @@ class IndexedModule:
 
 @dataclass(frozen=True)
 class GlobalIndex:
+    """A loaded index: each identifier, in file order, to its postings."""
+
     flavor: IndexFlavor
     modules: tuple[IndexedModule, ...]
-    entries: tuple[IndexEntry, ...]
+    postings: dict[str, tuple[Posting, ...]]
     excluded: tuple[str, ...]
     file_size: int
 
-    def _by_name(self) -> dict[str, IndexEntry]:
-        cached = getattr(self, "_entry_cache", None)
-        if cached is None:
-            cached = {e.identifier: e for e in self.entries}
-            object.__setattr__(self, "_entry_cache", cached)
-        return cached
-
-    def _module_names(self) -> dict[int, str]:
-        cached = getattr(self, "_module_cache", None)
-        if cached is None:
-            cached = {m.module_id: m.name for m in self.modules}
-            object.__setattr__(self, "_module_cache", cached)
-        return cached
-
-    def module_name(self, module_id: int) -> str:
-        return self._module_names()[module_id]
-
-    def entry(self, identifier: str) -> IndexEntry | None:
-        return self._by_name().get(identifier)
+    def entry(self, identifier: str) -> tuple[Posting, ...]:
+        return self.postings.get(identifier, ())
 
 
 def build_index(
@@ -126,38 +103,35 @@ def build_index(
     excluded_set = set(excluded)
     indexed = [name for name in map.names if name not in excluded_set]
     rows: list[IndexedModule] = []
-    postings: dict[str, list[Posting]] = {}
+    postings: dict[str, list[tuple[int, PostingFlags]]] = {}  # in map order
     for name, mf in zip(indexed, read_modules(module_dir, indexed)):
         module_id = map.module_id(name)
         rows.append(IndexedModule(module_id, name, mf.content_hash))
-        for entry in mf.ident_table:
+        for entry in mf.table.values():
             flags = PostingFlags.MENTIONS
             if flavor is IndexFlavor.SEMANTIC and entry.flags & DeclFlags.HAS_DEFINITION:
                 flags |= PostingFlags.DEFINES
-            postings.setdefault(entry.name, []).append(Posting(module_id, flags))
+            postings.setdefault(entry.name, []).append((module_id, flags))
+
+    def write_postings(plist: list[tuple[int, PostingFlags]]) -> None:
+        w.u32(len(plist))
+        for module_id, flags in plist:
+            w.u32(module_id)
+            w.u8(int(flags))
 
     w = Writer()
     w.raw(MAGIC)
     w.u32(VERSION)
     w.u8(flavor.value)
-    excluded_sorted = sorted(excluded_set)
-    w.u32(len(excluded_sorted))
-    for name in excluded_sorted:
+    w.u32(len(excluded_set))
+    for name in byte_order(excluded_set):
         w.lpstr(name)
     w.u32(len(rows))
     for row in rows:
         w.u32(row.module_id)
         w.lpstr(row.name)
         w.u64(row.content_hash)
-    identifiers = sorted(postings, key=lambda s: s.encode("utf-8"))
-    w.u32(len(identifiers))
-    for identifier in identifiers:
-        w.lpstr(identifier)
-        plist = sorted(postings[identifier], key=lambda p: p.module_id)
-        w.u32(len(plist))
-        for p in plist:
-            w.u32(p.module_id)
-            w.u8(int(p.flags))
+    w.table(postings, write_postings)
     return w.getvalue()
 
 
@@ -176,35 +150,30 @@ def load_index(data: bytes) -> GlobalIndex:
     modules = tuple(
         IndexedModule(r.u32(), r.lpstr(), r.u64()) for _ in range(r.u32())
     )
-    module_ids = {m.module_id for m in modules}
-    entries: list[IndexEntry] = []
-    prev_key: bytes | None = None
-    for _ in range(r.u32()):
-        identifier = r.lpstr()
-        key = identifier.encode("utf-8")
-        if prev_key is not None and key <= prev_key:
-            raise CorruptTable("index identifiers not strictly sorted")
-        prev_key = key
+    names = {m.module_id: m.name for m in modules}
+    if len(names) != len(modules) or len(set(names.values())) != len(modules):
+        raise CorruptTable("duplicate module id or name in the module table")
+
+    def read_postings(identifier: str) -> tuple[Posting, ...]:
         postings = []
+        prev = -1
         for _ in range(r.u32()):
-            module_id, flags = r.u32(), _POSTING_FLAGS.get(r.u8())
-            if module_id not in module_ids:
-                raise CorruptTable(f"posting for unknown module id {module_id}")
-            if flags is None:
-                raise CorruptTable("posting flags with unknown bits")
-            postings.append(Posting(module_id, flags))
-        entries.append(IndexEntry(identifier, tuple(postings)))
+            module_id = r.u32()
+            if module_id <= prev or module_id not in names:
+                raise CorruptTable(f"'{identifier}' posts unknown or unordered module {module_id}")
+            postings.append(Posting(names[module_id], r.flags(_POSTING_FLAGS)))
+            prev = module_id
+        return tuple(postings)
+
+    postings = r.table(read_postings)
     if not r.at_end():
         raise CorruptTable("trailing bytes after index entries")
-    return GlobalIndex(flavor, modules, tuple(entries), excluded, len(data))
+    return GlobalIndex(flavor, modules, postings, excluded, len(data))
 
 
 def lookup(index: GlobalIndex, identifier: str) -> list[tuple[str, PostingFlags]]:
     """All modules containing the identifier, in module id order."""
-    entry = index.entry(identifier)
-    if entry is None:
-        return []
-    return [(index.module_name(p.module_id), p.flags) for p in entry.postings]
+    return [(p.module, p.flags) for p in index.entry(identifier)]
 
 
 def lookup_definition(index: GlobalIndex, identifier: str) -> str | None:
@@ -212,12 +181,9 @@ def lookup_definition(index: GlobalIndex, identifier: str) -> str | None:
     duplicates), or None when only forward declarations are indexed."""
     if index.flavor is not IndexFlavor.SEMANTIC:
         raise WrongFlavor("lookup_definition requires a semantic index")
-    entry = index.entry(identifier)
-    if entry is None:
-        return None
-    for p in entry.postings:
+    for p in index.entry(identifier):
         if p.flags & PostingFlags.DEFINES:
-            return index.module_name(p.module_id)
+            return p.module
     return None
 
 

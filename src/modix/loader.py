@@ -51,7 +51,7 @@ from .errors import (
 from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
 from .modfile import PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile, merge_entities
 from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module
-from .modulemap import resolve_module_path, root_file
+from .modulemap import read_text, resolve_module_path, root_file
 
 ROOTMAP_FILE_NAME = "modules.rootmap"
 
@@ -213,7 +213,7 @@ class Session:
         path = root_file(self.paths.release_root, ROOTMAP_FILE_NAME, self.overlay)
         if not Path(path).is_file():
             raise MissingRootmap(f"no {ROOTMAP_FILE_NAME} in the release root")
-        text = Path(path).read_text("utf-8")
+        text = read_text(path)
         self._charge_read(len(text.encode("utf-8")))
         self._rootmap = {}
         for line in text.splitlines():
@@ -378,12 +378,12 @@ class Session:
     def _parse_header_cascade(self, relpath: str) -> None:
         if relpath in self._parsed_headers:
             return
-        self._parsed_headers.add(relpath)
         path = root_file(self.paths.release_root, relpath, self.overlay)
-        text = Path(path).read_text("utf-8")
+        text = read_text(path)
+        ast = parse_header(text, relpath)
+        self._parsed_headers.add(relpath)  # not before: a failed read must fail again
         self._headers += 1
         self._charge_read(len(text.encode("utf-8")))
-        ast = parse_header(text, relpath)
         self._merge_order[relpath] = 2**33 + self._headers
         for decl in ast.items:
             self._resident.setdefault(decl.name, []).append((decl, relpath))
@@ -391,20 +391,12 @@ class Session:
             self._parse_header_cascade(include)
 
     def _visible_postings(self, identifier: str) -> list[gmi_mod.Posting]:
-        entry = self._index.entry(identifier)
-        if entry is None:
-            return []
-        return [
-            p
-            for p in entry.postings
-            if self._index.module_name(p.module_id) not in self._shadowed
-        ]
+        return [p for p in self._index.entry(identifier) if p.module not in self._shadowed]
 
-    def _load_posted(self, posting: gmi_mod.Posting, identifier: str) -> list[tuple[Decl, str]]:
+    def _load_posted(self, name: str, identifier: str) -> list[tuple[Decl, str]]:
         """Load the module an index posting names and return its declaration
         of the identifier: none when a stale index (``allow_stale``) lists a
         module that was rebuilt without it or deleted."""
-        name = self._index.module_name(posting.module_id)
         try:
             self._load_module(name, resolution=True)
         except ModuleNotFound as exc:
@@ -418,7 +410,7 @@ class Session:
     def _resolve_lexical(self, identifier: str, need: Need) -> Entity | _Marker:
         candidates: list[tuple[Decl, str]] = []
         for p in self._visible_postings(identifier):
-            candidates += self._load_posted(p, identifier)
+            candidates += self._load_posted(p.module, identifier)
         candidates += [(self._deserialize(n, identifier), n) for n in self._direct_hits(identifier)]
         return self._merge(candidates)
 
@@ -435,7 +427,7 @@ class Session:
         )
         candidates = [(self._deserialize(n, identifier), n) for n in defining_hits]
         if def_posting is not None:
-            posted = self._load_posted(def_posting, identifier)
+            posted = self._load_posted(def_posting.module, identifier)
             if not posted:
                 postings.remove(def_posting)
             candidates += posted

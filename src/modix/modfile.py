@@ -8,7 +8,7 @@ File layout (all integers little-endian)::
     import_count u32 | imports (u32 len + UTF-8 each) |
     ident_count u32 | entries sorted by name bytes:
         (u32 len + UTF-8 name | flags u8 | blob_offset u64 | blob_len u32) |
-    blob_region_len u64 | blob_region bytes
+    blob_region_len u64 | blob_region bytes (blobs in table order)
 
 The content hash is BLAKE2b with an 8-byte digest over the whole file with
 the hash field zeroed, stored little-endian; every load and every index
@@ -24,14 +24,13 @@ Module files are immutable once written; readers never mutate shared state.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import declang
-from ._wire import Reader, Writer, digest64
+from ._wire import Reader, Writer, digest64, known_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
 from .errors import (
@@ -65,6 +64,8 @@ class DeclFlags(IntFlag):
     IS_ALIAS = 4
     IS_FUNCTION = 8
 
+
+_DECL_FLAGS = known_flags(DeclFlags)
 
 _KIND_TAGS = {
     DeclKind.STRUCT_DEF: 1,
@@ -120,28 +121,25 @@ class IdentEntry:
 class ModuleFile:
     """In-memory handle over one module file.  It carries no module id, and
     neither does the file, so files stay relocatable: a module's id is its
-    position in the module map."""
+    position in the module map.  `table` is in file (byte) order."""
 
     module_name: str
     imports: tuple[str, ...]
-    ident_table: tuple[IdentEntry, ...]
+    table: dict[str, IdentEntry]
     blob_region: bytes
     content_hash: int
     summary_bytes: int
-    _names: tuple[str, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._names = tuple(e.name for e in self.ident_table)
 
     def find(self, name: str) -> IdentEntry | None:
-        i = bisect.bisect_left(self._names, name)
-        if i < len(self._names) and self._names[i] == name:
-            return self.ident_table[i]
-        return None
+        return self.table.get(name)
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return tuple(self.table)
+
+    @property
+    def ident_table(self) -> tuple[IdentEntry, ...]:
+        return tuple(self.table.values())
 
 
 @dataclass(frozen=True)
@@ -246,18 +244,18 @@ def decode_blob(blob: bytes) -> Decl:
 
 
 def _emit(module_name: str, imports: Sequence[str], decls: Sequence[tuple[str, DeclFlags, Decl]]) -> bytes:
-    """Emit file bytes for (name, flags, decl) rows; sorts the table and
-    patches the content hash."""
-    rows = sorted(decls, key=lambda row: row[0].encode("utf-8"))
-    blobs = Writer()
-    entries: list[IdentEntry] = []
-    offset = 0
-    for name, flags, decl in rows:
+    """Emit file bytes for (name, flags, decl) rows, blobs laid out in table
+    order, and patch the content hash."""
+    rows = {name: (flags, decl) for name, flags, decl in decls}
+    region = bytearray()
+
+    def write_entry(row: tuple[DeclFlags, Decl]) -> None:
+        flags, decl = row
         blob = encode_blob(decl)
-        blobs.raw(blob)
-        entries.append(IdentEntry(name, flags, offset, len(blob)))
-        offset += len(blob)
-    region = blobs.getvalue()
+        w.u8(int(flags))
+        w.u64(len(region))
+        w.u32(len(blob))
+        region.extend(blob)
 
     w = Writer()
     w.raw(MAGIC)
@@ -267,12 +265,7 @@ def _emit(module_name: str, imports: Sequence[str], decls: Sequence[tuple[str, D
     w.u32(len(imports))
     for imp in imports:
         w.lpstr(imp)
-    w.u32(len(entries))
-    for e in entries:
-        w.lpstr(e.name)
-        w.u8(int(e.flags))
-        w.u64(e.blob_offset)
-        w.u32(e.blob_len)
+    w.table(rows, write_entry)
     w.u64(len(region))
     w.raw(region)
     data = bytearray(w.getvalue())
@@ -334,8 +327,8 @@ def compile_module(
 
 
 def read_module_summary(data: bytes) -> ModuleFile:
-    """Parse module file bytes, validating framing, table order, blob bounds,
-    and the content hash.
+    """Parse module file bytes, validating framing, table order, flag bits,
+    blob bounds, and the content hash.
 
     The returned handle retains the blob region, but for cost accounting a
     summary read is worth `summary_bytes` only (everything up to the blob
@@ -350,24 +343,13 @@ def read_module_summary(data: bytes) -> ModuleFile:
     stored_hash = r.u64()
     module_name = r.lpstr()
     imports = tuple(r.lpstr() for _ in range(r.u32()))
-    entries: list[IdentEntry] = []
-    prev_key: bytes | None = None
-    for _ in range(r.u32()):
-        name = r.lpstr()
-        flags = DeclFlags(r.u8())
-        offset = r.u64()
-        length = r.u32()
-        key = name.encode("utf-8")
-        if prev_key is not None and key <= prev_key:
-            raise CorruptTable("identifier table not strictly sorted")
-        prev_key = key
-        entries.append(IdentEntry(name, flags, offset, length))
+    table = r.table(lambda name: IdentEntry(name, r.flags(_DECL_FLAGS), r.u64(), r.u32()))
     region_len = r.u64()
     summary_bytes = r.pos
     region = r.raw(region_len)
     if not r.at_end():
         raise CorruptTable("trailing bytes after blob region")
-    for e in entries:
+    for e in table.values():
         if e.blob_offset + e.blob_len > region_len:
             raise CorruptTable(f"blob for '{e.name}' out of range")
     if content_hashes(data)[1] != stored_hash:
@@ -375,7 +357,7 @@ def read_module_summary(data: bytes) -> ModuleFile:
     return ModuleFile(
         module_name=module_name,
         imports=imports,
-        ident_table=tuple(entries),
+        table=table,
         blob_region=region,
         content_hash=stored_hash,
         summary_bytes=summary_bytes,
@@ -464,7 +446,7 @@ def build_pch(modules: Sequence[ModuleFile]) -> bytes:
     order = {mf.module_name: position for position, mf in enumerate(modules)}
     gathered: dict[str, list[tuple[Decl, str]]] = {}
     for mf in modules:
-        for entry in mf.ident_table:
+        for entry in mf.table.values():
             gathered.setdefault(entry.name, []).append(
                 (deserialize_decl(mf, entry.name), mf.module_name)
             )

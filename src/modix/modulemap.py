@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -24,10 +25,21 @@ from .errors import (
     HeaderClaimedTwice,
     ModuleNotFound,
     ParseError,
+    UnreadableFile,
 )
 from .modfile import FILE_EXTENSION
 
 FINAL_MAP_NAME = "module.modulemap"
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a user file; failing to read or decode it raises
+    UnreadableFile, which names the path."""
+    try:
+        return Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UnreadableFile(f"cannot read {path}: {reason}") from exc
 
 
 @dataclass(frozen=True)
@@ -44,19 +56,16 @@ class ModuleMap:
     defs: tuple[ModuleDef, ...]
 
     def module_id(self, name: str) -> int:
-        return self._ids()[name]
+        return self._ids[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._ids()
+        return name in self._ids
 
+    @cached_property
     def _ids(self) -> dict[str, int]:
-        cached = getattr(self, "_id_cache", None)
-        if cached is None:
-            cached = {d.name: i for i, d in enumerate(self.defs)}
-            object.__setattr__(self, "_id_cache", cached)
-        return cached
+        return {name: i for i, name in enumerate(self.names)}
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.defs)
 
@@ -108,7 +117,7 @@ def concat_modulemaps(maps: Sequence[tuple[str, Sequence[ModuleDef]]]) -> Module
 def load_modulemap(path: str | Path) -> ModuleMap:
     """Read and concatenate a single (already final) module map file."""
     path = Path(path)
-    return concat_modulemaps([(str(path), parse_modulemap(path.read_text("utf-8"), str(path)))])
+    return concat_modulemaps([(str(path), parse_modulemap(read_text(path), str(path)))])
 
 
 # --- overlays ---

@@ -232,11 +232,11 @@ def test_criterion_6_cmssw_shape(cmssw_corpus, tmp_path):
         # A definition owned by exactly one module keeps the local/release
         # comparison free of unrelated duplicate definers.
         cloned_module = identifier = None
-        for entry in full_index.entries:
-            definers = [p for p in entry.postings if p.flags & PostingFlags.DEFINES]
+        for ident, postings in full_index.postings.items():
+            definers = [p for p in postings if p.flags & PostingFlags.DEFINES]
             if len(definers) == 1:
-                cloned_module = full_index.module_name(definers[0].module_id)
-                identifier = entry.identifier
+                cloned_module = definers[0].module
+                identifier = ident
                 break
         assert cloned_module is not None
 
@@ -302,11 +302,11 @@ def test_criterion_7_index_invariants(cmssw_corpus, tmp_path):
                 assert_index_consistent(index, directory, mapping)
             semantic = load_index((Path(directory) / INDEX_FILE_NAME).read_bytes())
             lexical = load_index((Path(directory) / LEXICAL_INDEX_FILE_NAME).read_bytes())
-            for entry in semantic.entries:
-                assert lookup(lexical, entry.identifier) == [
+            for identifier in semantic.postings:
+                assert lookup(lexical, identifier) == [
                     (m, flags & ~PostingFlags.DEFINES)
-                    for m, flags in lookup(semantic, entry.identifier)
+                    for m, flags in lookup(semantic, identifier)
                 ]
-                definition = lookup_definition(semantic, entry.identifier)
+                definition = lookup_definition(semantic, identifier)
                 if definition is not None:
-                    assert definition in [m for m, _ in lookup(semantic, entry.identifier)]
+                    assert definition in [m for m, _ in lookup(semantic, identifier)]

@@ -86,6 +86,20 @@ class TestGenerateCorpus:
         generate_corpus(spec, tmp_path / "b")
         assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
 
+    def test_matches_golden_digests(self, tmp_path):
+        # Pins the byte layout of every generated file, .pcm and .gmi included.
+        spec = CorpusSpec(
+            n_modules=12, defs_per_module=3, fwd_fanout=3,
+            dup_fraction=0.5, import_density=1.0, seed=7,
+        )
+        generate_corpus(spec, tmp_path / "c")
+        golden = Path(__file__).parent / "data" / "corpus12_sha256.txt"
+        expected = {}
+        for line in golden.read_text("utf-8").splitlines():
+            digest, path = line.split("  ")
+            expected[path] = digest
+        assert _tree_digest(tmp_path / "c") == expected
+
     def test_seed_changes_content(self, tmp_path):
         base = dict(n_modules=4, defs_per_module=2, import_density=1.0, dup_fraction=0.5)
         generate_corpus(CorpusSpec(seed=1, **base), tmp_path / "a")

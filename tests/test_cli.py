@@ -283,6 +283,13 @@ class TestExitCodes:
         assert main(["run", "--strategy", "pch", "--dir", str(corpus), str(script)]) == 2
         assert "can't decode byte 0xff" in capsys.readouterr().err
 
+    def test_compile_names_a_non_utf8_header(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        (corpus / "M1" / "types.dh").write_bytes(b"struct S1_0 { n: i64; }; // \xff\n")
+        assert main(["compile", str(corpus / "module.modulemap"), "-o", str(tmp_path / "b")]) == 2
+        assert "M1/types.dh" in capsys.readouterr().err
+
     def test_odr_conflict_exits_2(self, tmp_path, capsys):
         root = tmp_path / "src"
         (root / "A").mkdir(parents=True)

@@ -206,6 +206,16 @@ class TestFormat:
         with pytest.raises(CorruptTable):
             load_index(_index_bytes([(0, "M0")], [("A", [(0, flags)])]))
 
+    @pytest.mark.parametrize("postings", [[(1, 3), (0, 3)], [(0, 1), (0, 3)]])
+    def test_postings_not_in_module_id_order_rejected(self, postings):
+        with pytest.raises(CorruptTable):
+            load_index(_index_bytes([(0, "M0"), (1, "M1")], [("A", postings)]))
+
+    @pytest.mark.parametrize("modules", [[(0, "M0"), (0, "M1")], [(0, "M0"), (1, "M0")]])
+    def test_duplicate_module_id_or_name_rejected(self, modules):
+        with pytest.raises(CorruptTable):
+            load_index(_index_bytes(modules, [("A", [(0, 1)])]))
+
     @pytest.mark.parametrize("identifiers", [("B", "A"), ("A", "A"), ("é", "z")])
     def test_identifiers_not_strictly_increasing_rejected(self, identifiers):
         entries = [(identifier, [(0, 1)]) for identifier in identifiers]
@@ -229,11 +239,10 @@ def assert_index_consistent(index, directory, module_map):
             modules = [m for m, _ in lookup(index, entry.name)]
             assert name in modules, f"{entry.name} missing posting for {name}"
     # Soundness + semantic refinement.
-    for entry in index.entries:
-        for posting in entry.postings:
-            module = index.module_name(posting.module_id)
-            table_entry = tables[module].find(entry.identifier)
-            assert table_entry is not None, f"posting for absent {entry.identifier}"
+    for identifier, postings in index.postings.items():
+        for posting in postings:
+            table_entry = tables[posting.module].find(identifier)
+            assert table_entry is not None, f"posting for absent {identifier}"
             if posting.flags & PostingFlags.DEFINES:
                 assert table_entry.flags & DeclFlags.HAS_DEFINITION
 
@@ -253,11 +262,11 @@ class TestInvariants:
     def test_stripping_defines_matches_lexical(self, gpad_dir):
         directory, module_map = gpad_dir
         semantic, lexical = _semantic(directory, module_map), _lexical(directory, module_map)
-        assert [e.identifier for e in semantic.entries] == [
-            e.identifier for e in lexical.entries
-        ]
-        for sem_entry, lex_entry in zip(semantic.entries, lexical.entries):
+        assert list(semantic.postings) == list(lexical.postings)
+        for sem_postings, lex_postings in zip(
+            semantic.postings.values(), lexical.postings.values()
+        ):
             stripped = [
-                (p.module_id, p.flags & ~PostingFlags.DEFINES) for p in sem_entry.postings
+                (p.module, p.flags & ~PostingFlags.DEFINES) for p in sem_postings
             ]
-            assert stripped == [(p.module_id, p.flags) for p in lex_entry.postings]
+            assert stripped == [(p.module, p.flags) for p in lex_postings]

@@ -15,6 +15,7 @@ from modix.errors import (
     MissingPch,
     MissingRootmap,
     ModuleNotFound,
+    UnreadableFile,
     WrongFlavor,
 )
 from modix.gmi import (
@@ -328,6 +329,15 @@ class TestTextual:
         header_size = (corpus_dir / "M" / "t.dh").stat().st_size
         assert session.stats().bytes_read == rootmap_size + header_size
 
+    def test_missing_header_raises_on_every_try(self, gpad_corpus):
+        corpus_dir, _ = gpad_corpus
+        (corpus_dir / "M0" / "types.dh").unlink()
+        session = open_corpus_session(corpus_dir, Strategy.TEXTUAL)
+        for _ in range(2):
+            with pytest.raises(UnreadableFile, match="M0/types.dh"):
+                session.resolve("S0_0", Need.DEFINITION)
+        assert session.stats().headers_parsed == 0
+
 
 class TestLocalShadowing:
     @pytest.fixture
@@ -473,7 +483,7 @@ class TestStaleIndex:
         # M1 forward-declares S0_0 (which M0 defines) and defines S1_0.
         corpus_dir, _ = gpad_corpus
         index = load_index((corpus_dir / INDEX_FILE_NAME).read_bytes())
-        names = [entry.identifier for entry in index.entries]
+        names = list(index.postings)
         (corpus_dir / "M1.pcm").unlink()
         lexical = open_corpus_session(corpus_dir, Strategy.LEXICAL_GMI, allow_stale=True)
         semantic = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, allow_stale=True)

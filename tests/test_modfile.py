@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modix import modfile
 from modix.declang import Decl, DeclKind, StructField, TypeRef, parse_header
 from modix.errors import (
     BadMagic,
@@ -127,6 +128,14 @@ class TestFormatErrors:
         data[4:8] = (1).to_bytes(4, "little")
         with pytest.raises(BadVersion):
             read_module_summary(bytes(data))
+
+    def test_unknown_flag_bits_rejected(self):
+        (decl,) = _header("struct A;").items
+        data = modfile._emit("A", (), [("A", DeclFlags(0x81), decl)])
+        stored, computed = modfile.content_hashes(data)
+        assert stored == computed
+        with pytest.raises(CorruptTable):
+            read_module_summary(data)
 
     def test_every_single_bit_flip_is_rejected(self):
         data = _module("M", "struct A { x: i32; p: ptr<B>; };", "struct B;\nenum E { a };",
