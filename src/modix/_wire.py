@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import CorruptTable
 
@@ -41,11 +41,25 @@ def byte_order(keys: Iterable[str]) -> list[str]:
 
 def known_flags(flag_type: type[T]) -> dict[int, T]:
     """Every flags byte that sets only known bits of `flag_type`, decoded
-    once; `Reader.flags` rejects any other byte."""
+    once; `decode_flags` rejects any other byte."""
     known = 0
     for flag in flag_type:
         known |= int(flag)
     return {v: flag_type(v) for v in range(256) if not v & ~known}
+
+
+def decode_flags(known: Mapping[int, T], value: int) -> T:
+    """A flags byte through its `known_flags` table; unknown bits raise
+    CorruptTable."""
+    flag = known.get(value)
+    if flag is None:
+        raise CorruptTable(f"unknown flag bits in {value:#04x}")
+    return flag
+
+
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 class Writer:
@@ -53,13 +67,13 @@ class Writer:
         self._parts: list[bytes] = []
 
     def u8(self, value: int) -> None:
-        self._parts.append(struct.pack("<B", value))
+        self._parts.append(_U8.pack(value))
 
     def u32(self, value: int) -> None:
-        self._parts.append(struct.pack("<I", value))
+        self._parts.append(_U32.pack(value))
 
     def u64(self, value: int) -> None:
-        self._parts.append(struct.pack("<Q", value))
+        self._parts.append(_U64.pack(value))
 
     def raw(self, data: bytes | bytearray) -> None:
         self._parts.append(data)
@@ -82,44 +96,65 @@ class Writer:
 
 
 class Reader:
-    """Cursor over immutable bytes; any overrun raises CorruptTable."""
+    """Cursor over immutable bytes; any overrun raises CorruptTable.
+
+    Fixed-width fields are unpacked in place at `pos` with precompiled
+    `struct.Struct`s, a whole row per call where the format has rows."""
 
     def __init__(self, data: bytes, pos: int = 0):
         self.data = data
         self.pos = pos
 
-    def _take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise CorruptTable(f"truncated at byte {self.pos}")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        """One fixed-width row of `fmt`."""
+        pos = self.pos
+        try:
+            row = fmt.unpack_from(self.data, pos)
+        except struct.error:
+            raise CorruptTable(f"truncated at byte {pos}") from None
+        self.pos = pos + fmt.size
+        return row
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self.unpack(_U8)[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return self.unpack(_U64)[0]
 
     def raw(self, n: int) -> bytes:
-        return self._take(n)
+        start = self.pos
+        end = start + n
+        if end > len(self.data):
+            raise CorruptTable(f"truncated at byte {start}")
+        self.pos = end
+        return self.data[start:end]
+
+    def rows(self, fmt: struct.Struct, count: int) -> Iterator[tuple]:
+        """`count` consecutive rows of `fmt`, bounds-checked once."""
+        return fmt.iter_unpack(self.raw(count * fmt.size))
 
     def lpstr(self) -> str:
-        n = self.u32()
+        # The hottest read of every format, so its length prefix is
+        # unpacked inline rather than through `u32`.
+        pos = self.pos
+        data = self.data
         try:
-            return self._take(n).decode("utf-8")
+            (n,) = _U32.unpack_from(data, pos)
+        except struct.error:
+            raise CorruptTable(f"truncated at byte {pos}") from None
+        start = pos + 4
+        end = start + n
+        if end > len(data):
+            raise CorruptTable(f"truncated at byte {start}")
+        try:
+            text = data[start:end].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorruptTable(f"invalid UTF-8 at byte {self.pos}") from exc
-
-    def flags(self, known: Mapping[int, T]) -> T:
-        value = known.get(self.u8())
-        if value is None:
-            raise CorruptTable(f"unknown flag bits at byte {self.pos - 1}")
-        return value
+            raise CorruptTable(f"invalid UTF-8 at byte {start}") from exc
+        self.pos = end
+        return text
 
     def table(self, read_row: Callable[[str], T]) -> dict[str, T]:
         """A `Writer.table`: each key mapped to `read_row(key)`, in file

@@ -177,6 +177,8 @@ def compute_deps(
 ) -> tuple[Dep, ...]:
     """Classify referenced names; a definition-need occurrence wins over
     forward-only ones for the same name."""
+    if kind is DeclKind.ENUM_DEF or kind is DeclKind.STRUCT_FWD:
+        return ()
     needs: dict[str, Need] = {}
 
     def visit(ref: TypeRef | None, need: Need) -> None:
@@ -292,15 +294,19 @@ def _parse_item(cur: Cursor, path: str) -> Decl | str:
         if cur.accept_punct(";"):
             return Decl(name, DeclKind.STRUCT_FWD, origin=origin)
         cur.expect_punct("{")
-        fields: list[StructField] = []
+        field_list: list[StructField] = []
         while not cur.accept_punct("}"):
             fname = cur.expect_ident().text
             cur.expect_punct(":")
             ftype = _parse_type(cur)
             cur.expect_punct(";")
-            fields.append(StructField(fname, ftype))
+            field_list.append(StructField(fname, ftype))
         cur.expect_punct(";")
-        return with_deps(Decl(name, DeclKind.STRUCT_DEF, fields=tuple(fields), origin=origin))
+        fields = tuple(field_list)
+        return Decl(
+            name, DeclKind.STRUCT_DEF, fields=fields,
+            deps=compute_deps(DeclKind.STRUCT_DEF, fields=fields), origin=origin,
+        )
 
     if tok.text == "enum":
         name = cur.expect_ident().text
@@ -317,22 +323,28 @@ def _parse_item(cur: Cursor, path: str) -> Decl | str:
         cur.expect_punct("=")
         target = _parse_type(cur)
         cur.expect_punct(";")
-        return with_deps(Decl(name, DeclKind.ALIAS, alias_target=target, origin=origin))
+        return Decl(
+            name, DeclKind.ALIAS, alias_target=target,
+            deps=compute_deps(DeclKind.ALIAS, alias_target=target), origin=origin,
+        )
 
     if tok.text == "fn":
         name = cur.expect_ident().text
         cur.expect_punct("(")
-        params: list[TypeRef] = []
+        param_list: list[TypeRef] = []
         if not cur.accept_punct(")"):
-            params.append(_parse_type(cur))
+            param_list.append(_parse_type(cur))
             while cur.accept_punct(","):
-                params.append(_parse_type(cur))
+                param_list.append(_parse_type(cur))
             cur.expect_punct(")")
         cur.expect_punct("->")
         returns = _parse_type(cur)
         cur.expect_punct(";")
-        return with_deps(
-            Decl(name, DeclKind.FUNC_DECL, params=tuple(params), returns=returns, origin=origin)
+        params = tuple(param_list)
+        return Decl(
+            name, DeclKind.FUNC_DECL, params=params, returns=returns,
+            deps=compute_deps(DeclKind.FUNC_DECL, params=params, returns=returns),
+            origin=origin,
         )
 
     raise cur.error("declaration", tok)

@@ -24,12 +24,13 @@ Indexes are immutable after load; building is a batch single-writer step.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Sequence
 
-from ._wire import Reader, Writer, byte_order, known_flags
+from ._wire import Reader, Writer, byte_order, decode_flags, known_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
 from .modfile import FILE_EXTENSION, DeclFlags, content_hashes, read_modules
@@ -58,6 +59,9 @@ class PostingFlags(IntFlag):
 
 
 _POSTING_FLAGS = known_flags(PostingFlags)
+
+# One posting: module_id u32, flags u8.
+_POSTING_ROW = struct.Struct("<IB")
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,7 @@ def build_index(
     def write_postings(plist: list[tuple[int, PostingFlags]]) -> None:
         w.u32(len(plist))
         for module_id, flags in plist:
-            w.u32(module_id)
-            w.u8(int(flags))
+            w.raw(_POSTING_ROW.pack(module_id, int(flags)))
 
     w = Writer()
     w.raw(MAGIC)
@@ -154,15 +157,25 @@ def load_index(data: bytes) -> GlobalIndex:
     if len(names) != len(modules) or len(set(names.values())) != len(modules):
         raise CorruptTable("duplicate module id or name in the module table")
 
+    # One Posting per distinct (module_id, flags) row, checked when first
+    # seen; a module has at most three, against tens of postings each.
+    interned: dict[tuple[int, int], Posting] = {}
+
+    def intern(row: tuple[int, int], identifier: str) -> Posting:
+        module_id, flags = row
+        if module_id not in names:
+            raise CorruptTable(f"'{identifier}' posts unknown module {module_id}")
+        posting = interned[row] = Posting(names[module_id], decode_flags(_POSTING_FLAGS, flags))
+        return posting
+
     def read_postings(identifier: str) -> tuple[Posting, ...]:
         postings = []
         prev = -1
-        for _ in range(r.u32()):
-            module_id = r.u32()
-            if module_id <= prev or module_id not in names:
-                raise CorruptTable(f"'{identifier}' posts unknown or unordered module {module_id}")
-            postings.append(Posting(names[module_id], r.flags(_POSTING_FLAGS)))
-            prev = module_id
+        for row in r.rows(_POSTING_ROW, r.u32()):
+            if row[0] <= prev:
+                raise CorruptTable(f"'{identifier}' posts unordered module {row[0]}")
+            prev = row[0]
+            postings.append(interned.get(row) or intern(row, identifier))
         return tuple(postings)
 
     postings = r.table(read_postings)

@@ -39,7 +39,7 @@ from enum import Enum
 from pathlib import Path
 from . import gmi as gmi_mod
 from . import modfile
-from .declang import Decl, Need, parse_header
+from .declang import Decl, HeaderAST, Need, parse_header
 from .errors import (
     IndexStale,
     MissingIndex,
@@ -376,19 +376,29 @@ class Session:
         return self._merge_resident(identifier, need)
 
     def _parse_header_cascade(self, relpath: str) -> None:
-        if relpath in self._parsed_headers:
-            return
-        path = root_file(self.paths.release_root, relpath, self.overlay)
-        text = read_text(path)
-        ast = parse_header(text, relpath)
-        self._parsed_headers.add(relpath)  # not before: a failed read must fail again
-        self._headers += 1
-        self._charge_read(len(text.encode("utf-8")))
-        self._merge_order[relpath] = 2**33 + self._headers
-        for decl in ast.items:
-            self._resident.setdefault(decl.name, []).append((decl, relpath))
-        for include in ast.includes:
-            self._parse_header_cascade(include)
+        """Parse a header and, transitively, every header it includes that is
+        not parsed yet, then commit them all in pre-order.  Every read and
+        parse comes first, so one that fails commits nothing and the same
+        lookup fails again."""
+        parsed: dict[str, tuple[str, HeaderAST]] = {}  # in pre-order
+
+        def visit(rel: str) -> None:
+            if rel in self._parsed_headers or rel in parsed:
+                return
+            text = read_text(root_file(self.paths.release_root, rel, self.overlay))
+            ast = parse_header(text, rel)
+            parsed[rel] = (text, ast)
+            for include in ast.includes:
+                visit(include)
+
+        visit(relpath)
+        for rel, (text, ast) in parsed.items():
+            self._parsed_headers.add(rel)
+            self._headers += 1
+            self._charge_read(len(text.encode("utf-8")))
+            self._merge_order[rel] = 2**33 + self._headers
+            for decl in ast.items:
+                self._resident.setdefault(decl.name, []).append((decl, rel))
 
     def _visible_postings(self, identifier: str) -> list[gmi_mod.Posting]:
         return [p for p in self._index.entry(identifier) if p.module not in self._shadowed]

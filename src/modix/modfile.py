@@ -24,15 +24,15 @@ Module files are immutable once written; readers never mutate shared state.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from . import declang
-from ._wire import Reader, Writer, digest64, known_flags
+from ._wire import Reader, Writer, decode_flags, digest64, known_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
+from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef, compute_deps
 from .errors import (
     BadMagic,
     BadVersion,
@@ -66,6 +66,9 @@ class DeclFlags(IntFlag):
 
 
 _DECL_FLAGS = known_flags(DeclFlags)
+
+# One identifier-table row after its name: flags u8, blob_offset u64, blob_len u32.
+_ENTRY_ROW = struct.Struct("<BQI")
 
 _KIND_TAGS = {
     DeclKind.STRUCT_DEF: 1,
@@ -226,17 +229,16 @@ def decode_blob(blob: bytes) -> Decl:
     origin = (r.lpstr(), r.u32())
     if not r.at_end():
         raise CorruptTable("trailing bytes after declaration")
-    return declang.with_deps(
-        Decl(
-            name,
-            kind,
-            fields=fields,
-            enumerators=enumerators,
-            alias_target=alias_target,
-            params=params,
-            returns=returns,
-            origin=origin,
-        )
+    return Decl(
+        name,
+        kind,
+        fields=fields,
+        enumerators=enumerators,
+        alias_target=alias_target,
+        params=params,
+        returns=returns,
+        deps=compute_deps(kind, fields, alias_target, params, returns),
+        origin=origin,
     )
 
 
@@ -252,9 +254,7 @@ def _emit(module_name: str, imports: Sequence[str], decls: Sequence[tuple[str, D
     def write_entry(row: tuple[DeclFlags, Decl]) -> None:
         flags, decl = row
         blob = encode_blob(decl)
-        w.u8(int(flags))
-        w.u64(len(region))
-        w.u32(len(blob))
+        w.raw(_ENTRY_ROW.pack(int(flags), len(region), len(blob)))
         region.extend(blob)
 
     w = Writer()
@@ -343,7 +343,12 @@ def read_module_summary(data: bytes) -> ModuleFile:
     stored_hash = r.u64()
     module_name = r.lpstr()
     imports = tuple(r.lpstr() for _ in range(r.u32()))
-    table = r.table(lambda name: IdentEntry(name, r.flags(_DECL_FLAGS), r.u64(), r.u32()))
+
+    def read_entry(name: str) -> IdentEntry:
+        flags, blob_offset, blob_len = r.unpack(_ENTRY_ROW)
+        return IdentEntry(name, decode_flags(_DECL_FLAGS, flags), blob_offset, blob_len)
+
+    table = r.table(read_entry)
     region_len = r.u64()
     summary_bytes = r.pos
     region = r.raw(region_len)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_random_corpus, outcome_signature, random_workload, run_equivalence_check
+from modix import modfile
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.declang import Need, parse_header
 from modix.errors import (
@@ -288,6 +289,51 @@ class TestCostHonesty:
         assert stats.decls_deserialized == len(touched)
 
 
+class TestPatchPoints:
+    """The traced `modfile.summaries_read` and `modfile.decls_decoded`
+    metrics count calls of these two functions, so each summary and each
+    declaration a session charges for must be exactly one call."""
+
+    @pytest.fixture(scope="class")
+    def corpus12(self, tmp_path_factory):
+        corpus_dir = tmp_path_factory.mktemp("corpus12")
+        spec = CorpusSpec(
+            n_modules=12, defs_per_module=3, fwd_fanout=3,
+            dup_fraction=0.5, import_density=1.0, seed=7,
+        )
+        generate_corpus(spec, corpus_dir)
+        return corpus_dir
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.PRELOAD_ALL, Strategy.PCH, Strategy.SEMANTIC_GMI]
+    )
+    def test_modfile_calls_match_stats(self, corpus12, monkeypatch, strategy):
+        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).table)
+        calls = {"read_module_summary": 0, "deserialize_decl": 0}
+
+        def count(name):
+            fn = getattr(modfile, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(modfile, name, counted)
+
+        count("read_module_summary")
+        count("deserialize_decl")
+        session = open_corpus_session(corpus12, strategy)
+        for name in names + ["Nope"]:
+            for need in (Need.FORWARD_OK, Need.DEFINITION):
+                session.resolve(name, need)
+        stats = session.stats()
+        assert stats.modules_loaded > 0 and stats.decls_deserialized > 0
+        assert calls == {
+            "read_module_summary": stats.modules_loaded,
+            "deserialize_decl": stats.decls_deserialized,
+        }
+
+
 class TestRelocatability:
     def test_moved_corpus_still_works(self, tmp_path):
         import shutil
@@ -337,6 +383,20 @@ class TestTextual:
             with pytest.raises(UnreadableFile, match="M0/types.dh"):
                 session.resolve("S0_0", Need.DEFINITION)
         assert session.stats().headers_parsed == 0
+
+    def test_failed_include_raises_on_every_try(self, tmp_path):
+        _corpus_with_imports(tmp_path)
+        corpus_dir = tmp_path / "chain"
+        (corpus_dir / "C" / "types.dh").unlink()
+        session = open_corpus_session(corpus_dir, Strategy.TEXTUAL)
+        before = session.stats()
+        for _ in range(3):
+            with pytest.raises(UnreadableFile, match="C/types.dh"):
+                session.resolve("BT", Need.DEFINITION)
+        after = session.stats()
+        assert after.headers_parsed == 0
+        assert after.bytes_read == before.bytes_read
+        assert after.sim_memory_bytes == before.sim_memory_bytes
 
 
 class TestLocalShadowing:
