@@ -25,8 +25,12 @@ ticks derive from both.  ``sim_memory_bytes`` is the sum over loaded modules of
 overhead + table bytes + deserialized blob bytes, plus the resident index,
 rootmap, and parsed header text where a strategy keeps those around.  A false
 positive is a module that a lookup loaded and that has not yet been the
-defining module of a resolved hit.  Every counter is kept where its work
-happens, so a stats snapshot only reads values.
+defining module of a resolved hit.  A session counts bytes read, their read
+ticks, declarations deserialized and lookups where that work happens.
+``stats()`` derives the load order, module count, headers parsed and false
+positives from session state, and adds the per-module overhead:
+``sim_memory_bytes`` = bytes read + modules loaded * overhead bytes, and
+``ticks`` = read ticks + modules loaded * overhead ticks.
 
 Sessions are single-threaded by contract; distinct sessions over the same
 immutable corpus may run concurrently.
@@ -34,9 +38,9 @@ immutable corpus may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
+from pathlib import Path, PurePath
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import Decl, HeaderAST, Need, parse_header
@@ -46,6 +50,7 @@ from .errors import (
     MissingPch,
     MissingRootmap,
     ModuleNotFound,
+    UnreadableFile,
     WrongFlavor,
 )
 from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
@@ -141,12 +146,6 @@ class _Marker(Enum):
     FORWARD_ONLY = "forward-only"
 
 
-@dataclass
-class _Loaded:
-    mf: ModuleFile
-    decls: dict[str, Decl] = field(default_factory=dict)
-
-
 class Session:
     """One interpreter session: fixed strategy, cumulative stats."""
 
@@ -166,7 +165,7 @@ class Session:
         self.cost = cost if cost is not None else CostModel()
         self.overlay = overlay
 
-        self._loaded: dict[str, _Loaded] = {}
+        self._loaded: dict[str, ModuleFile] = {}
         # The same order as `_loaded`'s keys, kept as a list because stats()
         # copies it twice per statement, and copying a list is about three
         # times faster than iterating a dict's keys.
@@ -184,9 +183,7 @@ class Session:
 
         self._decls = 0
         self._bytes = 0
-        self._headers = 0
-        self._mem = 0
-        self._ticks = 0
+        self._read_ticks = 0
         self._lookups = 0
 
         startup, _ = self._STRATEGIES[strategy]
@@ -198,7 +195,7 @@ class Session:
         for name in self.map.names:
             self._load_module(name, resolution=False)
         for name in self._load_order:
-            for ident in self._loaded[name].mf.names:
+            for ident in self._loaded[name].names:
                 decl = self._deserialize(name, ident)
                 self._resident.setdefault(ident, []).append((decl, name))
 
@@ -250,14 +247,11 @@ class Session:
         self._load_direct()
         # Modules excluded from the index are consulted directly as well.
         for name in index.excluded:
-            if name in self._loaded:
+            if name in self._shadowed:
                 continue
             self._shadowed.add(name)
-            try:
-                self._load_module(name, resolution=False)
-            except ModuleNotFound:
-                continue
-            self._direct.append(name)
+            if self._load_if_present(name, resolution=False):
+                self._direct.append(name)
 
     def _load_direct(self) -> None:
         """Local checkouts shadow the release: their summaries come up eagerly
@@ -276,9 +270,8 @@ class Session:
     def _charge_read(self, nbytes: int) -> None:
         """Count bytes read into resident memory; ticks round up per read."""
         self._bytes += nbytes
-        self._mem += nbytes
         if self.cost.bytes_per_tick:
-            self._ticks += -(-nbytes // self.cost.bytes_per_tick)
+            self._read_ticks += -(-nbytes // self.cost.bytes_per_tick)
 
     # -- module loading --
 
@@ -296,25 +289,29 @@ class Session:
             for imp in mf.imports:
                 self._load_module(imp, resolution)
             self._charge_read(mf.summary_bytes)
-            self._mem += self.cost.per_module_overhead_bytes
-            self._ticks += self.cost.per_module_overhead_ticks
-            self._loaded[name] = _Loaded(mf)
+            self._loaded[name] = mf
             self._load_order.append(name)
             if resolution:
                 self._unredeemed.add(name)
         finally:
             self._loading.discard(name)
 
+    def _load_if_present(self, name: str, resolution: bool) -> bool:
+        """Load a module; False when its own file is missing.  A missing
+        import of a module that does load still raises."""
+        try:
+            self._load_module(name, resolution)
+        except ModuleNotFound as exc:
+            if exc.name != name:
+                raise
+            return False
+        return True
+
     def _deserialize(self, module_name: str, identifier: str) -> Decl:
-        lm = self._loaded[module_name]
-        decl = lm.decls.get(identifier)
-        if decl is not None:
-            return decl
-        entry = lm.mf.find(identifier)
-        decl = modfile.deserialize_decl(lm.mf, identifier)
+        mf = self._loaded[module_name]
+        decl = modfile.deserialize_decl(mf, identifier)
         self._decls += 1
-        self._charge_read(entry.blob_len)
-        lm.decls[identifier] = decl
+        self._charge_read(mf.find(identifier).blob_len)
         return decl
 
     # -- resolution --
@@ -322,16 +319,14 @@ class Session:
     def resolve(self, identifier: str, need: Need) -> Resolution:
         """Extend name lookup to the corpus under this session's strategy.
 
-        Results are cached per identifier: repeated resolutions perform no new
-        loads or deserializations, except that a definition-need request can
-        upgrade an earlier forward-only synthesis.
+        Results are cached per identifier, whatever the need: repeated
+        resolutions perform no new loads or deserializations.
         """
         self._lookups += 1
         cached = self._cache.get(identifier)
-        if cached is None or (cached is _Marker.FORWARD_ONLY and need is Need.DEFINITION):
+        if cached is None:
             _, resolve_uncached = self._STRATEGIES[self.strategy]
-            cached = resolve_uncached(self, identifier, need)
-            self._cache[identifier] = cached
+            cached = self._cache[identifier] = resolve_uncached(self, identifier)
         return self._to_resolution(identifier, need, cached)
 
     def _to_resolution(
@@ -350,41 +345,45 @@ class Session:
         return Resolution(identifier, need, ResolutionOutcome.RESOLVED, entity)
 
     def _direct_hits(self, identifier: str) -> list[str]:
-        return [name for name in self._direct if self._loaded[name].mf.find(identifier)]
+        return [name for name in self._direct if self._loaded[name].find(identifier)]
 
     def _merge(self, candidates: list[tuple[Decl, str]]) -> Entity | _Marker:
         return merge_entities(candidates, self._merge_order) if candidates else _Marker.ABSENT
 
-    def _merge_resident(self, identifier: str, need: Need) -> Entity | _Marker:
+    def _merge_resident(self, identifier: str) -> Entity | _Marker:
         return self._merge(self._resident.get(identifier, []))
 
-    def _resolve_pch(self, identifier: str, need: Need) -> Entity | _Marker:
+    def _resolve_pch(self, identifier: str) -> Entity | _Marker:
         # A local checkout wins wholesale: the merged cache has no per-module
         # provenance left to shadow-filter.
         hits = self._direct_hits(identifier)
-        if not hits and self._loaded[PCH_MODULE_NAME].mf.find(identifier):
+        if not hits and self._loaded[PCH_MODULE_NAME].find(identifier):
             hits = [PCH_MODULE_NAME]
         return self._merge([(self._deserialize(n, identifier), n) for n in hits])
 
-    def _resolve_textual(self, identifier: str, need: Need) -> Entity | _Marker:
+    def _resolve_textual(self, identifier: str) -> Entity | _Marker:
         hits = self._direct_hits(identifier)
         if hits:
             return self._merge([(self._deserialize(n, identifier), n) for n in hits])
         header = self._rootmap.get(identifier)
         if header is not None:
             self._parse_header_cascade(header)
-        return self._merge_resident(identifier, need)
+        return self._merge_resident(identifier)
 
     def _parse_header_cascade(self, relpath: str) -> None:
         """Parse a header and, transitively, every header it includes that is
         not parsed yet, then commit them all in pre-order.  Every read and
         parse comes first, so one that fails commits nothing and the same
-        lookup fails again."""
+        lookup fails again.  A path that is absolute or climbs out with ``..``
+        fails like an unreadable file: textual lookups read only under the
+        release root."""
         parsed: dict[str, tuple[str, HeaderAST]] = {}  # in pre-order
 
         def visit(rel: str) -> None:
             if rel in self._parsed_headers or rel in parsed:
                 return
+            if PurePath(rel).is_absolute() or ".." in PurePath(rel).parts:
+                raise UnreadableFile(f"cannot read {rel}: outside the release root")
             text = read_text(root_file(self.paths.release_root, rel, self.overlay))
             ast = parse_header(text, rel)
             parsed[rel] = (text, ast)
@@ -394,9 +393,8 @@ class Session:
         visit(relpath)
         for rel, (text, ast) in parsed.items():
             self._parsed_headers.add(rel)
-            self._headers += 1
             self._charge_read(len(text.encode("utf-8")))
-            self._merge_order[rel] = 2**33 + self._headers
+            self._merge_order[rel] = 2**33 + len(self._parsed_headers)
             for decl in ast.items:
                 self._resident.setdefault(decl.name, []).append((decl, rel))
 
@@ -407,29 +405,25 @@ class Session:
         """Load the module an index posting names and return its declaration
         of the identifier: none when a stale index (``allow_stale``) lists a
         module that was rebuilt without it or deleted."""
-        try:
-            self._load_module(name, resolution=True)
-        except ModuleNotFound as exc:
-            if exc.name != name:
-                raise
+        if not self._load_if_present(name, resolution=True):
             return []
-        if self._loaded[name].mf.find(identifier) is None:
+        if self._loaded[name].find(identifier) is None:
             return []
         return [(self._deserialize(name, identifier), name)]
 
-    def _resolve_lexical(self, identifier: str, need: Need) -> Entity | _Marker:
+    def _resolve_lexical(self, identifier: str) -> Entity | _Marker:
         candidates: list[tuple[Decl, str]] = []
         for p in self._visible_postings(identifier):
             candidates += self._load_posted(p.module, identifier)
         candidates += [(self._deserialize(n, identifier), n) for n in self._direct_hits(identifier)]
         return self._merge(candidates)
 
-    def _resolve_semantic(self, identifier: str, need: Need) -> Entity | _Marker:
+    def _resolve_semantic(self, identifier: str) -> Entity | _Marker:
         hits = self._direct_hits(identifier)
         defining_hits = [
             name
             for name in hits
-            if self._loaded[name].mf.find(identifier).flags & DeclFlags.HAS_DEFINITION
+            if self._loaded[name].find(identifier).flags & DeclFlags.HAS_DEFINITION
         ]
         postings = self._visible_postings(identifier)
         def_posting = next(
@@ -460,14 +454,15 @@ class Session:
 
     def stats(self) -> LoadStats:
         """Pure value snapshot; no side effects."""
+        loaded = len(self._load_order)
         return LoadStats(
-            modules_loaded=len(self._load_order),
+            modules_loaded=loaded,
             load_order=tuple(self._load_order),
             decls_deserialized=self._decls,
             bytes_read=self._bytes,
-            headers_parsed=self._headers,
-            sim_memory_bytes=self._mem,
-            ticks=self._ticks,
+            headers_parsed=len(self._parsed_headers),
+            sim_memory_bytes=self._bytes + loaded * self.cost.per_module_overhead_bytes,
+            ticks=self._read_ticks + loaded * self.cost.per_module_overhead_ticks,
             lookups=self._lookups,
             false_positive_loads=len(self._unredeemed),
         )

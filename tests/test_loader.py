@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,20 @@ def _corpus_with_imports(tmp_path):
         ("D", {"types.dh": "struct DT { x: bool; };\n"}),
     ]
     return write_corpus(tmp_path / "chain", modules)
+
+
+@pytest.fixture
+def forward_only_corpus(tmp_path):
+    """Ghost is forward-declared in both modules and defined in neither."""
+    corpus_dir = tmp_path / "fwd"
+    write_corpus(
+        corpus_dir,
+        [
+            ("M0", {"t.dh": "struct Ghost;\nstruct Real { x: i32; };\n"}),
+            ("M1", {"t.dh": "struct Ghost;\n"}),
+        ],
+    )
+    return corpus_dir
 
 
 class TestStartup:
@@ -208,15 +223,25 @@ class TestResolve:
         session.resolve("S3_0", Need.DEFINITION)  # M3 now contributes
         assert session.stats().false_positive_loads == 4
 
-    def test_second_resolve_changes_only_lookups(self, gpad_corpus):
+    def test_second_resolve_changes_only_lookups(self, gpad_corpus, forward_only_corpus):
         corpus_dir, _ = gpad_corpus
-        for strategy in Strategy:
-            session = open_corpus_session(corpus_dir, strategy)
-            session.resolve("S0_0", Need.DEFINITION)
+        resolved = ResolutionOutcome.RESOLVED
+        cases = [
+            (strategy, corpus_dir, "S0_0", Need.DEFINITION, resolved, resolved)
+            for strategy in Strategy
+        ]
+        # A definition need after a forward-only synthesis stays cached too.
+        cases.append((
+            Strategy.SEMANTIC_GMI, forward_only_corpus, "Ghost", Need.FORWARD_OK,
+            ResolutionOutcome.IMPLICIT_FORWARD, ResolutionOutcome.NOT_FOUND,
+        ))
+        for strategy, corpus, ident, first_need, first, second in cases:
+            session = open_corpus_session(corpus, strategy)
+            assert session.resolve(ident, first_need).outcome is first
             before = session.stats()
-            repeat = session.resolve("S0_0", Need.DEFINITION)
+            repeat = session.resolve(ident, Need.DEFINITION)
             after = session.stats()
-            assert repeat.outcome is ResolutionOutcome.RESOLVED
+            assert repeat.outcome is second
             assert after.lookups == before.lookups + 1
             assert dataclasses.replace(after, lookups=before.lookups) == before
 
@@ -231,18 +256,6 @@ class TestResolve:
 
 
 class TestSemanticForwardSynthesis:
-    @pytest.fixture
-    def forward_only_corpus(self, tmp_path):
-        corpus_dir = tmp_path / "fwd"
-        write_corpus(
-            corpus_dir,
-            [
-                ("M0", {"t.dh": "struct Ghost;\nstruct Real { x: i32; };\n"}),
-                ("M1", {"t.dh": "struct Ghost;\n"}),
-            ],
-        )
-        return corpus_dir
-
     def test_forward_only_name_synthesizes_without_loads(self, forward_only_corpus):
         session = open_corpus_session(forward_only_corpus, Strategy.SEMANTIC_GMI)
         resolution = session.resolve("Ghost", Need.FORWARD_OK)
@@ -292,7 +305,8 @@ class TestCostHonesty:
 class TestPatchPoints:
     """The traced `modfile.summaries_read` and `modfile.decls_decoded`
     metrics count calls of these two functions, so each summary and each
-    declaration a session charges for must be exactly one call."""
+    declaration a session charges for must be exactly one call, and no
+    declaration is decoded twice."""
 
     @pytest.fixture(scope="class")
     def corpus12(self, tmp_path_factory):
@@ -305,17 +319,22 @@ class TestPatchPoints:
         return corpus_dir
 
     @pytest.mark.parametrize(
-        "strategy", [Strategy.PRELOAD_ALL, Strategy.PCH, Strategy.SEMANTIC_GMI]
+        "strategy",
+        [Strategy.PRELOAD_ALL, Strategy.PCH, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI],
     )
     def test_modfile_calls_match_stats(self, corpus12, monkeypatch, strategy):
         names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).table)
         calls = {"read_module_summary": 0, "deserialize_decl": 0}
+        decoded: list[tuple[str, str]] = []
 
         def count(name):
             fn = getattr(modfile, name)
 
             def counted(*args):
                 calls[name] += 1
+                if name == "deserialize_decl":
+                    mf, identifier = args
+                    decoded.append((mf.module_name, identifier))
                 return fn(*args)
 
             monkeypatch.setattr(modfile, name, counted)
@@ -332,6 +351,7 @@ class TestPatchPoints:
             "read_module_summary": stats.modules_loaded,
             "deserialize_decl": stats.decls_deserialized,
         }
+        assert len(set(decoded)) == len(decoded)
 
 
 class TestRelocatability:
@@ -397,6 +417,29 @@ class TestTextual:
         assert after.headers_parsed == 0
         assert after.bytes_read == before.bytes_read
         assert after.sim_memory_bytes == before.sim_memory_bytes
+
+    @pytest.mark.parametrize("via", ["rootmap", "include"])
+    def test_header_outside_release_root_raises_on_every_try(self, tmp_path, via):
+        corpus_dir = tmp_path / "release"
+        write_corpus(corpus_dir, [("M", {"t.dh": "struct A { x: i32; };\n"})])
+        outside = tmp_path / "outside.dh"
+        outside.write_text("struct Secret { x: i32; };\n", "utf-8")
+        if via == "rootmap":
+            ident, target = "Secret", "../outside.dh"
+            line = f"Secret {target}\n"
+        else:
+            ident, target = "Inner", str(outside)
+            (corpus_dir / "inner.dh").write_text(
+                f'include "{target}";\nstruct Inner {{ s: Secret; }};\n', "utf-8"
+            )
+            line = "Inner inner.dh\n"
+        with open(corpus_dir / "modules.rootmap", "a", encoding="utf-8") as rootmap:
+            rootmap.write(line)
+        session = open_corpus_session(corpus_dir, Strategy.TEXTUAL)
+        for _ in range(2):
+            with pytest.raises(UnreadableFile, match=re.escape(target)):
+                session.resolve(ident, Need.DEFINITION)
+        assert session.stats().headers_parsed == 0
 
 
 class TestLocalShadowing:
@@ -484,6 +527,45 @@ class TestLocalShadowing:
         entry = local_mf.find("Thing")
         blob = local_mf.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
         assert resolution.entity.canonical_payload in blob
+
+    @staticmethod
+    def _excluded_import_corpus(tmp_path):
+        """L includes X's header, so L imports X, and X imports Y.  Both
+        indexes are built with X excluded; L is checked out locally."""
+        corpus_dir = tmp_path / "release"
+        write_corpus(
+            corpus_dir,
+            [
+                ("Y", {"t.dh": "struct YT { x: i32; };\n"}),
+                ("X", {"t.dh": 'include "Y/t.dh";\nstruct OnlyX { y: YT; };\n'}),
+                ("L", {"t.dh": 'include "X/t.dh";\nstruct LT { x: OnlyX; };\n'}),
+            ],
+        )
+        module_map = load_modulemap(corpus_dir / "module.modulemap")
+        for flavor in IndexFlavor:
+            index_data = build_index(module_map, corpus_dir, flavor, ["X"])
+            (corpus_dir / index_file_name(flavor)).write_bytes(index_data)
+        local = tmp_path / "local"
+        local.mkdir()
+        (local / "L.pcm").write_bytes((corpus_dir / "L.pcm").read_bytes())
+        return corpus_dir, local
+
+    def test_excluded_module_loaded_as_import_is_consulted(self, tmp_path):
+        corpus_dir, local = self._excluded_import_corpus(tmp_path)
+        for strategy in INDEX_FLAVORS:
+            session = open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
+            assert session.stats().load_order == ("Y", "X", "L"), strategy
+            resolution = session.resolve("OnlyX", Need.DEFINITION)
+            assert resolution.outcome is ResolutionOutcome.RESOLVED, strategy
+            assert resolution.entity.defining_module == "X"
+
+    def test_excluded_module_with_missing_import_fails_open(self, tmp_path):
+        corpus_dir, _ = self._excluded_import_corpus(tmp_path)
+        (corpus_dir / "Y.pcm").unlink()
+        for strategy in INDEX_FLAVORS:
+            with pytest.raises(ModuleNotFound) as excinfo:
+                open_corpus_session(corpus_dir, strategy, allow_stale=True)
+            assert excinfo.value.name == "Y", strategy
 
 
 class TestStaleIndex:
@@ -726,6 +808,30 @@ class TestFalsePositiveElimination:
                         1 for name in stats.load_order[startup:] if name not in redeemed
                     )
                     assert stats.false_positive_loads == recount, (case, strategy, ident)
+
+
+class TestCostIdentities:
+    def test_overhead_is_modules_loaded_times_the_per_module_cost(self, tmp_path):
+        # With one byte per tick, every read costs exactly its length in ticks.
+        costs = (CostModel(), CostModel(7, 3, 1))
+        rng = random.Random(314)
+        for case in range(8):
+            corpus = build_random_corpus(rng, tmp_path / f"cost{case}")
+            workload = random_workload(rng, corpus, 30)
+            for strategy in Strategy:
+                for cost in costs:
+                    session = open_corpus_session(corpus.dir, strategy, cost)
+                    for ident, need in workload:
+                        session.resolve(ident, need)
+                        stats = session.stats()
+                        loaded = stats.modules_loaded
+                        assert stats.sim_memory_bytes == (
+                            stats.bytes_read + loaded * cost.per_module_overhead_bytes
+                        ), (case, strategy, cost, ident)
+                        if cost.bytes_per_tick == 1:
+                            assert stats.ticks == (
+                                stats.bytes_read + loaded * cost.per_module_overhead_ticks
+                            ), (case, strategy, ident)
 
 
 class TestMonotonicity:
