@@ -36,6 +36,7 @@ from .interp import EvalResult, FailReason, eval, iter_script, repl, run_script
 from .loader import (
     CostModel,
     LoadStats,
+    Mark,
     Resolution,
     ResolutionOutcome,
     Session,

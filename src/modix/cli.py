@@ -23,7 +23,7 @@ from . import bench as bench_mod
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import parse_header  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .errors import ModixError
+from .errors import ModixError, reading
 from .gmi import IndexFlavor
 from .interp import format_result, iter_script, repl
 from .loader import INDEX_FLAVORS, CostModel, Strategy, open_session
@@ -61,7 +61,10 @@ def _cost_model(pairs: list[str]) -> CostModel:
             values[key] = int(value)
         except ValueError:
             raise _UsageError(f"bad --cost value in '{pair}' (integer required)")
-    return CostModel(**values)
+    try:
+        return CostModel(**values)
+    except ValueError as exc:
+        raise _UsageError(f"bad --cost: {exc}") from None
 
 
 def _load_overlay(path: str | None) -> Overlay | None:
@@ -105,7 +108,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
     index_path = Path(args.index) if args.index else corpus / gmi_mod.INDEX_FILE_NAME
-    index = gmi_mod.load_index(index_path.read_bytes())
+    with reading(index_path):
+        index = gmi_mod.load_index(index_path.read_bytes())
     report = gmi_mod.validate_index(index, corpus)
     for name, status in report.statuses:
         print(f"{name}: {status.value}")
@@ -157,7 +161,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         spec_text = read_text(args.spec)
         scenario = Path(args.spec).stem
-    spec = bench_mod.load_spec(spec_text)
+    try:
+        spec = bench_mod.load_spec(spec_text)
+    except ValueError as exc:
+        raise ModixError(f"{args.spec}: {exc}") from None
     workload = read_text(args.workload)
 
     def run_in(corpus_dir: Path) -> list[bench_mod.BenchRow]:

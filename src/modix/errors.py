@@ -1,6 +1,10 @@
-"""Exception hierarchy shared by all modix components."""
+"""Exception hierarchy shared by all modix components, and `reading`, the one
+place where a corrupt file's error message gets its path."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class ModixError(Exception):
@@ -42,6 +46,18 @@ class DuplicateDefinition(ModixError):
 
 class CorruptModule(ModixError):
     """A module file that cannot be trusted: bad framing, bounds, or hash."""
+
+
+@contextmanager
+def reading(path: object) -> Iterator[None]:
+    """Decode a file's bytes inside this block: a CorruptModule raised there
+    leaves with the file's path prefixed to its message, keeping its class,
+    so the user can tell which file is damaged."""
+    try:
+        yield
+    except CorruptModule as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class BadMagic(CorruptModule):

@@ -105,7 +105,7 @@ def eval(session: Session, stmt: Statement) -> EvalResult:
         output = _directive_output(session, stmt.name) if stmt.name != "quit" else None
         return EvalResult(echo, True, output=output)
 
-    before = session.stats()
+    mark = session.mark()
     ok = True
     value: int | None = None
     reason: FailReason | None = None
@@ -123,7 +123,7 @@ def eval(session: Session, stmt: Statement) -> EvalResult:
     except OdrViolation:
         ok, reason = False, FailReason.ODR_VIOLATION
 
-    return EvalResult(echo, ok, value, reason, session.stats() - before)
+    return EvalResult(echo, ok, value, reason, session.stats(since=mark))
 
 
 def iter_script(session: Session, text: str) -> Iterator[EvalResult]:

@@ -32,6 +32,13 @@ positives from session state, and adds the per-module overhead:
 ``sim_memory_bytes`` = bytes read + modules loaded * overhead bytes, and
 ``ticks`` = read ticks + modules loaded * overhead ticks.
 
+``mark()`` records where those counters stand, in constant time: an offset
+into the load order plus the raw counts.  ``stats(since=mark)`` returns the
+costs accrued after the mark, whose ``load_order`` holds only the modules
+loaded since; ``stats()`` alone is the same since an all-zero mark.  So a
+statement's cost delta takes constant time plus its new loads, however many
+modules the session already holds.
+
 Sessions are single-threaded by contract; distinct sessions over the same
 immutable corpus may run concurrently.
 """
@@ -41,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path, PurePath
+from typing import NamedTuple
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import Decl, HeaderAST, Need, parse_header
@@ -52,6 +60,7 @@ from .errors import (
     ModuleNotFound,
     UnreadableFile,
     WrongFlavor,
+    reading,
 )
 from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
 from .modfile import PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile, merge_entities
@@ -123,6 +132,22 @@ class LoadStats:
         )
 
 
+class Mark(NamedTuple):
+    """Where a session's counters stood: ``Session.mark()``'s O(1) record,
+    from which ``Session.stats(since=...)`` derives the costs accrued since."""
+
+    load_offset: int = 0
+    decls_deserialized: int = 0
+    bytes_read: int = 0
+    read_ticks: int = 0
+    headers_parsed: int = 0
+    lookups: int = 0
+    false_positive_loads: int = 0
+
+
+_ORIGIN = Mark()
+
+
 class ResolutionOutcome(Enum):
     RESOLVED = "resolved"
     IMPLICIT_FORWARD = "implicit-forward"
@@ -166,9 +191,8 @@ class Session:
         self.overlay = overlay
 
         self._loaded: dict[str, ModuleFile] = {}
-        # The same order as `_loaded`'s keys, kept as a list because stats()
-        # copies it twice per statement, and copying a list is about three
-        # times faster than iterating a dict's keys.
+        # The same order as `_loaded`'s keys.  It is append-only, so a mark
+        # is an offset into it and a delta slices out just the new loads.
         self._load_order: list[str] = []
         self._loading: set[str] = set()
         self._direct: list[str] = []
@@ -229,7 +253,8 @@ class Session:
         if not real.is_file():
             raise MissingIndex(f"index file not found: {index_path}")
         data = real.read_bytes()
-        index = gmi_mod.load_index(data)
+        with reading(real):
+            index = gmi_mod.load_index(data)
         wanted = INDEX_FLAVORS[self.strategy]
         if index.flavor is not wanted:
             raise WrongFlavor(
@@ -285,7 +310,8 @@ class Session:
         self._loading.add(name)
         try:
             path, _ = resolve_module_path(self.paths, name, self.overlay)
-            mf = modfile.read_module_summary(Path(path).read_bytes())
+            with reading(path):
+                mf = modfile.read_module_summary(Path(path).read_bytes())
             for imp in mf.imports:
                 self._load_module(imp, resolution)
             self._charge_read(mf.summary_bytes)
@@ -452,19 +478,43 @@ class Session:
 
     # -- stats --
 
-    def stats(self) -> LoadStats:
-        """Pure value snapshot; no side effects."""
-        loaded = len(self._load_order)
+    def mark(self) -> Mark:
+        """Where the counters stand now; O(1), whatever has been loaded."""
+        return Mark(
+            len(self._load_order),
+            self._decls,
+            self._bytes,
+            self._read_ticks,
+            len(self._parsed_headers),
+            self._lookups,
+            len(self._unredeemed),
+        )
+
+    def stats(self, since: Mark | None = None) -> LoadStats:
+        """Pure value snapshot; no side effects.
+
+        With a ``mark()`` of this session, the costs accrued since that mark:
+        what ``stats() - before`` gives for a snapshot ``before`` taken at
+        the mark, without taking that snapshot.  Its ``load_order`` holds
+        only the modules loaded since, and its ``false_positive_loads`` may
+        be negative.  Without a mark, the costs since the session began.
+        """
+        base = _ORIGIN if since is None else since
+        order = self._load_order
+        loaded = len(order) - base.load_offset
+        bytes_read = self._bytes - base.bytes_read
+        read_ticks = self._read_ticks - base.read_ticks
+        # A slice from offset 0 would copy the whole order twice.
         return LoadStats(
             modules_loaded=loaded,
-            load_order=tuple(self._load_order),
-            decls_deserialized=self._decls,
-            bytes_read=self._bytes,
-            headers_parsed=len(self._parsed_headers),
-            sim_memory_bytes=self._bytes + loaded * self.cost.per_module_overhead_bytes,
-            ticks=self._read_ticks + loaded * self.cost.per_module_overhead_ticks,
-            lookups=self._lookups,
-            false_positive_loads=len(self._unredeemed),
+            load_order=tuple(order[base.load_offset:] if base.load_offset else order),
+            decls_deserialized=self._decls - base.decls_deserialized,
+            bytes_read=bytes_read,
+            headers_parsed=len(self._parsed_headers) - base.headers_parsed,
+            sim_memory_bytes=bytes_read + loaded * self.cost.per_module_overhead_bytes,
+            ticks=read_ticks + loaded * self.cost.per_module_overhead_ticks,
+            lookups=self._lookups - base.lookups,
+            false_positive_loads=len(self._unredeemed) - base.false_positive_loads,
         )
 
 

@@ -42,6 +42,7 @@ from .errors import (
     OdrInModule,
     OdrViolation,
     UnknownIdentifier,
+    reading,
 )
 
 MAGIC = b"MODF"
@@ -377,7 +378,8 @@ def read_modules(module_dir: str | Path, names: Sequence[str]) -> list[ModuleFil
         path = module_dir / f"{name}{FILE_EXTENSION}"
         if not path.is_file():
             raise ModuleNotFound(name)
-        modules.append(read_module_summary(path.read_bytes()))
+        with reading(path):
+            modules.append(read_module_summary(path.read_bytes()))
     return modules
 
 

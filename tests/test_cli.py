@@ -213,6 +213,31 @@ class TestExitCodes:
         ) == 1
         capsys.readouterr()
 
+    def test_out_of_range_cost_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=1, seed=1), corpus)
+        script = tmp_path / "w.dscript"
+        script.write_text("new S0_0;\n", "utf-8")
+        assert main([
+            "run", "--strategy", "pch", "--dir", str(corpus),
+            "--cost", "bytes_per_tick=-1", str(script),
+        ]) == 1
+        assert capsys.readouterr().err == "modix: bad --cost: bytes_per_tick must be >= 0\n"
+
+    @pytest.mark.parametrize("line", ["n_modules = abc", "n_modules = 0"])
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, line):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(line + "\n", "utf-8")
+        workload = tmp_path / "w.dscript"
+        workload.write_text("new S0_0;\n", "utf-8")
+        assert main([
+            "bench", "--spec", str(spec), "--workload", str(workload),
+            "--strategies", "pch",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"modix: error: {spec}: ")
+        assert err.count("\n") == 1
+
     def test_corpus_errors_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "c"
         generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
@@ -304,3 +329,53 @@ class TestExitCodes:
         assert main(["compile", str(map_file), "-o", str(out)]) == 0
         assert main(["pch", str(out)]) == 2
         assert "conflicting definitions" in capsys.readouterr().err
+
+
+@pytest.fixture
+def corpus12(tmp_path):
+    corpus_dir = tmp_path / "corpus12"
+    spec = CorpusSpec(
+        n_modules=12, defs_per_module=3, fwd_fanout=3,
+        dup_fraction=0.5, import_density=1.0, seed=7,
+    )
+    generate_corpus(spec, corpus_dir)
+    return corpus_dir
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+class TestCorruptArtifacts:
+    """A damaged artifact exits 2 with a one-line error naming its file."""
+
+    @pytest.mark.parametrize("strategy, file_name, extra", [
+        ("pch", "__pch__.pcm", []),
+        ("semantic-gmi", "modules.gmi", []),
+        ("lexical-gmi", "modules.lexical.gmi", []),
+        ("semantic-gmi", "M1.pcm", ["--allow-stale"]),
+    ])
+    def test_run_names_the_damaged_file(self, corpus12, tmp_path, capsys, strategy,
+                                        file_name, extra):
+        _truncate(corpus12 / file_name)
+        script = tmp_path / "w.dscript"
+        script.write_text("new S1_0;\nsizeof(S1_1);\nnew S1_2;\n", "utf-8")
+        argv = ["run", "--strategy", strategy, "--dir", str(corpus12), *extra, str(script)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"modix: error: {corpus12 / file_name}: ")
+
+    @pytest.mark.parametrize("argv, file_name", [
+        (["validate"], "modules.gmi"),
+        (["pch"], "M1.pcm"),
+        (["index", "--semantic"], "M1.pcm"),
+    ])
+    def test_build_commands_name_the_damaged_file(self, corpus12, tmp_path, capsys, argv,
+                                                  file_name):
+        _truncate(corpus12 / file_name)
+        out = ["-o", str(tmp_path / "out")] if argv[0] != "validate" else []
+        assert main([argv[0], str(corpus12), *argv[1:], *out]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"modix: error: {corpus12 / file_name}: ")

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 
+from conftest import build_random_corpus
 from modix.bench import open_corpus_session, write_corpus
 from modix.declang import parse_statement
 from modix.errors import ParseError
-from modix.interp import FailReason, eval, format_result, repl, run_script
-from modix.loader import Strategy
+from modix.interp import FailReason, eval, format_result, iter_script, repl, run_script
+from modix.loader import LoadStats, Session, Strategy
 
 
 @pytest.fixture
@@ -170,14 +172,83 @@ class TestRunScript:
         )
         final = session.stats()
         for field in ("modules_loaded", "decls_deserialized", "bytes_read",
-                      "sim_memory_bytes", "ticks", "lookups"):
+                      "headers_parsed", "sim_memory_bytes", "ticks", "lookups",
+                      "false_positive_loads"):
             total = sum(getattr(r.stats_delta, field) for r in results)
             assert total == getattr(final, field) - getattr(startup, field), field
+        loads = tuple(name for r in results for name in r.stats_delta.load_order)
+        assert startup.load_order + loads == final.load_order
 
     def test_script_loads_bounded_by_resolutions(self, sized_corpus):
         session = _session(sized_corpus, Strategy.SEMANTIC_GMI)
         run_script(session, "new A;\nnew B;\nsizeof(Color);\n")
         assert session.stats().modules_loaded <= 3
+
+
+def _mixed_script(rng: random.Random, names: list[str], length: int) -> str:
+    """Definition and forward-only uses of `names`, builtins and directives."""
+    forms = (
+        "sizeof({});", "new {};", "declare v: {};", "declare p: ptr<{}>;", "call {};",
+    )
+    lines = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(".stats")
+        elif roll < 0.1:
+            lines.append("declare n: i64;")
+        else:
+            lines.append(rng.choice(forms).format(rng.choice(names)))
+    return "\n".join(lines) + "\n"
+
+
+class TestStatsDelta:
+    def test_delta_equals_difference_of_snapshots_around_it(self, tmp_path):
+        loaded = parsed = redeemed = False  # the changes the corpora produced
+        for seed in range(6):
+            corpus = build_random_corpus(random.Random(seed), tmp_path / f"c{seed}")
+            script = _mixed_script(
+                random.Random(100 + seed), corpus.known + corpus.unknown, 60
+            )
+            for strategy in Strategy:
+                session = open_corpus_session(corpus.dir, strategy)
+                before = session.stats()
+                for result in iter_script(session, script):
+                    after = session.stats()
+                    assert result.stats_delta == after - before, (seed, strategy, result.echo)
+                    before = after
+                    loaded |= result.stats_delta.modules_loaded > 0
+                    parsed |= result.stats_delta.headers_parsed > 0
+                    redeemed |= result.stats_delta.false_positive_loads < 0
+        assert loaded and parsed and redeemed
+
+    def test_statements_take_no_full_snapshot(self, sized_corpus, monkeypatch):
+        subtractions = []
+        marks = []
+        original_sub, original_stats = LoadStats.__sub__, Session.stats
+
+        def counting_sub(self, other):
+            subtractions.append(other)
+            return original_sub(self, other)
+
+        def counting_stats(self, *args, **kwargs):
+            marks.append(kwargs.get("since", args[0] if args else None))
+            return original_stats(self, *args, **kwargs)
+
+        monkeypatch.setattr(LoadStats, "__sub__", counting_sub)
+        monkeypatch.setattr(Session, "stats", counting_stats)
+        for strategy in Strategy:
+            session = _session(sized_corpus, strategy)
+            script = "new A;\nsizeof(B);\ncall mk;\ndeclare p: ptr<A>;\nsizeof(Nope);\n"
+            results = run_script(session, script)
+            assert len(results) == 5
+            assert subtractions == []
+            assert 0 < len(marks) <= 5 and None not in marks, strategy
+            marks.clear()
+
+            run_script(session, ".stats\n.loaded\n")
+            assert subtractions == [] and marks == [None, None]
+            marks.clear()
 
 
 class TestRepl:
