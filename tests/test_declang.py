@@ -276,6 +276,38 @@ class TestParseStatement:
             assert render_statement(parse_statement(text)) == text
 
 
+class TestStatementBoundaries:
+    """Exact values and errors at the edges of the statement language."""
+
+    @pytest.mark.parametrize(
+        "source, stmt",
+        [
+            ("declare p: ptr<i32>;", DeclareStmt("p", TypeRef("i32", 1))),
+            ("sizeof(Ä1);", SizeOfStmt("Ä1")),
+            ("new A; // c", NewStmt("A")),
+        ],
+    )
+    def test_accepted(self, source, stmt):
+        assert parse_statement(source) == stmt
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("new ptr;", ParseError, "1:5: expected identifier, got ptr"),
+            ("declare sizeof: A;", ParseError, "1:9: expected identifier, got sizeof"),
+            ("sizeof(i32);", ParseError, "1:8: expected identifier, got i32"),
+            ("declare p: ptr<A>>;", ParseError, "1:18: expected ';', got >"),
+            ("declare p: ptr<ptr<A>;", ParseError, "1:22: expected '>', got ;"),
+            ("sizeof(A);\xa0", LexError, "1:11: unexpected character '\\xa0'"),
+        ],
+    )
+    def test_rejected(self, source, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_statement(source)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
+
 # --- property tests ---
 
 _names = st.text(alphabet="abcdefgh", min_size=1, max_size=5).map(lambda s: "n_" + s)

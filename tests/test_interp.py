@@ -164,6 +164,12 @@ class TestRunScript:
             run_script(_session(sized_corpus), "new A;\nnew ;\n")
         assert excinfo.value.line == 2
 
+    def test_parse_error_keeps_statement_column(self, sized_corpus):
+        with pytest.raises(ParseError) as excinfo:
+            run_script(_session(sized_corpus), "new A;\n\ndeclare p: ptr<A>>;\nnew B;\n")
+        err = excinfo.value
+        assert (err.line, err.col, str(err)) == (3, 18, "3:18: expected ';', got >")
+
     def test_deltas_sum_to_final_minus_startup(self, sized_corpus):
         session = _session(sized_corpus, Strategy.SEMANTIC_GMI)
         startup = session.stats()

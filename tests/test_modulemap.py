@@ -64,6 +64,34 @@ class TestParseModulemap:
         err = excinfo.value
         assert (err.line, err.col, err.expected, err.got) == (line, col, expected, got)
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ('module ptr { header "a" }', "ptr"),
+            ('module M {header"a"}', "M"),
+            ('// c\nmodule M { header "a" } // d\n', "M"),
+        ],
+    )
+    def test_accepted_boundaries(self, text, name):
+        assert parse_modulemap(text) == [ModuleDef(name, ("a",), "<text>")]
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                'module M {\n header "a"\n header "a" }',
+                ParseError,
+                "3:9: expected distinct header path, got a",
+            ),
+            ("module M { }", EmptyModule, "module 'M' declares no headers"),
+        ],
+    )
+    def test_rejected_boundaries(self, text, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_modulemap(text)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_modulemap("module M ( )")

@@ -21,3 +21,17 @@ def test_every_span_patch_point_resolves_to_a_callable():
         if class_name:
             owner = getattr(owner, class_name)
         assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr}"
+
+
+def test_parser_fast_paths_sit_under_their_patch_points():
+    """`spans.py` wraps the statement and module map parsers under the names
+    their callers use.  Those names must be the parsers themselves, so that
+    time spent in either parse path is counted in its layer."""
+    import modix.bench
+    import modix.cli
+    import modix.declang
+    import modix.interp
+    import modix.modulemap
+
+    assert modix.interp.parse_statement is modix.declang.parse_statement
+    assert modix.bench.load_modulemap is modix.cli.load_modulemap is modix.modulemap.load_modulemap
