@@ -93,7 +93,12 @@ def load_spec(text: str) -> CorpusSpec:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         if key not in known:
             raise ValueError(f"line {lineno}: unknown spec field '{key}'")
-        values[key] = float(value) if key in ("dup_fraction", "import_density") else int(value)
+        floating = key in ("dup_fraction", "import_density")
+        kind, convert = ("a number", float) if floating else ("an integer", int)
+        try:
+            values[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: '{key}' must be {kind}, got '{value}'") from None
     return CorpusSpec(**values)
 
 

@@ -1,15 +1,15 @@
 """The miniature declaration language and the interpreter statement language.
 
-One scanner (`tokenize`) and one token `Cursor` serve both, and the module
-map parser in `modulemap` as well.
-
 Headers (`.dh`) hold struct definitions, struct forward declarations, enums,
-aliases, and function declarations.  The classifier attached to every parsed
-declaration records which referenced names require a full definition and which
-are satisfied by a forward declaration: a named field type at pointer depth 0
-needs a definition, anything reached only through `ptr<...>` does not, and
-alias targets and function signatures never do.  That distinction is what the
-semantic index downstream exploits.
+aliases, and function declarations.  `compute_deps` records which referenced
+names need a definition (field types at pointer depth 0) and which a forward
+declaration satisfies; nothing downstream reads it (the semantic index keys on
+`DeclFlags.HAS_DEFINITION`, lookups on `resolution_request`).
+
+A compiled pattern parses a well-formed statement in one match, as
+`modulemap` does a module map.  Anything else (comments, keyword or non-ASCII
+names, errors) goes to the token `Cursor` over the one scanner `tokenize`,
+which also parses headers and raises every `LexError` and `ParseError`.
 
 All functions here are pure over immutable inputs and safe to call
 concurrently.
@@ -48,11 +48,15 @@ BUILTIN_SIZES = {"i32": 4, "i64": 8, "f64": 8, "bool": 1}
 POINTER_SIZE = 8
 ENUM_SIZE = 4
 
+# Shared by the scanner and the pattern parsers: skipped space, ASCII names.
+WS = r"[ \t\r\n]*"
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # Whitespace and `//` comments, then one token: a `\w+` word (an error unless
 # it starts with a letter or `_`), a one-line string, punctuation, or a single
 # offending character.  Only at the end of input does no token group match.
 _TOKEN = re.compile(
-    r'[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*'
+    rf'{WS}(?://[^\n]*{WS})*'
     r'(?:(?P<word>\w+)|(?P<string>"[^"\n]*")|(?P<punct>->|[{}();:,<>=])|(?P<bad>.))?',
     re.DOTALL,
 )
@@ -406,8 +410,38 @@ Statement = NewStmt | DeclareStmt | SizeOfStmt | CallStmt | DirectiveStmt
 DIRECTIVES = frozenset({"stats", "loaded", "strategy", "quit"})
 
 
+# A well-formed statement without comments, spaced as `_TOKEN` allows.
+# `_match_statement` declines keywords and unbalanced `ptr<` nests.
+_STATEMENT = re.compile(
+    rf"{WS}(?:(?P<op>new|call)[ \t\r\n]+(?P<name>{NAME})|sizeof{WS}\({WS}(?P<sized>{NAME}){WS}\)"
+    rf"|declare[ \t\r\n]+(?P<var>{NAME}){WS}:(?P<opens>(?:{WS}ptr{WS}<)*){WS}(?P<base>{NAME})"
+    rf"(?P<closes>(?:{WS}>)*)){WS};{WS}"
+)
+_NOT_TYPES = KEYWORDS - BUILTIN_SIZES.keys()
+
+
+def _match_statement(source: str) -> Statement | None:
+    """The statement `_STATEMENT` matches, or None to leave it to the Cursor."""
+    if not (m := _STATEMENT.fullmatch(source)):
+        return None
+    op, name, sized, var, opens, base, closes = m.groups()
+    if sized is not None:
+        return None if sized in KEYWORDS else SizeOfStmt(sized)
+    if name is not None:
+        return None if name in KEYWORDS else (NewStmt if op == "new" else CallStmt)(name)
+    depth = opens.count("<")
+    if var in KEYWORDS or base in _NOT_TYPES or closes.count(">") != depth:
+        return None
+    return DeclareStmt(var, TypeRef(base, depth))
+
+
 def parse_statement(source: str) -> Statement:
-    """Parse one interpreter statement or `.directive` line."""
+    """Parse one interpreter statement or `.directive` line: by pattern when
+    well-formed, else (and for every error) with the token `Cursor`."""
+    return _match_statement(source) or _parse_statement_tokens(source)
+
+
+def _parse_statement_tokens(source: str) -> Statement:
     stripped = source.strip()
     if stripped.startswith("."):
         name = stripped[1:].strip()
@@ -418,8 +452,8 @@ def parse_statement(source: str) -> Statement:
     cur = Cursor(tokenize(source))
     tok = cur.expect(TokenKind.KEYWORD, expected="statement")
     stmt: Statement
-    if tok.text == "new":
-        stmt = NewStmt(cur.expect_ident().text)
+    if tok.text in ("new", "call"):
+        stmt = (NewStmt if tok.text == "new" else CallStmt)(cur.expect_ident().text)
         cur.expect_punct(";")
     elif tok.text == "declare":
         var = cur.expect_ident().text
@@ -433,9 +467,6 @@ def parse_statement(source: str) -> Statement:
         cur.expect_punct(")")
         cur.expect_punct(";")
         stmt = SizeOfStmt(name)
-    elif tok.text == "call":
-        stmt = CallStmt(cur.expect_ident().text)
-        cur.expect_punct(";")
     else:
         raise cur.error("statement", tok)
     if not cur.at_end():
@@ -445,9 +476,7 @@ def parse_statement(source: str) -> Statement:
 
 def resolution_request(stmt: Statement) -> tuple[str, Need] | None:
     """The (identifier, need) a statement asks name lookup for, if any."""
-    if isinstance(stmt, NewStmt):
-        return (stmt.name, Need.DEFINITION)
-    if isinstance(stmt, SizeOfStmt):
+    if isinstance(stmt, (NewStmt, SizeOfStmt)):
         return (stmt.name, Need.DEFINITION)
     if isinstance(stmt, CallStmt):
         return (stmt.name, Need.FORWARD_OK)

@@ -2,9 +2,10 @@
 
 A per-library map reads `module NAME { header "PATH" ... }`; a release
 concatenates the per-library maps into one `module.modulemap`, which is where
-module ids (0-based positions) live.  Overlays remap path prefixes the way a
-virtual file system mount would, longest prefix first.  Search paths give
-locally built module files precedence over the release area.
+module ids (0-based positions) live.  A compiled pattern parses well-formed
+maps, and `declang`'s token `Cursor` the rest.  Overlays remap path prefixes
+the way a virtual file system mount would, longest prefix first.  Search
+paths give locally built module files precedence over the release area.
 
 Everything here is read-only after construction and freely shareable.
 """
@@ -12,13 +13,14 @@ Everything here is read-only after construction and freely shareable.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .declang import Cursor, TokenKind, tokenize
+from .declang import NAME, WS, Cursor, TokenKind, tokenize
 from .errors import (
     DuplicateModule,
     EmptyModule,
@@ -73,8 +75,32 @@ class ModuleMap:
         return {h: d.name for d in self.defs for h in d.headers}
 
 
+# One well-formed `module NAME { header "PATH" ... }`; the name may be a
+# keyword, as the Cursor allows.  Comments and empty modules do not match.
+_MODULE = re.compile(
+    rf'{WS}module[ \t\r\n]+(?P<name>{NAME}){WS}\{{(?P<body>(?:{WS}header{WS}"[^"\n]*")+){WS}\}}'
+)
+
+
 def parse_modulemap(text: str, source_file: str = "<text>") -> list[ModuleDef]:
-    """Parse one module map file; `//` comments allowed."""
+    """Parse one module map file; `//` comments allowed.  By pattern when
+    well-formed, else (and for every error) with the token `Cursor`."""
+    return _match_modulemap(text, source_file) or _parse_modulemap_tokens(text, source_file)
+
+
+def _match_modulemap(text: str, source_file: str) -> list[ModuleDef] | None:
+    """The modules `_MODULE` matches back to back, or None for the Cursor."""
+    defs, pos = [], 0
+    while m := _MODULE.match(text, pos):
+        headers = tuple(m["body"].split('"')[1::2])  # paths hold no quote
+        if len(set(headers)) != len(headers):
+            return None
+        defs.append(ModuleDef(m["name"], headers, source_file))
+        pos = m.end()
+    return None if text[pos:].strip(" \t\r\n") else defs
+
+
+def _parse_modulemap_tokens(text: str, source_file: str) -> list[ModuleDef]:
     cur = Cursor(tokenize(text))
     defs: list[ModuleDef] = []
     while not cur.at_end():

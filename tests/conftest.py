@@ -3,7 +3,8 @@
 `build_random_corpus` produces richer corpora than the benchmark generator:
 all declaration kinds, forward-only names, byte-identical duplicates, import
 chains with occasional cycles.  Everything is seeded, so the suite is fully
-deterministic.
+deterministic.  `single_edit` and `assert_same_parse` serve the Hypothesis
+tests that hold each pattern parser to its token `Cursor` parser.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from modix.bench import write_corpus
-from modix.declang import Decl, DeclKind, Need, StructField, TypeRef, render_decl
+from modix.declang import KEYWORDS, Decl, DeclKind, Need, StructField, TypeRef, render_decl
+from modix.errors import ModixError
 from modix.loader import ResolutionOutcome, Session, Strategy
 from modix.modulemap import ModuleMap
 
@@ -188,3 +191,42 @@ def gpad_corpus(tmp_path):
     spec = CorpusSpec(n_modules=6, defs_per_module=1, fwd_fanout=5, seed=7)
     module_map = generate_corpus(spec, corpus_dir)
     return corpus_dir, module_map
+
+
+# --- single edits of parser inputs, for the pattern/Cursor differential tests ---
+
+# Characters the scanner treats differently from the patterns' ASCII classes
+# (no-break space, vertical tab, a superscript digit, a non-ASCII letter),
+# comments, strings, tabs, every punctuator and every keyword.
+EDIT_PIECES = (
+    "\xa0", "\x0b", "²", "Ä", "//", "\t", " ", "\n", '"', "<", ">", *"{}();:,=.",
+    "a", "_", "7", "->", *sorted(KEYWORDS), "module", "header",
+)
+
+
+@st.composite
+def single_edit(draw, texts):
+    """A text from `texts` with one piece inserted, deleted or replaced."""
+    text = draw(texts)
+    at = draw(st.integers(0, len(text)))
+    piece = draw(st.sampled_from(EDIT_PIECES))
+    edit = draw(st.sampled_from(("insert", "delete", "replace")))
+    if edit == "insert" or at == len(text):
+        return text[:at] + piece + text[at:]
+    return text[:at] + ("" if edit == "delete" else piece) + text[at + 1:]
+
+
+def assert_same_parse(parse, fast, tokens, text, *args):
+    """`fast` declines or agrees with the Cursor parser `tokens`, and the public
+    `parse` gives the Cursor parser's value or raises its error, word for word."""
+    accepted = fast(text, *args)
+    try:
+        expected = tokens(text, *args)
+    except ModixError as exc:
+        assert accepted is None, f"pattern accepted what the Cursor rejects: {exc}"
+        with pytest.raises(ModixError) as excinfo:
+            parse(text, *args)
+        assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
+        return
+    assert accepted is None or accepted == expected
+    assert parse(text, *args) == expected

@@ -50,6 +50,19 @@ class TestCorpusSpec:
         with pytest.raises(ValueError):
             load_spec("n_modules\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_modules = abc", "line 1: 'n_modules' must be an integer, got 'abc'"),
+            ("n_modules = 4\ndup_fraction = half", "line 2: 'dup_fraction' must be a number, got 'half'"),
+            ("n_modules = 4\n\nimport_density = 1e", "line 3: 'import_density' must be a number, got '1e'"),
+        ],
+    )
+    def test_load_spec_names_line_and_key_of_a_bad_value(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            load_spec(text)
+        assert str(excinfo.value) == message
+
     def test_bundled_scenario_parses(self):
         text = resources.files("modix.data").joinpath("cmssw319.spec").read_text("utf-8")
         spec = load_spec(text)

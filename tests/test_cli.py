@@ -224,8 +224,15 @@ class TestExitCodes:
         ]) == 1
         assert capsys.readouterr().err == "modix: bad --cost: bytes_per_tick must be >= 0\n"
 
-    @pytest.mark.parametrize("line", ["n_modules = abc", "n_modules = 0"])
-    def test_malformed_spec_exits_2(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_modules = abc", "line 1: 'n_modules' must be an integer, got 'abc'"),
+            ("n_modules = 0", "n_modules must be >= 1"),
+        ],
+        ids=["n_modules = abc", "n_modules = 0"],
+    )
+    def test_malformed_spec_exits_2(self, tmp_path, capsys, line, message):
         spec = tmp_path / "bad.spec"
         spec.write_text(line + "\n", "utf-8")
         workload = tmp_path / "w.dscript"
@@ -237,6 +244,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"modix: error: {spec}: ")
         assert err.count("\n") == 1
+        assert err == f"modix: error: {spec}: {message}\n"
 
     def test_corpus_errors_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "c"

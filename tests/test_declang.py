@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import assert_same_parse, single_edit
 from modix.declang import (
     KEYWORDS,
     CallStmt,
@@ -26,6 +27,8 @@ from modix.declang import (
     with_deps,
     Token,
     TokenKind,
+    _match_statement,
+    _parse_statement_tokens,
 )
 from modix.errors import DuplicateDefinition, LexError, ParseError
 
@@ -298,6 +301,8 @@ class TestStatementBoundaries:
             ("sizeof(i32);", ParseError, "1:8: expected identifier, got i32"),
             ("declare p: ptr<A>>;", ParseError, "1:18: expected ';', got >"),
             ("declare p: ptr<ptr<A>;", ParseError, "1:22: expected '>', got ;"),
+            ("declare p: ptr;", ParseError, "1:15: expected '<', got ;"),
+            ("declare p: ptr<ptr>;", ParseError, "1:19: expected '<', got >"),
             ("sizeof(A);\xa0", LexError, "1:11: unexpected character '\\xa0'"),
         ],
     )
@@ -374,3 +379,53 @@ def test_dep_rule_soundness(field_specs):
 @given(_headers())
 def test_parse_is_deterministic(text):
     assert parse_header(text, "p.dh") == parse_header(text, "p.dh")
+
+
+# --- the statement pattern against the token Cursor ---
+
+_ascii_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+_words = st.one_of(_ascii_names, st.sampled_from(sorted(KEYWORDS)))
+_gaps = st.sampled_from(("", " ", "  ", "\t", "\n", "\r\n", " \t "))
+
+
+@st.composite
+def _statement_texts(draw):
+    """Statements of every form, any words (keywords too) in every name slot,
+    `ptr<` nests balanced or not, and the whitespace the scanner skips, or
+    none, between any two tokens (so words may run together)."""
+    form = draw(st.sampled_from(("new", "call", "sizeof", "declare")))
+    if form in ("new", "call"):
+        tokens = [form, draw(_words), ";"]
+    elif form == "sizeof":
+        tokens = ["sizeof", "(", draw(_words), ")", ";"]
+    else:
+        opens = draw(st.integers(0, 3))
+        closes = draw(st.one_of(st.just(opens), st.integers(0, 3)))
+        tokens = ["declare", draw(_words), ":", *["ptr", "<"] * opens, draw(_words),
+                  *[">"] * closes, ";"]
+    return draw(_gaps) + "".join(token + draw(_gaps) for token in tokens)
+
+
+_plain_names = _ascii_names.filter(lambda name: name not in KEYWORDS)
+_plain_statements = st.one_of(
+    st.builds(NewStmt, _plain_names),
+    st.builds(CallStmt, _plain_names),
+    st.builds(SizeOfStmt, _plain_names),
+    st.builds(
+        DeclareStmt, _plain_names,
+        st.builds(TypeRef, st.one_of(_plain_names, st.sampled_from(("i32", "f64"))),
+                  st.integers(0, 3)),
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(_plain_statements)
+def test_statement_pattern_takes_every_canonical_statement(stmt):
+    assert _match_statement(render_statement(stmt)) == stmt
+
+
+@settings(max_examples=300)
+@given(st.one_of(_statement_texts(), single_edit(_statement_texts())))
+def test_statement_pattern_declines_or_agrees_with_cursor(source):
+    assert_same_parse(parse_statement, _match_statement, _parse_statement_tokens, source)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import assert_same_parse, single_edit
+from modix.declang import KEYWORDS
 from modix.errors import (
     DuplicateModule,
     EmptyModule,
@@ -20,6 +22,8 @@ from modix.modulemap import (
     parse_modulemap,
     parse_overlay,
     resolve_module_path,
+    _match_modulemap,
+    _parse_modulemap_tokens,
 )
 
 
@@ -97,6 +101,67 @@ class TestParseModulemap:
             parse_modulemap("module M ( )")
         with pytest.raises(ParseError):
             parse_modulemap('header "a.dh"')
+
+
+
+# --- the module map pattern against the token Cursor ---
+
+_module_names = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
+    st.sampled_from(sorted(KEYWORDS | {"module", "header"})),
+)
+_header_paths = st.text(alphabet="ab/._- Ä", max_size=6)
+_map_gaps = st.sampled_from(("", " ", "\n", "\t", "\r\n", "\n  "))
+
+
+@st.composite
+def _map_texts(draw):
+    """Maps of zero to three modules: any name, zero to three header paths
+    (repeats possible), the whitespace the scanner skips or none (so
+    `module` may run into the name) and, now and then, a comment."""
+    text = ""
+    for _ in range(draw(st.integers(0, 3))):
+        paths = draw(st.lists(_header_paths, max_size=3))
+        text += (
+            draw(_map_gaps) + "module" + draw(_map_gaps) + draw(_module_names)
+            + draw(_map_gaps) + "{"
+            + "".join(f'{draw(_map_gaps)}header{draw(_map_gaps)}"{p}"' for p in paths)
+            + draw(_map_gaps) + "}"
+        )
+        if draw(st.integers(0, 9)) == 0:
+            text += " // note\n"
+    return text + draw(_map_gaps)
+
+
+def _render_map(defs):
+    return "\n".join(
+        f"module {d.name} {{\n" + "".join(f'  header "{h}"\n' for h in d.headers) + "}"
+        for d in defs
+    )
+
+
+_plain_defs = st.lists(
+    st.builds(
+        ModuleDef, _module_names,
+        st.lists(_header_paths, min_size=1, max_size=3, unique=True).map(tuple),
+        st.just("m.modulemap"),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=150)
+@given(_plain_defs)
+def test_map_pattern_takes_every_canonical_map(defs):
+    assert _match_modulemap(_render_map(defs), "m.modulemap") == defs
+
+
+@settings(max_examples=300)
+@given(st.one_of(_map_texts(), single_edit(_map_texts())))
+def test_map_pattern_declines_or_agrees_with_cursor(text):
+    assert_same_parse(
+        parse_modulemap, _match_modulemap, _parse_modulemap_tokens, text, "m.modulemap"
+    )
 
 
 class TestConcat:
