@@ -54,8 +54,10 @@ class TestCorpusSpec:
         "text, message",
         [
             ("n_modules = abc", "line 1: 'n_modules' must be an integer, got 'abc'"),
-            ("n_modules = 4\ndup_fraction = half", "line 2: 'dup_fraction' must be a number, got 'half'"),
-            ("n_modules = 4\n\nimport_density = 1e", "line 3: 'import_density' must be a number, got '1e'"),
+            ("n_modules = 4\ndup_fraction = half",
+             "line 2: 'dup_fraction' must be a number, got 'half'"),
+            ("n_modules = 4\n\nimport_density = 1e",
+             "line 3: 'import_density' must be a number, got '1e'"),
         ],
     )
     def test_load_spec_names_line_and_key_of_a_bad_value(self, text, message):

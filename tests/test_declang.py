@@ -304,6 +304,7 @@ class TestStatementBoundaries:
             ("declare p: ptr;", ParseError, "1:15: expected '<', got ;"),
             ("declare p: ptr<ptr>;", ParseError, "1:19: expected '<', got >"),
             ("sizeof(A);\xa0", LexError, "1:11: unexpected character '\\xa0'"),
+            ("call ²x;", LexError, "1:6: unexpected character '²'"),
         ],
     )
     def test_rejected(self, source, error, message):
@@ -384,13 +385,16 @@ def test_parse_is_deterministic(text):
 # --- the statement pattern against the token Cursor ---
 
 _ascii_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
-_words = st.one_of(_ascii_names, st.sampled_from(sorted(KEYWORDS)))
+# Mixed words: ASCII, digit-led, or with non-ASCII letters or digits, the last
+# of which the pattern must leave to the Cursor.
+_unicode_words = st.text(alphabet="a_7²½Äé", min_size=1, max_size=4)
+_words = st.one_of(_ascii_names, st.sampled_from(sorted(KEYWORDS)), _unicode_words)
 _gaps = st.sampled_from(("", " ", "  ", "\t", "\n", "\r\n", " \t "))
 
 
 @st.composite
 def _statement_texts(draw):
-    """Statements of every form, any words (keywords too) in every name slot,
+    """Statements of every form, any words (keywords, non-ASCII) in every name slot,
     `ptr<` nests balanced or not, and the whitespace the scanner skips, or
     none, between any two tokens (so words may run together)."""
     form = draw(st.sampled_from(("new", "call", "sizeof", "declare")))

@@ -110,20 +110,23 @@ _module_names = st.one_of(
     st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True),
     st.sampled_from(sorted(KEYWORDS | {"module", "header"})),
 )
+_any_module_names = st.one_of(
+    _module_names, st.text(alphabet="a_7²½Äé", min_size=1, max_size=4)
+)
 _header_paths = st.text(alphabet="ab/._- Ä", max_size=6)
 _map_gaps = st.sampled_from(("", " ", "\n", "\t", "\r\n", "\n  "))
 
 
 @st.composite
 def _map_texts(draw):
-    """Maps of zero to three modules: any name, zero to three header paths
-    (repeats possible), the whitespace the scanner skips or none (so
+    """Maps of zero to three modules: any name (non-ASCII too), zero to three
+    header paths (repeats possible), the whitespace the scanner skips or none (so
     `module` may run into the name) and, now and then, a comment."""
     text = ""
     for _ in range(draw(st.integers(0, 3))):
         paths = draw(st.lists(_header_paths, max_size=3))
         text += (
-            draw(_map_gaps) + "module" + draw(_map_gaps) + draw(_module_names)
+            draw(_map_gaps) + "module" + draw(_map_gaps) + draw(_any_module_names)
             + draw(_map_gaps) + "{"
             + "".join(f'{draw(_map_gaps)}header{draw(_map_gaps)}"{p}"' for p in paths)
             + draw(_map_gaps) + "}"
