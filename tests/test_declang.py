@@ -10,7 +10,9 @@ from modix.declang import (
     Decl,
     DeclareStmt,
     DeclKind,
+    Dep,
     DirectiveStmt,
+    HeaderAST,
     Need,
     NewStmt,
     SizeOfStmt,
@@ -240,6 +242,78 @@ class TestParseHeader:
             parse_header("struct A {", "a.dh")
         assert excinfo.value.line == 1
         assert "identifier" in excinfo.value.expected or "'}'" in excinfo.value.expected
+
+
+def _fwd(name: str, line: int = 1) -> Decl:
+    return Decl(name, DeclKind.STRUCT_FWD, origin=("h.dh", line))
+
+
+def _struct(name: str, *fields: tuple[str, TypeRef], line: int = 1) -> Decl:
+    return with_deps(Decl(
+        name, DeclKind.STRUCT_DEF, fields=tuple(StructField(*f) for f in fields),
+        origin=("h.dh", line),
+    ))
+
+
+class TestHeaderBoundaries:
+    """Exact values and errors at the edges of the header language."""
+
+    @pytest.mark.parametrize(
+        "source, items",
+        [
+            ("\n\nstruct A;\n\n\nstruct B { x: i32; };",
+             [_fwd("A", 3), _struct("B", ("x", TypeRef("i32")), line=6)]),
+            ("struct A;\r\nstruct B;\r\n\r\nenum E { a };",
+             [_fwd("A"), _fwd("B", 2),
+              Decl("E", DeclKind.ENUM_DEF, enumerators=("a",), origin=("h.dh", 4))]),
+            ("\tstruct A;\n\t\tusing B = A;",
+             [_fwd("A"), with_deps(Decl("B", DeclKind.ALIAS, alias_target=TypeRef("A"),
+                                        origin=("h.dh", 2)))]),
+            ("// c\nstruct A;\n// d\n\nfn f() -> i32;",
+             [_fwd("A", 2), Decl("f", DeclKind.FUNC_DECL, returns=TypeRef("i32"),
+                                 origin=("h.dh", 5))]),
+            ("struct S {};", [_struct("S")]),
+            ("fn f() -> i32;",
+             [Decl("f", DeclKind.FUNC_DECL, returns=TypeRef("i32"), origin=("h.dh", 1))]),
+            ("enum E { a };",
+             [Decl("E", DeclKind.ENUM_DEF, enumerators=("a",), origin=("h.dh", 1))]),
+            ("struct T { p: ptr<S>; };", [_struct("T", ("p", TypeRef("S", 1)))]),
+            ("fn f(ptr<S>) -> i32;",
+             [with_deps(Decl("f", DeclKind.FUNC_DECL, params=(TypeRef("S", 1),),
+                             returns=TypeRef("i32"), origin=("h.dh", 1)))]),
+            ("using P = ptr<S>;",
+             [with_deps(Decl("P", DeclKind.ALIAS, alias_target=TypeRef("S", 1),
+                             origin=("h.dh", 1)))]),
+            ("struct A { x: i32; }; struct A;", [_struct("A", ("x", TypeRef("i32"))), _fwd("A")]),
+            ("", []),
+            ("// only\n// comments\n", []),
+        ],
+    )
+    def test_accepted(self, source, items):
+        assert parse_header(source, "h.dh") == HeaderAST("h.dh", tuple(items), ())
+
+    def test_pointer_deps_are_forward_ok(self):
+        (decl,) = parse_header("struct T { p: ptr<S>; };", "h.dh").items
+        assert decl.deps == (Dep("S", Need.FORWARD_OK),)
+
+    @pytest.mark.parametrize(
+        "source, error, message",
+        [
+            ("struct ptr;", ParseError, "1:8: expected identifier, got ptr"),
+            ("struct S { f: ptr; };", ParseError, "1:18: expected '<', got ;"),
+            ("using A = ptr<ptr>;", ParseError, "1:18: expected '<', got >"),
+            ("struct A { }; struct A { };", DuplicateDefinition,
+             "duplicate definition of 'A' in one header"),
+            # The duplicate is raised before the later syntax error is reached.
+            ("struct A { };\nstruct A { };\nstruct B {", DuplicateDefinition,
+             "duplicate definition of 'A' in one header"),
+        ],
+    )
+    def test_rejected(self, source, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_header(source, "h.dh")
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
 
 class TestParseStatement:

@@ -24,14 +24,17 @@ def test_every_span_patch_point_resolves_to_a_callable():
 
 
 def test_parser_fast_paths_sit_under_their_patch_points():
-    """`spans.py` wraps the statement and module map parsers under the names
-    their callers use.  Those names must be the parsers themselves, so that
+    """`spans.py` wraps the statement, module map and header parsers under the
+    names their callers use.  Those names must be the parsers themselves, so that
     time spent in either parse path is counted in its layer."""
     import modix.bench
     import modix.cli
     import modix.declang
     import modix.interp
+    import modix.loader
     import modix.modulemap
 
     assert modix.interp.parse_statement is modix.declang.parse_statement
     assert modix.bench.load_modulemap is modix.cli.load_modulemap is modix.modulemap.load_modulemap
+    assert modix.loader.parse_header is modix.declang.parse_header
+    assert modix.bench.parse_header is modix.cli.parse_header is modix.declang.parse_header
