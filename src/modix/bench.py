@@ -83,6 +83,7 @@ def load_spec(text: str) -> CorpusSpec:
     """Parse a `.spec` scenario file: `key = value` lines, `#` comments."""
     known = {f.name: f.type for f in dataclass_fields(CorpusSpec)}
     values: dict[str, int | float] = {}
+    lines: dict[str, int] = {}  # the line that set each field
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -99,7 +100,14 @@ def load_spec(text: str) -> CorpusSpec:
             values[key] = convert(value)
         except ValueError:
             raise ValueError(f"line {lineno}: '{key}' must be {kind}, got '{value}'") from None
-    return CorpusSpec(**values)
+        lines[key] = lineno
+    if "n_modules" not in values:
+        raise ValueError("missing required field 'n_modules'")
+    try:
+        return CorpusSpec(**values)
+    except ValueError as exc:  # a range error, which starts with the field it names
+        field = str(exc).partition(" ")[0]
+        raise ValueError(f"line {lines[field]}: {exc}" if field in lines else str(exc)) from None
 
 
 def _module_name(spec: CorpusSpec, m: int) -> str:

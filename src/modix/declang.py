@@ -6,10 +6,12 @@ names need a definition (field types at pointer depth 0) and which a forward
 declaration satisfies; nothing downstream reads it (the semantic index keys on
 `DeclFlags.HAS_DEFINITION`, lookups on `resolution_request`).
 
-A compiled pattern parses a well-formed statement in one match, as
-`modulemap` does a module map.  Anything else (comments, keyword or non-ASCII
-names, errors) goes to the token `Cursor` over the one scanner `tokenize`,
-which also parses headers and raises every `LexError` and `ParseError`.
+A compiled pattern parses a well-formed statement in one match, and another
+a well-formed header one item at a time, as `modulemap` does a module map.
+Anything else (comments, keyword or non-ASCII names, unbalanced `ptr<`/`>`,
+a name defined twice, errors) goes to the token `Cursor` over the one scanner
+`tokenize`, which raises every `LexError`, `ParseError` and
+`DuplicateDefinition`.
 
 All functions here are pure over immutable inputs and safe to call
 concurrently.
@@ -354,10 +356,89 @@ def _parse_item(cur: Cursor, path: str) -> Decl | str:
     raise cur.error("declaration", tok)
 
 
+# A `NAME` that is no keyword (an identifier), or none but a builtin (a type
+# base); and a type slot as `_STATEMENT` and `_ITEM` match it: `ptr<` opens,
+# a base and `>` closes, in three groups for `_type_ref`.
+_IDENT, _BASE = (
+    rf"(?!(?:{'|'.join(sorted(words))})(?![A-Za-z0-9_])){NAME}"
+    for words in (KEYWORDS, KEYWORDS - BUILTIN_SIZES.keys())
+)
+_TYPE = rf"((?:{WS}ptr{WS}<)*){WS}({_BASE})((?:{WS}>)*)"
+
+
+def _type_ref(opens: str, base: str, closes: str) -> TypeRef | None:
+    """The type a matched slot names, or None if its `ptr<`/`>` counts differ."""
+    depth = opens.count("<")
+    return TypeRef(base, depth) if closes.count(">") == depth else None
+
+
+# One well-formed header item and the space after it, without comments.  No
+# keyword fills a name; `_match_header` declines unbalanced `ptr<` nests and
+# a second definition of a name.
+_FIELD = rf"{WS}({_IDENT}){WS}:{_TYPE}{WS};"
+_ITEM = re.compile(
+    rf'(?:include{WS}"(?P<include>[^"\n]*)"'
+    rf"|struct[ \t\r\n]+(?P<struct>{_IDENT})(?:{WS}\{{(?P<fields>(?:{_FIELD})*){WS}\}})?"
+    rf"|enum[ \t\r\n]+(?P<enum>{_IDENT}){WS}\{{"
+    rf"(?P<enumerators>{WS}{_IDENT}(?:{WS},{WS}{_IDENT})*){WS}\}}"
+    rf"|using[ \t\r\n]+(?P<alias>{_IDENT}){WS}=(?P<target>{_TYPE})"
+    rf"|fn[ \t\r\n]+(?P<fn>{_IDENT}){WS}\((?P<signature>(?:{_TYPE}(?:{WS},{_TYPE})*)?{WS}\)"
+    rf"{WS}->{_TYPE})"
+    rf"){WS};{WS}"
+)
+_FIELDS = re.compile(_FIELD)
+_SLOT = re.compile(_TYPE)
+_WORD = re.compile(NAME)
+
+
 def parse_header(source: str, path: str) -> HeaderAST:
-    """Parse one header.  A name may be forward-declared and defined in the
-    same header (the definition wins later); two non-forward declarations of
-    one name are rejected here."""
+    """Parse one header: by pattern when well-formed, else (and for every
+    error) with the token `Cursor`."""
+    return _match_header(source, path) or _parse_header_tokens(source, path)
+
+
+def _match_header(source: str, path: str) -> HeaderAST | None:
+    """The header `_ITEM` matches item after item, or None for the Cursor."""
+    items: list[Decl] = []
+    includes: list[str] = []
+    defined: set[str] = set()  # names of the non-forward declarations so far
+    line, last = 1, 0
+    pos = len(source) - len(source.lstrip(" \t\r\n"))
+    while m := _ITEM.match(source, pos):
+        line += source.count("\n", last, pos)  # `pos` is the item's keyword
+        last, pos = pos, m.end()
+        include, name, body = m.group("include", "struct", "fields")
+        if include is not None:
+            includes.append(include)
+            continue
+        if name and body is None:
+            items.append(Decl(name, DeclKind.STRUCT_FWD, origin=(path, line)))
+            continue
+        if name:
+            fields = tuple(StructField(f, _type_ref(*slot)) for f, *slot in _FIELDS.findall(body))
+            kind, parts, refs = DeclKind.STRUCT_DEF, {"fields": fields}, [f.type for f in fields]
+        elif name := m["enum"]:
+            kind, refs = DeclKind.ENUM_DEF, []
+            parts = {"enumerators": tuple(_WORD.findall(m["enumerators"]))}
+        else:
+            refs = [_type_ref(*slot) for slot in _SLOT.findall(m["target"] or m["signature"])]
+            if name := m["alias"]:
+                kind, parts = DeclKind.ALIAS, {"alias_target": refs[0]}
+            else:
+                name, kind = m["fn"], DeclKind.FUNC_DECL
+                parts = {"params": tuple(refs[:-1]), "returns": refs[-1]}
+        if None in refs or name in defined:
+            return None
+        defined.add(name)
+        deps = () if kind is DeclKind.ENUM_DEF else compute_deps(kind, **parts)
+        items.append(Decl(name, kind, **parts, deps=deps, origin=(path, line)))
+    return HeaderAST(path, tuple(items), tuple(includes)) if pos == len(source) else None
+
+
+def _parse_header_tokens(source: str, path: str) -> HeaderAST:
+    """A name may be forward-declared and defined in the same header (the
+    definition wins later); two non-forward declarations of one name are
+    rejected here."""
     cur = Cursor(tokenize(source))
     items: list[Decl] = []
     includes: list[str] = []
@@ -410,14 +491,13 @@ Statement = NewStmt | DeclareStmt | SizeOfStmt | CallStmt | DirectiveStmt
 DIRECTIVES = frozenset({"stats", "loaded", "strategy", "quit"})
 
 
-# A well-formed statement without comments, spaced as `_TOKEN` allows.
-# `_match_statement` declines keywords and unbalanced `ptr<` nests.
+# A well-formed statement without comments, spaced as `_TOKEN` allows.  No
+# keyword fills a name; `_match_statement` declines unbalanced `ptr<` nests.
 _STATEMENT = re.compile(
-    rf"{WS}(?:(?P<op>new|call)[ \t\r\n]+(?P<name>{NAME})|sizeof{WS}\({WS}(?P<sized>{NAME}){WS}\)"
-    rf"|declare[ \t\r\n]+(?P<var>{NAME}){WS}:(?P<opens>(?:{WS}ptr{WS}<)*){WS}(?P<base>{NAME})"
-    rf"(?P<closes>(?:{WS}>)*)){WS};{WS}"
+    rf"{WS}(?:(?P<op>new|call)[ \t\r\n]+(?P<name>{_IDENT})"
+    rf"|sizeof{WS}\({WS}(?P<sized>{_IDENT}){WS}\)"
+    rf"|declare[ \t\r\n]+(?P<var>{_IDENT}){WS}:{_TYPE}){WS};{WS}"
 )
-_NOT_TYPES = KEYWORDS - BUILTIN_SIZES.keys()
 
 
 def _match_statement(source: str) -> Statement | None:
@@ -426,13 +506,11 @@ def _match_statement(source: str) -> Statement | None:
         return None
     op, name, sized, var, opens, base, closes = m.groups()
     if sized is not None:
-        return None if sized in KEYWORDS else SizeOfStmt(sized)
+        return SizeOfStmt(sized)
     if name is not None:
-        return None if name in KEYWORDS else (NewStmt if op == "new" else CallStmt)(name)
-    depth = opens.count("<")
-    if var in KEYWORDS or base in _NOT_TYPES or closes.count(">") != depth:
-        return None
-    return DeclareStmt(var, TypeRef(base, depth))
+        return (NewStmt if op == "new" else CallStmt)(name)
+    ref = _type_ref(opens, base, closes)
+    return None if ref is None else DeclareStmt(var, ref)
 
 
 def parse_statement(source: str) -> Statement:

@@ -15,6 +15,7 @@ from modix.bench import (
     open_corpus_session,
     run_benchmark,
 )
+from modix.declang import _match_header
 from modix.errors import EmptyReport
 from modix.loader import CostModel, Strategy
 
@@ -202,6 +203,22 @@ class TestBundledScenario:
         preload = open_corpus_session(corpus_dir, Strategy.PRELOAD_ALL).stats()
         pch = open_corpus_session(corpus_dir, Strategy.PCH).stats()
         assert preload.sim_memory_bytes >= 10 * pch.sim_memory_bytes
+
+
+    @pytest.mark.parametrize("spec_name", ["baseline", "cmssw319"])
+    def test_header_pattern_takes_every_generated_header(self, tmp_path, spec_name):
+        """The benchmark's headers go through the pattern, not the Cursor."""
+        if spec_name == "cmssw319":
+            text = resources.files("modix.data").joinpath("cmssw319.spec").read_text("utf-8")
+            spec = load_spec(text)
+        else:
+            spec = CorpusSpec(n_modules=30, defs_per_module=4, fwd_fanout=4, dup_fraction=0.6,
+                              import_density=1.0, seed=20)
+        generate_corpus(spec, tmp_path)
+        headers = sorted(tmp_path.glob("*/*.dh"))
+        assert len(headers) == 2 * spec.n_modules
+        for header in headers:
+            assert _match_header(header.read_text("utf-8"), header.name) is not None, header
 
 
 class TestReplicatedCorpus:

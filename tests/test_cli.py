@@ -228,9 +228,12 @@ class TestExitCodes:
         "line, message",
         [
             ("n_modules = abc", "line 1: 'n_modules' must be an integer, got 'abc'"),
-            ("n_modules = 0", "n_modules must be >= 1"),
+            ("n_modules = 0", "line 1: n_modules must be >= 1"),
+            ("seed = 3", "missing required field 'n_modules'"),
+            ("# c\nn_modules = 4\n\nfwd_fanout = 4",
+             "line 4: fwd_fanout must satisfy 0 <= fanout < n_modules"),
         ],
-        ids=["n_modules = abc", "n_modules = 0"],
+        ids=["n_modules = abc", "n_modules = 0", "seed = 3", "fwd_fanout = 4"],
     )
     def test_malformed_spec_exits_2(self, tmp_path, capsys, line, message):
         spec = tmp_path / "bad.spec"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +31,9 @@ from modix.declang import (
     with_deps,
     Token,
     TokenKind,
+    _match_header,
     _match_statement,
+    _parse_header_tokens,
     _parse_statement_tokens,
 )
 from modix.errors import DuplicateDefinition, LexError, ParseError
@@ -391,42 +395,60 @@ class TestStatementBoundaries:
 # --- property tests ---
 
 _names = st.text(alphabet="abcdefgh", min_size=1, max_size=5).map(lambda s: "n_" + s)
-_types = st.builds(
-    TypeRef,
-    base=st.one_of(st.sampled_from(("i32", "i64", "f64", "bool")), _names),
-    indirection=st.integers(min_value=0, max_value=2),
-)
+
+
+def _types_over(words):
+    return st.builds(
+        TypeRef,
+        base=st.one_of(st.sampled_from(("i32", "i64", "f64", "bool")), words),
+        indirection=st.integers(min_value=0, max_value=2),
+    )
+
+
+_types = _types_over(_names)
 
 
 @st.composite
-def _decls(draw, name):
+def _decls(draw, name, words=_names):
     kind = draw(st.sampled_from(list(DeclKind)))
+    types = _types_over(words)
     if kind is DeclKind.STRUCT_DEF:
         fields = tuple(
-            StructField(f"f{i}", draw(_types))
-            for i in range(draw(st.integers(0, 3)))
+            StructField(draw(words), draw(types)) for _ in range(draw(st.integers(0, 3)))
         )
         return with_deps(Decl(name, kind, fields=fields))
     if kind is DeclKind.STRUCT_FWD:
         return Decl(name, kind)
     if kind is DeclKind.ENUM_DEF:
-        count = draw(st.integers(1, 3))
-        return Decl(name, kind, enumerators=tuple(f"e{i}" for i in range(count)))
+        return Decl(name, kind, enumerators=tuple(draw(st.lists(words, min_size=1, max_size=3))))
     if kind is DeclKind.ALIAS:
-        return with_deps(Decl(name, kind, alias_target=draw(_types)))
-    params = tuple(draw(_types) for _ in range(draw(st.integers(0, 2))))
-    return with_deps(Decl(name, kind, params=params, returns=draw(_types)))
+        return with_deps(Decl(name, kind, alias_target=draw(types)))
+    params = tuple(draw(types) for _ in range(draw(st.integers(0, 2))))
+    return with_deps(Decl(name, kind, params=params, returns=draw(types)))
+
+
+# The tokens of a rendered line: a string, `->`, a punctuator, or a word.
+_LINE_TOKEN = re.compile(r'"[^"]*"|->|[{}();:,<>=]|[^ {}();:,<>="]+')
 
 
 @st.composite
-def _headers(draw):
-    names = draw(st.lists(_names, min_size=0, max_size=5, unique=True))
-    decls = [draw(_decls(name)) for name in names]
+def _headers(draw, words=_names, gaps=None):
+    """Header text over `words` in every name slot.  Canonical by default;
+    with `gaps`, a drawn gap (perhaps none, so words may run together) goes
+    between any two tokens, and names may repeat."""
+    names = draw(st.lists(words, min_size=0, max_size=5, unique=gaps is None))
+    decls = [draw(_decls(name, words)) for name in names]
     includes = tuple(draw(st.lists(st.sampled_from(("a.dh", "b/c.dh")), max_size=2, unique=True)))
     lines = [f'include "{inc}";' for inc in includes]
     lines.extend(render_decl(d) for d in decls)
-    text = "\n".join(lines) + ("\n" if lines else "")
-    return text
+    if gaps is None:
+        return "\n".join(lines) + ("\n" if lines else "")
+    tokens = [token for line in lines for token in _LINE_TOKEN.findall(line)]
+    # A `>` may also be dropped or doubled, to unbalance a `ptr<` nest.
+    closes = st.sampled_from((">", ">", ">", "", ">>"))
+    return draw(gaps) + "".join(
+        (draw(closes) if token == ">" else token) + draw(gaps) for token in tokens
+    )
 
 
 @given(_headers())
@@ -456,7 +478,7 @@ def test_parse_is_deterministic(text):
     assert parse_header(text, "p.dh") == parse_header(text, "p.dh")
 
 
-# --- the statement pattern against the token Cursor ---
+# --- the pattern parsers against the token Cursor ---
 
 _ascii_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
 # Mixed words: ASCII, digit-led, or with non-ASCII letters or digits, the last
@@ -507,3 +529,21 @@ def test_statement_pattern_takes_every_canonical_statement(stmt):
 @given(st.one_of(_statement_texts(), single_edit(_statement_texts())))
 def test_statement_pattern_declines_or_agrees_with_cursor(source):
     assert_same_parse(parse_statement, _match_statement, _parse_statement_tokens, source)
+
+
+@settings(max_examples=150)
+@given(_headers())
+def test_header_pattern_takes_every_canonical_header(text):
+    ast = parse_header(text, "p.dh")
+    assert _match_header(render_header(ast), "p.dh") == ast
+
+
+# Mostly plain names, two of which repeat often, so that a header often has
+# exactly one bad word or one duplicate definition.
+_gapped_headers = _headers(st.one_of(st.sampled_from(("A", "B")), _plain_names, _words), _gaps)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_gapped_headers, single_edit(_gapped_headers)))
+def test_header_pattern_declines_or_agrees_with_cursor(text):
+    assert_same_parse(parse_header, _match_header, _parse_header_tokens, text, "p.dh")
