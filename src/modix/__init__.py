@@ -60,7 +60,6 @@ from .modulemap import (
     Origin,
     Overlay,
     SearchPaths,
-    apply_overlay,
     concat_modulemaps,
     load_modulemap,
     parse_modulemap,

@@ -282,7 +282,7 @@ def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
             key = (defined, position)
             current = best.get(entry.name)
             if current is None or key < current[:2]:
-                decl = modfile.deserialize_decl(mf, entry.name)
+                decl, _ = modfile.deserialize_decl(mf, entry.name)
                 best[entry.name] = (*key, f"{mf.module_name}/{decl.origin[0]}")
     lines = [f"{ident} {best[ident][2]}" for ident in sorted(best)]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,10 +1,10 @@
 """The miniature declaration language and the interpreter statement language.
 
 Headers (`.dh`) hold struct definitions, struct forward declarations, enums,
-aliases, and function declarations.  `compute_deps` records which referenced
-names need a definition (field types at pointer depth 0) and which a forward
-declaration satisfies; nothing downstream reads it (the semantic index keys on
-`DeclFlags.HAS_DEFINITION`, lookups on `resolution_request`).
+aliases, and function declarations.  `Decl.deps` derives, on demand, which
+referenced names need a definition (field types at pointer depth 0) and which
+a forward declaration satisfies.  Nothing in modix reads it: the semantic
+index keys on `DeclFlags.HAS_DEFINITION`, lookups on `resolution_request`.
 
 A compiled pattern parses a well-formed statement in one match, and another
 a well-formed header one item at a time, as `modulemap` does a module map.
@@ -20,7 +20,7 @@ concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -150,7 +150,8 @@ class Dep:
 
 @dataclass(frozen=True)
 class Decl:
-    """One parsed declaration plus its classified dependency edges."""
+    """One parsed declaration.  Its dependency edges are not stored: `deps`
+    derives them from the fields whenever it is read."""
 
     name: str
     kind: DeclKind
@@ -159,12 +160,15 @@ class Decl:
     alias_target: TypeRef | None = None
     params: tuple[TypeRef, ...] = ()
     returns: TypeRef | None = None
-    deps: tuple[Dep, ...] = ()
     origin: tuple[str, int] = ("", 0)
 
     @property
     def is_forward(self) -> bool:
         return self.kind is DeclKind.STRUCT_FWD
+
+    @property
+    def deps(self) -> tuple[Dep, ...]:
+        return compute_deps(self.kind, self.fields, self.alias_target, self.params, self.returns)
 
 
 @dataclass(frozen=True)
@@ -205,15 +209,6 @@ def compute_deps(
             visit(p, Need.FORWARD_OK)
         visit(returns, Need.FORWARD_OK)
     return tuple(Dep(name, need) for name, need in needs.items())
-
-
-def with_deps(decl: Decl) -> Decl:
-    return replace(
-        decl,
-        deps=compute_deps(
-            decl.kind, decl.fields, decl.alias_target, decl.params, decl.returns
-        ),
-    )
 
 
 # --- parsing ---
@@ -308,11 +303,7 @@ def _parse_item(cur: Cursor, path: str) -> Decl | str:
             cur.expect_punct(";")
             field_list.append(StructField(fname, ftype))
         cur.expect_punct(";")
-        fields = tuple(field_list)
-        return Decl(
-            name, DeclKind.STRUCT_DEF, fields=fields,
-            deps=compute_deps(DeclKind.STRUCT_DEF, fields=fields), origin=origin,
-        )
+        return Decl(name, DeclKind.STRUCT_DEF, fields=tuple(field_list), origin=origin)
 
     if tok.text == "enum":
         name = cur.expect_ident().text
@@ -329,10 +320,7 @@ def _parse_item(cur: Cursor, path: str) -> Decl | str:
         cur.expect_punct("=")
         target = _parse_type(cur)
         cur.expect_punct(";")
-        return Decl(
-            name, DeclKind.ALIAS, alias_target=target,
-            deps=compute_deps(DeclKind.ALIAS, alias_target=target), origin=origin,
-        )
+        return Decl(name, DeclKind.ALIAS, alias_target=target, origin=origin)
 
     if tok.text == "fn":
         name = cur.expect_ident().text
@@ -346,11 +334,8 @@ def _parse_item(cur: Cursor, path: str) -> Decl | str:
         cur.expect_punct("->")
         returns = _parse_type(cur)
         cur.expect_punct(";")
-        params = tuple(param_list)
         return Decl(
-            name, DeclKind.FUNC_DECL, params=params, returns=returns,
-            deps=compute_deps(DeclKind.FUNC_DECL, params=params, returns=returns),
-            origin=origin,
+            name, DeclKind.FUNC_DECL, params=tuple(param_list), returns=returns, origin=origin
         )
 
     raise cur.error("declaration", tok)
@@ -430,8 +415,7 @@ def _match_header(source: str, path: str) -> HeaderAST | None:
         if None in refs or name in defined:
             return None
         defined.add(name)
-        deps = () if kind is DeclKind.ENUM_DEF else compute_deps(kind, **parts)
-        items.append(Decl(name, kind, **parts, deps=deps, origin=(path, line)))
+        items.append(Decl(name, kind, **parts, origin=(path, line)))
     return HeaderAST(path, tuple(items), tuple(includes)) if pos == len(source) else None
 
 

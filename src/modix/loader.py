@@ -15,8 +15,9 @@ A session extends name lookup through one of five strategies:
   the defining module; forward-only uses are synthesized without any load.
 
 Each strategy is one startup and one resolve method, paired in
-``Session._STRATEGIES``.  The resident name table maps a name to its
-declarations, each with its source: a module or a header.
+``Session._STRATEGIES``.  The resident name table maps a name to its merge
+candidates: each declaration with its source (a module or a header) and its
+payload bytes, sliced from the blob or encoded once when a header is parsed.
 
 Costs are simulated, not measured: every module load charges a fixed
 per-module overhead (standing in for eager side effects such as source-location
@@ -51,7 +52,7 @@ from pathlib import Path, PurePath
 from typing import NamedTuple
 from . import gmi as gmi_mod
 from . import modfile
-from .declang import Decl, HeaderAST, Need, parse_header
+from .declang import HeaderAST, Need, parse_header
 from .errors import (
     IndexStale,
     MissingIndex,
@@ -63,7 +64,8 @@ from .errors import (
     reading,
 )
 from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
-from .modfile import PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile, merge_entities
+from .modfile import PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile
+from .modfile import Candidate, merge_entities
 from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module
 from .modulemap import read_text, resolve_module_path, root_file
 
@@ -200,7 +202,7 @@ class Session:
         self._index: GlobalIndex | None = None
         self._rootmap: dict[str, str] | None = None
         self._parsed_headers: set[str] = set()
-        self._resident: dict[str, list[tuple[Decl, str]]] = {}
+        self._resident: dict[str, list[Candidate]] = {}
         self._merge_order: dict[str, int] = {name: i for i, name in enumerate(map.names)}
         self._cache: dict[str, Entity | _Marker] = {}
         self._unredeemed: set[str] = set()
@@ -220,8 +222,7 @@ class Session:
             self._load_module(name, resolution=False)
         for name in self._load_order:
             for ident in self._loaded[name].names:
-                decl = self._deserialize(name, ident)
-                self._resident.setdefault(ident, []).append((decl, name))
+                self._resident.setdefault(ident, []).append(self._deserialize(name, ident))
 
     def _start_pch(self, index_path: str | Path | None, allow_stale: bool) -> None:
         try:
@@ -333,12 +334,12 @@ class Session:
             return False
         return True
 
-    def _deserialize(self, module_name: str, identifier: str) -> Decl:
+    def _deserialize(self, module_name: str, identifier: str) -> Candidate:
         mf = self._loaded[module_name]
-        decl = modfile.deserialize_decl(mf, identifier)
+        decl, payload = modfile.deserialize_decl(mf, identifier)
         self._decls += 1
         self._charge_read(mf.find(identifier).blob_len)
-        return decl
+        return decl, module_name, payload
 
     # -- resolution --
 
@@ -373,7 +374,7 @@ class Session:
     def _direct_hits(self, identifier: str) -> list[str]:
         return [name for name in self._direct if self._loaded[name].find(identifier)]
 
-    def _merge(self, candidates: list[tuple[Decl, str]]) -> Entity | _Marker:
+    def _merge(self, candidates: list[Candidate]) -> Entity | _Marker:
         return merge_entities(candidates, self._merge_order) if candidates else _Marker.ABSENT
 
     def _merge_resident(self, identifier: str) -> Entity | _Marker:
@@ -385,12 +386,12 @@ class Session:
         hits = self._direct_hits(identifier)
         if not hits and self._loaded[PCH_MODULE_NAME].find(identifier):
             hits = [PCH_MODULE_NAME]
-        return self._merge([(self._deserialize(n, identifier), n) for n in hits])
+        return self._merge([self._deserialize(n, identifier) for n in hits])
 
     def _resolve_textual(self, identifier: str) -> Entity | _Marker:
         hits = self._direct_hits(identifier)
         if hits:
-            return self._merge([(self._deserialize(n, identifier), n) for n in hits])
+            return self._merge([self._deserialize(n, identifier) for n in hits])
         header = self._rootmap.get(identifier)
         if header is not None:
             self._parse_header_cascade(header)
@@ -422,12 +423,13 @@ class Session:
             self._charge_read(len(text.encode("utf-8")))
             self._merge_order[rel] = 2**33 + len(self._parsed_headers)
             for decl in ast.items:
-                self._resident.setdefault(decl.name, []).append((decl, rel))
+                candidate = (decl, rel, modfile.encode_payload(decl))
+                self._resident.setdefault(decl.name, []).append(candidate)
 
     def _visible_postings(self, identifier: str) -> list[gmi_mod.Posting]:
         return [p for p in self._index.entry(identifier) if p.module not in self._shadowed]
 
-    def _load_posted(self, name: str, identifier: str) -> list[tuple[Decl, str]]:
+    def _load_posted(self, name: str, identifier: str) -> list[Candidate]:
         """Load the module an index posting names and return its declaration
         of the identifier: none when a stale index (``allow_stale``) lists a
         module that was rebuilt without it or deleted."""
@@ -435,13 +437,13 @@ class Session:
             return []
         if self._loaded[name].find(identifier) is None:
             return []
-        return [(self._deserialize(name, identifier), name)]
+        return [self._deserialize(name, identifier)]
 
     def _resolve_lexical(self, identifier: str) -> Entity | _Marker:
-        candidates: list[tuple[Decl, str]] = []
+        candidates: list[Candidate] = []
         for p in self._visible_postings(identifier):
             candidates += self._load_posted(p.module, identifier)
-        candidates += [(self._deserialize(n, identifier), n) for n in self._direct_hits(identifier)]
+        candidates += [self._deserialize(n, identifier) for n in self._direct_hits(identifier)]
         return self._merge(candidates)
 
     def _resolve_semantic(self, identifier: str) -> Entity | _Marker:
@@ -455,7 +457,7 @@ class Session:
         def_posting = next(
             (p for p in postings if p.flags & PostingFlags.DEFINES), None
         )
-        candidates = [(self._deserialize(n, identifier), n) for n in defining_hits]
+        candidates = [self._deserialize(n, identifier) for n in defining_hits]
         if def_posting is not None:
             posted = self._load_posted(def_posting.module, identifier)
             if not posted:

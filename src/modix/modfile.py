@@ -17,7 +17,9 @@ Each blob is the canonical serialization of one declaration: a kind tag, then
 length-prefixed fields in source order, then the origin (header path relative
 to the module root, plus line).  The origin is excluded from the payload bytes
 used for one-definition-rule comparisons so that byte-identical content in
-differently named headers still de-duplicates.
+differently named headers still de-duplicates.  So a blob's payload is its
+prefix before the origin: `deserialize_decl` returns that slice with the
+declaration, and a merge candidate carries it, so merging encodes nothing.
 
 Module files are immutable once written; readers never mutate shared state.
 """
@@ -32,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._wire import Reader, Writer, decode_flags, digest64, known_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef, compute_deps
+from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
 from .errors import (
     BadMagic,
     BadVersion,
@@ -141,10 +143,6 @@ class ModuleFile:
     def names(self) -> tuple[str, ...]:
         return tuple(self.table)
 
-    @property
-    def ident_table(self) -> tuple[IdentEntry, ...]:
-        return tuple(self.table.values())
-
 
 @dataclass(frozen=True)
 class Entity:
@@ -156,6 +154,11 @@ class Entity:
     defining_module: str | None
     contributing_modules: frozenset[str]
     decl: Decl
+
+
+# A declaration to merge: the decl, the module (or header) it came from, and
+# its `encode_payload` bytes, which ODR merging compares.
+Candidate = tuple[Decl, str, bytes]
 
 
 # --- declaration serialization ---
@@ -204,7 +207,9 @@ def encode_blob(decl: Decl) -> bytes:
     return w.getvalue()
 
 
-def decode_blob(blob: bytes) -> Decl:
+def decode_blob(blob: bytes) -> tuple[Decl, bytes]:
+    """The declaration a blob encodes, and its payload: the bytes before the
+    origin, which are exactly `encode_payload` of that declaration."""
     r = Reader(blob)
     tag = r.u8()
     kind = _TAG_KINDS.get(tag)
@@ -227,10 +232,11 @@ def decode_blob(blob: bytes) -> Decl:
     elif kind is DeclKind.FUNC_DECL:
         params = tuple(_read_type(r) for _ in range(r.u32()))
         returns = _read_type(r)
+    payload_len = r.pos
     origin = (r.lpstr(), r.u32())
     if not r.at_end():
         raise CorruptTable("trailing bytes after declaration")
-    return Decl(
+    decl = Decl(
         name,
         kind,
         fields=fields,
@@ -238,9 +244,9 @@ def decode_blob(blob: bytes) -> Decl:
         alias_target=alias_target,
         params=params,
         returns=returns,
-        deps=compute_deps(kind, fields, alias_target, params, returns),
         origin=origin,
     )
+    return decl, blob[:payload_len]
 
 
 # --- file emission ---
@@ -383,25 +389,25 @@ def read_modules(module_dir: str | Path, names: Sequence[str]) -> list[ModuleFil
     return modules
 
 
-def deserialize_decl(module: ModuleFile, name: str) -> Decl:
-    """Decode one declaration blob; costs `blob_len` bytes."""
+def deserialize_decl(module: ModuleFile, name: str) -> tuple[Decl, bytes]:
+    """Decode one declaration blob into the decl and its payload bytes;
+    costs `blob_len` bytes."""
     entry = module.find(name)
     if entry is None:
         raise UnknownIdentifier(name)
-    blob = module.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
-    return decode_blob(blob)
+    return decode_blob(module.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len])
 
 
 # --- merging ---
 
 
 def merge_entities(
-    decls: Sequence[tuple[Decl, str]],
+    decls: Sequence[Candidate],
     module_order: Mapping[str, int] | None = None,
 ) -> Entity:
     """Collapse same-name declarations from several modules into one entity.
 
-    Within each declaration kind the payload bytes must agree; across kinds
+    Within each declaration kind the given payload bytes must agree; across kinds
     the highest rank wins (definition > function > alias > forward).  Among
     equal winners the lowest module id (falling back to module name) supplies
     the canonical payload, which also makes the result independent of input
@@ -410,7 +416,7 @@ def merge_entities(
     if not decls:
         raise ValueError("merge_entities requires at least one declaration")
     name = decls[0][0].name
-    for decl, _ in decls:
+    for decl, _, _ in decls:
         if decl.name != name:
             raise ValueError(f"mixed names in merge: '{name}' vs '{decl.name}'")
 
@@ -419,11 +425,9 @@ def merge_entities(
             return (module_order[module], module)
         return (2**32, module)
 
-    by_rank: dict[int, list[tuple[Decl, str, bytes]]] = {}
-    for decl, module in decls:
-        by_rank.setdefault(_KIND_RANK[decl.kind], []).append(
-            (decl, module, encode_payload(decl))
-        )
+    by_rank: dict[int, list[Candidate]] = {}
+    for candidate in decls:
+        by_rank.setdefault(_KIND_RANK[candidate[0].kind], []).append(candidate)
     for group in by_rank.values():
         group.sort(key=lambda item: order_key(item[1]))
         first_payload = group[0][2]
@@ -438,7 +442,7 @@ def merge_entities(
         kind=_RANK_ENTITY_KIND[top],
         canonical_payload=winner_payload,
         defining_module=winner_module,
-        contributing_modules=frozenset(module for _, module in decls),
+        contributing_modules=frozenset(module for _, module, _ in decls),
         decl=winner_decl,
     )
 
@@ -451,12 +455,11 @@ def build_pch(modules: Sequence[ModuleFile]) -> bytes:
     the tie-break, so callers pass them in module map order.
     """
     order = {mf.module_name: position for position, mf in enumerate(modules)}
-    gathered: dict[str, list[tuple[Decl, str]]] = {}
+    gathered: dict[str, list[Candidate]] = {}
     for mf in modules:
-        for entry in mf.table.values():
-            gathered.setdefault(entry.name, []).append(
-                (deserialize_decl(mf, entry.name), mf.module_name)
-            )
+        for name in mf.table:
+            decl, payload = deserialize_decl(mf, name)
+            gathered.setdefault(name, []).append((decl, mf.module_name, payload))
     rows = []
     for name, candidates in gathered.items():
         entity = merge_entities(candidates, order)

@@ -169,10 +169,6 @@ class Overlay:
         return real.rstrip("/") + "/" + path[len(virtual.rstrip("/")) + 1:]
 
 
-def apply_overlay(overlay: Overlay, path: str) -> str:
-    return overlay.apply(path)
-
-
 def parse_overlay(text: str) -> Overlay:
     """Lines of `VIRTUAL -> REAL`; blank lines and `#` comments ignored."""
     mappings: list[tuple[str, str]] = []

@@ -182,6 +182,21 @@ def _first_divergence(oracle, sequence, workload):
     return "length mismatch"
 
 
+@pytest.fixture(scope="session")
+def corpus12(tmp_path_factory):
+    """The 12-module seed-7 corpus, shared and read-only: a test that damages
+    files builds its own."""
+    from modix.bench import CorpusSpec, generate_corpus
+
+    corpus_dir = tmp_path_factory.mktemp("corpus12")
+    spec = CorpusSpec(
+        n_modules=12, defs_per_module=3, fwd_fanout=3,
+        dup_fraction=0.5, import_density=1.0, seed=7,
+    )
+    generate_corpus(spec, corpus_dir)
+    return corpus_dir
+
+
 @pytest.fixture
 def gpad_corpus(tmp_path):
     """The 1-definition + 5-forward-declarations shape."""

@@ -152,12 +152,10 @@ def _random_decl(rng: random.Random, name: str) -> Decl:
 
 def test_criterion_4_round_trip_and_format(tmp_path):
     with criterion(4, "round-trip-and-format"):
-        from modix.declang import with_deps
-
         rng = random.Random(4444)
         for case in range(1000):
             names = [f"N{case}_{i}" for i in range(rng.randint(1, 5))]
-            decls = [with_deps(_random_decl(rng, name)) for name in names]
+            decls = [_random_decl(rng, name) for name in names]
             header_items: dict[str, Decl] = {}
             for decl in decls:
                 if decl.name not in header_items or header_items[decl.name].is_forward:
@@ -173,7 +171,7 @@ def test_criterion_4_round_trip_and_format(tmp_path):
             assert mf.imports == imports
             assert set(mf.names) == set(header_items)
             for name, expected in header_items.items():
-                decl = deserialize_decl(mf, name)
+                decl, _ = deserialize_decl(mf, name)
                 assert decl == expected
                 assert encode_blob(decl) == encode_blob(expected)
 
@@ -201,7 +199,8 @@ def test_criterion_5_odr_machinery(tmp_path):
             fields=(StructField("x", TypeRef("i32")),), origin=("a.dh", 1),
         )
         order = {"M0": 0, "M7": 7}
-        entity = merge_entities([(shared, "M7"), (shared, "M0")], order)
+        payload = encode_payload(shared)
+        entity = merge_entities([(shared, "M7", payload), (shared, "M0", payload)], order)
         assert entity.kind is EntityKind.DEFINITION
         assert entity.defining_module == "M0"
 
@@ -210,7 +209,9 @@ def test_criterion_5_odr_machinery(tmp_path):
             fields=(StructField("x", TypeRef("i64")),), origin=("b.dh", 1),
         )
         with pytest.raises(OdrViolation) as excinfo:
-            merge_entities([(shared, "M0"), (other, "M7")], order)
+            merge_entities(
+                [(shared, "M0", payload), (other, "M7", encode_payload(other))], order
+            )
         assert {excinfo.value.module_a, excinfo.value.module_b} == {"M0", "M7"}
 
         corpus_dir = tmp_path / "dups"
@@ -222,7 +223,7 @@ def test_criterion_5_odr_machinery(tmp_path):
         for path in sorted(corpus_dir.glob("M*.pcm")):
             modules.append(read_module_summary(path.read_bytes()))
         pch = read_module_summary(build_pch(modules))
-        assert len(pch.ident_table) < sum(len(m.ident_table) for m in modules)
+        assert len(pch.table) < sum(len(m.table) for m in modules)
 
 
 def test_criterion_6_cmssw_shape(cmssw_corpus, tmp_path):

@@ -13,21 +13,9 @@ import random
 
 import pytest
 
-from modix.bench import CorpusSpec, generate_corpus
 from modix.errors import CorruptModule
 from modix.gmi import load_index
 from modix.modfile import decode_blob, read_module_summary
-
-
-@pytest.fixture(scope="module")
-def corpus12(tmp_path_factory):
-    corpus_dir = tmp_path_factory.mktemp("corpus12")
-    spec = CorpusSpec(
-        n_modules=12, defs_per_module=3, fwd_fanout=3,
-        dup_fraction=0.5, import_density=1.0, seed=7,
-    )
-    generate_corpus(spec, corpus_dir)
-    return corpus_dir
 
 
 def _pch_blobs(corpus_dir) -> list[bytes]:

@@ -28,7 +28,6 @@ from modix.declang import (
     render_statement,
     resolution_request,
     tokenize,
-    with_deps,
     Token,
     TokenKind,
     _match_header,
@@ -253,10 +252,10 @@ def _fwd(name: str, line: int = 1) -> Decl:
 
 
 def _struct(name: str, *fields: tuple[str, TypeRef], line: int = 1) -> Decl:
-    return with_deps(Decl(
+    return Decl(
         name, DeclKind.STRUCT_DEF, fields=tuple(StructField(*f) for f in fields),
         origin=("h.dh", line),
-    ))
+    )
 
 
 class TestHeaderBoundaries:
@@ -271,8 +270,8 @@ class TestHeaderBoundaries:
              [_fwd("A"), _fwd("B", 2),
               Decl("E", DeclKind.ENUM_DEF, enumerators=("a",), origin=("h.dh", 4))]),
             ("\tstruct A;\n\t\tusing B = A;",
-             [_fwd("A"), with_deps(Decl("B", DeclKind.ALIAS, alias_target=TypeRef("A"),
-                                        origin=("h.dh", 2)))]),
+             [_fwd("A"), Decl("B", DeclKind.ALIAS, alias_target=TypeRef("A"),
+                              origin=("h.dh", 2))]),
             ("// c\nstruct A;\n// d\n\nfn f() -> i32;",
              [_fwd("A", 2), Decl("f", DeclKind.FUNC_DECL, returns=TypeRef("i32"),
                                  origin=("h.dh", 5))]),
@@ -283,11 +282,11 @@ class TestHeaderBoundaries:
              [Decl("E", DeclKind.ENUM_DEF, enumerators=("a",), origin=("h.dh", 1))]),
             ("struct T { p: ptr<S>; };", [_struct("T", ("p", TypeRef("S", 1)))]),
             ("fn f(ptr<S>) -> i32;",
-             [with_deps(Decl("f", DeclKind.FUNC_DECL, params=(TypeRef("S", 1),),
-                             returns=TypeRef("i32"), origin=("h.dh", 1)))]),
+             [Decl("f", DeclKind.FUNC_DECL, params=(TypeRef("S", 1),),
+                   returns=TypeRef("i32"), origin=("h.dh", 1))]),
             ("using P = ptr<S>;",
-             [with_deps(Decl("P", DeclKind.ALIAS, alias_target=TypeRef("S", 1),
-                             origin=("h.dh", 1)))]),
+             [Decl("P", DeclKind.ALIAS, alias_target=TypeRef("S", 1),
+                   origin=("h.dh", 1))]),
             ("struct A { x: i32; }; struct A;", [_struct("A", ("x", TypeRef("i32"))), _fwd("A")]),
             ("", []),
             ("// only\n// comments\n", []),
@@ -416,15 +415,15 @@ def _decls(draw, name, words=_names):
         fields = tuple(
             StructField(draw(words), draw(types)) for _ in range(draw(st.integers(0, 3)))
         )
-        return with_deps(Decl(name, kind, fields=fields))
+        return Decl(name, kind, fields=fields)
     if kind is DeclKind.STRUCT_FWD:
         return Decl(name, kind)
     if kind is DeclKind.ENUM_DEF:
         return Decl(name, kind, enumerators=tuple(draw(st.lists(words, min_size=1, max_size=3))))
     if kind is DeclKind.ALIAS:
-        return with_deps(Decl(name, kind, alias_target=draw(types)))
+        return Decl(name, kind, alias_target=draw(types))
     params = tuple(draw(types) for _ in range(draw(st.integers(0, 2))))
-    return with_deps(Decl(name, kind, params=params, returns=draw(types)))
+    return Decl(name, kind, params=params, returns=draw(types))
 
 
 # The tokens of a rendered line: a string, `->`, a punctuator, or a word.

@@ -235,7 +235,7 @@ def assert_index_consistent(index, directory, module_map):
     for name, mf in tables.items():
         if name in excluded:
             continue
-        for entry in mf.ident_table:
+        for entry in mf.table.values():
             modules = [m for m, _ in lookup(index, entry.name)]
             assert name in modules, f"{entry.name} missing posting for {name}"
     # Soundness + semantic refinement.

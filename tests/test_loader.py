@@ -125,7 +125,7 @@ class TestStartup:
         expected_content = 0
         for i in range(6):
             mf = read_module_summary((corpus_dir / f"M{i}.pcm").read_bytes())
-            expected_content += mf.summary_bytes + sum(e.blob_len for e in mf.ident_table)
+            expected_content += mf.summary_bytes + sum(e.blob_len for e in mf.table.values())
         assert stats.sim_memory_bytes == 6 * 1000 + expected_content
         assert stats.bytes_read == expected_content
 
@@ -306,22 +306,14 @@ class TestPatchPoints:
     """The traced `modfile.summaries_read` and `modfile.decls_decoded`
     metrics count calls of these two functions, so each summary and each
     declaration a session charges for must be exactly one call, and no
-    declaration is decoded twice."""
+    declaration is decoded twice.  `merge_entities` compares the payload
+    bytes its candidates carry, so a module strategy encodes nothing."""
 
-    @pytest.fixture(scope="class")
-    def corpus12(self, tmp_path_factory):
-        corpus_dir = tmp_path_factory.mktemp("corpus12")
-        spec = CorpusSpec(
-            n_modules=12, defs_per_module=3, fwd_fanout=3,
-            dup_fraction=0.5, import_density=1.0, seed=7,
-        )
-        generate_corpus(spec, corpus_dir)
-        return corpus_dir
+    _MODULE_STRATEGIES = [
+        Strategy.PRELOAD_ALL, Strategy.PCH, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI,
+    ]
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [Strategy.PRELOAD_ALL, Strategy.PCH, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI],
-    )
+    @pytest.mark.parametrize("strategy", _MODULE_STRATEGIES)
     def test_modfile_calls_match_stats(self, corpus12, monkeypatch, strategy):
         names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).table)
         calls = {"read_module_summary": 0, "deserialize_decl": 0}
@@ -352,6 +344,20 @@ class TestPatchPoints:
             "deserialize_decl": stats.decls_deserialized,
         }
         assert len(set(decoded)) == len(decoded)
+
+    @pytest.mark.parametrize("strategy", _MODULE_STRATEGIES)
+    def test_merge_encodes_nothing(self, corpus12, monkeypatch, strategy):
+        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).table)
+
+        def refuse(decl):
+            raise AssertionError(f"encode_payload({decl.name!r}) called")
+
+        monkeypatch.setattr(modfile, "encode_payload", refuse)
+        session = open_corpus_session(corpus12, strategy)
+        for name in names + ["Nope"]:
+            for need in (Need.FORWARD_OK, Need.DEFINITION):
+                session.resolve(name, need)
+        assert session.stats().decls_deserialized > 0
 
 
 class TestRelocatability:

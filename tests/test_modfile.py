@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -21,13 +22,18 @@ from modix.errors import (
 from modix.modfile import (
     DeclFlags,
     EntityKind,
+    IdentEntry,
+    ModuleFile,
     build_pch,
     compile_module,
     deserialize_decl,
+    decode_blob,
     encode_blob,
+    encode_payload,
     merge_entities,
     read_module_summary,
 )
+from test_declang import _decls
 
 
 def _header(text, path="h.dh"):
@@ -42,20 +48,20 @@ def _module(name, *header_texts, imports=()):
 class TestCompileAndSummary:
     def test_single_definition_flags(self):
         mf = read_module_summary(_module("M", "struct A { x: i32; };"))
-        (entry,) = mf.ident_table
+        (entry,) = mf.table.values()
         assert entry.name == "A"
         assert entry.flags == DeclFlags.HAS_DEFINITION
 
     def test_definition_plus_forward_gets_both_flags(self):
         mf = read_module_summary(_module("M", "struct A;", "struct A { x: i32; };"))
-        (entry,) = mf.ident_table
+        (entry,) = mf.table.values()
         assert entry.flags == DeclFlags.HAS_DEFINITION | DeclFlags.HAS_FORWARD
 
     def test_kind_flags(self):
         mf = read_module_summary(
             _module("M", "struct S;\nenum E { a };\nusing U = i32;\nfn f() -> i32;")
         )
-        flags = {e.name: e.flags for e in mf.ident_table}
+        flags = {e.name: e.flags for e in mf.table.values()}
         assert flags["S"] == DeclFlags.HAS_FORWARD
         assert flags["E"] == DeclFlags.HAS_DEFINITION
         assert flags["U"] == DeclFlags.HAS_DEFINITION | DeclFlags.IS_ALIAS
@@ -70,7 +76,7 @@ class TestCompileAndSummary:
         mf = read_module_summary(
             _module("M", "struct A { x: i32; };", "struct A { x: i32; };")
         )
-        assert len(mf.ident_table) == 1
+        assert len(mf.table) == 1
 
     def test_summary_round_trips_names_and_imports(self):
         data = _module("M", "struct B;\nstruct A { b: ptr<B>; };", imports=("Dep1", "Dep2"))
@@ -86,7 +92,7 @@ class TestCompileAndSummary:
     def test_table_strictly_sorted(self):
         data = _module("M", "struct Z;\nstruct A;\nstruct M;")
         mf = read_module_summary(data)
-        names = [e.name for e in mf.ident_table]
+        names = [e.name for e in mf.table.values()]
         assert names == sorted(names)
 
     def test_no_absolute_paths_inside(self, tmp_path):
@@ -166,11 +172,11 @@ class TestDeserialize:
         src = "struct A { x: i32; p: ptr<B>; };"
         header = _header(src)
         mf = read_module_summary(compile_module("M", [header]))
-        assert deserialize_decl(mf, "A") == header.items[0]
+        assert deserialize_decl(mf, "A")[0] == header.items[0]
 
     def test_forward_only_round_trips_as_forward(self):
         mf = read_module_summary(_module("M", "struct A;"))
-        decl = deserialize_decl(mf, "A")
+        decl, _ = deserialize_decl(mf, "A")
         assert decl.kind is DeclKind.STRUCT_FWD
         assert decl.deps == ()
 
@@ -182,7 +188,7 @@ class TestDeserialize:
     def test_bytes_accounting_is_exact(self):
         data = _module("M", "struct A { x: i32; };\nenum E { a, b };")
         mf = read_module_summary(data)
-        blob_total = sum(e.blob_len for e in mf.ident_table)
+        blob_total = sum(e.blob_len for e in mf.table.values())
         assert mf.summary_bytes + blob_total == len(data)
         assert len(mf.blob_region) == blob_total
 
@@ -191,7 +197,7 @@ class TestDeserialize:
         text = "".join(f"struct {n};\n" for n in names)
         mf = read_module_summary(_module("M", text))
         for probe in names + ["n00x", "a", "zzz", ""]:
-            linear = next((e for e in mf.ident_table if e.name == probe), None)
+            linear = next((e for e in mf.table.values() if e.name == probe), None)
             assert mf.find(probe) == linear
 
 
@@ -204,6 +210,11 @@ def _def(name, field_type="i32", origin=("h.dh", 1)):
     )
 
 
+def _c(decl, module):
+    """A merge candidate: the decl, its module and its payload bytes."""
+    return (decl, module, encode_payload(decl))
+
+
 _ORDER = {f"M{i}": i for i in range(10)}
 
 
@@ -211,24 +222,24 @@ class TestMergeEntities:
     def test_definition_wins_over_forwards(self):
         fwd = Decl("Gpad", DeclKind.STRUCT_FWD)
         entity = merge_entities(
-            [(_def("Gpad"), "M1"), (fwd, "M2"), (fwd, "M3")], _ORDER
+            [_c(_def("Gpad"), "M1"), _c(fwd, "M2"), _c(fwd, "M3")], _ORDER
         )
         assert entity.kind is EntityKind.DEFINITION
         assert entity.defining_module == "M1"
         assert entity.contributing_modules == {"M1", "M2", "M3"}
 
     def test_identical_definitions_take_lowest_module_id(self):
-        entity = merge_entities([(_def("A"), "M2"), (_def("A"), "M1")], _ORDER)
+        entity = merge_entities([_c(_def("A"), "M2"), _c(_def("A"), "M1")], _ORDER)
         assert entity.defining_module == "M1"
 
     def test_differing_definitions_raise_naming_both(self):
         with pytest.raises(OdrViolation) as excinfo:
-            merge_entities([(_def("A", "i32"), "M1"), (_def("A", "i64"), "M2")], _ORDER)
+            merge_entities([_c(_def("A", "i32"), "M1"), _c(_def("A", "i64"), "M2")], _ORDER)
         assert {excinfo.value.module_a, excinfo.value.module_b} == {"M1", "M2"}
 
     def test_origin_differences_are_not_odr_violations(self):
         entity = merge_entities(
-            [(_def("A", origin=("a.dh", 1)), "M1"), (_def("A", origin=("b.dh", 9)), "M2")],
+            [_c(_def("A", origin=("a.dh", 1)), "M1"), _c(_def("A", origin=("b.dh", 9)), "M2")],
             _ORDER,
         )
         assert entity.kind is EntityKind.DEFINITION
@@ -238,9 +249,9 @@ class TestMergeEntities:
         fn = Decl("N", DeclKind.FUNC_DECL, returns=TypeRef("i32"))
         alias = Decl("N", DeclKind.ALIAS, alias_target=TypeRef("i32"))
         fwd = Decl("N", DeclKind.STRUCT_FWD)
-        assert merge_entities([(fwd, "M1"), (alias, "M2")], _ORDER).kind is EntityKind.ALIAS
+        assert merge_entities([_c(fwd, "M1"), _c(alias, "M2")], _ORDER).kind is EntityKind.ALIAS
         assert (
-            merge_entities([(alias, "M1"), (fn, "M2"), (fwd, "M3")], _ORDER).kind
+            merge_entities([_c(alias, "M1"), _c(fn, "M2"), _c(fwd, "M3")], _ORDER).kind
             is EntityKind.FUNCTION
         )
 
@@ -248,17 +259,17 @@ class TestMergeEntities:
         f1 = Decl("f", DeclKind.FUNC_DECL, returns=TypeRef("i32"))
         f2 = Decl("f", DeclKind.FUNC_DECL, returns=TypeRef("i64"))
         with pytest.raises(OdrViolation):
-            merge_entities([(f1, "M1"), (f2, "M2")], _ORDER)
+            merge_entities([_c(f1, "M1"), _c(f2, "M2")], _ORDER)
 
     def test_mixed_names_rejected(self):
         with pytest.raises(ValueError):
-            merge_entities([(_def("A"), "M1"), (_def("B"), "M2")], _ORDER)
+            merge_entities([_c(_def("A"), "M1"), _c(_def("B"), "M2")], _ORDER)
 
     def test_order_insensitive(self):
         decls = [
-            (_def("A"), "M3"),
-            (_def("A"), "M1"),
-            (Decl("A", DeclKind.STRUCT_FWD), "M2"),
+            _c(_def("A"), "M3"),
+            _c(_def("A"), "M1"),
+            _c(Decl("A", DeclKind.STRUCT_FWD), "M2"),
         ]
         baseline = merge_entities(decls, _ORDER)
         for perm in itertools.permutations(decls):
@@ -284,7 +295,7 @@ class TestBuildPch:
         mods = [self._mf("M0", "struct Gpad { x: i32; };")]
         mods += [self._mf(f"M{i}", "struct Gpad;") for i in range(1, 6)]
         pch = read_module_summary(build_pch(mods))
-        (entry,) = pch.ident_table
+        (entry,) = pch.table.values()
         assert entry.flags == DeclFlags.HAS_DEFINITION
 
     def test_duplicated_content_dedups(self):
@@ -294,8 +305,8 @@ class TestBuildPch:
             self._mf("M1", shared + "struct B;"),
         ]
         pch = read_module_summary(build_pch(mods))
-        assert len(pch.ident_table) == 3
-        assert len(pch.ident_table) < sum(len(m.ident_table) for m in mods)
+        assert len(pch.table) == 3
+        assert len(pch.table) < sum(len(m.table) for m in mods)
 
     def test_odr_violation_propagates(self):
         mods = [
@@ -308,7 +319,7 @@ class TestBuildPch:
     def test_pch_round_trips(self):
         mods = [self._mf("M0", "struct A { x: i32; };"), self._mf("M1", "struct A;")]
         pch = read_module_summary(build_pch(mods))
-        assert deserialize_decl(pch, "A").kind is DeclKind.STRUCT_DEF
+        assert deserialize_decl(pch, "A")[0].kind is DeclKind.STRUCT_DEF
 
 
 _names = st.text(alphabet="mnopq", min_size=1, max_size=4).map(lambda s: "d_" + s)
@@ -344,6 +355,32 @@ def test_compile_round_trip_property(source):
             by_name[decl.name] = decl
     assert set(mf.names) == set(by_name)
     for name, expected in by_name.items():
-        decl = deserialize_decl(mf, name)
+        decl, _ = deserialize_decl(mf, name)
         assert decl == expected
         assert encode_blob(decl) == encode_blob(expected)
+
+
+def test_every_corpus_payload_is_its_blob_prefix(corpus12):
+    blobs = 0
+    for path in sorted(corpus12.glob("*.pcm")):
+        mf = read_module_summary(path.read_bytes())
+        for name, entry in mf.table.items():
+            blob = mf.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
+            decl, payload = deserialize_decl(mf, name)
+            assert payload == encode_payload(decl)
+            assert blob.startswith(payload)
+            blobs += 1
+    assert blobs > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(_names.flatmap(_decls), st.text(max_size=8), st.integers(0, 2**32 - 1))
+def test_blob_payload_property(decl, origin_path, origin_line):
+    decl = dataclasses.replace(decl, origin=(origin_path, origin_line))
+    blob = encode_blob(decl)
+    payload = encode_payload(decl)
+    assert decode_blob(blob) == (decl, payload)
+    assert blob.startswith(payload)
+    entry = IdentEntry(decl.name, DeclFlags(0), 0, len(blob))
+    mf = ModuleFile("M", (), {decl.name: entry}, blob, 0, 0)
+    assert deserialize_decl(mf, decl.name) == (decl, payload)

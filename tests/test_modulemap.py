@@ -17,7 +17,6 @@ from modix.modulemap import (
     Origin,
     Overlay,
     SearchPaths,
-    apply_overlay,
     concat_modulemaps,
     parse_modulemap,
     parse_overlay,
@@ -212,21 +211,21 @@ class TestConcat:
 class TestOverlay:
     def test_basic_remap(self):
         overlay = Overlay((("/virt/x", "/real/x"),))
-        assert apply_overlay(overlay, "/virt/x/a.dh") == "/real/x/a.dh"
+        assert overlay.apply("/virt/x/a.dh") == "/real/x/a.dh"
 
     def test_no_match_is_identity(self):
         overlay = Overlay((("/virt/x", "/real/x"),))
-        assert apply_overlay(overlay, "/other/a.dh") == "/other/a.dh"
+        assert overlay.apply("/other/a.dh") == "/other/a.dh"
 
     def test_longest_prefix_wins(self):
         overlay = Overlay((("/v", "/r1"), ("/v/w", "/r2")))
-        assert apply_overlay(overlay, "/v/w/f") == "/r2/f"
-        assert apply_overlay(overlay, "/v/q") == "/r1/q"
+        assert overlay.apply("/v/w/f") == "/r2/f"
+        assert overlay.apply("/v/q") == "/r1/q"
 
     def test_component_boundaries_respected(self):
         overlay = Overlay((("/v/x", "/r"),))
-        assert apply_overlay(overlay, "/v/xy/f") == "/v/xy/f"
-        assert apply_overlay(overlay, "/v/x") == "/r"
+        assert overlay.apply("/v/xy/f") == "/v/xy/f"
+        assert overlay.apply("/v/x") == "/r"
 
     def test_parse_overlay(self):
         overlay = parse_overlay("# comment\n\n/virt -> /real\n/virt/deep -> /other\n")
@@ -240,7 +239,7 @@ class TestOverlay:
 
     @given(st.text(alphabet="ab/", max_size=12))
     def test_overlay_never_changes_unmapped_paths(self, path):
-        assert apply_overlay(Overlay(()), path) == path
+        assert Overlay(()).apply(path) == path
 
 
 class TestResolveModulePath:
