@@ -1,8 +1,9 @@
 """Shared corpus builders for the test suite.
 
 `build_random_corpus` produces richer corpora than the benchmark generator:
-all declaration kinds, forward-only names, byte-identical duplicates, import
-chains with occasional cycles.  Everything is seeded, so the suite is fully
+all declaration kinds, forward-only names, byte-identical duplicates, names
+declared as kinds of different merge rank in different modules, import chains
+with occasional cycles.  Everything is seeded, so the suite is fully
 deterministic.  `single_edit` and `assert_same_parse` serve the Hypothesis
 tests that hold each pattern parser to its token `Cursor` parser.
 """
@@ -23,6 +24,13 @@ from modix.loader import ResolutionOutcome, Session, Strategy
 from modix.modulemap import ModuleMap
 
 BUILTINS = ("i32", "i64", "f64", "bool")
+
+# The merge rank group of each non-forward kind (struct and enum share one),
+# and one kind to generate per group.
+_RANK_OF = {
+    DeclKind.STRUCT_DEF: 0, DeclKind.ENUM_DEF: 0, DeclKind.ALIAS: 1, DeclKind.FUNC_DECL: 2,
+}
+_RANK_KINDS = (DeclKind.STRUCT_DEF, DeclKind.ALIAS, DeclKind.FUNC_DECL)
 
 
 @dataclass
@@ -82,6 +90,36 @@ def build_random_corpus(rng: random.Random, out_dir: Path) -> BuiltCorpus:
                 )
             decls_per_module[m].append(decl)
             known.append(name)
+
+    # Mixed-kind names: a name declared again in another module as a kind of
+    # a different merge rank (struct or enum, alias, function), at most once
+    # per rank, so ODR merging never conflicts and the top-ranked kind wins.
+    if n > 1:
+        for decls in list(decls_per_module.values()):
+            for decl in list(decls):
+                if rng.random() >= 0.25:
+                    continue
+                holders = [
+                    t for t in range(n)
+                    if any(d.name == decl.name and not d.is_forward for d in decls_per_module[t])
+                ]
+                taken = {
+                    _RANK_OF[d.kind] for t in holders for d in decls_per_module[t]
+                    if d.name == decl.name
+                }
+                kinds = [kind for kind in _RANK_KINDS if _RANK_OF[kind] not in taken]
+                others = [t for t in range(n) if t not in holders]
+                if not kinds or not others:
+                    continue
+                kind = rng.choice(kinds)
+                ref = _random_type(rng, [t for t in type_names if t != decl.name])
+                if kind is DeclKind.STRUCT_DEF:
+                    extra = Decl(decl.name, kind, fields=(StructField("f0", ref),))
+                elif kind is DeclKind.ALIAS:
+                    extra = Decl(decl.name, kind, alias_target=ref)
+                else:
+                    extra = Decl(decl.name, kind, returns=ref)
+                decls_per_module[rng.choice(others)].append(extra)
 
     # Forward declarations of defined struct names, scattered around.
     struct_names = [

@@ -90,6 +90,23 @@ class TestWorkflow:
         for name, data in generated.items():
             assert rebuilt[name] == data, name
 
+    def test_run_reads_the_index_through_the_overlay(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        generate_corpus(CorpusSpec(n_modules=6, defs_per_module=1, fwd_fanout=5, seed=7), corpus_dir)
+        virtual = tmp_path / "not-there"
+        overlay = tmp_path / "overlay.txt"
+        overlay.write_text(f"{virtual} -> {corpus_dir}\n", "utf-8")
+        script = tmp_path / "s.dscript"
+        script.write_text("new S0_0;\n.loaded\n", "utf-8")
+        argv = [
+            "run", "--strategy", "semantic-gmi", "--dir", str(corpus_dir),
+            "--index", str(virtual / "modules.gmi"), str(script),
+        ]
+        assert main(argv + ["--overlay", str(overlay)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["ok", "M0"]
+        assert main(argv) == 2
+        assert "index file not found" in capsys.readouterr().err
+
     def test_compile_derives_imports_from_includes(self, tmp_path):
         map_file = _write_source_tree(tmp_path)
         out = tmp_path / "build"

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from conftest import build_random_corpus
-from modix.bench import open_corpus_session, write_corpus
+from modix.bench import compile_tree, open_corpus_session, write_corpus
 from modix.declang import parse_statement
 from modix.errors import ParseError
+from modix.gmi import LEXICAL_INDEX_FILE_NAME, IndexFlavor, build_index
 from modix.interp import FailReason, eval, format_result, iter_script, repl, run_script
 from modix.loader import LoadStats, Session, Strategy
 
@@ -98,6 +99,57 @@ class TestSizeof:
             for strategy in Strategy
         }
         assert set(values.values()) == {21}
+
+
+def _compile_release(corpus_dir, headers):
+    """Compile one `t.dh` per (module, text) and build the lexical index, but
+    no pch: `build_pch` merges, so it refuses an ODR conflict."""
+    corpus_dir.mkdir()
+    map_file = corpus_dir / "module.modulemap"
+    for name, text in headers:
+        (corpus_dir / name).mkdir()
+        (corpus_dir / name / "t.dh").write_text(text, "utf-8")
+    map_file.write_text(
+        "".join(f'module {name} {{ header "{name}/t.dh" }}\n' for name, _ in headers), "utf-8"
+    )
+    module_map, _ = compile_tree(map_file, corpus_dir)
+    (corpus_dir / LEXICAL_INDEX_FILE_NAME).write_bytes(
+        build_index(module_map, corpus_dir, IndexFlavor.LEXICAL)
+    )
+
+
+class TestOneWinnerRule:
+    """ODR merging, the semantic index and the rootmap rank kinds alike:
+    struct or enum definition > function > alias > forward."""
+
+    @pytest.mark.parametrize(
+        "first, second, expected",
+        [
+            ("using X = i32;", "struct X { a: i64; };", "ok 8"),
+            ("using X = i32;", "fn X() -> i32;", "fail not-sizeable"),
+            ("fn X() -> i32;", "struct X { a: i64; };", "ok 8"),
+        ],
+        ids=["alias-struct", "alias-function", "function-struct"],
+    )
+    def test_mixed_kind_name_agrees_across_strategies(self, tmp_path, first, second, expected):
+        corpus_dir = tmp_path / "mixed"
+        write_corpus(corpus_dir, [("M0", {"t.dh": first + "\n"}), ("M1", {"t.dh": second + "\n"})])
+        results = {
+            strategy: format_result(_eval(_session(corpus_dir, strategy), "sizeof(X);"))
+            for strategy in Strategy
+        }
+        assert results == {strategy: expected for strategy in Strategy}
+
+    @pytest.mark.parametrize(
+        "second", ["struct X { a: i64; };", "enum X { a, b };"], ids=["struct", "enum"]
+    )
+    def test_conflicting_definitions_fail_odr_violation(self, tmp_path, second):
+        corpus_dir = tmp_path / "odr"
+        _compile_release(corpus_dir, [("M0", "struct X { a: i32; };\n"), ("M1", second + "\n")])
+        for strategy in (Strategy.PRELOAD_ALL, Strategy.LEXICAL_GMI):
+            session = _session(corpus_dir, strategy)
+            for text in ("sizeof(X);", "new X;"):
+                assert format_result(_eval(session, text)) == "fail odr-violation", (strategy, text)
 
 
 class TestStatements:

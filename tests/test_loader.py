@@ -492,6 +492,21 @@ class TestLocalShadowing:
         release_payload = release_session.resolve("Thing", Need.DEFINITION).entity.canonical_payload
         assert payloads[Strategy.PRELOAD_ALL] != release_payload
 
+    def test_every_strategy_takes_the_local_redefinition(self, shadowed):
+        # pch and textual answer from the local module directly, without
+        # the merged cache or the rootmap's release header.
+        corpus_dir, local = shadowed
+        signatures = {
+            strategy: outcome_signature(
+                self._open(corpus_dir, local, strategy, index_file_name(INDEX_FLAVORS.get(strategy))),
+                "Thing", Need.DEFINITION,
+            )
+            for strategy in Strategy
+        }
+        assert len(set(signatures.values())) == 1, signatures
+        release = open_corpus_session(corpus_dir, Strategy.PRELOAD_ALL)
+        assert signatures[Strategy.TEXTUAL] != outcome_signature(release, "Thing", Need.DEFINITION)
+
     def test_local_summaries_load_eagerly_for_gmi(self, shadowed):
         corpus_dir, local = shadowed
         session = self._open(corpus_dir, local, Strategy.SEMANTIC_GMI)
