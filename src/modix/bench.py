@@ -28,7 +28,6 @@ from .gmi import IndexFlavor
 from .interp import run_script
 from .loader import INDEX_FLAVORS, ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy
 from .loader import open_session
-from .modfile import DeclFlags
 from .modulemap import FINAL_MAP_NAME, ModuleMap, SearchPaths, load_modulemap, read_text
 
 CSV_COLUMNS = (
@@ -273,13 +272,12 @@ def compile_tree(
 
 def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
     """One `IDENT HEADER` line per identifier, pointing at the header holding
-    its winning declaration (definitions beat forwards, then the earliest
-    module in `compiled`, which callers pass in module map order)."""
+    its winning declaration: the top-ranked kind (`modfile.EntityKind`), then
+    the earliest module in `compiled`, which callers pass in module map order."""
     best: dict[str, tuple[int, int, str]] = {}
     for position, mf in enumerate(compiled):
         for entry in mf.table.values():
-            defined = 0 if entry.flags & DeclFlags.HAS_DEFINITION else 1
-            key = (defined, position)
+            key = (-modfile.RANK[modfile.merges_as(entry.flags)], position)
             current = best.get(entry.name)
             if current is None or key < current[:2]:
                 decl, _ = modfile.deserialize_decl(mf, entry.name)

@@ -4,7 +4,7 @@ Headers (`.dh`) hold struct definitions, struct forward declarations, enums,
 aliases, and function declarations.  `Decl.deps` derives, on demand, which
 referenced names need a definition (field types at pointer depth 0) and which
 a forward declaration satisfies.  Nothing in modix reads it: the semantic
-index keys on `DeclFlags.HAS_DEFINITION`, lookups on `resolution_request`.
+index keys on `modfile.merges_as`, lookups on `resolution_request`.
 
 A compiled pattern parses a well-formed statement in one match, and another
 a well-formed header one item at a time, as `modulemap` does a module map.

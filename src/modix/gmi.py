@@ -1,8 +1,9 @@
 """The global module index: an on-disk identifier-to-modules map.
 
-The lexical flavor records containment only; the semantic flavor also records
-which module defines each identifier, which is what lets a session skip
-loading modules that merely forward-declare a name.
+The lexical flavor records containment only; the semantic flavor also marks
+DEFINES on the modules holding an identifier's top-ranked non-forward kind, the
+one winner rule that ODR merging applies (`modfile.EntityKind`), which is what
+lets a session load one module and skip those that merely forward-declare it.
 
 File layout (little-endian)::
 
@@ -33,7 +34,7 @@ from typing import Sequence
 from ._wire import Reader, Writer, byte_order, decode_flags, known_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
-from .modfile import FILE_EXTENSION, DeclFlags, content_hashes, read_modules
+from .modfile import FILE_EXTENSION, RANK, EntityKind, content_hashes, merges_as, read_modules
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap, Overlay, root_file
 
@@ -59,6 +60,7 @@ class PostingFlags(IntFlag):
 
 
 _POSTING_FLAGS = known_flags(PostingFlags)
+_DEFINES = PostingFlags.MENTIONS | PostingFlags.DEFINES
 
 # One posting: module_id u32, flags u8.
 _POSTING_ROW = struct.Struct("<IB")
@@ -107,20 +109,20 @@ def build_index(
     excluded_set = set(excluded)
     indexed = [name for name in map.names if name not in excluded_set]
     rows: list[IndexedModule] = []
-    postings: dict[str, list[tuple[int, PostingFlags]]] = {}  # in map order
+    postings: dict[str, list[tuple[int, EntityKind]]] = {}  # in map order
     for name, mf in zip(indexed, read_modules(module_dir, indexed)):
         module_id = map.module_id(name)
         rows.append(IndexedModule(module_id, name, mf.content_hash))
         for entry in mf.table.values():
-            flags = PostingFlags.MENTIONS
-            if flavor is IndexFlavor.SEMANTIC and entry.flags & DeclFlags.HAS_DEFINITION:
-                flags |= PostingFlags.DEFINES
-            postings.setdefault(entry.name, []).append((module_id, flags))
+            postings.setdefault(entry.name, []).append((module_id, merges_as(entry.flags)))
 
-    def write_postings(plist: list[tuple[int, PostingFlags]]) -> None:
+    def write_postings(plist: list[tuple[int, EntityKind]]) -> None:
+        top = max((kind for _, kind in plist), key=RANK.get)
+        defines = flavor is IndexFlavor.SEMANTIC and top is not EntityKind.FORWARD
         w.u32(len(plist))
-        for module_id, flags in plist:
-            w.raw(_POSTING_ROW.pack(module_id, int(flags)))
+        for module_id, kind in plist:
+            flags = _DEFINES if defines and kind is top else PostingFlags.MENTIONS
+            w.raw(_POSTING_ROW.pack(module_id, flags))
 
     w = Writer()
     w.raw(MAGIC)
@@ -190,8 +192,9 @@ def lookup(index: GlobalIndex, identifier: str) -> list[tuple[str, PostingFlags]
 
 
 def lookup_definition(index: GlobalIndex, identifier: str) -> str | None:
-    """The module defining the identifier (lowest id among byte-identical
-    duplicates), or None when only forward declarations are indexed."""
+    """The module defining the identifier: the lowest id among the modules
+    holding its top-ranked kind, or None when only forward declarations are
+    indexed."""
     if index.flavor is not IndexFlavor.SEMANTIC:
         raise WrongFlavor("lookup_definition requires a semantic index")
     for p in index.entry(identifier):

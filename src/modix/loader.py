@@ -46,6 +46,7 @@ immutable corpus may run concurrently.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path, PurePath
@@ -250,7 +251,7 @@ class Session:
     def _start_index(self, index_path: str | Path | None, allow_stale: bool) -> None:
         if index_path is None:
             raise MissingIndex("a global index path is required for this strategy")
-        real = Path(self._apply_overlay(str(index_path)))
+        real = Path(root_file(*os.path.split(index_path), self.overlay))
         if not real.is_file():
             raise MissingIndex(f"index file not found: {index_path}")
         data = real.read_bytes()
@@ -289,9 +290,6 @@ class Session:
                 self._direct.append(name)
 
     # -- cost accounting --
-
-    def _apply_overlay(self, path: str) -> str:
-        return self.overlay.apply(path) if self.overlay is not None else path
 
     def _charge_read(self, nbytes: int) -> None:
         """Count bytes read into resident memory; ticks round up per read."""
@@ -421,7 +419,7 @@ class Session:
         for rel, (text, ast) in parsed.items():
             self._parsed_headers.add(rel)
             self._charge_read(len(text.encode("utf-8")))
-            self._merge_order[rel] = 2**33 + len(self._parsed_headers)
+            self._merge_order[rel] = len(self._merge_order)
             for decl in ast.items:
                 candidate = (decl, rel, modfile.encode_payload(decl))
                 self._resident.setdefault(decl.name, []).append(candidate)

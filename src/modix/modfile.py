@@ -30,9 +30,9 @@ import struct
 from dataclasses import dataclass
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._wire import Reader, Writer, decode_flags, digest64, known_flags
+from ._wire import Reader, Writer, decode_flags, digest64
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
 from .errors import (
@@ -60,7 +60,9 @@ _ZERO_HASH = bytes(_HASH_FIELD.stop - _HASH_FIELD.start)
 
 class DeclFlags(IntFlag):
     """Per-identifier flags.  HAS_DEFINITION marks any non-forward
-    declaration; IS_ALIAS / IS_FUNCTION qualify its nature."""
+    declaration; IS_ALIAS / IS_FUNCTION qualify its nature.  A module holds at
+    most one non-forward kind per name, so its flags name the `EntityKind` its
+    blob merges as (`merges_as`), whether or not HAS_FORWARD is beside it."""
 
     HAS_DEFINITION = 1
     HAS_FORWARD = 2
@@ -68,51 +70,47 @@ class DeclFlags(IntFlag):
     IS_FUNCTION = 8
 
 
-_DECL_FLAGS = known_flags(DeclFlags)
-
 # One identifier-table row after its name: flags u8, blob_offset u64, blob_len u32.
 _ENTRY_ROW = struct.Struct("<BQI")
 
-_KIND_TAGS = {
-    DeclKind.STRUCT_DEF: 1,
-    DeclKind.STRUCT_FWD: 2,
-    DeclKind.ENUM_DEF: 3,
-    DeclKind.ALIAS: 4,
-    DeclKind.FUNC_DECL: 5,
-}
-_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
-
-_KIND_FLAGS = {
-    DeclKind.STRUCT_DEF: DeclFlags.HAS_DEFINITION,
-    DeclKind.ENUM_DEF: DeclFlags.HAS_DEFINITION,
-    DeclKind.ALIAS: DeclFlags.HAS_DEFINITION | DeclFlags.IS_ALIAS,
-    DeclKind.FUNC_DECL: DeclFlags.HAS_DEFINITION | DeclFlags.IS_FUNCTION,
-    DeclKind.STRUCT_FWD: DeclFlags.HAS_FORWARD,
-}
-
-# Rank used by ODR merging: real definitions, then functions, aliases, forwards.
-_KIND_RANK = {
-    DeclKind.STRUCT_DEF: 3,
-    DeclKind.ENUM_DEF: 3,
-    DeclKind.FUNC_DECL: 2,
-    DeclKind.ALIAS: 1,
-    DeclKind.STRUCT_FWD: 0,
-}
-
 
 class EntityKind(Enum):
-    DEFINITION = "definition"
+    """What a merged name is; members are declared in ascending rank.  That
+    order is the one winner rule: ODR merging, the semantic index's DEFINES
+    postings and the rootmap all take a name's top-ranked kind, then the
+    lowest module id among its declarations of that kind."""
+
     FORWARD = "forward"
     ALIAS = "alias"
     FUNCTION = "function"
+    DEFINITION = "definition"
 
 
-_RANK_ENTITY_KIND = {
-    3: EntityKind.DEFINITION,
-    2: EntityKind.FUNCTION,
-    1: EntityKind.ALIAS,
-    0: EntityKind.FORWARD,
+# A kind's merge rank: its position in `EntityKind`.
+RANK = {kind: rank for rank, kind in enumerate(EntityKind)}
+
+
+# Every per-kind fact: a blob's first byte, its identifier-table flags and
+# the kind it merges as.
+_KindFacts = NamedTuple("_KindFacts", [("tag", int), ("flags", DeclFlags), ("entity", EntityKind)])
+_KINDS = {
+    DeclKind.STRUCT_DEF: _KindFacts(1, DeclFlags.HAS_DEFINITION, EntityKind.DEFINITION),
+    DeclKind.STRUCT_FWD: _KindFacts(2, DeclFlags.HAS_FORWARD, EntityKind.FORWARD),
+    DeclKind.ENUM_DEF: _KindFacts(3, DeclFlags.HAS_DEFINITION, EntityKind.DEFINITION),
+    DeclKind.ALIAS: _KindFacts(4, DeclFlags.HAS_DEFINITION | DeclFlags.IS_ALIAS, EntityKind.ALIAS),
+    DeclKind.FUNC_DECL: _KindFacts(
+        5, DeclFlags.HAS_DEFINITION | DeclFlags.IS_FUNCTION, EntityKind.FUNCTION
+    ),
 }
+_TAG_KINDS = {facts.tag: kind for kind, facts in _KINDS.items()}
+# Every flags byte a module's table can hold (a kind's flags, alone or beside
+# a forward declaration) to the kind it merges as; loads reject other bytes.
+_FLAGS_ENTITY = {
+    facts.flags | forward: facts.entity
+    for facts in _KINDS.values() for forward in (0, DeclFlags.HAS_FORWARD)
+}
+_DECL_FLAGS = {int(flags): flags for flags in _FLAGS_ENTITY}
+merges_as = _FLAGS_ENTITY.__getitem__
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def encode_payload(decl: Decl) -> bytes:
     """Canonical payload bytes: kind tag, name, then the payload fields.
     Origin is deliberately not part of this; ODR compares these bytes."""
     w = Writer()
-    w.u8(_KIND_TAGS[decl.kind])
+    w.u8(_KINDS[decl.kind].tag)
     w.lpstr(decl.name)
     if decl.kind is DeclKind.STRUCT_DEF:
         w.u32(len(decl.fields))
@@ -317,8 +315,7 @@ def compile_module(
     winner_payload: dict[str, bytes] = {}
     for header in headers:
         for decl in header.items:
-            f = _KIND_FLAGS[decl.kind]
-            flags[decl.name] = flags.get(decl.name, DeclFlags(0)) | f
+            flags[decl.name] = flags.get(decl.name, DeclFlags(0)) | _KINDS[decl.kind].flags
             current = winner.get(decl.name)
             if decl.is_forward:
                 if current is None:
@@ -407,11 +404,11 @@ def merge_entities(
 ) -> Entity:
     """Collapse same-name declarations from several modules into one entity.
 
-    Within each declaration kind the given payload bytes must agree; across kinds
-    the highest rank wins (definition > function > alias > forward).  Among
-    equal winners the lowest module id (falling back to module name) supplies
-    the canonical payload, which also makes the result independent of input
-    order.
+    Candidates group by the `EntityKind` they merge as, and within a group
+    the given payload bytes must agree; the top-ranked group wins (see
+    `EntityKind`).  Among its members the lowest module id (falling back to
+    module name) supplies the canonical payload, which also makes the result
+    independent of input order.
     """
     if not decls:
         raise ValueError("merge_entities requires at least one declaration")
@@ -425,21 +422,21 @@ def merge_entities(
             return (module_order[module], module)
         return (2**32, module)
 
-    by_rank: dict[int, list[Candidate]] = {}
+    by_kind: dict[EntityKind, list[Candidate]] = {}
     for candidate in decls:
-        by_rank.setdefault(_KIND_RANK[candidate[0].kind], []).append(candidate)
-    for group in by_rank.values():
+        by_kind.setdefault(_KINDS[candidate[0].kind].entity, []).append(candidate)
+    for group in by_kind.values():
         group.sort(key=lambda item: order_key(item[1]))
         first_payload = group[0][2]
         for _, module, payload in group[1:]:
             if payload != first_payload:
                 raise OdrViolation(name, group[0][1], module)
 
-    top = max(by_rank)
-    winner_decl, winner_module, winner_payload = by_rank[top][0]
+    top = max(by_kind, key=RANK.get)
+    winner_decl, winner_module, winner_payload = by_kind[top][0]
     return Entity(
         name=name,
-        kind=_RANK_ENTITY_KIND[top],
+        kind=top,
         canonical_payload=winner_payload,
         defining_module=winner_module,
         contributing_modules=frozenset(module for _, module, _ in decls),
@@ -463,5 +460,5 @@ def build_pch(modules: Sequence[ModuleFile]) -> bytes:
     rows = []
     for name, candidates in gathered.items():
         entity = merge_entities(candidates, order)
-        rows.append((name, _KIND_FLAGS[entity.decl.kind], entity.decl))
+        rows.append((name, _KINDS[entity.decl.kind].flags, entity.decl))
     return _emit(PCH_MODULE_NAME, (), rows)

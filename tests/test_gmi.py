@@ -19,7 +19,8 @@ from modix.gmi import (
     lookup_definition,
     validate_index,
 )
-from modix.modfile import DeclFlags, compile_module, read_module_summary
+from modix.modfile import DeclFlags, EntityKind, compile_module, deserialize_decl, merge_entities
+from modix.modfile import read_module_summary
 from modix.modulemap import ModuleDef, concat_modulemaps
 
 
@@ -224,7 +225,10 @@ class TestFormat:
 
 
 def assert_index_consistent(index, directory, module_map):
-    """Completeness, soundness, and the definition-flag invariant."""
+    """Completeness, soundness, and the definition-flag invariant: in a
+    semantic index, DEFINES marks exactly the postings whose declaration
+    ODR merging of all the postings would pick (any of the top-ranked kind),
+    and none when that is a forward declaration."""
     excluded = set(index.excluded)
     tables = {}
     for name in module_map.names:
@@ -245,6 +249,17 @@ def assert_index_consistent(index, directory, module_map):
             assert table_entry is not None, f"posting for absent {identifier}"
             if posting.flags & PostingFlags.DEFINES:
                 assert table_entry.flags & DeclFlags.HAS_DEFINITION
+        if index.flavor is not IndexFlavor.SEMANTIC:
+            continue
+        candidates = [
+            (decl, p.module, payload)
+            for p in postings
+            for decl, payload in [deserialize_decl(tables[p.module], identifier)]
+        ]
+        entity = merge_entities(candidates, {name: i for i, name in enumerate(module_map.names)})
+        winners = [m for _, m, payload in candidates if payload == entity.canonical_payload]
+        defining = [p.module for p in postings if p.flags & PostingFlags.DEFINES]
+        assert defining == ([] if entity.kind is EntityKind.FORWARD else winners), identifier
 
 
 class TestInvariants:

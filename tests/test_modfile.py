@@ -143,6 +143,15 @@ class TestFormatErrors:
         with pytest.raises(CorruptTable):
             read_module_summary(data)
 
+    def test_flags_that_name_no_kind_rejected(self):
+        # Known bits only, but no declaration kind has them: no flags, a bare
+        # IS_ALIAS, alias and function at once, a forward beside IS_FUNCTION.
+        (decl,) = _header("struct A;").items
+        for flags in (0x00, 0x04, 0x0D, 0x0A):
+            data = modfile._emit("A", (), [("A", DeclFlags(flags), decl)])
+            with pytest.raises(CorruptTable):
+                read_module_summary(data)
+
     def test_every_single_bit_flip_is_rejected(self):
         data = _module("M", "struct A { x: i32; p: ptr<B>; };", "struct B;\nenum E { a };",
                        imports=("N",))
