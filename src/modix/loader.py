@@ -46,7 +46,6 @@ immutable corpus may run concurrently.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path, PurePath
@@ -191,7 +190,7 @@ class Session:
         self.paths = paths
         self.strategy = strategy
         self.cost = cost if cost is not None else CostModel()
-        self.overlay = overlay
+        self.overlay = overlay if overlay is not None else Overlay()
 
         self._loaded: dict[str, ModuleFile] = {}
         # The same order as `_loaded`'s keys.  It is append-only, so a mark
@@ -251,7 +250,7 @@ class Session:
     def _start_index(self, index_path: str | Path | None, allow_stale: bool) -> None:
         if index_path is None:
             raise MissingIndex("a global index path is required for this strategy")
-        real = Path(root_file(*os.path.split(index_path), self.overlay))
+        real = Path(self.overlay.apply(str(index_path)))
         if not real.is_file():
             raise MissingIndex(f"index file not found: {index_path}")
         data = real.read_bytes()
@@ -446,21 +445,25 @@ class Session:
 
     def _resolve_semantic(self, identifier: str) -> Entity | _Marker:
         hits = self._direct_hits(identifier)
-        defining_hits = [
-            name
+        candidates = [
+            self._deserialize(name, identifier)
             for name in hits
             if self._loaded[name].find(identifier).flags & DeclFlags.HAS_DEFINITION
         ]
         postings = self._visible_postings(identifier)
-        def_posting = next(
-            (p for p in postings if p.flags & PostingFlags.DEFINES), None
-        )
-        candidates = [self._deserialize(n, identifier) for n in defining_hits]
-        if def_posting is not None:
-            posted = self._load_posted(def_posting.module, identifier)
-            if not posted:
-                postings.remove(def_posting)
-            candidates += posted
+        first = next((p for p in postings if p.flags & PostingFlags.DEFINES), None)
+        posted = [] if first is None else self._load_posted(first.module, identifier)
+        if all(decl.is_forward for decl, _, _ in posted) and any(
+            p.flags & PostingFlags.DEFINES for p in self._index.entry(identifier)
+        ):
+            # The top-ranked kind is out of reach (a local checkout shadows
+            # it, or allow_stale let its module be rebuilt without it), but a
+            # lower-ranked one may win: load every posting as lexical-gmi does.
+            for p in postings:
+                if p is not first:
+                    posted += self._load_posted(p.module, identifier)
+            postings = []
+        candidates += posted
         if candidates:
             return self._merge(candidates)
         # Forward declarations alone never force a load; the equivalence

@@ -21,16 +21,10 @@ from modix.bench import write_corpus
 from modix.declang import KEYWORDS, Decl, DeclKind, Need, StructField, TypeRef, render_decl
 from modix.errors import ModixError
 from modix.loader import ResolutionOutcome, Session, Strategy
+from modix.modfile import _KINDS
 from modix.modulemap import ModuleMap
 
 BUILTINS = ("i32", "i64", "f64", "bool")
-
-# The merge rank group of each non-forward kind (struct and enum share one),
-# and one kind to generate per group.
-_RANK_OF = {
-    DeclKind.STRUCT_DEF: 0, DeclKind.ENUM_DEF: 0, DeclKind.ALIAS: 1, DeclKind.FUNC_DECL: 2,
-}
-_RANK_KINDS = (DeclKind.STRUCT_DEF, DeclKind.ALIAS, DeclKind.FUNC_DECL)
 
 
 @dataclass
@@ -104,10 +98,13 @@ def build_random_corpus(rng: random.Random, out_dir: Path) -> BuiltCorpus:
                     if any(d.name == decl.name and not d.is_forward for d in decls_per_module[t])
                 ]
                 taken = {
-                    _RANK_OF[d.kind] for t in holders for d in decls_per_module[t]
+                    _KINDS[d.kind].entity for t in holders for d in decls_per_module[t]
                     if d.name == decl.name
                 }
-                kinds = [kind for kind in _RANK_KINDS if _RANK_OF[kind] not in taken]
+                kinds = [
+                    kind for kind in (DeclKind.STRUCT_DEF, DeclKind.ALIAS, DeclKind.FUNC_DECL)
+                    if _KINDS[kind].entity not in taken
+                ]
                 others = [t for t in range(n) if t not in holders]
                 if not kinds or not others:
                     continue

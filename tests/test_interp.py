@@ -7,11 +7,12 @@ import pytest
 
 from conftest import build_random_corpus
 from modix.bench import compile_tree, open_corpus_session, write_corpus
-from modix.declang import parse_statement
+from modix.declang import parse_header, parse_statement
 from modix.errors import ParseError
 from modix.gmi import LEXICAL_INDEX_FILE_NAME, IndexFlavor, build_index
 from modix.interp import FailReason, eval, format_result, iter_script, repl, run_script
 from modix.loader import LoadStats, Session, Strategy
+from modix.modfile import compile_module
 
 
 @pytest.fixture
@@ -139,6 +140,32 @@ class TestOneWinnerRule:
             for strategy in Strategy
         }
         assert results == {strategy: expected for strategy in Strategy}
+
+    @pytest.mark.parametrize(
+        "where, rebuilt",
+        [("local", "struct X;"), ("stale", "struct X;"), ("stale", "struct Y { b: i32; };")],
+        ids=["local-forward", "stale-forward", "stale-without"],
+    )
+    def test_lower_ranked_kind_wins_once_the_top_one_is_out_of_reach(self, tmp_path, where, rebuilt):
+        # The index marks DEFINES on M1's struct only.  A local checkout of
+        # M1, or a release M1 rebuilt after indexing, no longer defines X, so
+        # M0's alias wins, as preload-all reads the modules.
+        corpus_dir = tmp_path / "release"
+        write_corpus(
+            corpus_dir, [("M0", {"t.dh": "using X = i32;\n"}), ("M1", {"t.dh": "struct X { a: i64; };\n"})]
+        )
+        target = tmp_path / "local" if where == "local" else corpus_dir
+        target.mkdir(exist_ok=True)
+        (target / "M1.pcm").write_bytes(compile_module("M1", [parse_header(rebuilt + "\n", "t.dh")]))
+        local_roots = [str(target)] if where == "local" else []
+        results = {
+            strategy: format_result(_eval(
+                open_corpus_session(corpus_dir, strategy, local_roots=local_roots, allow_stale=True),
+                "sizeof(X);",
+            ))
+            for strategy in (Strategy.PRELOAD_ALL, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI)
+        }
+        assert set(results.values()) == {"ok 4"}, results
 
     @pytest.mark.parametrize(
         "second", ["struct X { a: i64; };", "enum X { a, b };"], ids=["struct", "enum"]
