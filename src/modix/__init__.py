@@ -57,7 +57,6 @@ from .modfile import (
 from .modulemap import (
     ModuleDef,
     ModuleMap,
-    Origin,
     Overlay,
     SearchPaths,
     concat_modulemaps,

@@ -39,18 +39,9 @@ def byte_order(keys: Iterable[str]) -> list[str]:
     return sorted(keys)
 
 
-def known_flags(flag_type: type[T]) -> dict[int, T]:
-    """Every flags byte that sets only known bits of `flag_type`, decoded
-    once; `decode_flags` rejects any other byte."""
-    known = 0
-    for flag in flag_type:
-        known |= int(flag)
-    return {v: flag_type(v) for v in range(256) if not v & ~known}
-
-
 def decode_flags(known: Mapping[int, T], value: int) -> T:
-    """A flags byte through its `known_flags` table; unknown bits raise
-    CorruptTable."""
+    """A flags byte through its table of the bytes a format writes; any
+    other byte raises CorruptTable."""
     flag = known.get(value)
     if flag is None:
         raise CorruptTable(f"unknown flag bits in {value:#04x}")

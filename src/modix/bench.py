@@ -277,7 +277,7 @@ def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
     best: dict[str, tuple[int, int, str]] = {}
     for position, mf in enumerate(compiled):
         for entry in mf.table.values():
-            key = (-modfile.RANK[modfile.merges_as(entry.flags)], position)
+            key = (-modfile.merges_as(entry.flags), position)
             current = best.get(entry.name)
             if current is None or key < current[:2]:
                 decl, _ = modfile.deserialize_decl(mf, entry.name)

@@ -73,11 +73,6 @@ def _load_overlay(path: str | None) -> Overlay | None:
     return parse_overlay(read_text(path))
 
 
-def _default_index(corpus_dir: Path, flavor: IndexFlavor) -> Path:
-    candidate = corpus_dir / gmi_mod.index_file_name(flavor)
-    return candidate if candidate.is_file() else corpus_dir / gmi_mod.INDEX_FILE_NAME
-
-
 def _cmd_compile(args: argparse.Namespace) -> int:
     module_map, _ = bench_mod.compile_tree(args.modulemap, args.out)
     print(f"compiled {len(module_map.defs)} modules into {Path(args.out)}")
@@ -129,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     index_path = None
     flavor = INDEX_FLAVORS.get(strategy)
     if flavor is not None:
-        index_path = Path(args.index) if args.index else _default_index(corpus, flavor)
+        index_path = args.index or corpus / gmi_mod.index_file_name(flavor)
     session = open_session(
         module_map,
         paths,

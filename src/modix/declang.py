@@ -1,10 +1,7 @@
 """The miniature declaration language and the interpreter statement language.
 
 Headers (`.dh`) hold struct definitions, struct forward declarations, enums,
-aliases, and function declarations.  `Decl.deps` derives, on demand, which
-referenced names need a definition (field types at pointer depth 0) and which
-a forward declaration satisfies.  Nothing in modix reads it: the semantic
-index keys on `modfile.merges_as`, lookups on `resolution_request`.
+aliases, and function declarations.
 
 A compiled pattern parses a well-formed statement in one match, and another
 a well-formed header one item at a time, as `modulemap` does a module map.
@@ -143,15 +140,8 @@ class StructField:
 
 
 @dataclass(frozen=True)
-class Dep:
-    name: str
-    need: Need
-
-
-@dataclass(frozen=True)
 class Decl:
-    """One parsed declaration.  Its dependency edges are not stored: `deps`
-    derives them from the fields whenever it is read."""
+    """One parsed declaration."""
 
     name: str
     kind: DeclKind
@@ -166,49 +156,12 @@ class Decl:
     def is_forward(self) -> bool:
         return self.kind is DeclKind.STRUCT_FWD
 
-    @property
-    def deps(self) -> tuple[Dep, ...]:
-        return compute_deps(self.kind, self.fields, self.alias_target, self.params, self.returns)
-
 
 @dataclass(frozen=True)
 class HeaderAST:
     path: str
     items: tuple[Decl, ...]
     includes: tuple[str, ...]
-
-
-def compute_deps(
-    kind: DeclKind,
-    fields: tuple[StructField, ...] = (),
-    alias_target: TypeRef | None = None,
-    params: tuple[TypeRef, ...] = (),
-    returns: TypeRef | None = None,
-) -> tuple[Dep, ...]:
-    """Classify referenced names; a definition-need occurrence wins over
-    forward-only ones for the same name."""
-    if kind is DeclKind.ENUM_DEF or kind is DeclKind.STRUCT_FWD:
-        return ()
-    needs: dict[str, Need] = {}
-
-    def visit(ref: TypeRef | None, need: Need) -> None:
-        if ref is None or ref.is_builtin:
-            return
-        prior = needs.get(ref.base)
-        if prior is None or (prior is Need.FORWARD_OK and need is Need.DEFINITION):
-            needs[ref.base] = need
-
-    if kind is DeclKind.STRUCT_DEF:
-        for f in fields:
-            need = Need.DEFINITION if f.type.indirection == 0 else Need.FORWARD_OK
-            visit(f.type, need)
-    elif kind is DeclKind.ALIAS:
-        visit(alias_target, Need.FORWARD_OK)
-    elif kind is DeclKind.FUNC_DECL:
-        for p in params:
-            visit(p, Need.FORWARD_OK)
-        visit(returns, Need.FORWARD_OK)
-    return tuple(Dep(name, need) for name, need in needs.items())
 
 
 # --- parsing ---

@@ -31,10 +31,10 @@ from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Sequence
 
-from ._wire import Reader, Writer, byte_order, decode_flags, known_flags
+from ._wire import Reader, Writer, byte_order, decode_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
-from .modfile import FILE_EXTENSION, RANK, EntityKind, content_hashes, merges_as, read_modules
+from .modfile import FILE_EXTENSION, EntityKind, content_hashes, merges_as, read_modules
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap, Overlay, root_file
 
@@ -59,8 +59,9 @@ class PostingFlags(IntFlag):
     DEFINES = 2
 
 
-_POSTING_FLAGS = known_flags(PostingFlags)
 _DEFINES = PostingFlags.MENTIONS | PostingFlags.DEFINES
+# Every flags byte that `build_index` writes; loads reject any other byte.
+_POSTING_FLAGS = {int(flags): flags for flags in (PostingFlags.MENTIONS, _DEFINES)}
 
 # One posting: module_id u32, flags u8.
 _POSTING_ROW = struct.Struct("<IB")
@@ -87,7 +88,6 @@ class GlobalIndex:
     modules: tuple[IndexedModule, ...]
     postings: dict[str, tuple[Posting, ...]]
     excluded: tuple[str, ...]
-    file_size: int
 
     def entry(self, identifier: str) -> tuple[Posting, ...]:
         return self.postings.get(identifier, ())
@@ -117,7 +117,7 @@ def build_index(
             postings.setdefault(entry.name, []).append((module_id, merges_as(entry.flags)))
 
     def write_postings(plist: list[tuple[int, EntityKind]]) -> None:
-        top = max((kind for _, kind in plist), key=RANK.get)
+        top = max(kind for _, kind in plist)
         defines = flavor is IndexFlavor.SEMANTIC and top is not EntityKind.FORWARD
         w.u32(len(plist))
         for module_id, kind in plist:
@@ -183,7 +183,7 @@ def load_index(data: bytes) -> GlobalIndex:
     postings = r.table(read_postings)
     if not r.at_end():
         raise CorruptTable("trailing bytes after index entries")
-    return GlobalIndex(flavor, modules, postings, excluded, len(data))
+    return GlobalIndex(flavor, modules, postings, excluded)
 
 
 def lookup(index: GlobalIndex, identifier: str) -> list[tuple[str, PostingFlags]]:

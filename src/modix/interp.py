@@ -163,8 +163,10 @@ def format_result(result: EvalResult) -> str:
     return "ok"
 
 
-def repl(session: Session, stdin: TextIO = sys.stdin, stdout: TextIO = sys.stdout) -> None:
-    """Interactive loop; `.quit` or end of input leaves it."""
+def repl(session: Session, stdin: TextIO | None = None, stdout: TextIO | None = None) -> None:
+    """Interactive loop; `.quit` or end of input leaves it.  The streams
+    default to `sys.stdin` and `sys.stdout` as they are when it is called."""
+    stdin, stdout = stdin or sys.stdin, stdout or sys.stdout
     while True:
         stdout.write(PROMPT)
         stdout.flush()

@@ -158,14 +158,16 @@ class ResolutionOutcome(Enum):
 
 @dataclass(frozen=True)
 class Resolution:
-    identifier: str
-    need: Need
     outcome: ResolutionOutcome
     entity: Entity | None = None
 
     @property
     def succeeded(self) -> bool:
         return self.outcome is not ResolutionOutcome.NOT_FOUND
+
+
+_NOT_FOUND = Resolution(ResolutionOutcome.NOT_FOUND)
+_IMPLICIT_FORWARD = Resolution(ResolutionOutcome.IMPLICIT_FORWARD)
 
 
 class _Marker(Enum):
@@ -307,7 +309,7 @@ class Session:
             return
         self._loading.add(name)
         try:
-            path, _ = resolve_module_path(self.paths, name, self.overlay)
+            path = resolve_module_path(self.paths, name, self.overlay)
             with reading(path):
                 mf = modfile.read_module_summary(Path(path).read_bytes())
             for imp in mf.imports:
@@ -351,22 +353,18 @@ class Session:
         if cached is None:
             _, resolve_uncached = self._STRATEGIES[self.strategy]
             cached = self._cache[identifier] = resolve_uncached(self, identifier)
-        return self._to_resolution(identifier, need, cached)
+        return self._to_resolution(need, cached)
 
-    def _to_resolution(
-        self, identifier: str, need: Need, cached: Entity | _Marker
-    ) -> Resolution:
+    def _to_resolution(self, need: Need, cached: Entity | _Marker) -> Resolution:
         if cached is _Marker.ABSENT:
-            return Resolution(identifier, need, ResolutionOutcome.NOT_FOUND)
+            return _NOT_FOUND
         if cached is _Marker.FORWARD_ONLY:
-            if need is Need.FORWARD_OK:
-                return Resolution(identifier, need, ResolutionOutcome.IMPLICIT_FORWARD)
-            return Resolution(identifier, need, ResolutionOutcome.NOT_FOUND)
+            return _IMPLICIT_FORWARD if need is Need.FORWARD_OK else _NOT_FOUND
         entity = cached
         if need is Need.DEFINITION and entity.kind is modfile.EntityKind.FORWARD:
-            return Resolution(identifier, need, ResolutionOutcome.NOT_FOUND)
+            return _NOT_FOUND
         self._unredeemed.discard(entity.defining_module)
-        return Resolution(identifier, need, ResolutionOutcome.RESOLVED, entity)
+        return Resolution(ResolutionOutcome.RESOLVED, entity)
 
     def _direct_hits(self, identifier: str) -> list[str]:
         return [name for name in self._direct if self._loaded[name].find(identifier)]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from enum import Enum, IntFlag
+from enum import IntEnum, IntFlag
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -74,20 +74,16 @@ class DeclFlags(IntFlag):
 _ENTRY_ROW = struct.Struct("<BQI")
 
 
-class EntityKind(Enum):
-    """What a merged name is; members are declared in ascending rank.  That
-    order is the one winner rule: ODR merging, the semantic index's DEFINES
+class EntityKind(IntEnum):
+    """What a merged name is; a member's value is its merge rank.  That order
+    is the one winner rule: ODR merging, the semantic index's DEFINES
     postings and the rootmap all take a name's top-ranked kind, then the
     lowest module id among its declarations of that kind."""
 
-    FORWARD = "forward"
-    ALIAS = "alias"
-    FUNCTION = "function"
-    DEFINITION = "definition"
-
-
-# A kind's merge rank: its position in `EntityKind`.
-RANK = {kind: rank for rank, kind in enumerate(EntityKind)}
+    FORWARD = 0
+    ALIAS = 1
+    FUNCTION = 2
+    DEFINITION = 3
 
 
 # Every per-kind fact: a blob's first byte, its identifier-table flags and
@@ -150,7 +146,6 @@ class Entity:
     kind: EntityKind
     canonical_payload: bytes
     defining_module: str | None
-    contributing_modules: frozenset[str]
     decl: Decl
 
 
@@ -432,14 +427,13 @@ def merge_entities(
             if payload != first_payload:
                 raise OdrViolation(name, group[0][1], module)
 
-    top = max(by_kind, key=RANK.get)
+    top = max(by_kind)
     winner_decl, winner_module, winner_payload = by_kind[top][0]
     return Entity(
         name=name,
         kind=top,
         canonical_payload=winner_payload,
         defining_module=winner_module,
-        contributing_modules=frozenset(module for _, module, _ in decls),
         decl=winner_decl,
     )
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -48,7 +47,6 @@ def read_text(path: str | Path) -> str:
 class ModuleDef:
     name: str
     headers: tuple[str, ...]
-    source_map_file: str
 
 
 @dataclass(frozen=True)
@@ -59,9 +57,6 @@ class ModuleMap:
 
     def module_id(self, name: str) -> int:
         return self._ids[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
 
     @cached_property
     def _ids(self) -> dict[str, int]:
@@ -82,25 +77,25 @@ _MODULE = re.compile(
 )
 
 
-def parse_modulemap(text: str, source_file: str = "<text>") -> list[ModuleDef]:
+def parse_modulemap(text: str) -> list[ModuleDef]:
     """Parse one module map file; `//` comments allowed.  By pattern when
     well-formed, else (and for every error) with the token `Cursor`."""
-    return _match_modulemap(text, source_file) or _parse_modulemap_tokens(text, source_file)
+    return _match_modulemap(text) or _parse_modulemap_tokens(text)
 
 
-def _match_modulemap(text: str, source_file: str) -> list[ModuleDef] | None:
+def _match_modulemap(text: str) -> list[ModuleDef] | None:
     """The modules `_MODULE` matches back to back, or None for the Cursor."""
     defs, pos = [], 0
     while m := _MODULE.match(text, pos):
         headers = tuple(m["body"].split('"')[1::2])  # paths hold no quote
         if len(set(headers)) != len(headers):
             return None
-        defs.append(ModuleDef(m["name"], headers, source_file))
+        defs.append(ModuleDef(m["name"], headers))
         pos = m.end()
     return None if text[pos:].strip(" \t\r\n") else defs
 
 
-def _parse_modulemap_tokens(text: str, source_file: str) -> list[ModuleDef]:
+def _parse_modulemap_tokens(text: str) -> list[ModuleDef]:
     cur = Cursor(tokenize(text))
     defs: list[ModuleDef] = []
     while not cur.at_end():
@@ -118,7 +113,7 @@ def _parse_modulemap_tokens(text: str, source_file: str) -> list[ModuleDef]:
             headers.append(path_tok.text)
         if not headers:
             raise EmptyModule(name_tok.text)
-        defs.append(ModuleDef(name_tok.text, tuple(headers), source_file))
+        defs.append(ModuleDef(name_tok.text, tuple(headers)))
     return defs
 
 
@@ -136,14 +131,14 @@ def concat_modulemaps(maps: Sequence[tuple[str, Sequence[ModuleDef]]]) -> Module
                 if h in seen_headers:
                     raise HeaderClaimedTwice(h, seen_headers[h], d.name)
                 seen_headers[h] = d.name
-            defs.append(ModuleDef(d.name, d.headers, source_file))
+            defs.append(d)
     return ModuleMap(tuple(defs))
 
 
 def load_modulemap(path: str | Path) -> ModuleMap:
     """Read and concatenate a single (already final) module map file."""
     path = Path(path)
-    return concat_modulemaps([(str(path), parse_modulemap(read_text(path), str(path)))])
+    return concat_modulemaps([(str(path), parse_modulemap(read_text(path)))])
 
 
 # --- overlays ---
@@ -193,11 +188,6 @@ def parse_overlay(text: str) -> Overlay:
 # --- search paths ---
 
 
-class Origin(Enum):
-    LOCAL = "local"
-    RELEASE = "release"
-
-
 @dataclass(frozen=True)
 class SearchPaths:
     """Local checkout roots (in precedence order) ahead of the release root."""
@@ -234,12 +224,11 @@ def find_local_module(
 
 def resolve_module_path(
     paths: SearchPaths, module_name: str, overlay: Overlay | None = None
-) -> tuple[str, Origin]:
+) -> str:
     """`find_local_module`'s answer, else `<release_root>/<module_name>.pcm`."""
-    found = find_local_module(paths, module_name, overlay)
-    if found is not None:
-        return found, Origin.LOCAL
-    found = _module_file(paths.release_root, module_name, overlay)
-    if found is not None:
-        return found, Origin.RELEASE
-    raise ModuleNotFound(module_name)
+    found = find_local_module(paths, module_name, overlay) or _module_file(
+        paths.release_root, module_name, overlay
+    )
+    if found is None:
+        raise ModuleNotFound(module_name)
+    return found

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from conftest import build_random_corpus
 from modix.bench import CorpusSpec, generate_corpus
 from modix.cli import main
+from modix.interp import PROMPT
 
 ARTIFACT_SUFFIXES = (".pcm", ".gmi", ".rootmap")
 
@@ -172,6 +174,16 @@ class TestWorkflow:
         assert capsys.readouterr().out.strip() == "ok 24"
 
 
+    def test_run_without_a_script_starts_the_repl(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        monkeypatch.setattr("sys.stdin", io.StringIO("new S0_0;\n.quit\n"))
+        assert main(["run", "--strategy", "pch", "--dir", str(corpus)]) == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert out == f"{PROMPT}ok\n{PROMPT}"
+
+
 class TestBenchCommand:
     def test_bench_csv(self, tmp_path, capsys):
         spec = tmp_path / "tiny.spec"
@@ -265,6 +277,50 @@ class TestExitCodes:
         assert err.startswith(f"modix: error: {spec}: ")
         assert err.count("\n") == 1
         assert err == f"modix: error: {spec}: {message}\n"
+
+    def test_non_integer_cost_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=1, seed=1), corpus)
+        assert main([
+            "run", "--strategy", "pch", "--dir", str(corpus), "--cost", "bytes_per_tick=x",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "modix: bad --cost value in 'bytes_per_tick=x' (integer required)\n"
+
+    def test_bench_without_strategies_exits_1(self, tmp_path, capsys):
+        workload = tmp_path / "w.dscript"
+        workload.write_text("new S0_0;\n", "utf-8")
+        assert main([
+            "bench", "--spec", "cmssw319", "--workload", str(workload), "--strategies", ",",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == "modix: --strategies must name at least one strategy\n"
+
+    def test_missing_lexical_index_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        (corpus / "modules.lexical.gmi").unlink()
+        script = tmp_path / "w.dscript"
+        script.write_text("new S0_0;\n", "utf-8")
+        assert main(["run", "--strategy", "lexical-gmi", "--dir", str(corpus), str(script)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"modix: error: index file not found: {corpus / 'modules.lexical.gmi'}\n"
+
+    def test_index_of_the_other_flavor_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        script = tmp_path / "w.dscript"
+        script.write_text("new S0_0;\n", "utf-8")
+        assert main([
+            "run", "--strategy", "lexical-gmi", "--dir", str(corpus),
+            "--index", str(corpus / "modules.gmi"), str(script),
+        ]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "modix: error: strategy lexical-gmi needs a lexical index, got semantic\n"
 
     def test_corpus_errors_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "c"

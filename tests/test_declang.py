@@ -12,7 +12,6 @@ from modix.declang import (
     Decl,
     DeclareStmt,
     DeclKind,
-    Dep,
     DirectiveStmt,
     HeaderAST,
     Need,
@@ -20,7 +19,6 @@ from modix.declang import (
     SizeOfStmt,
     StructField,
     TypeRef,
-    compute_deps,
     parse_header,
     parse_statement,
     render_decl,
@@ -174,39 +172,16 @@ def test_tokenize_matches_character_loop_reference(source):
 
 
 class TestParseHeader:
-    def test_builtin_only_struct_has_no_deps(self):
+    def test_builtin_only_struct(self):
         ast = parse_header("struct A { x: i32; };", "a.dh")
         (decl,) = ast.items
         assert decl.kind is DeclKind.STRUCT_DEF
         assert decl.name == "A"
-        assert decl.deps == ()
 
-    def test_dep_rule_definition_vs_forward(self):
-        ast = parse_header("struct B { a: A; p: ptr<C>; };", "b.dh")
-        (decl,) = ast.items
-        assert [(d.name, d.need) for d in decl.deps] == [
-            ("A", Need.DEFINITION),
-            ("C", Need.FORWARD_OK),
-        ]
-
-    def test_function_deps_are_forward_ok(self):
+    def test_function_decl(self):
         ast = parse_header("fn f(A) -> ptr<B>;", "f.dh")
         (decl,) = ast.items
         assert decl.kind is DeclKind.FUNC_DECL
-        assert [(d.name, d.need) for d in decl.deps] == [
-            ("A", Need.FORWARD_OK),
-            ("B", Need.FORWARD_OK),
-        ]
-
-    def test_alias_target_is_forward_ok(self):
-        ast = parse_header("using H = Gpad;", "h.dh")
-        (decl,) = ast.items
-        assert [(d.name, d.need) for d in decl.deps] == [("Gpad", Need.FORWARD_OK)]
-
-    def test_definition_need_wins_over_forward(self):
-        ast = parse_header("struct B { a: A; p: ptr<A>; };", "b.dh")
-        (decl,) = ast.items
-        assert [(d.name, d.need) for d in decl.deps] == [("A", Need.DEFINITION)]
 
     def test_includes_recorded_and_excluded_from_items(self):
         ast = parse_header('include "x/y.dh";\nstruct A;\n', "a.dh")
@@ -297,7 +272,7 @@ class TestHeaderBoundaries:
 
     def test_pointer_deps_are_forward_ok(self):
         (decl,) = parse_header("struct T { p: ptr<S>; };", "h.dh").items
-        assert decl.deps == (Dep("S", Need.FORWARD_OK),)
+        assert decl.fields == (StructField("p", TypeRef("S", 1)),)
 
     @pytest.mark.parametrize(
         "source, error, message",
@@ -456,20 +431,6 @@ def test_render_parse_round_trip(canonical_text):
     rendered = render_header(ast)
     assert rendered == canonical_text
     assert parse_header(rendered, "p.dh") == ast
-
-
-@given(st.lists(st.tuples(st.booleans(), _types), max_size=5))
-def test_dep_rule_soundness(field_specs):
-    fields = tuple(
-        StructField(f"f{i}", ref) for i, (_, ref) in enumerate(field_specs)
-    )
-    deps = compute_deps(DeclKind.STRUCT_DEF, fields=fields)
-    expected_definition = {
-        f.type.base for f in fields if not f.type.is_builtin and f.type.indirection == 0
-    }
-    expected_any = {f.type.base for f in fields if not f.type.is_builtin}
-    assert {d.name for d in deps if d.need is Need.DEFINITION} == expected_definition
-    assert {d.name for d in deps} == expected_any
 
 
 @given(_headers())

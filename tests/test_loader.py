@@ -32,7 +32,7 @@ from modix.gmi import (
 )
 from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Strategy, open_session
 from modix.modfile import PCH_MODULE_NAME, compile_module, read_module_summary
-from modix.modulemap import Origin, Overlay, SearchPaths, load_modulemap, resolve_module_path
+from modix.modulemap import Overlay, SearchPaths, find_local_module, load_modulemap
 
 ZERO_COST = CostModel(0, 0, 0)
 
@@ -701,7 +701,7 @@ class TestOverlay:
         local = {
             name
             for name in module_map.names
-            if resolve_module_path(paths, name, overlay)[1] is Origin.LOCAL
+            if find_local_module(paths, name, overlay) is not None
         }
         assert local == {"Other"}
         for strategy in (Strategy.PCH, Strategy.TEXTUAL, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI):

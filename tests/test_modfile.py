@@ -187,7 +187,6 @@ class TestDeserialize:
         mf = read_module_summary(_module("M", "struct A;"))
         decl, _ = deserialize_decl(mf, "A")
         assert decl.kind is DeclKind.STRUCT_FWD
-        assert decl.deps == ()
 
     def test_unknown_identifier(self):
         mf = read_module_summary(_module("M", "struct A;"))
@@ -235,7 +234,6 @@ class TestMergeEntities:
         )
         assert entity.kind is EntityKind.DEFINITION
         assert entity.defining_module == "M1"
-        assert entity.contributing_modules == {"M1", "M2", "M3"}
 
     def test_identical_definitions_take_lowest_module_id(self):
         entity = merge_entities([_c(_def("A"), "M2"), _c(_def("A"), "M1")], _ORDER)

@@ -14,7 +14,6 @@ from modix.errors import (
 )
 from modix.modulemap import (
     ModuleDef,
-    Origin,
     Overlay,
     SearchPaths,
     concat_modulemaps,
@@ -29,7 +28,7 @@ from modix.modulemap import (
 class TestParseModulemap:
     def test_single_module(self):
         defs = parse_modulemap('module Gpad { header "Gpad.dh" }')
-        assert defs == [ModuleDef("Gpad", ("Gpad.dh",), "<text>")]
+        assert defs == [ModuleDef("Gpad", ("Gpad.dh",))]
 
     def test_empty_text(self):
         assert parse_modulemap("") == []
@@ -76,7 +75,7 @@ class TestParseModulemap:
         ],
     )
     def test_accepted_boundaries(self, text, name):
-        assert parse_modulemap(text) == [ModuleDef(name, ("a",), "<text>")]
+        assert parse_modulemap(text) == [ModuleDef(name, ("a",))]
 
     @pytest.mark.parametrize(
         "text, error, message",
@@ -146,7 +145,6 @@ _plain_defs = st.lists(
     st.builds(
         ModuleDef, _module_names,
         st.lists(_header_paths, min_size=1, max_size=3, unique=True).map(tuple),
-        st.just("m.modulemap"),
     ),
     max_size=4,
 )
@@ -155,20 +153,18 @@ _plain_defs = st.lists(
 @settings(max_examples=150)
 @given(_plain_defs)
 def test_map_pattern_takes_every_canonical_map(defs):
-    assert _match_modulemap(_render_map(defs), "m.modulemap") == defs
+    assert _match_modulemap(_render_map(defs)) == defs
 
 
 @settings(max_examples=300)
 @given(st.one_of(_map_texts(), single_edit(_map_texts())))
 def test_map_pattern_declines_or_agrees_with_cursor(text):
-    assert_same_parse(
-        parse_modulemap, _match_modulemap, _parse_modulemap_tokens, text, "m.modulemap"
-    )
+    assert_same_parse(parse_modulemap, _match_modulemap, _parse_modulemap_tokens, text)
 
 
 class TestConcat:
     def _defs(self, name, *headers):
-        return [ModuleDef(name, headers, f"{name}.modulemap")]
+        return [ModuleDef(name, headers)]
 
     def test_positional_ids(self):
         m = concat_modulemaps(
@@ -248,7 +244,7 @@ class TestResolveModulePath:
         release.mkdir()
         (release / "M.pcm").write_bytes(b"x")
         paths = SearchPaths((), str(release))
-        assert resolve_module_path(paths, "M") == (str(release / "M.pcm"), Origin.RELEASE)
+        assert resolve_module_path(paths, "M") == str(release / "M.pcm")
 
     def test_local_takes_precedence(self, tmp_path):
         release, local = tmp_path / "release", tmp_path / "local"
@@ -256,7 +252,7 @@ class TestResolveModulePath:
         (release / "M.pcm").write_bytes(b"r")
         (local / "M.pcm").write_bytes(b"l")
         paths = SearchPaths((str(local),), str(release))
-        assert resolve_module_path(paths, "M") == (str(local / "M.pcm"), Origin.LOCAL)
+        assert resolve_module_path(paths, "M") == str(local / "M.pcm")
 
     def test_local_roots_are_ordered(self, tmp_path):
         first, second, release = tmp_path / "a", tmp_path / "b", tmp_path / "rel"
@@ -264,7 +260,7 @@ class TestResolveModulePath:
             d.mkdir()
         (second / "M.pcm").write_bytes(b"2")
         paths = SearchPaths((str(first), str(second)), str(release))
-        assert resolve_module_path(paths, "M")[0] == str(second / "M.pcm")
+        assert resolve_module_path(paths, "M") == str(second / "M.pcm")
 
     def test_missing_module(self, tmp_path):
         paths = SearchPaths((), str(tmp_path))
@@ -277,6 +273,4 @@ class TestResolveModulePath:
         (real / "M.pcm").write_bytes(b"x")
         overlay = Overlay(((str(tmp_path / "virt"), str(real)),))
         paths = SearchPaths((), str(tmp_path / "virt"))
-        path, origin = resolve_module_path(paths, "M", overlay)
-        assert path == str(real / "M.pcm")
-        assert origin is Origin.RELEASE
+        assert resolve_module_path(paths, "M", overlay) == str(real / "M.pcm")
