@@ -3,6 +3,7 @@ including their one keyed-table codec, `Writer.table` and `Reader.table`."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
@@ -41,11 +42,12 @@ def byte_order(keys: Iterable[str]) -> list[str]:
 
 def decode_flags(known: Mapping[int, T], value: int) -> T:
     """A flags byte through its table of the bytes a format writes; any
-    other byte raises CorruptTable."""
-    flag = known.get(value)
-    if flag is None:
+    other byte raises CorruptTable, naming bits outside every written byte."""
+    if value in known:
+        return known[value]
+    if value & ~functools.reduce(int.__or__, known, 0):
         raise CorruptTable(f"unknown flag bits in {value:#04x}")
-    return flag
+    raise CorruptTable(f"flags {value:#04x} are never written")
 
 
 _U8 = struct.Struct("<B")

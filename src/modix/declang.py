@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import NamedTuple
 
 from .errors import DuplicateDefinition, LexError, ParseError
@@ -110,12 +110,12 @@ def tokenize(source: str) -> list[Token]:
 # --- AST ---
 
 
-class DeclKind(Enum):
-    STRUCT_DEF = "struct_def"
-    STRUCT_FWD = "struct_fwd"
-    ENUM_DEF = "enum_def"
-    ALIAS = "alias"
-    FUNC_DECL = "func_decl"
+class DeclKind(IntEnum):  # so per-kind tables hash it in C; never compare it with an int
+    STRUCT_DEF = 1
+    STRUCT_FWD = 2
+    ENUM_DEF = 3
+    ALIAS = 4
+    FUNC_DECL = 5
 
 
 class Need(Enum):

@@ -19,6 +19,12 @@ Each strategy is one startup and one resolve method, paired in
 candidates: each declaration with its source (a module or a header) and its
 payload bytes, sliced from the blob or encoded once when a header is parsed.
 
+Local checkouts replace their release modules under one rule: a name's
+candidates are the local declarations plus those of the release modules not
+checked out.  pch and textual, whose merged cache and rootmap cannot be so
+filtered, resolve a name either copy of a checkout declares as lexical-gmi
+does, charging the lexical index, those release summaries and posted loads.
+
 Costs are simulated, not measured: every module load charges a fixed
 per-module overhead (standing in for eager side effects such as source-location
 preallocation), every byte that the strategy logically reads is counted, and
@@ -201,6 +207,7 @@ class Session:
         self._loading: set[str] = set()
         self._direct: list[str] = []
         self._shadowed: set[str] = set()
+        self._touched: set[str] = set()
         self._index: GlobalIndex | None = None
         self._rootmap: dict[str, str] | None = None
         self._parsed_headers: set[str] = set()
@@ -231,7 +238,7 @@ class Session:
             self._load_module(PCH_MODULE_NAME, resolution=False)
         except ModuleNotFound as exc:
             raise MissingPch(f"no {PCH_FILE_NAME} under the search paths") from exc
-        self._load_direct()
+        self._load_direct(allow_stale)
 
     def _start_textual(self, index_path: str | Path | None, allow_stale: bool) -> None:
         path = root_file(self.paths.release_root, ROOTMAP_FILE_NAME, self.overlay)
@@ -247,18 +254,22 @@ class Session:
             ident, _, header = line.partition(" ")
             if ident and header and ident not in self._rootmap:
                 self._rootmap[ident] = header.strip()
-        self._load_direct()
+        self._load_direct(allow_stale)
 
     def _start_index(self, index_path: str | Path | None, allow_stale: bool) -> None:
         if index_path is None:
             raise MissingIndex("a global index path is required for this strategy")
+        self._read_index(index_path, allow_stale)
+        self._load_direct(allow_stale)
+
+    def _read_index(self, index_path: str | Path, allow_stale: bool) -> None:
         real = Path(self.overlay.apply(str(index_path)))
         if not real.is_file():
             raise MissingIndex(f"index file not found: {index_path}")
         data = real.read_bytes()
         with reading(real):
             index = gmi_mod.load_index(data)
-        wanted = INDEX_FLAVORS[self.strategy]
+        wanted = INDEX_FLAVORS.get(self.strategy, IndexFlavor.LEXICAL)
         if index.flavor is not wanted:
             raise WrongFlavor(
                 f"strategy {self.strategy.value} needs a {wanted.name.lower()} index, "
@@ -272,23 +283,33 @@ class Session:
                 ))
         self._index = index
         self._charge_read(len(data))
-        self._load_direct()
-        # Modules excluded from the index are consulted directly as well.
-        for name in index.excluded:
-            if name in self._shadowed:
-                continue
-            self._shadowed.add(name)
-            if self._load_if_present(name, resolution=False):
-                self._direct.append(name)
 
-    def _load_direct(self) -> None:
+    def _load_direct(self, allow_stale: bool) -> None:
         """Local checkouts shadow the release: their summaries come up eagerly
-        and any index postings for them are ignored."""
+        and index postings for them are ignored.  pch and textual also read the
+        lexical index and the release copies' summaries (see the module doc)."""
         for name in self.map.names:
             if find_local_module(self.paths, name, self.overlay) is not None:
                 self._shadowed.add(name)
                 self._load_module(name, resolution=False)
                 self._direct.append(name)
+        if self._index is None and self._direct:
+            release = self.paths.release_root
+            self._read_index(root_file(release, gmi_mod.LEXICAL_INDEX_FILE_NAME), allow_stale)
+            for name in self._direct:
+                path = resolve_module_path(SearchPaths((), release), name, self.overlay)
+                with reading(path):
+                    release_copy = modfile.read_module_summary(Path(path).read_bytes())
+                self._charge_read(release_copy.summary_bytes)
+                self._touched.update(release_copy.names, self._loaded[name].names)
+        if self._index is not None:
+            # Modules excluded from the index are consulted directly as well.
+            for name in self._index.excluded:
+                if name in self._shadowed:
+                    continue
+                self._shadowed.add(name)
+                if self._load_if_present(name, resolution=False):
+                    self._direct.append(name)
 
     # -- cost accounting --
 
@@ -376,17 +397,14 @@ class Session:
         return self._merge(self._resident.get(identifier, []))
 
     def _resolve_pch(self, identifier: str) -> Entity | _Marker:
-        # A local checkout wins wholesale: the merged cache has no per-module
-        # provenance left to shadow-filter.
-        hits = self._direct_hits(identifier)
-        if not hits and self._loaded[PCH_MODULE_NAME].find(identifier):
-            hits = [PCH_MODULE_NAME]
+        if identifier in self._touched:
+            return self._resolve_lexical(identifier)
+        hits = [PCH_MODULE_NAME] if self._loaded[PCH_MODULE_NAME].find(identifier) else []
         return self._merge([self._deserialize(n, identifier) for n in hits])
 
     def _resolve_textual(self, identifier: str) -> Entity | _Marker:
-        hits = self._direct_hits(identifier)
-        if hits:
-            return self._merge([self._deserialize(n, identifier) for n in hits])
+        if identifier in self._touched:
+            return self._resolve_lexical(identifier)
         header = self._rootmap.get(identifier)
         if header is not None:
             self._parse_header_cascade(header)

@@ -3,13 +3,15 @@
 `build_random_corpus` produces richer corpora than the benchmark generator:
 all declaration kinds, forward-only names, byte-identical duplicates, names
 declared as kinds of different merge rank in different modules, import chains
-with occasional cycles.  Everything is seeded, so the suite is fully
+with occasional cycles.  `write_local_rebuilds` checks some of its modules
+out into a local root, rebuilt.  Everything is seeded, so the suite is fully
 deterministic.  `single_edit` and `assert_same_parse` serve the Hypothesis
 tests that hold each pattern parser to its token `Cursor` parser.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,10 +20,11 @@ import pytest
 from hypothesis import strategies as st
 
 from modix.bench import write_corpus
-from modix.declang import KEYWORDS, Decl, DeclKind, Need, StructField, TypeRef, render_decl
-from modix.errors import ModixError
+from modix.declang import KEYWORDS, Decl, DeclKind, Need, StructField, TypeRef, parse_header
+from modix.declang import render_decl
+from modix.errors import ModixError, OdrViolation
 from modix.loader import ResolutionOutcome, Session, Strategy
-from modix.modfile import _KINDS
+from modix.modfile import _KINDS, compile_module, read_module_summary
 from modix.modulemap import ModuleMap
 
 BUILTINS = ("i32", "i64", "f64", "bool")
@@ -174,6 +177,32 @@ def build_random_corpus(rng: random.Random, out_dir: Path) -> BuiltCorpus:
     return BuiltCorpus(Path(out_dir), module_map, sorted(set(known)), unknown)
 
 
+def write_local_rebuilds(rng: random.Random, corpus: BuiltCorpus, local_dir: Path) -> None:
+    """Write rebuilt copies of random modules of `corpus` into the local root
+    `local_dir`: some byte-identical, some with names removed, some with
+    changed struct definitions.  Each keeps its release imports."""
+    local_dir.mkdir(parents=True)
+    for name in rng.sample(corpus.map.names, rng.randint(1, len(corpus.map.names))):
+        release = (corpus.dir / f"{name}.pcm").read_bytes()
+        edit = rng.choice(("identical", "remove", "change"))
+        if edit == "identical":
+            (local_dir / f"{name}.pcm").write_bytes(release)
+            continue
+        header = parse_header((corpus.dir / name / "lib.dh").read_text("utf-8"), "lib.dh")
+        if edit == "remove":
+            items = [decl for decl in header.items if rng.random() < 0.5]
+        else:
+            extra = StructField("changed", TypeRef("i64", 0))
+            items = [
+                dataclasses.replace(decl, fields=decl.fields + (extra,))
+                if decl.kind is DeclKind.STRUCT_DEF and rng.random() < 0.7 else decl
+                for decl in header.items
+            ]
+        rebuilt = dataclasses.replace(header, items=tuple(items))
+        imports = read_module_summary(release).imports
+        (local_dir / f"{name}.pcm").write_bytes(compile_module(name, [rebuilt], imports))
+
+
 def random_workload(rng: random.Random, corpus: BuiltCorpus, length: int) -> list[tuple[str, Need]]:
     pool = corpus.known + corpus.unknown
     return [
@@ -192,16 +221,23 @@ def outcome_signature(session: Session, identifier: str, need: Need) -> tuple:
     return ("success",)
 
 
-def run_equivalence_check(corpus: BuiltCorpus, workload: list[tuple[str, Need]]) -> None:
-    """Assert all five strategies agree on the workload's outcome sequence."""
+def run_equivalence_check(
+    corpus: BuiltCorpus, workload: list[tuple[str, Need]], local_roots: tuple[str, ...] = ()
+) -> None:
+    """Assert all five strategies agree on the workload's outcome sequence,
+    an ODR violation being one more outcome."""
     from modix.bench import open_corpus_session
+
+    def signature(session: Session, ident: str, need: Need) -> tuple:
+        try:
+            return outcome_signature(session, ident, need)
+        except OdrViolation:
+            return ("odr-violation",)
 
     sequences = {}
     for strategy in Strategy:
-        session = open_corpus_session(corpus.dir, strategy)
-        sequences[strategy] = [
-            outcome_signature(session, ident, need) for ident, need in workload
-        ]
+        session = open_corpus_session(corpus.dir, strategy, local_roots=local_roots)
+        sequences[strategy] = [signature(session, ident, need) for ident, need in workload]
     oracle = sequences[Strategy.PRELOAD_ALL]
     for strategy, sequence in sequences.items():
         assert sequence == oracle, (

@@ -173,6 +173,38 @@ class TestWorkflow:
         ) == 0
         assert capsys.readouterr().out.strip() == "ok 24"
 
+    @staticmethod
+    def _checkout_without_s1_0(tmp_path):
+        """Release M1 defines S1_0; its local rebuild keeps the imports and
+        drops that definition."""
+        from modix.declang import parse_header
+        from modix.modfile import compile_module, read_module_summary
+
+        corpus = tmp_path / "corpus"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        local = tmp_path / "local"
+        local.mkdir()
+        imports = read_module_summary((corpus / "M1.pcm").read_bytes()).imports
+        header = parse_header("struct Other { a: i32; };", "types.dh")
+        (local / "M1.pcm").write_bytes(compile_module("M1", [header], imports))
+        script = tmp_path / "w.dscript"
+        script.write_text("sizeof(S1_0);\nsizeof(S0_0);\n", "utf-8")
+        return corpus, ["run", "--strategy", "textual", "--dir", str(corpus),
+                        "--local", str(local), str(script)]
+
+    def test_textual_checkout_drops_a_removed_name(self, tmp_path, capsys):
+        _, argv = self._checkout_without_s1_0(tmp_path)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == ["fail not-found", "ok 4"]
+
+    def test_textual_checkout_without_the_lexical_index_exits_2(self, tmp_path, capsys):
+        corpus, argv = self._checkout_without_s1_0(tmp_path)
+        (corpus / "modules.lexical.gmi").unlink()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"modix: error: index file not found: {corpus / 'modules.lexical.gmi'}\n"
+
 
     def test_run_without_a_script_starts_the_repl(self, tmp_path, capsys, monkeypatch):
         corpus = tmp_path / "corpus"

@@ -203,14 +203,14 @@ class TestFormat:
 
     @pytest.mark.parametrize("flags", [4, 6, 0x80])
     def test_unknown_posting_flag_bits_rejected(self, flags):
-        with pytest.raises(CorruptTable):
+        with pytest.raises(CorruptTable, match=f"unknown flag bits in {flags:#04x}"):
             load_index(_index_bytes([(0, "M0")], [("A", [(0, flags)])]))
 
     @pytest.mark.parametrize("flags", [0, 2])
     def test_posting_flags_that_build_index_never_writes_rejected(self, flags):
         # Only MENTIONS and MENTIONS|DEFINES are written: no bits, or DEFINES
         # alone, is a damaged index although both bits are known.
-        with pytest.raises(CorruptTable):
+        with pytest.raises(CorruptTable, match=f"flags {flags:#04x} are never written"):
             load_index(_index_bytes([(0, "M0")], [("A", [(0, flags)])]))
 
     @pytest.mark.parametrize("postings", [[(1, 3), (0, 3)], [(0, 1), (0, 3)]])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_random_corpus, outcome_signature, random_workload, run_equivalence_check
+from conftest import write_local_rebuilds
 from modix import modfile
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.declang import Need, parse_header
@@ -30,6 +31,7 @@ from modix.gmi import (
     load_index,
     validate_index,
 )
+from modix.interp import format_result, run_script
 from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Strategy, open_session
 from modix.modfile import PCH_MODULE_NAME, compile_module, read_module_summary
 from modix.modulemap import Overlay, SearchPaths, find_local_module, load_modulemap
@@ -493,8 +495,9 @@ class TestLocalShadowing:
         assert payloads[Strategy.PRELOAD_ALL] != release_payload
 
     def test_every_strategy_takes_the_local_redefinition(self, shadowed):
-        # pch and textual answer from the local module directly, without
-        # the merged cache or the rootmap's release header.
+        # pch and textual resolve a name the checkout declares as lexical-gmi
+        # does, so neither the merged cache nor the rootmap's release header
+        # answers for it.
         corpus_dir, local = shadowed
         signatures = {
             strategy: outcome_signature(
@@ -587,6 +590,92 @@ class TestLocalShadowing:
             with pytest.raises(ModuleNotFound) as excinfo:
                 open_corpus_session(corpus_dir, strategy, allow_stale=True)
             assert excinfo.value.name == "Y", strategy
+
+
+class TestOneShadowingRule:
+    """A checkout replaces its release module in every strategy: a name's
+    candidates are the local declarations plus those of the release modules
+    that are not checked out.  Release M0 defines X; release M1 forward-declares
+    X and defines Y; each case rebuilds M1 locally."""
+
+    RELEASE = [
+        ("M0", {"t.dh": "struct X { a: i64; };\n"}),
+        ("M1", {"t.dh": "struct X;\nstruct Y { b: i32; };\n"}),
+    ]
+
+    @classmethod
+    def _checkout(cls, tmp_path, local_m1, excluded=()):
+        corpus_dir = tmp_path / "release"
+        module_map = write_corpus(corpus_dir, cls.RELEASE)
+        if excluded:
+            lexical = build_index(module_map, corpus_dir, IndexFlavor.LEXICAL, list(excluded))
+            (corpus_dir / LEXICAL_INDEX_FILE_NAME).write_bytes(lexical)
+        local = tmp_path / "local"
+        local.mkdir()
+        (local / "M1.pcm").write_bytes(compile_module("M1", [parse_header(local_m1, "t.dh")]))
+        return corpus_dir, local
+
+    @pytest.mark.parametrize(
+        "local_m1, statement, expected, excluded",
+        [
+            # Only the checkout's forward declaration used to be merged.
+            ("struct X;\nstruct Y { b: i64; };", "sizeof(X);", "ok 8", ()),
+            # The merged cache and the rootmap still held the release Y.
+            ("struct X;", "sizeof(Y);", "fail not-found", ()),
+            # The checkout's function used to hide the release definition.
+            ("fn X() -> i32;\nstruct Y { b: i32; };", "sizeof(X);", "ok 8", ()),
+            # No posting names M1, so only its release copy tells what it held.
+            ("struct X;", "sizeof(Y);", "fail not-found", ("M1",)),
+        ],
+        ids=["definition-lost", "removed-name", "kind-hides-definition", "excluded-checkout"],
+    )
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_named_cases(self, tmp_path, strategy, local_m1, statement, expected, excluded):
+        corpus_dir, local = self._checkout(tmp_path, local_m1, excluded)
+        session = open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
+        assert [format_result(r) for r in run_script(session, statement)] == [expected]
+
+    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL], ids=lambda s: s.value)
+    def test_checkout_needs_the_lexical_index(self, tmp_path, strategy):
+        corpus_dir, local = self._checkout(tmp_path, "struct X;")
+        (corpus_dir / LEXICAL_INDEX_FILE_NAME).unlink()
+        with pytest.raises(MissingIndex, match=re.escape(LEXICAL_INDEX_FILE_NAME)):
+            open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
+
+    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL], ids=lambda s: s.value)
+    def test_checkout_validates_the_lexical_index(self, tmp_path, strategy):
+        corpus_dir, local = self._checkout(tmp_path, "struct X;")
+        rebuilt = parse_header("struct X { a: i64; };\nstruct Z { c: bool; };", "t.dh")
+        (corpus_dir / "M0.pcm").write_bytes(compile_module("M0", [rebuilt]))
+        with pytest.raises(IndexStale) as excinfo:
+            open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
+        assert excinfo.value.stale_modules == ("M0",)
+        session = open_corpus_session(
+            corpus_dir, strategy, local_roots=[str(local)], allow_stale=True
+        )
+        assert [format_result(r) for r in run_script(session, "sizeof(Y);")] == ["fail not-found"]
+
+    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL], ids=lambda s: s.value)
+    def test_release_only_session_reads_no_index(self, tmp_path, strategy):
+        corpus_dir = tmp_path / "release"
+        write_corpus(corpus_dir, self.RELEASE)
+        before = open_corpus_session(corpus_dir, strategy).stats()
+        (corpus_dir / LEXICAL_INDEX_FILE_NAME).unlink()
+        assert open_corpus_session(corpus_dir, strategy).stats() == before
+
+    def test_checkout_charges_the_index_and_release_copies(self, tmp_path):
+        corpus_dir, local = self._checkout(tmp_path, "struct X;")
+        release = open_corpus_session(corpus_dir, Strategy.PCH).stats()
+        session = open_corpus_session(corpus_dir, Strategy.PCH, local_roots=[str(local)])
+        local_m1 = read_module_summary((local / "M1.pcm").read_bytes())
+        release_m1 = read_module_summary((corpus_dir / "M1.pcm").read_bytes())
+        index_bytes = (corpus_dir / LEXICAL_INDEX_FILE_NAME).stat().st_size
+        assert session.stats().load_order == (PCH_MODULE_NAME, "M1")
+        assert session.stats().bytes_read == (
+            release.bytes_read + local_m1.summary_bytes + index_bytes + release_m1.summary_bytes
+        )
+        session.resolve("X", Need.DEFINITION)
+        assert session.stats().load_order[-1] == "M0"
 
 
 class TestStaleIndex:
@@ -792,6 +881,16 @@ class TestEquivalence:
             corpus = build_random_corpus(rng, tmp_path / f"eq{case}")
             workload = random_workload(rng, corpus, 30)
             run_equivalence_check(corpus, workload)
+
+    def test_local_checkout_equivalence(self, tmp_path):
+        # Rebuilt checkouts over 100 seeded corpora: every strategy answers
+        # a name as preload-all does, an ODR violation included.
+        rng = random.Random(2016)
+        for case in range(100):
+            corpus = build_random_corpus(rng, tmp_path / f"eq{case}")
+            local = tmp_path / f"local{case}"
+            write_local_rebuilds(rng, corpus, local)
+            run_equivalence_check(corpus, random_workload(rng, corpus, 30), (str(local),))
 
 
 class TestFalsePositiveElimination:

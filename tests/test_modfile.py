@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,7 +141,7 @@ class TestFormatErrors:
         data = modfile._emit("A", (), [("A", DeclFlags(0x81), decl)])
         stored, computed = modfile.content_hashes(data)
         assert stored == computed
-        with pytest.raises(CorruptTable):
+        with pytest.raises(CorruptTable, match="unknown flag bits in 0x81"):
             read_module_summary(data)
 
     def test_flags_that_name_no_kind_rejected(self):
@@ -149,7 +150,7 @@ class TestFormatErrors:
         (decl,) = _header("struct A;").items
         for flags in (0x00, 0x04, 0x0D, 0x0A):
             data = modfile._emit("A", (), [("A", DeclFlags(flags), decl)])
-            with pytest.raises(CorruptTable):
+            with pytest.raises(CorruptTable, match=f"flags {flags:#04x} are never written"):
                 read_module_summary(data)
 
     def test_every_single_bit_flip_is_rejected(self):
@@ -284,6 +285,24 @@ class TestMergeEntities:
             assert entity.kind == baseline.kind
             assert entity.canonical_payload == baseline.canonical_payload
             assert entity.defining_module == baseline.defining_module
+
+    def test_merge_hashes_its_kinds_in_c(self):
+        # DeclKind and EntityKind are IntEnums, so keying `_KINDS` and the
+        # per-kind groups calls no Python-level `__hash__`.
+        fn = Decl("N", DeclKind.FUNC_DECL, returns=TypeRef("i32"))
+        candidates = [_c(_def("N"), "M1"), _c(fn, "M2"), _c(Decl("N", DeclKind.STRUCT_FWD), "M3")]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "__hash__":
+                calls.append(frame.f_code.co_filename)
+
+        sys.setprofile(profile)
+        try:
+            merge_entities(candidates, _ORDER)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
 
 
 class TestBuildPch:
