@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+import sys
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import CorruptTable
@@ -143,7 +144,7 @@ class Reader:
         if end > len(data):
             raise CorruptTable(f"truncated at byte {start}")
         try:
-            text = data[start:end].decode("utf-8")
+            text = sys.intern(data[start:end].decode("utf-8"))  # one str per spelling
         except UnicodeDecodeError as exc:
             raise CorruptTable(f"invalid UTF-8 at byte {start}") from exc
         self.pos = end

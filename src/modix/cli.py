@@ -82,9 +82,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_pch(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
     module_map = load_modulemap(corpus / FINAL_MAP_NAME)
-    compiled = modfile.read_modules(corpus, module_map.names)
     out = Path(args.out) if args.out else corpus / modfile.PCH_FILE_NAME
-    out.write_bytes(modfile.build_pch(compiled))
+    out.write_bytes(modfile.build_pch(modfile.read_modules(corpus, module_map.names)))
     print(f"wrote {out}")
     return 0
 

@@ -123,7 +123,7 @@ class Need(Enum):
     FORWARD_OK = "forward_ok"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     base: str
     indirection: int = 0
@@ -133,13 +133,13 @@ class TypeRef:
         return self.base in BUILTIN_SIZES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructField:
     name: str
     type: TypeRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decl:
     """One parsed declaration."""
 

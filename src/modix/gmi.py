@@ -67,7 +67,7 @@ _POSTING_FLAGS = {int(flags): flags for flags in (PostingFlags.MENTIONS, _DEFINE
 _POSTING_ROW = struct.Struct("<IB")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Posting:
     module: str
     flags: PostingFlags

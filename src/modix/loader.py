@@ -23,7 +23,8 @@ Local checkouts replace their release modules under one rule: a name's
 candidates are the local declarations plus those of the release modules not
 checked out.  pch and textual, whose merged cache and rootmap cannot be so
 filtered, resolve a name either copy of a checkout declares as lexical-gmi
-does, charging the lexical index, those release summaries and posted loads.
+does, charging the lexical index, those release summaries and posted loads;
+the modules the index excludes load at the first such lookup.
 
 Costs are simulated, not measured: every module load charges a fixed
 per-module overhead (standing in for eager side effects such as source-location
@@ -107,7 +108,7 @@ class CostModel:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadStats:
     """Deterministic cost snapshot.  ``false_positive_loads`` counts modules
     that a lookup loaded and that have not yet been the defining module of a
@@ -212,6 +213,7 @@ class Session:
         self._rootmap: dict[str, str] | None = None
         self._parsed_headers: set[str] = set()
         self._resident: dict[str, list[Candidate]] = {}
+        self._payloads: dict[bytes, bytes] = {}  # each distinct payload, held once
         self._merge_order: dict[str, int] = {name: i for i, name in enumerate(map.names)}
         self._cache: dict[str, Entity | _Marker] = {}
         self._unredeemed: set[str] = set()
@@ -261,6 +263,7 @@ class Session:
             raise MissingIndex("a global index path is required for this strategy")
         self._read_index(index_path, allow_stale)
         self._load_direct(allow_stale)
+        self._load_excluded()
 
     def _read_index(self, index_path: str | Path, allow_stale: bool) -> None:
         real = Path(self.overlay.apply(str(index_path)))
@@ -297,19 +300,32 @@ class Session:
             release = self.paths.release_root
             self._read_index(root_file(release, gmi_mod.LEXICAL_INDEX_FILE_NAME), allow_stale)
             for name in self._direct:
-                path = resolve_module_path(SearchPaths((), release), name, self.overlay)
-                with reading(path):
-                    release_copy = modfile.read_module_summary(Path(path).read_bytes())
-                self._charge_read(release_copy.summary_bytes)
-                self._touched.update(release_copy.names, self._loaded[name].names)
-        if self._index is not None:
-            # Modules excluded from the index are consulted directly as well.
-            for name in self._index.excluded:
-                if name in self._shadowed:
-                    continue
-                self._shadowed.add(name)
-                if self._load_if_present(name, resolution=False):
-                    self._direct.append(name)
+                try:
+                    path = resolve_module_path(SearchPaths((), release), name, self.overlay)
+                except ModuleNotFound:
+                    if not allow_stale:
+                        raise
+                    # A deleted release copy declared what the index posts for it.
+                    self._touched.update(
+                        ident for ident, postings in self._index.postings.items()
+                        if any(p.module == name for p in postings)
+                    )
+                else:
+                    with reading(path):
+                        release_copy = modfile.read_module_summary(Path(path).read_bytes())
+                    self._charge_read(release_copy.summary_bytes)
+                    self._touched.update(release_copy.names)
+                self._touched.update(self._loaded[name].names)
+
+    def _load_excluded(self) -> None:
+        """Modules excluded from the index are consulted directly as well; one
+        whose import is missing raises here again at the next call."""
+        for name in self._index.excluded:
+            if name in self._shadowed:
+                continue
+            if self._load_if_present(name, resolution=False):
+                self._direct.append(name)
+            self._shadowed.add(name)
 
     # -- cost accounting --
 
@@ -359,7 +375,7 @@ class Session:
         decl, payload = modfile.deserialize_decl(mf, identifier)
         self._decls += 1
         self._charge_read(mf.find(identifier).blob_len)
-        return decl, module_name, payload
+        return decl, module_name, self._payloads.setdefault(payload, payload)
 
     # -- resolution --
 
@@ -398,12 +414,14 @@ class Session:
 
     def _resolve_pch(self, identifier: str) -> Entity | _Marker:
         if identifier in self._touched:
+            self._load_excluded()
             return self._resolve_lexical(identifier)
         hits = [PCH_MODULE_NAME] if self._loaded[PCH_MODULE_NAME].find(identifier) else []
         return self._merge([self._deserialize(n, identifier) for n in hits])
 
     def _resolve_textual(self, identifier: str) -> Entity | _Marker:
         if identifier in self._touched:
+            self._load_excluded()
             return self._resolve_lexical(identifier)
         header = self._rootmap.get(identifier)
         if header is not None:

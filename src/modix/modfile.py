@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._wire import Reader, Writer, decode_flags, digest64
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
@@ -109,7 +109,7 @@ _DECL_FLAGS = {int(flags): flags for flags in _FLAGS_ENTITY}
 merges_as = _FLAGS_ENTITY.__getitem__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentEntry:
     name: str
     flags: DeclFlags
@@ -138,7 +138,7 @@ class ModuleFile:
         return tuple(self.table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """The merged view of one name across the modules that declare it."""
 
@@ -229,16 +229,7 @@ def decode_blob(blob: bytes) -> tuple[Decl, bytes]:
     origin = (r.lpstr(), r.u32())
     if not r.at_end():
         raise CorruptTable("trailing bytes after declaration")
-    decl = Decl(
-        name,
-        kind,
-        fields=fields,
-        enumerators=enumerators,
-        alias_target=alias_target,
-        params=params,
-        returns=returns,
-        origin=origin,
-    )
+    decl = Decl(name, kind, fields, enumerators, alias_target, params, returns, origin)
     return decl, blob[:payload_len]
 
 
@@ -368,17 +359,16 @@ def read_module_summary(data: bytes) -> ModuleFile:
     )
 
 
-def read_modules(module_dir: str | Path, names: Sequence[str]) -> list[ModuleFile]:
-    """Summaries of `module_dir/<name>.pcm` for each name, in order."""
+def read_modules(module_dir: str | Path, names: Iterable[str]) -> Iterator[ModuleFile]:
+    """Summaries of `module_dir/<name>.pcm` for each name, in order, each
+    read when the caller asks for it."""
     module_dir = Path(module_dir)
-    modules = []
     for name in names:
         path = module_dir / f"{name}{FILE_EXTENSION}"
         if not path.is_file():
             raise ModuleNotFound(name)
         with reading(path):
-            modules.append(read_module_summary(path.read_bytes()))
-    return modules
+            yield read_module_summary(path.read_bytes())
 
 
 def deserialize_decl(module: ModuleFile, name: str) -> tuple[Decl, bytes]:
@@ -438,18 +428,22 @@ def merge_entities(
     )
 
 
-def build_pch(modules: Sequence[ModuleFile]) -> bytes:
+def build_pch(modules: Iterable[ModuleFile]) -> bytes:
     """Merge whole modules into one precompiled cache named `__pch__`.
 
     Duplicate names collapse to the winning declaration; its flags replace the
     per-module flag unions.  A module's position in `modules` is its id for
-    the tie-break, so callers pass them in module map order.
+    the tie-break, so callers pass them in module map order.  A stream of
+    summaries is held one at a time, and equal payloads once.
     """
-    order = {mf.module_name: position for position, mf in enumerate(modules)}
+    order: dict[str, int] = {}
+    payloads: dict[bytes, bytes] = {}
     gathered: dict[str, list[Candidate]] = {}
-    for mf in modules:
+    for position, mf in enumerate(modules):
+        order[mf.module_name] = position
         for name in mf.table:
             decl, payload = deserialize_decl(mf, name)
+            payload = payloads.setdefault(payload, payload)
             gathered.setdefault(name, []).append((decl, mf.module_name, payload))
     rows = []
     for name, candidates in gathered.items():

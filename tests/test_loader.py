@@ -74,6 +74,15 @@ class TestStartup:
         assert stats.decls_deserialized == 6 * 6  # one def + five forwards each
         assert stats.lookups == 0
 
+    def test_preload_all_holds_each_payload_once(self, corpus12):
+        # The resident table is private; what it shares is the point here.
+        session = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
+        first: dict[bytes, bytes] = {}
+        candidates = [c for cs in session._resident.values() for c in cs]
+        for _, _, payload in candidates:
+            assert first.setdefault(payload, payload) is payload
+        assert len(candidates) > len(first)
+
     def test_pch_loads_exactly_one(self, gpad_corpus):
         corpus_dir, _ = gpad_corpus
         stats = open_corpus_session(corpus_dir, Strategy.PCH).stats()
@@ -634,6 +643,67 @@ class TestOneShadowingRule:
         corpus_dir, local = self._checkout(tmp_path, local_m1, excluded)
         session = open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
         assert [format_result(r) for r in run_script(session, statement)] == [expected]
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_deleted_release_copy_of_a_checkout(self, tmp_path, strategy):
+        # The index postings for M1 tell pch and textual what its copy held.
+        corpus_dir, local = self._checkout(tmp_path, "struct X;")
+        (corpus_dir / "M1.pcm").unlink()
+        session = open_corpus_session(
+            corpus_dir, strategy, local_roots=[str(local)], allow_stale=True
+        )
+        results = run_script(session, "sizeof(X);\nsizeof(Y);")
+        assert [format_result(r) for r in results] == ["ok 8", "fail not-found"]
+        if strategy is not Strategy.PRELOAD_ALL:
+            with pytest.raises(IndexStale) as excinfo:
+                open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
+            assert excinfo.value.stale_modules == ("M1",)
+
+    @staticmethod
+    def _excluded_checkout(tmp_path):
+        """Release Y, X (importing Y) and L; the lexical index excludes X; L,
+        which imports nothing, is checked out."""
+        corpus_dir = tmp_path / "release"
+        module_map = write_corpus(corpus_dir, [
+            ("Y", {"t.dh": "struct YT { y: i32; };\n"}),
+            ("X", {"t.dh": 'include "Y/t.dh";\nstruct XT { x: YT; };\n'}),
+            ("L", {"t.dh": "struct LT { l: i32; };\n"}),
+        ])
+        lexical = build_index(module_map, corpus_dir, IndexFlavor.LEXICAL, ["X"])
+        (corpus_dir / LEXICAL_INDEX_FILE_NAME).write_bytes(lexical)
+        local = tmp_path / "local"
+        local.mkdir()
+        (local / "L.pcm").write_bytes((corpus_dir / "L.pcm").read_bytes())
+        return corpus_dir, local
+
+    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL], ids=lambda s: s.value)
+    def test_excluded_modules_load_at_the_first_touched_lookup(self, tmp_path, strategy):
+        corpus_dir, local = self._excluded_checkout(tmp_path)
+        session = open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
+        pch = (PCH_MODULE_NAME,) if strategy is Strategy.PCH else ()
+        assert session.stats().load_order == (*pch, "L")
+        for name in ("YT", "XT"):  # no checkout touches these names
+            assert session.resolve(name, Need.DEFINITION).succeeded
+        assert session.stats().load_order == (*pch, "L")
+        before = session.mark()
+        assert session.resolve("LT", Need.DEFINITION).entity.defining_module == "L"
+        assert session.stats(since=before).load_order == ("Y", "X")
+        session.resolve("LT", Need.FORWARD_OK)
+        assert session.stats().load_order == (*pch, "L", "Y", "X")
+
+    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL], ids=lambda s: s.value)
+    def test_excluded_module_with_missing_import_fails_each_touched_lookup(
+        self, tmp_path, strategy
+    ):
+        corpus_dir, local = self._excluded_checkout(tmp_path)
+        (corpus_dir / "Y.pcm").unlink()
+        session = open_corpus_session(
+            corpus_dir, strategy, local_roots=[str(local)], allow_stale=True
+        )
+        for _ in range(2):
+            with pytest.raises(ModuleNotFound) as excinfo:
+                session.resolve("LT", Need.DEFINITION)
+            assert excinfo.value.name == "Y"
 
     @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL], ids=lambda s: s.value)
     def test_checkout_needs_the_lexical_index(self, tmp_path, strategy):

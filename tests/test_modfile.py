@@ -20,7 +20,9 @@ from modix.errors import (
     OdrViolation,
     UnknownIdentifier,
 )
+from modix.gmi import INDEX_FILE_NAME, load_index
 from modix.modfile import (
+    PCH_FILE_NAME,
     DeclFlags,
     EntityKind,
     IdentEntry,
@@ -33,7 +35,10 @@ from modix.modfile import (
     encode_payload,
     merge_entities,
     read_module_summary,
+    read_modules,
 )
+from modix.loader import LoadStats
+from modix.modulemap import FINAL_MAP_NAME, load_modulemap
 from test_declang import _decls
 
 
@@ -346,6 +351,72 @@ class TestBuildPch:
         mods = [self._mf("M0", "struct A { x: i32; };"), self._mf("M1", "struct A;")]
         pch = read_module_summary(build_pch(mods))
         assert deserialize_decl(pch, "A")[0].kind is DeclKind.STRUCT_DEF
+
+
+class TestLeanValues:
+    """Decoded values are held once and lean: one `str` per spelling, one
+    summary at a time while a release is merged, and no per-instance
+    `__dict__`.  These pin sharing, not byte counts."""
+
+    def test_decoded_name_is_its_table_key(self, corpus12):
+        for path in sorted(corpus12.glob("*.pcm")):
+            mf = read_module_summary(path.read_bytes())
+            for key in mf.table:
+                decl, _ = deserialize_decl(mf, key)
+                assert decl.name is key
+                assert mf.table[key].name is key
+
+    def test_one_str_per_spelling_across_modules(self, corpus12):
+        first: dict[str, str] = {}
+        spellings = 0
+        for path in sorted(corpus12.glob("*.pcm")):
+            mf = read_module_summary(path.read_bytes())
+            for key in mf.table:
+                decl, _ = deserialize_decl(mf, key)
+                for text in (key, decl.name, *(f.type.base for f in decl.fields)):
+                    assert first.setdefault(text, text) is text
+                    spellings += 1
+        assert spellings > 2 * len(first)
+
+    def test_build_pch_consumes_a_stream(self, corpus12):
+        names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
+        modules = list(read_modules(corpus12, names))
+        assert build_pch(iter(modules)) == build_pch(modules)
+        assert build_pch(read_modules(corpus12, names)) == (corpus12 / PCH_FILE_NAME).read_bytes()
+
+    def test_value_types_have_no_dict(self, corpus12):
+        mf = read_module_summary((corpus12 / "M0.pcm").read_bytes())
+        decls = [deserialize_decl(mf, name)[0] for name in mf.table]
+        struct = next(d for d in decls if d.fields)
+        values = [
+            *decls, *mf.table.values(), *struct.fields, struct.fields[0].type,
+            merge_entities([(struct, "M0", encode_payload(struct))]),
+            *load_index((corpus12 / INDEX_FILE_NAME).read_bytes()).entry(struct.name),
+            LoadStats(),
+        ]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    @pytest.mark.parametrize(
+        "hand, text",
+        [
+            (Decl("S", DeclKind.STRUCT_DEF, fields=(StructField("p", TypeRef("T", 1)),),
+                  origin=("h.dh", 1)), "struct S { p: ptr<T>; };"),
+            (Decl("S", DeclKind.STRUCT_FWD, origin=("h.dh", 1)), "struct S;"),
+            (Decl("E", DeclKind.ENUM_DEF, enumerators=("a", "b"), origin=("h.dh", 1)),
+             "enum E { a, b };"),
+            (Decl("A", DeclKind.ALIAS, alias_target=TypeRef("i64", 2), origin=("h.dh", 1)),
+             "using A = ptr<ptr<i64>>;"),
+            (Decl("f", DeclKind.FUNC_DECL, params=(TypeRef("i32"), TypeRef("T", 1)),
+                  returns=TypeRef("bool"), origin=("h.dh", 1)), "fn f(i32, ptr<T>) -> bool;"),
+        ],
+        ids=["struct", "forward", "enum", "alias", "function"],
+    )
+    def test_hand_built_decl_equals_parsed_and_decoded(self, hand, text):
+        (parsed,) = _header(text).items
+        decoded, _ = decode_blob(encode_blob(parsed))
+        assert hand == parsed == decoded
+        assert hash(hand) == hash(parsed) == hash(decoded)
 
 
 _names = st.text(alphabet="mnopq", min_size=1, max_size=4).map(lambda s: "d_" + s)
