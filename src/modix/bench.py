@@ -142,14 +142,15 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> ModuleMap:
     names = [_module_name(spec, m) for m in range(n)]
 
     defs: list[tuple[int, Decl]] = []  # (module, decl), generation order
+    own: list[list[Decl]] = [[] for _ in range(n)]  # each module's defs, then its copies
     earlier: list[str] = []
     for m in range(n):
         for k in range(spec.defs_per_module):
             decl = _random_def(rng, f"S{m}_{k}", earlier)
             defs.append((m, decl))
+            own[m].append(decl)
             earlier.append(decl.name)
 
-    extra_defs: dict[int, list[Decl]] = {m: [] for m in range(n)}
     if n > 1:
         dup_count = int(spec.dup_fraction * len(defs) + 0.5)
         for index in sorted(rng.sample(range(len(defs)), dup_count)):
@@ -157,7 +158,7 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> ModuleMap:
             target = rng.randrange(n - 1)
             if target >= m:
                 target += 1
-            extra_defs[target].append(decl)
+            own[target].append(decl)
 
     forwards: dict[int, list[str]] = {m: [] for m in range(n)}
     for m, decl in defs:
@@ -168,14 +169,13 @@ def generate_corpus(spec: CorpusSpec, out_dir: str | Path) -> ModuleMap:
     for m in range(n):
         base = int(spec.import_density)
         count = base + (1 if rng.random() < spec.import_density - base else 0)
-        others = [names[t] for t in range(n) if t != m]
+        others = names[:m] + names[m + 1:]
         imports[m] = sorted(rng.sample(others, min(count, len(others))))
 
     modules = []
     for m in range(n):
-        own = [decl for dm, decl in defs if dm == m] + extra_defs[m]
         lines = [f'include "{imp}/types.dh";' for imp in imports[m]]
-        lines.extend(render_decl(decl) for decl in own)
+        lines.extend(render_decl(decl) for decl in own[m])
         headers = {"types.dh": "\n".join(lines) + "\n"}
         if forwards[m]:
             headers["fwd.dh"] = "".join(f"struct {name};\n" for name in forwards[m])

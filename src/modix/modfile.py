@@ -383,17 +383,32 @@ def deserialize_decl(module: ModuleFile, name: str) -> tuple[Decl, bytes]:
 # --- merging ---
 
 
+def _fold(firsts: dict[EntityKind, Candidate], candidate: Candidate) -> None:
+    """Take one candidate of a name, in module order, into `firsts`: the
+    first candidate of each `EntityKind` stays, and a later one of that kind
+    must carry the same payload bytes, or OdrViolation names both modules."""
+    decl, module, payload = candidate
+    first = firsts.setdefault(_KINDS[decl.kind].entity, candidate)
+    if first[2] != payload:
+        raise OdrViolation(decl.name, first[1], module)
+
+
+def _entity(firsts: dict[EntityKind, Candidate]) -> Entity:
+    """The merged entity: the first candidate of the top-ranked kind."""
+    kind = max(firsts)
+    decl, module, payload = firsts[kind]
+    return Entity(decl.name, kind, payload, module, decl)
+
+
 def merge_entities(
     decls: Sequence[Candidate],
     module_order: Mapping[str, int] | None = None,
 ) -> Entity:
     """Collapse same-name declarations from several modules into one entity.
 
-    Candidates group by the `EntityKind` they merge as, and within a group
-    the given payload bytes must agree; the top-ranked group wins (see
-    `EntityKind`).  Among its members the lowest module id (falling back to
-    module name) supplies the canonical payload, which also makes the result
-    independent of input order.
+    Each candidate is folded (`_fold`) in module order, lowest module id
+    first and then module name, so neither the entity nor, among several
+    conflicts, the one reported (the first met) depends on input order.
     """
     if not decls:
         raise ValueError("merge_entities requires at least one declaration")
@@ -402,51 +417,29 @@ def merge_entities(
         if decl.name != name:
             raise ValueError(f"mixed names in merge: '{name}' vs '{decl.name}'")
 
-    def order_key(module: str) -> tuple[int, str]:
+    def order(candidate: Candidate) -> tuple[int, str]:
+        module = candidate[1]
         if module_order is not None and module in module_order:
             return (module_order[module], module)
         return (2**32, module)
 
-    by_kind: dict[EntityKind, list[Candidate]] = {}
-    for candidate in decls:
-        by_kind.setdefault(_KINDS[candidate[0].kind].entity, []).append(candidate)
-    for group in by_kind.values():
-        group.sort(key=lambda item: order_key(item[1]))
-        first_payload = group[0][2]
-        for _, module, payload in group[1:]:
-            if payload != first_payload:
-                raise OdrViolation(name, group[0][1], module)
-
-    top = max(by_kind)
-    winner_decl, winner_module, winner_payload = by_kind[top][0]
-    return Entity(
-        name=name,
-        kind=top,
-        canonical_payload=winner_payload,
-        defining_module=winner_module,
-        decl=winner_decl,
-    )
+    firsts: dict[EntityKind, Candidate] = {}
+    for candidate in sorted(decls, key=order):
+        _fold(firsts, candidate)
+    return _entity(firsts)
 
 
 def build_pch(modules: Iterable[ModuleFile]) -> bytes:
-    """Merge whole modules into one precompiled cache named `__pch__`.
-
-    Duplicate names collapse to the winning declaration; its flags replace the
-    per-module flag unions.  A module's position in `modules` is its id for
-    the tie-break, so callers pass them in module map order.  A stream of
-    summaries is held one at a time, and equal payloads once.
+    """Merge whole modules, given in module map order, into one precompiled
+    cache named `__pch__`.  Each summary is folded as the stream yields it,
+    so per name only the first candidate of each kind is held, and an ODR
+    conflict is raised at the first module that brings one.  A name's row is
+    its winning declaration, with that declaration's flags.
     """
-    order: dict[str, int] = {}
-    payloads: dict[bytes, bytes] = {}
-    gathered: dict[str, list[Candidate]] = {}
-    for position, mf in enumerate(modules):
-        order[mf.module_name] = position
+    merged: dict[str, dict[EntityKind, Candidate]] = {}
+    for mf in modules:
         for name in mf.table:
             decl, payload = deserialize_decl(mf, name)
-            payload = payloads.setdefault(payload, payload)
-            gathered.setdefault(name, []).append((decl, mf.module_name, payload))
-    rows = []
-    for name, candidates in gathered.items():
-        entity = merge_entities(candidates, order)
-        rows.append((name, _KINDS[entity.decl.kind].flags, entity.decl))
+            _fold(merged.setdefault(name, {}), (decl, mf.module_name, payload))
+    rows = [(e.name, _KINDS[e.decl.kind].flags, e.decl) for e in map(_entity, merged.values())]
     return _emit(PCH_MODULE_NAME, (), rows)

@@ -225,14 +225,15 @@ def run_equivalence_check(
     corpus: BuiltCorpus, workload: list[tuple[str, Need]], local_roots: tuple[str, ...] = ()
 ) -> None:
     """Assert all five strategies agree on the workload's outcome sequence,
-    an ODR violation being one more outcome."""
+    an ODR violation, with the pair of modules it names, being one more
+    outcome."""
     from modix.bench import open_corpus_session
 
     def signature(session: Session, ident: str, need: Need) -> tuple:
         try:
             return outcome_signature(session, ident, need)
-        except OdrViolation:
-            return ("odr-violation",)
+        except OdrViolation as exc:
+            return ("odr-violation", exc.module_a, exc.module_b)
 
     sequences = {}
     for strategy in Strategy:

@@ -291,6 +291,20 @@ class TestMergeEntities:
             assert entity.canonical_payload == baseline.canonical_payload
             assert entity.defining_module == baseline.defining_module
 
+    def test_first_conflict_in_module_order_is_reported(self):
+        # Two conflicting kinds: the struct pair (M0, M1) is met first in
+        # module order, whatever order the candidates arrive in.
+        sources = [
+            ("struct X { a: i32; };", "M0"), ("struct X { a: i64; };", "M1"),
+            ("using X = i32;", "M2"), ("using X = i64;", "M3"),
+        ]
+        candidates = [_c(_header(text).items[0], module) for text, module in sources]
+        for perm in itertools.permutations(candidates):
+            with pytest.raises(OdrViolation) as excinfo:
+                merge_entities(list(perm), _ORDER)
+            error = excinfo.value
+            assert (error.name, error.module_a, error.module_b) == ("X", "M0", "M1")
+
     def test_merge_hashes_its_kinds_in_c(self):
         # DeclKind and EntityKind are IntEnums, so keying `_KINDS` and the
         # per-kind groups calls no Python-level `__hash__`.
@@ -346,6 +360,16 @@ class TestBuildPch:
         ]
         with pytest.raises(OdrViolation):
             build_pch(mods)
+
+    def test_odr_violation_is_raised_without_reading_further(self):
+        def stream():
+            yield self._mf("M0", "struct A { x: i32; };")
+            yield self._mf("M1", "struct A { x: i64; };")
+            raise AssertionError("the stream was read past the conflict")
+
+        with pytest.raises(OdrViolation) as excinfo:
+            build_pch(stream())
+        assert (excinfo.value.module_a, excinfo.value.module_b) == ("M0", "M1")
 
     def test_pch_round_trips(self):
         mods = [self._mf("M0", "struct A { x: i32; };"), self._mf("M1", "struct A;")]
