@@ -26,7 +26,7 @@ from .declang import Decl, DeclKind, StructField, TypeRef, parse_header, render_
 from .errors import EmptyReport
 from .gmi import IndexFlavor
 from .interp import run_script
-from .loader import INDEX_FLAVORS, ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy
+from .loader import ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy
 from .loader import open_session
 from .modulemap import FINAL_MAP_NAME, ModuleMap, SearchPaths, load_modulemap, read_text
 
@@ -228,7 +228,7 @@ def write_corpus(
     (out / modfile.PCH_FILE_NAME).write_bytes(modfile.build_pch(compiled))
     for flavor in (IndexFlavor.SEMANTIC, IndexFlavor.LEXICAL):
         (out / gmi_mod.index_file_name(flavor)).write_bytes(
-            gmi_mod.build_index(module_map, out, flavor)
+            gmi_mod.build_index(module_map, compiled, flavor)
         )
     return module_map
 
@@ -310,11 +310,7 @@ def open_corpus_session(
     corpus_dir = Path(corpus_dir)
     module_map = load_modulemap(corpus_dir / FINAL_MAP_NAME)
     paths = SearchPaths(tuple(str(r) for r in local_roots), str(corpus_dir))
-    flavor = INDEX_FLAVORS.get(strategy)
-    index_path = corpus_dir / gmi_mod.index_file_name(flavor) if flavor is not None else None
-    return open_session(
-        module_map, paths, strategy, cost, index_path, allow_stale=allow_stale
-    )
+    return open_session(module_map, paths, strategy, cost, allow_stale=allow_stale)
 
 
 def run_benchmark(

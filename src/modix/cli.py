@@ -23,10 +23,10 @@ from . import bench as bench_mod
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import parse_header  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .errors import ModixError, reading
+from .errors import MissingIndex, ModixError, reading
 from .gmi import IndexFlavor
 from .interp import format_result, iter_script, repl
-from .loader import INDEX_FLAVORS, CostModel, Strategy, open_session
+from .loader import CostModel, Strategy, open_session
 from .modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, load_modulemap, parse_overlay
 from .modulemap import read_text
 
@@ -90,9 +90,14 @@ def _cmd_pch(args: argparse.Namespace) -> int:
 
 def _cmd_index(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
-    module_map = load_modulemap(corpus / FINAL_MAP_NAME)
+    map_path = corpus / FINAL_MAP_NAME
+    module_map = load_modulemap(map_path)
+    for name in args.exclude:
+        if name not in module_map.names:
+            raise ModixError(f"cannot exclude '{name}': no such module in {map_path}")
+    indexed = [name for name in module_map.names if name not in args.exclude]
     flavor = IndexFlavor.SEMANTIC if args.semantic else IndexFlavor.LEXICAL
-    data = gmi_mod.build_index(module_map, corpus, flavor, args.exclude)
+    data = gmi_mod.build_index(module_map, modfile.read_modules(corpus, indexed), flavor)
     out = Path(args.out) if args.out else corpus / gmi_mod.index_file_name(flavor)
     out.write_bytes(data)
     print(f"wrote {out} ({flavor.name.lower()}, {len(data)} bytes)")
@@ -102,6 +107,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
     index_path = Path(args.index) if args.index else corpus / gmi_mod.INDEX_FILE_NAME
+    if not index_path.is_file():
+        raise MissingIndex(f"index file not found: {index_path}")
     with reading(index_path):
         index = gmi_mod.load_index(index_path.read_bytes())
     report = gmi_mod.validate_index(index, corpus)
@@ -120,16 +127,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
     module_map = load_modulemap(corpus / FINAL_MAP_NAME)
     paths = SearchPaths(tuple(args.local), str(corpus))
-    index_path = None
-    flavor = INDEX_FLAVORS.get(strategy)
-    if flavor is not None:
-        index_path = args.index or corpus / gmi_mod.index_file_name(flavor)
     session = open_session(
         module_map,
         paths,
         strategy,
         cost=cost,
-        index_path=index_path,
+        index_path=args.index,
         allow_stale=args.allow_stale,
         overlay=_load_overlay(args.overlay),
     )

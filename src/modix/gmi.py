@@ -29,12 +29,12 @@ import struct
 from dataclasses import dataclass
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from ._wire import Reader, Writer, byte_order, decode_flags
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
-from .modfile import FILE_EXTENSION, EntityKind, content_hashes, merges_as, read_modules
+from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, merges_as
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap, Overlay, root_file
 
@@ -93,28 +93,23 @@ class GlobalIndex:
         return self.postings.get(identifier, ())
 
 
-def build_index(
-    map: ModuleMap,
-    module_dir: str | Path,
-    flavor: IndexFlavor,
-    excluded: Sequence[str] = (),
-) -> bytes:
-    """Index every non-excluded module's identifier table; a module's id is
-    its position in the map.
+def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlavor) -> bytes:
+    """Index the identifier tables of the summaries handed in, given in module
+    map order; a module's id is its position in the map.
 
-    Excluded modules contribute no postings but are recorded so sessions know
-    to consult them directly; each indexed module's content hash is stored for
-    staleness checks.
+    Map modules not handed in are excluded: they contribute no postings but
+    are recorded so sessions know to consult them directly.  Each indexed
+    module's content hash is stored for staleness checks.
     """
-    excluded_set = set(excluded)
-    indexed = [name for name in map.names if name not in excluded_set]
     rows: list[IndexedModule] = []
     postings: dict[str, list[tuple[int, EntityKind]]] = {}  # in map order
-    for name, mf in zip(indexed, read_modules(module_dir, indexed)):
-        module_id = map.module_id(name)
-        rows.append(IndexedModule(module_id, name, mf.content_hash))
+    for mf in modules:
+        module_id = map.module_id(mf.module_name)
+        rows.append(IndexedModule(module_id, mf.module_name, mf.content_hash))
         for entry in mf.table.values():
             postings.setdefault(entry.name, []).append((module_id, merges_as(entry.flags)))
+    indexed = {row.name for row in rows}
+    excluded = [name for name in map.names if name not in indexed]
 
     def write_postings(plist: list[tuple[int, EntityKind]]) -> None:
         top = max(kind for _, kind in plist)
@@ -128,8 +123,8 @@ def build_index(
     w.raw(MAGIC)
     w.u32(VERSION)
     w.u8(flavor.value)
-    w.u32(len(excluded_set))
-    for name in byte_order(excluded_set):
+    w.u32(len(excluded))
+    for name in byte_order(excluded):
         w.lpstr(name)
     w.u32(len(rows))
     for row in rows:

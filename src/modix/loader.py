@@ -259,20 +259,22 @@ class Session:
         self._load_direct(allow_stale)
 
     def _start_index(self, index_path: str | Path | None, allow_stale: bool) -> None:
-        if index_path is None:
-            raise MissingIndex("a global index path is required for this strategy")
         self._read_index(index_path, allow_stale)
         self._load_direct(allow_stale)
         self._load_excluded()
 
-    def _read_index(self, index_path: str | Path, allow_stale: bool) -> None:
+    def _read_index(self, index_path: str | Path | None, allow_stale: bool) -> None:
+        """Load the index of the flavor this strategy reads: `index_path` if
+        given, else the release root's file of that flavor."""
+        wanted = INDEX_FLAVORS.get(self.strategy, IndexFlavor.LEXICAL)
+        if index_path is None:
+            index_path = root_file(self.paths.release_root, gmi_mod.index_file_name(wanted))
         real = Path(self.overlay.apply(str(index_path)))
         if not real.is_file():
             raise MissingIndex(f"index file not found: {index_path}")
         data = real.read_bytes()
         with reading(real):
             index = gmi_mod.load_index(data)
-        wanted = INDEX_FLAVORS.get(self.strategy, IndexFlavor.LEXICAL)
         if index.flavor is not wanted:
             raise WrongFlavor(
                 f"strategy {self.strategy.value} needs a {wanted.name.lower()} index, "
@@ -298,7 +300,7 @@ class Session:
                 self._direct.append(name)
         if self._index is None and self._direct:
             release = self.paths.release_root
-            self._read_index(root_file(release, gmi_mod.LEXICAL_INDEX_FILE_NAME), allow_stale)
+            self._read_index(None, allow_stale)
             for name in self._direct:
                 try:
                     path = resolve_module_path(SearchPaths((), release), name, self.overlay)
@@ -564,5 +566,7 @@ def open_session(
     allow_stale: bool = False,
     overlay: Overlay | None = None,
 ) -> Session:
-    """Open a session, charging the strategy's startup costs."""
+    """Open a session, charging the strategy's startup costs.  An index
+    strategy reads its flavor's index file in the release root, or
+    `index_path` when given; the other strategies ignore `index_path`."""
     return Session(map, paths, strategy, cost, index_path, allow_stale, overlay)

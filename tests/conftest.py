@@ -4,9 +4,10 @@
 all declaration kinds, forward-only names, byte-identical duplicates, names
 declared as kinds of different merge rank in different modules, import chains
 with occasional cycles.  `write_local_rebuilds` checks some of its modules
-out into a local root, rebuilt.  Everything is seeded, so the suite is fully
-deterministic.  `single_edit` and `assert_same_parse` serve the Hypothesis
-tests that hold each pattern parser to its token `Cursor` parser.
+out into a local root, rebuilt, and `index_bytes` indexes a corpus directory.
+Everything is seeded, so the suite is fully deterministic.  `single_edit` and
+`assert_same_parse` serve the Hypothesis tests that hold each pattern parser
+to its token `Cursor` parser.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from modix.bench import write_corpus
 from modix.declang import KEYWORDS, Decl, DeclKind, Need, StructField, TypeRef, parse_header
 from modix.declang import render_decl
 from modix.errors import ModixError, OdrViolation
+from modix.gmi import IndexFlavor, build_index
 from modix.loader import ResolutionOutcome, Session, Strategy
-from modix.modfile import _KINDS, compile_module, read_module_summary
+from modix.modfile import _KINDS, compile_module, read_module_summary, read_modules
 from modix.modulemap import ModuleMap
 
 BUILTINS = ("i32", "i64", "f64", "bool")
@@ -175,6 +177,15 @@ def build_random_corpus(rng: random.Random, out_dir: Path) -> BuiltCorpus:
     module_map = write_corpus(out_dir, modules)
     unknown = [fresh("X") for _ in range(3)]
     return BuiltCorpus(Path(out_dir), module_map, sorted(set(known)), unknown)
+
+
+def index_bytes(
+    module_map: ModuleMap, corpus_dir: Path, flavor: IndexFlavor, excluded=()
+) -> bytes:
+    """The index of the corpus's module files, all but `excluded`, as
+    `modix index --exclude` builds it."""
+    indexed = [name for name in module_map.names if name not in excluded]
+    return build_index(module_map, read_modules(corpus_dir, indexed), flavor)
 
 
 def write_local_rebuilds(rng: random.Random, corpus: BuiltCorpus, local_dir: Path) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_random_corpus, random_workload, run_equivalence_check
+from conftest import build_random_corpus, index_bytes, random_workload, run_equivalence_check
 from modix.bench import (
     CorpusSpec,
     generate_corpus,
@@ -29,7 +29,6 @@ from modix.gmi import (
     LEXICAL_INDEX_FILE_NAME,
     IndexFlavor,
     PostingFlags,
-    build_index,
     load_index,
     lookup,
     lookup_definition,
@@ -243,7 +242,7 @@ def test_criterion_6_cmssw_shape(cmssw_corpus, tmp_path):
 
         index_path = tmp_path / "release.gmi"
         index_path.write_bytes(
-            build_index(module_map, corpus_dir, IndexFlavor.SEMANTIC, [cloned_module])
+            index_bytes(module_map, corpus_dir, IndexFlavor.SEMANTIC, [cloned_module])
         )
         index = load_index(index_path.read_bytes())
         assert index.excluded == (cloned_module,)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from modix import modfile
 from modix.bench import (
     CorpusSpec,
     emit_report,
@@ -127,6 +128,23 @@ class TestGenerateCorpus:
             CorpusSpec(n_modules=4, framework_modules=2, seed=1), tmp_path / "fw"
         )
         assert module_map.names == ("Fwk000", "Fwk001", "Ext000", "Ext001")
+
+    def test_reads_each_module_file_once(self, tmp_path, monkeypatch):
+        # The indexes fold the summaries the compile step already holds.
+        read = modfile.read_module_summary
+        calls = []
+
+        def counted(data):
+            calls.append(1)
+            return read(data)
+
+        monkeypatch.setattr(modfile, "read_module_summary", counted)
+        spec = CorpusSpec(
+            n_modules=12, defs_per_module=3, fwd_fanout=3,
+            dup_fraction=0.5, import_density=1.0, seed=7,
+        )
+        generate_corpus(spec, tmp_path / "c")
+        assert len(calls) == 12
 
     def test_pcm_count_matches_spec(self, tmp_path):
         generate_corpus(CorpusSpec(n_modules=12, seed=5), tmp_path / "c")

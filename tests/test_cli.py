@@ -9,6 +9,7 @@ import pytest
 from conftest import build_random_corpus
 from modix.bench import CorpusSpec, generate_corpus
 from modix.cli import main
+from modix.gmi import load_index
 from modix.interp import PROMPT
 
 ARTIFACT_SUFFIXES = (".pcm", ".gmi", ".rootmap")
@@ -340,6 +341,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err == f"modix: error: index file not found: {corpus / 'modules.lexical.gmi'}\n"
+
+    def test_validate_without_the_index_is_named(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        (corpus / "modules.gmi").unlink()
+        assert main(["validate", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"modix: error: index file not found: {corpus / 'modules.gmi'}\n"
+
+    def test_excluding_a_module_not_in_the_map_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        before = (corpus / "modules.gmi").read_bytes()
+        argv = ["index", str(corpus), "--semantic", "--exclude", "M1"]
+        assert main(argv + ["--exclude", "Typo"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        map_path = corpus / "module.modulemap"
+        assert err == f"modix: error: cannot exclude 'Typo': no such module in {map_path}\n"
+        assert (corpus / "modules.gmi").read_bytes() == before
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert load_index((corpus / "modules.gmi").read_bytes()).excluded == ("M1",)
 
     def test_index_of_the_other_flavor_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "c"

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import index_bytes
+from modix.bench import compile_tree
 from modix.declang import parse_header
 from modix.errors import CorruptTable, BadMagic, BadVersion, ModuleNotFound, WrongFlavor
 from modix._wire import Writer
@@ -21,7 +23,7 @@ from modix.gmi import (
 )
 from modix.modfile import DeclFlags, EntityKind, compile_module, deserialize_decl, merge_entities
 from modix.modfile import read_module_summary
-from modix.modulemap import ModuleDef, concat_modulemaps
+from modix.modulemap import FINAL_MAP_NAME, ModuleDef, concat_modulemaps
 
 
 def _write_module(directory: Path, name: str, source: str, imports=()):
@@ -45,11 +47,11 @@ def gpad_dir(tmp_path):
 
 
 def _semantic(directory, module_map, excluded=()):
-    return load_index(build_index(module_map, directory, IndexFlavor.SEMANTIC, excluded))
+    return load_index(index_bytes(module_map, directory, IndexFlavor.SEMANTIC, excluded))
 
 
 def _lexical(directory, module_map, excluded=()):
-    return load_index(build_index(module_map, directory, IndexFlavor.LEXICAL, excluded))
+    return load_index(index_bytes(module_map, directory, IndexFlavor.LEXICAL, excluded))
 
 
 class TestBuildAndLookup:
@@ -80,7 +82,7 @@ class TestBuildAndLookup:
 
     def test_missing_module_file(self, tmp_path):
         with pytest.raises(ModuleNotFound):
-            build_index(_map_for(["Ghost"]), tmp_path, IndexFlavor.SEMANTIC)
+            index_bytes(_map_for(["Ghost"]), tmp_path, IndexFlavor.SEMANTIC)
 
     def test_lexical_flags_collapse_to_mentions(self, gpad_dir):
         directory, module_map = gpad_dir
@@ -163,19 +165,30 @@ def _index_bytes(modules, entries):
     return w.getvalue()
 
 
+class TestBuildFromSummaries:
+    @pytest.mark.parametrize("flavor", list(IndexFlavor))
+    @pytest.mark.parametrize("excluded", [(), ("M3",)])
+    def test_compiled_summaries_index_as_the_files_do(self, corpus12, tmp_path, flavor, excluded):
+        module_map, compiled = compile_tree(corpus12 / FINAL_MAP_NAME, tmp_path)
+        handed = [mf for mf in compiled if mf.module_name not in excluded]
+        data = build_index(module_map, handed, flavor)
+        assert data == index_bytes(module_map, tmp_path, flavor, excluded)
+        assert load_index(data).excluded == excluded
+
+
 class TestFormat:
     def test_round_trip(self, gpad_dir):
         directory, module_map = gpad_dir
-        data = build_index(module_map, directory, IndexFlavor.SEMANTIC, ["M5"])
+        data = index_bytes(module_map, directory, IndexFlavor.SEMANTIC, ["M5"])
         index = load_index(data)
         assert index.flavor is IndexFlavor.SEMANTIC
         assert index.excluded == ("M5",)
         assert [m.name for m in index.modules] == [f"M{i}" for i in range(5)]
-        assert build_index(module_map, directory, IndexFlavor.SEMANTIC, ["M5"]) == data
+        assert index_bytes(module_map, directory, IndexFlavor.SEMANTIC, ["M5"]) == data
 
     def test_bad_magic_and_truncation(self, gpad_dir):
         directory, module_map = gpad_dir
-        data = build_index(module_map, directory, IndexFlavor.LEXICAL)
+        data = index_bytes(module_map, directory, IndexFlavor.LEXICAL)
         with pytest.raises(BadMagic):
             load_index(b"XXXX" + data[4:])
         with pytest.raises(CorruptTable):
@@ -185,7 +198,7 @@ class TestFormat:
 
     def test_version_1_rejected(self, gpad_dir):
         directory, module_map = gpad_dir
-        data = bytearray(build_index(module_map, directory, IndexFlavor.SEMANTIC))
+        data = bytearray(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
         data[4:8] = (1).to_bytes(4, "little")
         with pytest.raises(BadVersion):
             load_index(bytes(data))

@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from conftest import build_random_corpus
+from conftest import build_random_corpus, index_bytes
 from modix.bench import compile_tree, open_corpus_session, write_corpus
 from modix.declang import parse_header, parse_statement
 from modix.errors import ParseError
-from modix.gmi import LEXICAL_INDEX_FILE_NAME, IndexFlavor, build_index
+from modix.gmi import LEXICAL_INDEX_FILE_NAME, IndexFlavor
 from modix.interp import FailReason, eval, format_result, iter_script, repl, run_script
 from modix.loader import LoadStats, Session, Strategy
 from modix.modfile import compile_module
@@ -115,7 +115,7 @@ def _compile_release(corpus_dir, headers):
     )
     module_map, _ = compile_tree(map_file, corpus_dir)
     (corpus_dir / LEXICAL_INDEX_FILE_NAME).write_bytes(
-        build_index(module_map, corpus_dir, IndexFlavor.LEXICAL)
+        index_bytes(module_map, corpus_dir, IndexFlavor.LEXICAL)
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_random_corpus, outcome_signature, random_workload, run_equivalence_check
-from conftest import write_local_rebuilds
+from conftest import index_bytes, write_local_rebuilds
 from modix import modfile
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.declang import Need, parse_header
@@ -26,7 +26,6 @@ from modix.gmi import (
     LEXICAL_INDEX_FILE_NAME,
     IndexFlavor,
     Staleness,
-    build_index,
     index_file_name,
     load_index,
     validate_index,
@@ -112,13 +111,26 @@ class TestStartup:
         (corpus_dir / "modules.rootmap").unlink()
         with pytest.raises(MissingRootmap):
             open_session(module_map, paths, Strategy.TEXTUAL)
-        with pytest.raises(MissingIndex):
-            open_session(module_map, paths, Strategy.SEMANTIC_GMI)
+        for strategy, flavor in INDEX_FLAVORS.items():
+            default = corpus_dir / index_file_name(flavor)
+            default.unlink()
+            with pytest.raises(MissingIndex) as excinfo:
+                open_session(module_map, paths, strategy)
+            assert str(excinfo.value) == f"index file not found: {default}"
         with pytest.raises(MissingIndex):
             open_session(
                 module_map, paths, Strategy.SEMANTIC_GMI,
                 index_path=corpus_dir / "nope.gmi",
             )
+
+    def test_index_strategies_find_their_own_index(self, tmp_path, gpad_corpus):
+        corpus_dir, module_map = gpad_corpus
+        virtual = str(tmp_path / "mounted")
+        overlay = Overlay(((virtual, str(corpus_dir)),))
+        for strategy in INDEX_FLAVORS:
+            for root, remap in ((str(corpus_dir), None), (virtual, overlay)):
+                session = open_session(module_map, SearchPaths((), root), strategy, overlay=remap)
+                assert session.resolve("S0_0", Need.DEFINITION).succeeded, (strategy, root)
 
     def test_flavor_mismatch_rejected(self, gpad_corpus):
         corpus_dir, module_map = gpad_corpus
@@ -545,7 +557,7 @@ class TestLocalShadowing:
     def test_excluded_module_consulted_directly(self, shadowed, tmp_path):
         corpus_dir, local = shadowed
         module_map = load_modulemap(corpus_dir / "module.modulemap")
-        index_data = build_index(module_map, corpus_dir, IndexFlavor.SEMANTIC, ["Pkg"])
+        index_data = index_bytes(module_map, corpus_dir, IndexFlavor.SEMANTIC, ["Pkg"])
         index_path = tmp_path / "excl.gmi"
         index_path.write_bytes(index_data)
         session = open_session(
@@ -576,7 +588,7 @@ class TestLocalShadowing:
         )
         module_map = load_modulemap(corpus_dir / "module.modulemap")
         for flavor in IndexFlavor:
-            index_data = build_index(module_map, corpus_dir, flavor, ["X"])
+            index_data = index_bytes(module_map, corpus_dir, flavor, ["X"])
             (corpus_dir / index_file_name(flavor)).write_bytes(index_data)
         local = tmp_path / "local"
         local.mkdir()
@@ -617,7 +629,7 @@ class TestOneShadowingRule:
         corpus_dir = tmp_path / "release"
         module_map = write_corpus(corpus_dir, cls.RELEASE)
         if excluded:
-            lexical = build_index(module_map, corpus_dir, IndexFlavor.LEXICAL, list(excluded))
+            lexical = index_bytes(module_map, corpus_dir, IndexFlavor.LEXICAL, list(excluded))
             (corpus_dir / LEXICAL_INDEX_FILE_NAME).write_bytes(lexical)
         local = tmp_path / "local"
         local.mkdir()
@@ -669,7 +681,7 @@ class TestOneShadowingRule:
             ("X", {"t.dh": 'include "Y/t.dh";\nstruct XT { x: YT; };\n'}),
             ("L", {"t.dh": "struct LT { l: i32; };\n"}),
         ])
-        lexical = build_index(module_map, corpus_dir, IndexFlavor.LEXICAL, ["X"])
+        lexical = index_bytes(module_map, corpus_dir, IndexFlavor.LEXICAL, ["X"])
         (corpus_dir / LEXICAL_INDEX_FILE_NAME).write_bytes(lexical)
         local = tmp_path / "local"
         local.mkdir()
