@@ -24,7 +24,7 @@ from . import gmi as gmi_mod
 from . import modfile
 from .declang import parse_header  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import MissingIndex, ModixError, reading
-from .gmi import IndexFlavor
+from .gmi import IndexFlavor, Staleness
 from .interp import format_result, iter_script, repl
 from .loader import CostModel, Strategy, open_session
 from .modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, load_modulemap, parse_overlay
@@ -106,18 +106,30 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
-    index_path = Path(args.index) if args.index else corpus / gmi_mod.INDEX_FILE_NAME
-    if not index_path.is_file():
-        raise MissingIndex(f"index file not found: {index_path}")
-    with reading(index_path):
-        index = gmi_mod.load_index(index_path.read_bytes())
-    report = gmi_mod.validate_index(index, corpus)
-    for name, status in report.statuses:
+    index_paths = [Path(args.index) if args.index else corpus / gmi_mod.INDEX_FILE_NAME]
+    lexical = corpus / gmi_mod.LEXICAL_INDEX_FILE_NAME
+    if not args.index and lexical.is_file():
+        index_paths.append(lexical)
+    statuses: dict[str, Staleness] = {}  # a module is fresh only if every index finds it so
+    stale: list[Path] = []
+    for index_path in index_paths:
+        if not index_path.is_file():
+            raise MissingIndex(f"index file not found: {index_path}")
+        with reading(index_path):
+            index = gmi_mod.load_index(index_path.read_bytes())
+        report = gmi_mod.validate_index(index, corpus)
+        for name, status in report.statuses:
+            if statuses.get(name, Staleness.FRESH) is Staleness.FRESH:
+                statuses[name] = status
+        if not report.all_fresh:
+            stale.append(index_path)
+    for name, status in statuses.items():
         print(f"{name}: {status.value}")
-    if not report.all_fresh:
-        print("index is stale", file=sys.stderr)
+    for index_path in stale:
+        print(f"index is stale: {index_path}", file=sys.stderr)
+    if stale:
         return 2
-    print(f"all {len(report.statuses)} modules fresh")
+    print(f"all {len(statuses)} modules fresh")
     return 0
 
 
@@ -206,7 +218,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check the index against the corpus")
     p.add_argument("dir", help="corpus directory")
-    p.add_argument("--index", help="index file (default DIR/modules.gmi)")
+    p.add_argument("--index", help="index file (default DIR/modules.gmi, and "
+                   "DIR/modules.lexical.gmi if present)")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("run", help="run a script or REPL session")

@@ -123,7 +123,12 @@ class Need(Enum):
     FORWARD_OK = "forward_ok"
 
 
-@dataclass(frozen=True, slots=True)
+# The value types built per declaration, row, lookup or statement, here and in
+# the other modules, are slotted and hashable but not frozen: a frozen
+# `__init__` sets each field through `object.__setattr__`, several times slower.
+# No code stores into one after construction; tests/test_immutability.py
+# checks the source.
+@dataclass(slots=True, unsafe_hash=True)
 class TypeRef:
     base: str
     indirection: int = 0
@@ -133,13 +138,13 @@ class TypeRef:
         return self.base in BUILTIN_SIZES
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StructField:
     name: str
     type: TypeRef
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Decl:
     """One parsed declaration."""
 
@@ -157,7 +162,7 @@ class Decl:
         return self.kind is DeclKind.STRUCT_FWD
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HeaderAST:
     path: str
     items: tuple[Decl, ...]
@@ -397,28 +402,28 @@ def _parse_header_tokens(source: str, path: str) -> HeaderAST:
 # --- interpreter statements ---
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NewStmt:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DeclareStmt:
     var: str
     type: TypeRef
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SizeOfStmt:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CallStmt:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DirectiveStmt:
     name: str
 

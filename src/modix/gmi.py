@@ -67,13 +67,13 @@ _POSTING_FLAGS = {int(flags): flags for flags in (PostingFlags.MENTIONS, _DEFINE
 _POSTING_ROW = struct.Struct("<IB")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Posting:
     module: str
     flags: PostingFlags
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IndexedModule:
     module_id: int
     name: str

@@ -40,7 +40,7 @@ class FailReason(Enum):
     NOT_SIZEABLE = "not-sizeable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EvalResult:
     echo: str
     ok: bool

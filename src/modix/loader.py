@@ -108,7 +108,7 @@ class CostModel:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LoadStats:
     """Deterministic cost snapshot.  ``false_positive_loads`` counts modules
     that a lookup loaded and that have not yet been the defining module of a
@@ -163,7 +163,7 @@ class ResolutionOutcome(Enum):
     NOT_FOUND = "not-found"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Resolution:
     outcome: ResolutionOutcome
     entity: Entity | None = None

@@ -109,7 +109,7 @@ _DECL_FLAGS = {int(flags): flags for flags in _FLAGS_ENTITY}
 merges_as = _FLAGS_ENTITY.__getitem__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IdentEntry:
     name: str
     flags: DeclFlags
@@ -138,7 +138,7 @@ class ModuleFile:
         return tuple(self.table)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Entity:
     """The merged view of one name across the modules that declare it."""
 

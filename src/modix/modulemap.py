@@ -43,7 +43,7 @@ def read_text(path: str | Path) -> str:
         raise UnreadableFile(f"cannot read {path}: {reason}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ModuleDef:
     name: str
     headers: tuple[str, ...]

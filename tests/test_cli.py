@@ -400,6 +400,29 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "M1: hash-mismatch" in out
 
+    def test_validate_checks_the_lexical_index_too(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        from modix.declang import parse_header
+        from modix.modfile import compile_module
+
+        header = parse_header("struct S1_0 { z: bool; };", "types.dh")
+        (corpus / "M1.pcm").write_bytes(compile_module("M1", [header]))
+        assert main(["index", str(corpus), "--semantic"]) == 0
+        script = tmp_path / "w.dscript"
+        script.write_text("new S0_0;\n", "utf-8")
+        assert main(["run", "--strategy", "lexical-gmi", "--dir", str(corpus), str(script)]) == 2
+        capsys.readouterr()
+
+        assert main(["validate", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "M0: fresh\nM1: hash-mismatch\n"
+        assert err == f"index is stale: {corpus / 'modules.lexical.gmi'}\n"
+
+        assert main(["index", str(corpus), "--lexical"]) == 0
+        assert main(["validate", str(corpus)]) == 0
+        assert capsys.readouterr().out.endswith("M1: fresh\nall 2 modules fresh\n")
+
     def test_stale_index_blocks_run_unless_allowed(self, tmp_path, capsys):
         corpus = tmp_path / "c"
         generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)

@@ -9,7 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modix import modfile
-from modix.declang import Decl, DeclKind, StructField, TypeRef, parse_header
+from modix.bench import open_corpus_session, write_corpus
+from modix.declang import (
+    CallStmt,
+    Decl,
+    DeclareStmt,
+    DeclKind,
+    DirectiveStmt,
+    HeaderAST,
+    Need,
+    NewStmt,
+    SizeOfStmt,
+    StructField,
+    TypeRef,
+    parse_header,
+    parse_statement,
+)
 from modix.errors import (
     BadMagic,
     BadVersion,
@@ -20,10 +35,12 @@ from modix.errors import (
     OdrViolation,
     UnknownIdentifier,
 )
-from modix.gmi import INDEX_FILE_NAME, load_index
+from modix.gmi import INDEX_FILE_NAME, IndexedModule, Posting, PostingFlags, load_index
+from modix.interp import EvalResult, run_script
 from modix.modfile import (
     PCH_FILE_NAME,
     DeclFlags,
+    Entity,
     EntityKind,
     IdentEntry,
     ModuleFile,
@@ -37,8 +54,8 @@ from modix.modfile import (
     read_module_summary,
     read_modules,
 )
-from modix.loader import LoadStats
-from modix.modulemap import FINAL_MAP_NAME, load_modulemap
+from modix.loader import LoadStats, Resolution, ResolutionOutcome, Strategy
+from modix.modulemap import FINAL_MAP_NAME, ModuleDef, load_modulemap
 from test_declang import _decls
 
 
@@ -441,6 +458,58 @@ class TestLeanValues:
         decoded, _ = decode_blob(encode_blob(parsed))
         assert hand == parsed == decoded
         assert hash(hand) == hash(parsed) == hash(decoded)
+
+    @pytest.fixture(scope="class")
+    def built_and_read(self, tmp_path_factory):
+        """Each value type, built by hand and as modix parses, decodes or
+        evaluates it over a one-module release, keyed by type name."""
+        root = tmp_path_factory.mktemp("one-module")
+        write_corpus(root, [("M", {"h.dh": "struct S { p: ptr<T>; };\nstruct T;\n"})])
+        mf = read_module_summary((root / "M.pcm").read_bytes())
+        index = load_index((root / INDEX_FILE_NAME).read_bytes())
+        session = open_corpus_session(root, Strategy.PRELOAD_ALL)
+        resolution = session.resolve("S", Need.DEFINITION)
+        (result,) = run_script(session, "sizeof(S);")
+        decoded, _ = deserialize_decl(mf, "S")
+
+        ref = TypeRef("T", 1)
+        decl = Decl("S", DeclKind.STRUCT_DEF, fields=(StructField("p", ref),), origin=("h.dh", 1))
+        entity = Entity("S", EntityKind.DEFINITION, encode_payload(decl), "M", decl)
+        pairs = [
+            (ref, decoded.fields[0].type),
+            (decl.fields[0], decoded.fields[0]),
+            (decl, decoded),
+            (HeaderAST("h.dh", (Decl("S", DeclKind.STRUCT_FWD, origin=("h.dh", 2)),), ("x.dh",)),
+             parse_header('include "x.dh";\nstruct S;\n', "h.dh")),
+            (NewStmt("S"), parse_statement("new S;")),
+            (DeclareStmt("v", TypeRef("S", 1)), parse_statement("declare v: ptr<S>;")),
+            (SizeOfStmt("S"), parse_statement("sizeof(S);")),
+            (CallStmt("f"), parse_statement("call f;")),
+            (DirectiveStmt("stats"), parse_statement(".stats")),
+            (ModuleDef("M", ("M/h.dh",)), load_modulemap(root / FINAL_MAP_NAME).defs[0]),
+            (IdentEntry("S", DeclFlags.HAS_DEFINITION, 0, len(encode_blob(decl))), mf.table["S"]),
+            (entity, resolution.entity),
+            (Posting("M", PostingFlags.MENTIONS | PostingFlags.DEFINES), index.entry("S")[0]),
+            (IndexedModule(0, "M", mf.content_hash), index.modules[0]),
+            (LoadStats(lookups=1), result.stats_delta),
+            (Resolution(ResolutionOutcome.RESOLVED, entity), resolution),
+            (EvalResult("sizeof(S);", True, 8, None, LoadStats(lookups=1)), result),
+        ]
+        return {type(hand).__name__: (hand, read) for hand, read in pairs}
+
+    @pytest.mark.parametrize("type_name", [
+        "TypeRef", "StructField", "Decl", "HeaderAST", "NewStmt", "DeclareStmt", "SizeOfStmt",
+        "CallStmt", "DirectiveStmt", "ModuleDef", "IdentEntry", "Entity", "Posting",
+        "IndexedModule", "LoadStats", "Resolution", "EvalResult",
+    ])
+    def test_value_type_equals_and_hashes_by_value(self, built_and_read, type_name):
+        """Value types are slotted and not frozen, so `unsafe_hash=True` is
+        what keeps them hashable: without it `__hash__` is None."""
+        hand, read = built_and_read[type_name]
+        assert type(read) is type(hand)
+        assert hand == read
+        assert hash(hand) == hash(read)
+        assert not hasattr(read, "__dict__")
 
 
 _names = st.text(alphabet="mnopq", min_size=1, max_size=4).map(lambda s: "d_" + s)
