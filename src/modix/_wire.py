@@ -1,5 +1,6 @@
 """Little-endian binary plumbing shared by the module-file and index formats,
-including their one keyed-table codec, `Writer.table` and `Reader.table`."""
+including their one keyed-table codec, `Writer.table` and `Reader.table`,
+and their one self-hash, `self_hashes` and `sealed`."""
 
 from __future__ import annotations
 
@@ -28,11 +29,34 @@ def fnv1a_64(data: bytes) -> int:
 
 def digest64(*parts: bytes | memoryview) -> int:
     """64-bit BLAKE2b over the parts in order, read as a little-endian u64:
-    the content hash of module files, which index rows also store."""
+    the self-hash of module and index files; index rows also store each
+    module file's."""
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         h.update(part)
     return int.from_bytes(h.digest(), "little")
+
+
+# Both formats keep their self-hash in the u64 after magic and version.
+_HASH_FIELD = slice(8, 16)
+
+
+def self_hashes(data: bytes | bytearray) -> tuple[int, int] | None:
+    """(stored, computed) self-hash of file bytes: the value of the hash
+    field, and BLAKE2b-64 over the bytes with that field zeroed.
+    None when the bytes are too short to hold the field."""
+    if len(data) < _HASH_FIELD.stop:
+        return None
+    with memoryview(data) as view:
+        stored = int.from_bytes(view[_HASH_FIELD], "little")
+        return stored, digest64(view[:_HASH_FIELD.start], bytes(8), view[_HASH_FIELD.stop:])
+
+
+def sealed(data: bytes) -> bytes:
+    """File bytes with their self-hash field filled in."""
+    out = bytearray(data)
+    out[_HASH_FIELD] = self_hashes(data)[1].to_bytes(8, "little")
+    return bytes(out)
 
 
 def byte_order(keys: Iterable[str]) -> list[str]:

@@ -273,16 +273,19 @@ def compile_tree(
 def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
     """One `IDENT HEADER` line per identifier, pointing at the header holding
     its winning declaration: the top-ranked kind (`modfile.EntityKind`), then
-    the earliest module in `compiled`, which callers pass in module map order."""
-    best: dict[str, tuple[int, int, str]] = {}
+    the earliest module in `compiled`, which callers pass in module map order.
+    A winner's header is read from its blob's head, decoding no blob."""
+    best: dict[str, tuple[int, int, modfile.ModuleFile, modfile.IdentEntry]] = {}
     for position, mf in enumerate(compiled):
         for entry in mf.table.values():
             key = (-modfile.merges_as(entry.flags), position)
             current = best.get(entry.name)
             if current is None or key < current[:2]:
-                decl, _ = modfile.deserialize_decl(mf, entry.name)
-                best[entry.name] = (*key, f"{mf.module_name}/{decl.origin[0]}")
-    lines = [f"{ident} {best[ident][2]}" for ident in sorted(best)]
+                best[entry.name] = (*key, mf, entry)
+    lines = [
+        f"{ident} {mf.module_name}/{modfile.split_blob(mf.blob(entry))[0]}"
+        for ident, (_, _, mf, entry) in sorted(best.items())
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -112,12 +112,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         index_paths.append(lexical)
     statuses: dict[str, Staleness] = {}  # a module is fresh only if every index finds it so
     stale: list[Path] = []
+    digests: dict[str, int | Staleness] = {}  # each module file is hashed once
     for index_path in index_paths:
         if not index_path.is_file():
             raise MissingIndex(f"index file not found: {index_path}")
         with reading(index_path):
             index = gmi_mod.load_index(index_path.read_bytes())
-        report = gmi_mod.validate_index(index, corpus)
+        report = gmi_mod.validate_index(index, corpus, digests=digests)
         for name, status in report.statuses:
             if statuses.get(name, Staleness.FRESH) is Staleness.FRESH:
                 statuses[name] = status

@@ -7,7 +7,7 @@ lets a session load one module and skip those that merely forward-declare it.
 
 File layout (little-endian)::
 
-    magic "GMIX" | version u32 = 2 | flavor u8 (1 lexical, 2 semantic) |
+    magic "GMIX" | version u32 = 3 | self_hash u64 | flavor u8 (1 lexical, 2 semantic) |
     excluded_count u32 | excluded names (u32 len + UTF-8 each) |
     module_count u32 | rows: (module_id u32 | u32 len + name | content_hash u64) |
     entry_count u32 | entries sorted by identifier bytes:
@@ -16,9 +16,10 @@ File layout (little-endian)::
 Module rows have distinct ids and names; each entry's postings have strictly
 increasing module ids, so the first defining posting is the lowest-id one.
 
-Each module row stores that module file's BLAKE2b-64 content hash (see
-``modfile``); validation rehashes every indexed module file in full and
-compares.  Version 1 indexes (FNV-1a hashes) are rejected.
+The self-hash is BLAKE2b-64 over the file with that field zeroed, like a
+module file's content hash (see ``modfile``), which each module row stores;
+loads check the self-hash before decoding, and validation rehashes every
+indexed module file in full and compares.  Versions 1 and 2 are rejected.
 
 Indexes are immutable after load; building is a batch single-writer step.
 """
@@ -31,15 +32,15 @@ from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Iterable
 
-from ._wire import Reader, Writer, byte_order, decode_flags
+from ._wire import Reader, Writer, byte_order, decode_flags, sealed, self_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .errors import BadMagic, BadVersion, CorruptTable, WrongFlavor
+from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, WrongFlavor
 from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, merges_as
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap, Overlay, root_file
 
 MAGIC = b"GMIX"
-VERSION = 2
+VERSION = 3
 INDEX_FILE_NAME = "modules.gmi"
 LEXICAL_INDEX_FILE_NAME = "modules.lexical.gmi"
 
@@ -122,6 +123,7 @@ def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlav
     w = Writer()
     w.raw(MAGIC)
     w.u32(VERSION)
+    w.u64(0)  # self-hash patched below
     w.u8(flavor.value)
     w.u32(len(excluded))
     for name in byte_order(excluded):
@@ -132,7 +134,7 @@ def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlav
         w.lpstr(row.name)
         w.u64(row.content_hash)
     w.table(postings, write_postings)
-    return w.getvalue()
+    return sealed(w.getvalue())
 
 
 def load_index(data: bytes) -> GlobalIndex:
@@ -142,6 +144,8 @@ def load_index(data: bytes) -> GlobalIndex:
     version = r.u32()
     if version != VERSION:
         raise BadVersion(f"unsupported index version {version}")
+    if r.u64() != self_hashes(data)[1]:
+        raise HashMismatch("index self-hash mismatch")
     try:
         flavor = IndexFlavor(r.u8())
     except ValueError as exc:
@@ -219,18 +223,31 @@ class StalenessReport:
         return tuple(name for name, s in self.statuses if s is status)
 
 
+def _file_digest(path: Path) -> int | Staleness:
+    """A module file's content hash when its stored hash holds, else why not."""
+    if not path.is_file():
+        return Staleness.MISSING
+    hashes = content_hashes(path.read_bytes())
+    return hashes[0] if hashes is not None and hashes[0] == hashes[1] else Staleness.HASH_MISMATCH
+
+
 def validate_index(
-    index: GlobalIndex, module_dir: str | Path, overlay: Overlay | None = None
+    index: GlobalIndex,
+    module_dir: str | Path,
+    overlay: Overlay | None = None,
+    digests: dict[str, int | Staleness] | None = None,
 ) -> StalenessReport:
     """Compare stored hashes against the module files on disk, remapped by
-    the overlay if one is given; touches nothing."""
+    the overlay if one is given; touches nothing.  `digests` memoizes each
+    module's `_file_digest`, so checking several indexes hashes a file once."""
+    digests = {} if digests is None else digests
     statuses: list[tuple[str, Staleness]] = []
     for row in index.modules:
-        path = Path(root_file(module_dir, row.name + FILE_EXTENSION, overlay))
-        if not path.is_file():
-            statuses.append((row.name, Staleness.MISSING))
-            continue
-        hashes = content_hashes(path.read_bytes())
-        ok = hashes is not None and hashes[0] == hashes[1] == row.content_hash
-        statuses.append((row.name, Staleness.FRESH if ok else Staleness.HASH_MISMATCH))
+        if row.name not in digests:
+            path = Path(root_file(module_dir, row.name + FILE_EXTENSION, overlay))
+            digests[row.name] = _file_digest(path)
+        status = digests[row.name]
+        if not isinstance(status, Staleness):
+            status = Staleness.FRESH if status == row.content_hash else Staleness.HASH_MISMATCH
+        statuses.append((row.name, status))
     return StalenessReport(tuple(statuses))

@@ -3,23 +3,26 @@ merge, and build the monolithic precompiled cache.
 
 File layout (all integers little-endian)::
 
-    magic "MODF" | version u32 = 2 | content_hash u64 |
+    magic "MODF" | version u32 = 3 | content_hash u64 |
     name (u32 len + UTF-8) |
     import_count u32 | imports (u32 len + UTF-8 each) |
     ident_count u32 | entries sorted by name bytes:
         (u32 len + UTF-8 name | flags u8 | blob_offset u64 | blob_len u32) |
     blob_region_len u64 | blob_region bytes (blobs in table order)
 
+    blob: origin path (u32 len + UTF-8) | origin line u32 | payload
+    payload: kind tag u8 | name (u32 len + UTF-8) | the kind's fields
+
 The content hash is BLAKE2b with an 8-byte digest over the whole file with
 the hash field zeroed, stored little-endian; every load and every index
-validation recomputes it.  Version 1 files (FNV-1a hashes) are rejected.
-Each blob is the canonical serialization of one declaration: a kind tag, then
-length-prefixed fields in source order, then the origin (header path relative
-to the module root, plus line).  The origin is excluded from the payload bytes
+validation recomputes it.  Versions 1 and 2 are rejected.
+Each blob is the canonical serialization of one declaration.  Its origin
+(header path relative to the module root) is excluded from the payload bytes
 used for one-definition-rule comparisons so that byte-identical content in
-differently named headers still de-duplicates.  So a blob's payload is its
-prefix before the origin: `deserialize_decl` returns that slice with the
-declaration, and a merge candidate carries it, so merging encodes nothing.
+differently named headers still de-duplicates.  The origin leads, so the
+payload is a slice found from the blob's head (`split_blob`): the `__pch__`
+build and the rootmap decode no blob, and a merge candidate carries the
+slice `deserialize_decl` returns, so merging encodes nothing.
 
 Module files are immutable once written; readers never mutate shared state.
 """
@@ -32,7 +35,8 @@ from enum import IntEnum, IntFlag
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._wire import Reader, Writer, decode_flags, digest64
+from ._wire import Reader, Writer, decode_flags, sealed
+from ._wire import self_hashes as content_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
 from .errors import (
@@ -48,14 +52,10 @@ from .errors import (
 )
 
 MAGIC = b"MODF"
-VERSION = 2
+VERSION = 3
 FILE_EXTENSION = ".pcm"
 PCH_MODULE_NAME = "__pch__"
 PCH_FILE_NAME = f"{PCH_MODULE_NAME}{FILE_EXTENSION}"
-
-# The content_hash field inside the file (after magic + version).
-_HASH_FIELD = slice(8, 16)
-_ZERO_HASH = bytes(_HASH_FIELD.stop - _HASH_FIELD.start)
 
 
 class DeclFlags(IntFlag):
@@ -72,6 +72,7 @@ class DeclFlags(IntFlag):
 
 # One identifier-table row after its name: flags u8, blob_offset u64, blob_len u32.
 _ENTRY_ROW = struct.Struct("<BQI")
+_U32 = struct.Struct("<I")
 
 
 class EntityKind(IntEnum):
@@ -99,6 +100,7 @@ _KINDS = {
     ),
 }
 _TAG_KINDS = {facts.tag: kind for kind, facts in _KINDS.items()}
+_TAG_FACTS = {facts.tag: facts for facts in _KINDS.values()}
 # Every flags byte a module's table can hold (a kind's flags, alone or beside
 # a forward declaration) to the kind it merges as; loads reject other bytes.
 _FLAGS_ENTITY = {
@@ -132,6 +134,9 @@ class ModuleFile:
 
     def find(self, name: str) -> IdentEntry | None:
         return self.table.get(name)
+
+    def blob(self, entry: IdentEntry) -> bytes:
+        return self.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -192,18 +197,35 @@ def encode_payload(decl: Decl) -> bytes:
     return w.getvalue()
 
 
+def _blob(origin: tuple[str, int], payload: bytes) -> bytes:
+    path = origin[0].encode("utf-8")
+    return b"".join((_U32.pack(len(path)), path, _U32.pack(origin[1]), payload))
+
+
 def encode_blob(decl: Decl) -> bytes:
-    w = Writer()
-    w.raw(encode_payload(decl))
-    w.lpstr(decl.origin[0])
-    w.u32(decl.origin[1])
-    return w.getvalue()
+    return _blob(decl.origin, encode_payload(decl))
+
+
+def split_blob(blob: bytes) -> tuple[str, bytes]:
+    """A blob's origin path and its payload, read from the blob's head
+    without decoding the declaration.  A head that leaves no payload, or a
+    path that is not UTF-8, raises CorruptTable."""
+    try:
+        (path_len,) = _U32.unpack_from(blob)
+        path = blob[4:4 + path_len].decode("utf-8")
+    except (struct.error, UnicodeDecodeError):
+        raise CorruptTable("damaged blob head") from None
+    if 8 + path_len >= len(blob):
+        raise CorruptTable("blob origin leaves no payload")
+    return path, blob[8 + path_len:]
 
 
 def decode_blob(blob: bytes) -> tuple[Decl, bytes]:
-    """The declaration a blob encodes, and its payload: the bytes before the
+    """The declaration a blob encodes, and its payload: the bytes after the
     origin, which are exactly `encode_payload` of that declaration."""
     r = Reader(blob)
+    origin = (r.lpstr(), r.u32())
+    payload_start = r.pos
     tag = r.u8()
     kind = _TAG_KINDS.get(tag)
     if kind is None:
@@ -225,26 +247,22 @@ def decode_blob(blob: bytes) -> tuple[Decl, bytes]:
     elif kind is DeclKind.FUNC_DECL:
         params = tuple(_read_type(r) for _ in range(r.u32()))
         returns = _read_type(r)
-    payload_len = r.pos
-    origin = (r.lpstr(), r.u32())
     if not r.at_end():
         raise CorruptTable("trailing bytes after declaration")
     decl = Decl(name, kind, fields, enumerators, alias_target, params, returns, origin)
-    return decl, blob[:payload_len]
+    return decl, blob[payload_start:]
 
 
 # --- file emission ---
 
 
-def _emit(module_name: str, imports: Sequence[str], decls: Sequence[tuple[str, DeclFlags, Decl]]) -> bytes:
-    """Emit file bytes for (name, flags, decl) rows, blobs laid out in table
+def _emit(module_name: str, imports: Sequence[str], rows: Sequence[tuple[str, DeclFlags, bytes]]) -> bytes:
+    """Emit file bytes for (name, flags, blob) rows, blobs laid out in table
     order, and patch the content hash."""
-    rows = {name: (flags, decl) for name, flags, decl in decls}
     region = bytearray()
 
-    def write_entry(row: tuple[DeclFlags, Decl]) -> None:
-        flags, decl = row
-        blob = encode_blob(decl)
+    def write_entry(row: tuple[DeclFlags, bytes]) -> None:
+        flags, blob = row
         w.raw(_ENTRY_ROW.pack(int(flags), len(region), len(blob)))
         region.extend(blob)
 
@@ -256,26 +274,10 @@ def _emit(module_name: str, imports: Sequence[str], decls: Sequence[tuple[str, D
     w.u32(len(imports))
     for imp in imports:
         w.lpstr(imp)
-    w.table(rows, write_entry)
+    w.table({name: (flags, blob) for name, flags, blob in rows}, write_entry)
     w.u64(len(region))
     w.raw(region)
-    data = bytearray(w.getvalue())
-    _, digest = content_hashes(data)
-    data[_HASH_FIELD] = digest.to_bytes(8, "little")
-    return bytes(data)
-
-
-def content_hashes(data: bytes) -> tuple[int, int] | None:
-    """(stored, computed) content hash of module file bytes: the value of the
-    hash field, and BLAKE2b-64 over the bytes with that field zeroed.
-    None when the bytes are too short to hold the field."""
-    if len(data) < _HASH_FIELD.stop:
-        return None
-    with memoryview(data) as view:
-        stored = int.from_bytes(view[_HASH_FIELD], "little")
-        return stored, digest64(
-            view[:_HASH_FIELD.start], _ZERO_HASH, view[_HASH_FIELD.stop:]
-        )
+    return sealed(w.getvalue())
 
 
 def compile_module(
@@ -285,7 +287,8 @@ def compile_module(
 
     One table entry per distinct name; a name both defined and
     forward-declared gets both flags.  Headers may repeat a declaration only
-    byte-identically, otherwise OdrInModule is raised.
+    byte-identically, otherwise OdrInModule is raised.  Each payload is
+    encoded at most once, and a row's blob is built from its winner's.
     """
     seen = set()
     deduped: list[str] = []
@@ -297,22 +300,21 @@ def compile_module(
             deduped.append(imp)
 
     flags: dict[str, DeclFlags] = {}
-    winner: dict[str, Decl] = {}  # canonical blob source per name
-    winner_payload: dict[str, bytes] = {}
+    winner: dict[str, tuple[Decl, bytes]] = {}  # canonical blob source per name, with its payload
     for header in headers:
         for decl in header.items:
             flags[decl.name] = flags.get(decl.name, DeclFlags(0)) | _KINDS[decl.kind].flags
             current = winner.get(decl.name)
             if decl.is_forward:
                 if current is None:
-                    winner[decl.name] = decl
+                    winner[decl.name] = (decl, encode_payload(decl))
                 continue
-            if current is None or current.is_forward:
-                winner[decl.name] = decl
-                winner_payload[decl.name] = encode_payload(decl)
-            elif winner_payload[decl.name] != encode_payload(decl):
+            payload = encode_payload(decl)
+            if current is None or current[0].is_forward:
+                winner[decl.name] = (decl, payload)
+            elif current[1] != payload:
                 raise OdrInModule(decl.name)
-    rows = [(name, flags[name], winner[name]) for name in winner]
+    rows = [(name, flags[name], _blob(decl.origin, payload)) for name, (decl, payload) in winner.items()]
     return _emit(module_name, deduped, rows)
 
 
@@ -377,27 +379,20 @@ def deserialize_decl(module: ModuleFile, name: str) -> tuple[Decl, bytes]:
     entry = module.find(name)
     if entry is None:
         raise UnknownIdentifier(name)
-    return decode_blob(module.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len])
+    return decode_blob(module.blob(entry))
 
 
 # --- merging ---
 
 
-def _fold(firsts: dict[EntityKind, Candidate], candidate: Candidate) -> None:
+def _fold(firsts: dict[EntityKind, tuple], kind: EntityKind, name: str, candidate: tuple) -> None:
     """Take one candidate of a name, in module order, into `firsts`: the
     first candidate of each `EntityKind` stays, and a later one of that kind
-    must carry the same payload bytes, or OdrViolation names both modules."""
-    decl, module, payload = candidate
-    first = firsts.setdefault(_KINDS[decl.kind].entity, candidate)
-    if first[2] != payload:
-        raise OdrViolation(decl.name, first[1], module)
-
-
-def _entity(firsts: dict[EntityKind, Candidate]) -> Entity:
-    """The merged entity: the first candidate of the top-ranked kind."""
-    kind = max(firsts)
-    decl, module, payload = firsts[kind]
-    return Entity(decl.name, kind, payload, module, decl)
+    must carry the same payload bytes, or OdrViolation names both modules.
+    A candidate is (its declaration or blob, its module, its payload)."""
+    first = firsts.setdefault(kind, candidate)
+    if first[2] != candidate[2]:
+        raise OdrViolation(name, first[1], candidate[1])
 
 
 def merge_entities(
@@ -407,8 +402,9 @@ def merge_entities(
     """Collapse same-name declarations from several modules into one entity.
 
     Each candidate is folded (`_fold`) in module order, lowest module id
-    first and then module name, so neither the entity nor, among several
-    conflicts, the one reported (the first met) depends on input order.
+    first and then module name, so neither the entity (the first candidate
+    of the top-ranked kind) nor, among several conflicts, the one reported
+    (the first met) depends on input order.
     """
     if not decls:
         raise ValueError("merge_entities requires at least one declaration")
@@ -425,21 +421,33 @@ def merge_entities(
 
     firsts: dict[EntityKind, Candidate] = {}
     for candidate in sorted(decls, key=order):
-        _fold(firsts, candidate)
-    return _entity(firsts)
+        _fold(firsts, _KINDS[candidate[0].kind].entity, name, candidate)
+    kind = max(firsts)
+    decl, module, payload = firsts[kind]
+    return Entity(decl.name, kind, payload, module, decl)
 
 
 def build_pch(modules: Iterable[ModuleFile]) -> bytes:
     """Merge whole modules, given in module map order, into one precompiled
-    cache named `__pch__`.  Each summary is folded as the stream yields it,
-    so per name only the first candidate of each kind is held, and an ODR
-    conflict is raised at the first module that brings one.  A name's row is
-    its winning declaration, with that declaration's flags.
+    cache named `__pch__`.  Each summary's raw rows are folded as the stream
+    yields it, keyed by each payload's tag, so per name only the first blob
+    of each kind is held, and an ODR conflict is raised at the first module
+    that brings one.  A name's row is its winning blob, verbatim, with that
+    kind's flags.  A blob head whose tag does not merge as its row's flags
+    raises CorruptTable; the rest of a payload is checked when decoded.
     """
-    merged: dict[str, dict[EntityKind, Candidate]] = {}
+    merged: dict[str, dict[EntityKind, tuple[bytes, str, bytes]]] = {}
     for mf in modules:
-        for name in mf.table:
-            decl, payload = deserialize_decl(mf, name)
-            _fold(merged.setdefault(name, {}), (decl, mf.module_name, payload))
-    rows = [(e.name, _KINDS[e.decl.kind].flags, e.decl) for e in map(_entity, merged.values())]
+        module = mf.module_name
+        for name, entry in mf.table.items():
+            blob = mf.blob(entry)
+            payload = split_blob(blob)[1]
+            facts = _TAG_FACTS.get(payload[0])
+            if facts is None or facts.entity is not merges_as(entry.flags):
+                raise CorruptTable(f"blob of '{name}' in module '{module}' does not match its flags")
+            _fold(merged.setdefault(name, {}), facts.entity, name, (blob, module, payload))
+    rows = []
+    for name, firsts in merged.items():
+        blob, _, payload = firsts[max(firsts)]
+        rows.append((name, _TAG_FACTS[payload[0]].flags, blob))
     return _emit(PCH_MODULE_NAME, (), rows)

@@ -423,6 +423,25 @@ class TestExitCodes:
         assert main(["validate", str(corpus)]) == 0
         assert capsys.readouterr().out.endswith("M1: fresh\nall 2 modules fresh\n")
 
+    def test_validate_hashes_each_module_file_once(self, tmp_path, capsys, monkeypatch):
+        from modix import gmi
+
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=5, fwd_fanout=2, seed=1), corpus)
+        hash_files = gmi.content_hashes
+        hashed = []
+
+        def counted(data):
+            hashed.append(data)
+            return hash_files(data)
+
+        monkeypatch.setattr(gmi, "content_hashes", counted)
+        assert main(["validate", str(corpus)]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"M{m}: fresh\n" for m in range(5)
+        ) + "all 5 modules fresh\n"
+        assert sorted(hashed) == sorted((corpus / f"M{m}.pcm").read_bytes() for m in range(5))
+
     def test_stale_index_blocks_run_unless_allowed(self, tmp_path, capsys):
         corpus = tmp_path / "c"
         generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from conftest import index_bytes
 from modix.bench import compile_tree
 from modix.declang import parse_header
-from modix.errors import CorruptTable, BadMagic, BadVersion, ModuleNotFound, WrongFlavor
-from modix._wire import Writer
+from modix.errors import CorruptTable, BadMagic, BadVersion, HashMismatch, ModuleNotFound, WrongFlavor
+from modix._wire import Writer, sealed
 from modix.gmi import (
     MAGIC,
     VERSION,
@@ -148,6 +149,7 @@ def _index_bytes(modules, entries):
     w = Writer()
     w.raw(MAGIC)
     w.u32(VERSION)
+    w.u64(0)  # self-hash, sealed below
     w.u8(IndexFlavor.SEMANTIC.value)
     w.u32(0)  # no excluded modules
     w.u32(len(modules))
@@ -162,7 +164,7 @@ def _index_bytes(modules, entries):
         for module_id, flags in postings:
             w.u32(module_id)
             w.u8(flags)
-    return w.getvalue()
+    return sealed(w.getvalue())
 
 
 class TestBuildFromSummaries:
@@ -191,10 +193,13 @@ class TestFormat:
         data = index_bytes(module_map, directory, IndexFlavor.LEXICAL)
         with pytest.raises(BadMagic):
             load_index(b"XXXX" + data[4:])
-        with pytest.raises(CorruptTable):
-            load_index(data[:-3])
-        with pytest.raises(CorruptTable):
-            load_index(data + b"\x00")
+        # The self-hash, checked first, catches a cut or a grown file; one
+        # hashed as it stands reaches the framing checks.
+        for damaged in (data[:-3], data + b"\x00"):
+            with pytest.raises(HashMismatch):
+                load_index(damaged)
+            with pytest.raises(CorruptTable):
+                load_index(sealed(damaged))
 
     def test_version_1_rejected(self, gpad_dir):
         directory, module_map = gpad_dir
@@ -202,6 +207,23 @@ class TestFormat:
         data[4:8] = (1).to_bytes(4, "little")
         with pytest.raises(BadVersion):
             load_index(bytes(data))
+
+    def test_version_2_rejected(self, gpad_dir):
+        # Rehashed, so only the version tells it apart.
+        directory, module_map = gpad_dir
+        data = bytearray(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
+        data[4:8] = (2).to_bytes(4, "little")
+        with pytest.raises(BadVersion, match="unsupported index version 2"):
+            load_index(sealed(data))
+
+    def test_self_hash_is_blake2b_64_with_the_field_zeroed(self, gpad_dir):
+        directory, module_map = gpad_dir
+        data = index_bytes(module_map, directory, IndexFlavor.LEXICAL)
+        zeroed = data[:8] + bytes(8) + data[16:]
+        assert data[8:16] == hashlib.blake2b(zeroed, digest_size=8).digest()
+        for damaged in (data[:8] + bytes(8) + data[16:], data[:-1] + bytes([data[-1] ^ 1])):
+            with pytest.raises(HashMismatch, match="index self-hash mismatch"):
+                load_index(damaged)
 
     def test_written_index_loads(self):
         index = load_index(_index_bytes([(0, "M0"), (1, "M1")], [("A", [(0, 3), (1, 1)])]))

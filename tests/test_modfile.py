@@ -3,13 +3,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modix import modfile
-from modix.bench import open_corpus_session, write_corpus
+from modix._wire import sealed
+from modix.bench import build_rootmap, open_corpus_session, write_corpus
 from modix.declang import (
     CallStmt,
     Decl,
@@ -53,9 +55,11 @@ from modix.modfile import (
     merge_entities,
     read_module_summary,
     read_modules,
+    split_blob,
 )
-from modix.loader import LoadStats, Resolution, ResolutionOutcome, Strategy
+from modix.loader import ROOTMAP_FILE_NAME, LoadStats, Resolution, ResolutionOutcome, Strategy
 from modix.modulemap import FINAL_MAP_NAME, ModuleDef, load_modulemap
+from conftest import build_random_corpus
 from test_declang import _decls
 
 
@@ -118,6 +122,26 @@ class TestCompileAndSummary:
         names = [e.name for e in mf.table.values()]
         assert names == sorted(names)
 
+    def test_each_payload_is_encoded_at_most_once(self, monkeypatch):
+        encode = modfile.encode_payload
+        encoded = []
+
+        def counted(decl):
+            encoded.append(decl)
+            return encode(decl)
+
+        monkeypatch.setattr(modfile, "encode_payload", counted)
+        headers = [
+            _header("struct A;\nstruct A { x: i32; };\nstruct B;\nusing U = i32;", "a.dh"),
+            _header("struct A { x: i32; };\nstruct A;\nfn f(i32) -> bool;", "b.dh"),
+        ]
+        mf = read_module_summary(compile_module("M", headers))
+        # Every declaration but the forward met after A's definition, which
+        # cannot become a row, is encoded, each once.
+        items = [decl for header in headers for decl in header.items]
+        assert encoded == items[:5] + items[6:]
+        assert mf.names == ("A", "B", "U", "f")
+
     def test_no_absolute_paths_inside(self, tmp_path):
         ast = parse_header("struct A { x: i32; };", "sub/a.dh")
         data = compile_module("M", [ast])
@@ -158,9 +182,16 @@ class TestFormatErrors:
         with pytest.raises(BadVersion):
             read_module_summary(bytes(data))
 
+    def test_version_2_rejected(self):
+        # Rehashed, so only the version tells it apart.
+        data = bytearray(_module("M", "struct A;"))
+        data[4:8] = (2).to_bytes(4, "little")
+        with pytest.raises(BadVersion, match="unsupported module file version 2"):
+            read_module_summary(sealed(data))
+
     def test_unknown_flag_bits_rejected(self):
         (decl,) = _header("struct A;").items
-        data = modfile._emit("A", (), [("A", DeclFlags(0x81), decl)])
+        data = modfile._emit("A", (), [("A", DeclFlags(0x81), encode_blob(decl))])
         stored, computed = modfile.content_hashes(data)
         assert stored == computed
         with pytest.raises(CorruptTable, match="unknown flag bits in 0x81"):
@@ -171,7 +202,7 @@ class TestFormatErrors:
         # IS_ALIAS, alias and function at once, a forward beside IS_FUNCTION.
         (decl,) = _header("struct A;").items
         for flags in (0x00, 0x04, 0x0D, 0x0A):
-            data = modfile._emit("A", (), [("A", DeclFlags(flags), decl)])
+            data = modfile._emit("A", (), [("A", DeclFlags(flags), encode_blob(decl))])
             with pytest.raises(CorruptTable, match=f"flags {flags:#04x} are never written"):
                 read_module_summary(data)
 
@@ -394,6 +425,98 @@ class TestBuildPch:
         assert deserialize_decl(pch, "A")[0].kind is DeclKind.STRUCT_DEF
 
 
+def _reference_pch(modules) -> bytes:
+    """The `__pch__` build as format 2 needed it, kept as the reference: decode
+    every blob, fold the declarations by kind in module order, and re-encode
+    each name's winner."""
+    merged: dict[str, dict[EntityKind, tuple]] = {}
+    for mf in modules:
+        for name in mf.table:
+            decl, payload = deserialize_decl(mf, name)
+            firsts = merged.setdefault(name, {})
+            first = firsts.setdefault(modfile._KINDS[decl.kind].entity, (decl, mf.module_name, payload))
+            if first[2] != payload:
+                raise OdrViolation(name, first[1], mf.module_name)
+    rows = []
+    for name, firsts in merged.items():
+        decl = firsts[max(firsts)][0]
+        rows.append((name, modfile._KINDS[decl.kind].flags, encode_blob(decl)))
+    return modfile._emit(modfile.PCH_MODULE_NAME, (), rows)
+
+
+def _outcome(build, modules):
+    """The bytes a build returns, or the OdrViolation it raises."""
+    try:
+        return build(modules)
+    except OdrViolation as exc:
+        return ("odr", exc.name, exc.module_a, exc.module_b)
+
+
+# Sources that often share a name across modules, as the same kind with the
+# same or a different payload, or as kinds of different merge rank.
+_clashing_decl = st.sampled_from([
+    "struct {n} {{ x: i32; }};", "struct {n} {{ x: i64; }};", "struct {n};",
+    "enum {n} {{ a }};", "using {n} = i32;", "using {n} = ptr<i32>;",
+    "fn {n}() -> i32;", "fn {n}(i32) -> i32;",
+])
+_clashing_module = st.dictionaries(st.sampled_from("ABCD"), _clashing_decl, min_size=1)
+
+
+class TestRawFold:
+    """`build_pch` folds raw rows: it equals the decode-and-re-encode
+    reference byte for byte, raises the same OdrViolation, and decodes and
+    encodes nothing."""
+
+    def test_equals_the_reference_on_corpus12(self, corpus12):
+        names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
+        modules = list(read_modules(corpus12, names))
+        assert build_pch(modules) == _reference_pch(modules) == (corpus12 / PCH_FILE_NAME).read_bytes()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_the_reference_on_random_corpora(self, tmp_path_factory, seed):
+        corpus = build_random_corpus(random.Random(seed), tmp_path_factory.mktemp("fold"))
+        modules = list(read_modules(corpus.dir, corpus.map.names))
+        assert build_pch(modules) == _reference_pch(modules)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_clashing_module, min_size=1, max_size=5))
+    def test_same_outcome_as_the_reference_on_clashing_modules(self, sources):
+        modules = [
+            read_module_summary(compile_module(f"M{m}", [_header(
+                "\n".join(line.format(n=name) for name, line in decls.items()), f"h{m}.dh"
+            )]))
+            for m, decls in enumerate(sources)
+        ]
+        assert _outcome(build_pch, modules) == _outcome(_reference_pch, modules)
+
+    def test_builds_decode_and_encode_nothing(self, corpus12, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a release build decoded or encoded a declaration")
+
+        names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
+        modules = list(read_modules(corpus12, names))
+        for name in ("decode_blob", "encode_blob", "encode_payload", "deserialize_decl"):
+            monkeypatch.setattr(modfile, name, refuse)
+        assert build_pch(modules) == (corpus12 / PCH_FILE_NAME).read_bytes()
+        assert build_rootmap(modules) == (corpus12 / ROOTMAP_FILE_NAME).read_text("utf-8")
+
+    @pytest.mark.parametrize("flags, blob, problem", [
+        # A struct definition's blob in a forward declaration's row.
+        (DeclFlags.HAS_FORWARD, encode_blob(_def("A")), "does not match its flags"),
+        # An unknown tag after the 12-byte origin ("h.dh", line 1).
+        (DeclFlags.HAS_DEFINITION, encode_blob(_def("A"))[:12] + b"\x63", "does not match its flags"),
+        (DeclFlags.HAS_DEFINITION, b"\xff\x00\x00\x00h.dh\x01\x00\x00\x00\x01", "leaves no payload"),
+        (DeclFlags.HAS_DEFINITION, b"\x04\x00\x00\x00h.dh\x01\x00\x00\x00", "leaves no payload"),
+        (DeclFlags.HAS_DEFINITION, b"\x02\x00\x00\x00\xff\xfe\x01\x00\x00\x00\x01", "damaged blob head"),
+        (DeclFlags.HAS_DEFINITION, b"\x02\x00", "damaged blob head"),
+    ], ids=["kind", "tag", "long-origin", "no-payload", "bad-utf8", "short"])
+    def test_hash_valid_row_with_a_bad_head_is_corrupt(self, flags, blob, problem):
+        mf = read_module_summary(modfile._emit("M", (), [("A", flags, blob)]))
+        with pytest.raises(CorruptTable, match=problem):
+            build_pch([mf])
+
+
 class TestLeanValues:
     """Decoded values are held once and lean: one `str` per spelling, one
     summary at a time while a release is merged, and no per-instance
@@ -550,17 +673,30 @@ def test_compile_round_trip_property(source):
         assert encode_blob(decl) == encode_blob(expected)
 
 
-def test_every_corpus_payload_is_its_blob_prefix(corpus12):
-    blobs = 0
-    for path in sorted(corpus12.glob("*.pcm")):
+def _assert_rows_slice_their_payloads(corpus_dir) -> int:
+    """Every row of every module file: the payload sliced from its blob's
+    head is `encode_payload` of the decoded declaration, and what decoding
+    returns.  Returns the number of rows."""
+    rows = 0
+    for path in sorted(corpus_dir.glob("*.pcm")):
         mf = read_module_summary(path.read_bytes())
         for name, entry in mf.table.items():
-            blob = mf.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
             decl, payload = deserialize_decl(mf, name)
+            assert split_blob(mf.blob(entry)) == (decl.origin[0], encode_payload(decl))
             assert payload == encode_payload(decl)
-            assert blob.startswith(payload)
-            blobs += 1
-    assert blobs > 100
+            rows += 1
+    return rows
+
+
+def test_every_corpus_payload_is_its_blob_slice(corpus12):
+    assert _assert_rows_slice_their_payloads(corpus12) > 100
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_random_corpus_payload_is_its_blob_slice(tmp_path_factory, seed):
+    corpus = build_random_corpus(random.Random(seed), tmp_path_factory.mktemp("slice"))
+    assert _assert_rows_slice_their_payloads(corpus.dir) > 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -570,7 +706,7 @@ def test_blob_payload_property(decl, origin_path, origin_line):
     blob = encode_blob(decl)
     payload = encode_payload(decl)
     assert decode_blob(blob) == (decl, payload)
-    assert blob.startswith(payload)
+    assert split_blob(blob) == (origin_path, payload)
     entry = IdentEntry(decl.name, DeclFlags(0), 0, len(blob))
     mf = ModuleFile("M", (), {decl.name: entry}, blob, 0, 0)
     assert deserialize_decl(mf, decl.name) == (decl, payload)
