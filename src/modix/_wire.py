@@ -1,14 +1,26 @@
 """Little-endian binary plumbing shared by the module-file and index formats,
 including their one keyed-table codec, `Writer.table` and `Reader.table`,
-and their one self-hash, `self_hashes` and `sealed`."""
+and their one self-hash, `self_hashes` and `sealed`.
+
+A table is laid out by column, so a load reads it in a few bulk calls and a
+lookup touches one row::
+
+    count u32 | key_end u32 x count | one column per fixed-width field | key heap
+
+Keys are the UTF-8 heap slices between consecutive `key_end`s (the first
+starts at 0), strictly increasing in byte order.  A loaded table is a dict
+from each key to its row index, in file order, and one `array` per field."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
+import operator
 import struct
 import sys
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from array import array
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .errors import CorruptTable
 
@@ -75,6 +87,29 @@ def decode_flags(known: Mapping[int, T], value: int) -> T:
     raise CorruptTable(f"flags {value:#04x} are never written")
 
 
+def check_flags(known: Mapping[int, T], column: array) -> None:
+    """Reject a column of flags bytes in one pass: the first byte outside
+    `known` raises `decode_flags`'s CorruptTable."""
+    if column.tobytes().translate(None, bytes(known)):
+        decode_flags(known, next(value for value in column if value not in known))
+
+
+def first_false(checks: Iterable[bool]) -> int:
+    """The index of the first false check, for naming the row a failed bulk
+    check is about."""
+    return next(itertools.compress(itertools.count(), map(operator.not_, checks)))
+
+
+def key_at(rows: Mapping[str, int], index: int) -> str:
+    """The key of row `index` of a loaded table."""
+    return next(itertools.islice(rows, index, None))
+
+
+# The array typecode holding each struct code's fixed-width field.
+_ARRAY_CODES = {
+    code: next(a for a in "BHILQ" if array(a).itemsize == struct.calcsize(code)) for code in "BIQ"
+}
+
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -101,13 +136,23 @@ class Writer:
         self.u32(len(encoded))
         self.raw(encoded)
 
-    def table(self, rows: Mapping[str, T], write_row: Callable[[T], None]) -> None:
-        """A u32 count, then each key (as `lpstr`) and its row, in byte order."""
+    def column(self, code: str, values: Iterable[int]) -> None:
+        """Fixed-width fields of one struct code, packed back to back."""
+        values = list(values)
+        self.raw(struct.pack(f"<{len(values)}{code}", *values))
+
+    def table(self, rows: Mapping[str, T], fields: str, row: Callable[[T], tuple]) -> None:
+        """A table of `rows` (see the module doc): one column per struct code
+        of `fields`, `row(value)` giving a value's fields, called in key
+        byte order."""
         keys = byte_order(rows)
+        values = [row(rows[key]) for key in keys]
+        heap = [key.encode("utf-8") for key in keys]
         self.u32(len(keys))
-        for key in keys:
-            self.lpstr(key)
-            write_row(rows[key])
+        self.column("I", itertools.accumulate(map(len, heap)))
+        for code, column in zip(fields, zip(*values) if values else [()] * len(fields)):
+            self.column(code, column)
+        self.raw(b"".join(heap))
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
@@ -117,7 +162,7 @@ class Reader:
     """Cursor over immutable bytes; any overrun raises CorruptTable.
 
     Fixed-width fields are unpacked in place at `pos` with precompiled
-    `struct.Struct`s, a whole row per call where the format has rows."""
+    `struct.Struct`s, and a table's columns one whole column per call."""
 
     def __init__(self, data: bytes, pos: int = 0):
         self.data = data
@@ -150,9 +195,13 @@ class Reader:
         self.pos = end
         return self.data[start:end]
 
-    def rows(self, fmt: struct.Struct, count: int) -> Iterator[tuple]:
-        """`count` consecutive rows of `fmt`, bounds-checked once."""
-        return fmt.iter_unpack(self.raw(count * fmt.size))
+    def column(self, code: str, count: int) -> array:
+        """`count` fixed-width fields of one struct code, bounds-checked
+        once, as an array."""
+        column = array(_ARRAY_CODES[code], self.raw(count * struct.calcsize(code)))
+        if sys.byteorder == "big":
+            column.byteswap()
+        return column
 
     def lpstr(self) -> str:
         # The hottest read of every format, so its length prefix is
@@ -174,18 +223,39 @@ class Reader:
         self.pos = end
         return text
 
-    def table(self, read_row: Callable[[str], T]) -> dict[str, T]:
-        """A `Writer.table`: each key mapped to `read_row(key)`, in file
-        order.  Keys that do not strictly increase raise CorruptTable."""
-        rows: dict[str, T] = {}
-        prev = None
-        for _ in range(self.u32()):
-            key = self.lpstr()
-            if prev is not None and key <= prev:
-                raise CorruptTable(f"table keys not strictly increasing at '{key}'")
-            rows[key] = read_row(key)
-            prev = key
-        return rows
+    def table(self, fields: str) -> tuple[dict[str, int], list[array]]:
+        """A `Writer.table`: each key mapped to its row index, in file order,
+        and one column per struct code of `fields`.  Every key is checked
+        and interned, in bulk: key ends that decrease, keys that are not
+        UTF-8 or that do not strictly increase raise CorruptTable."""
+        count = self.u32()
+        ends = self.column("I", count).tolist()
+        columns = [self.column(code, count) for code in fields]
+        heap_start = self.pos
+        starts = [0, *ends[:-1]]
+        if ends != sorted(ends):
+            row = first_false(map(operator.le, starts, ends))
+            raise CorruptTable(f"table key ends decrease at row {row}")
+        heap = self.raw(ends[-1] if count else 0)
+        try:
+            text = heap.decode("utf-8")
+        except UnicodeDecodeError:
+            text = ""
+        if len(text) == len(heap):  # ASCII, so byte offsets are str offsets
+            keys = [text[start:end] for start, end in zip(starts, ends)]
+        else:
+            keys = []
+            for start, end in zip(starts, ends):
+                try:
+                    keys.append(heap[start:end].decode("utf-8"))
+                except UnicodeDecodeError:
+                    raise CorruptTable(f"invalid UTF-8 at byte {heap_start + start}") from None
+        keys = list(map(sys.intern, keys))  # one str per spelling
+        rows = dict(zip(keys, range(count)))
+        if len(rows) != count or keys != sorted(keys):
+            row = first_false(map(operator.lt, keys, itertools.islice(keys, 1, None))) + 1
+            raise CorruptTable(f"table keys not strictly increasing at '{keys[row]}'")
+        return rows, columns
 
     def at_end(self) -> bool:
         return self.pos == len(self.data)

@@ -275,16 +275,16 @@ def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
     its winning declaration: the top-ranked kind (`modfile.EntityKind`), then
     the earliest module in `compiled`, which callers pass in module map order.
     A winner's header is read from its blob's head, decoding no blob."""
-    best: dict[str, tuple[int, int, modfile.ModuleFile, modfile.IdentEntry]] = {}
+    best: dict[str, tuple[int, int, str, bytes]] = {}
     for position, mf in enumerate(compiled):
-        for entry in mf.table.values():
-            key = (-modfile.merges_as(entry.flags), position)
-            current = best.get(entry.name)
+        for name, flags, blob in mf.blobs():
+            key = (-modfile.merges_as(flags), position)
+            current = best.get(name)
             if current is None or key < current[:2]:
-                best[entry.name] = (*key, mf, entry)
+                best[name] = (*key, mf.module_name, blob)
     lines = [
-        f"{ident} {mf.module_name}/{modfile.split_blob(mf.blob(entry))[0]}"
-        for ident, (_, _, mf, entry) in sorted(best.items())
+        f"{ident} {module}/{modfile.split_blob(blob)[0]}"
+        for ident, (_, _, module, blob) in sorted(best.items())
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 

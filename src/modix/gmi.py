@@ -7,32 +7,40 @@ lets a session load one module and skip those that merely forward-declare it.
 
 File layout (little-endian)::
 
-    magic "GMIX" | version u32 = 3 | self_hash u64 | flavor u8 (1 lexical, 2 semantic) |
+    magic "GMIX" | version u32 = 4 | self_hash u64 | flavor u8 (1 lexical, 2 semantic) |
     excluded_count u32 | excluded names (u32 len + UTF-8 each) |
     module_count u32 | rows: (module_id u32 | u32 len + name | content_hash u64) |
-    entry_count u32 | entries sorted by identifier bytes:
-        (u32 len + identifier | posting_count u32 | postings: (module_id u32 | flags u8))
+    identifier table, rows in identifier byte order (see ``_wire``):
+        entry_count u32 | key_end u32 x n | posting_end u32 x n | identifiers |
+    module_id u32 x p | flags u8 x p    (p postings, every entry's back to back)
 
-Module rows have distinct ids and names; each entry's postings have strictly
-increasing module ids, so the first defining posting is the lowest-id one.
+An entry's postings run from the previous entry's ``posting_end`` (0 for the
+first) to its own.  Module rows have distinct ids and names; each entry's
+postings have strictly increasing module ids, so the first defining posting
+is the lowest-id one.  The layout is exactly as long as version 3's
+row-at-a-time one.  A load checks every column in bulk and builds no
+`Posting`; `GlobalIndex.entry` builds an identifier's postings when asked.
 
 The self-hash is BLAKE2b-64 over the file with that field zeroed, like a
 module file's content hash (see ``modfile``), which each module row stores;
 loads check the self-hash before decoding, and validation rehashes every
-indexed module file in full and compares.  Versions 1 and 2 are rejected.
+indexed module file in full and compares.  Versions 1 to 3 are rejected.
 
 Indexes are immutable after load; building is a batch single-writer step.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
+import bisect
+import itertools
+import operator
+from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from ._wire import Reader, Writer, byte_order, decode_flags, sealed, self_hashes
+from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, sealed
+from ._wire import self_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, WrongFlavor
 from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, merges_as
@@ -40,7 +48,7 @@ from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spa
 from .modulemap import ModuleMap, Overlay, root_file
 
 MAGIC = b"GMIX"
-VERSION = 3
+VERSION = 4
 INDEX_FILE_NAME = "modules.gmi"
 LEXICAL_INDEX_FILE_NAME = "modules.lexical.gmi"
 
@@ -64,14 +72,24 @@ _DEFINES = PostingFlags.MENTIONS | PostingFlags.DEFINES
 # Every flags byte that `build_index` writes; loads reject any other byte.
 _POSTING_FLAGS = {int(flags): flags for flags in (PostingFlags.MENTIONS, _DEFINES)}
 
-# One posting: module_id u32, flags u8.
-_POSTING_ROW = struct.Struct("<IB")
-
-
 @dataclass(slots=True, unsafe_hash=True)
 class Posting:
     module: str
     flags: PostingFlags
+
+
+class _Postings(dict):
+    """Each distinct (module id, flags byte) posting of an index, built at
+    its first lookup and shared after: a module has at most two."""
+
+    def __init__(self, module_names: dict[int, str]):
+        super().__init__()
+        self.module_names = module_names
+
+    def __missing__(self, key: tuple[int, int]) -> Posting:
+        module_id, flags = key
+        posting = self[key] = Posting(self.module_names[module_id], _POSTING_FLAGS[flags])
+        return posting
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -83,15 +101,33 @@ class IndexedModule:
 
 @dataclass(frozen=True)
 class GlobalIndex:
-    """A loaded index: each identifier, in file order, to its postings."""
+    """A loaded index, its identifier table still in columns: `rows` maps
+    each identifier, in file order, to its row; row i's postings are
+    positions `posting_ends[i - 1]` (0 for the first) to `posting_ends[i]`
+    of `posting_modules` and `posting_flags`.  `entry` returns one
+    identifier's postings, each (module, flags) `Posting` built at its first
+    lookup and `shared` after; `postings` is the whole-table view."""
 
     flavor: IndexFlavor
     modules: tuple[IndexedModule, ...]
-    postings: dict[str, tuple[Posting, ...]]
+    rows: dict[str, int]
+    posting_ends: Sequence[int]
+    posting_modules: Sequence[int]
+    posting_flags: Sequence[int]
     excluded: tuple[str, ...]
+    shared: _Postings = field(compare=False, repr=False)
 
     def entry(self, identifier: str) -> tuple[Posting, ...]:
-        return self.postings.get(identifier, ())
+        row = self.rows.get(identifier)
+        if row is None:
+            return ()
+        span = slice(self.posting_ends[row - 1] if row else 0, self.posting_ends[row])
+        keys = zip(self.posting_modules[span], self.posting_flags[span])
+        return tuple(map(self.shared.__getitem__, keys))
+
+    @property
+    def postings(self) -> dict[str, tuple[Posting, ...]]:
+        return {identifier: self.entry(identifier) for identifier in self.rows}
 
 
 def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlavor) -> bytes:
@@ -107,18 +143,21 @@ def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlav
     for mf in modules:
         module_id = map.module_id(mf.module_name)
         rows.append(IndexedModule(module_id, mf.module_name, mf.content_hash))
-        for entry in mf.table.values():
-            postings.setdefault(entry.name, []).append((module_id, merges_as(entry.flags)))
+        for name, flags in zip(mf.rows, mf.flags):
+            postings.setdefault(name, []).append((module_id, merges_as(flags)))
     indexed = {row.name for row in rows}
     excluded = [name for name in map.names if name not in indexed]
 
-    def write_postings(plist: list[tuple[int, EntityKind]]) -> None:
+    module_ids: list[int] = []
+    posting_flags: list[int] = []
+
+    def posting_end(plist: list[tuple[int, EntityKind]]) -> tuple[int]:
         top = max(kind for _, kind in plist)
         defines = flavor is IndexFlavor.SEMANTIC and top is not EntityKind.FORWARD
-        w.u32(len(plist))
         for module_id, kind in plist:
-            flags = _DEFINES if defines and kind is top else PostingFlags.MENTIONS
-            w.raw(_POSTING_ROW.pack(module_id, flags))
+            module_ids.append(module_id)
+            posting_flags.append(_DEFINES if defines and kind is top else PostingFlags.MENTIONS)
+        return (len(module_ids),)
 
     w = Writer()
     w.raw(MAGIC)
@@ -133,11 +172,19 @@ def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlav
         w.u32(row.module_id)
         w.lpstr(row.name)
         w.u64(row.content_hash)
-    w.table(postings, write_postings)
+    w.table(postings, "I", posting_end)
+    w.column("I", module_ids)
+    w.column("B", posting_flags)
     return sealed(w.getvalue())
 
 
 def load_index(data: bytes) -> GlobalIndex:
+    """Parse index bytes, validating the self-hash, framing, the module
+    rows and every column: identifiers strictly increasing, posting ends
+    non-decreasing, each posting's module known and its flags a byte that
+    `build_index` writes, and each entry's module ids strictly increasing.
+    The checks run over whole columns; only a failed one looks for the first
+    bad posting to name it."""
     if data[:4] != MAGIC:
         raise BadMagic("not an index file (bad magic)")
     r = Reader(data, 4)
@@ -158,31 +205,32 @@ def load_index(data: bytes) -> GlobalIndex:
     if len(names) != len(modules) or len(set(names.values())) != len(modules):
         raise CorruptTable("duplicate module id or name in the module table")
 
-    # One Posting per distinct (module_id, flags) row, checked when first
-    # seen; a module has at most three, against tens of postings each.
-    interned: dict[tuple[int, int], Posting] = {}
-
-    def intern(row: tuple[int, int], identifier: str) -> Posting:
-        module_id, flags = row
-        if module_id not in names:
-            raise CorruptTable(f"'{identifier}' posts unknown module {module_id}")
-        posting = interned[row] = Posting(names[module_id], decode_flags(_POSTING_FLAGS, flags))
-        return posting
-
-    def read_postings(identifier: str) -> tuple[Posting, ...]:
-        postings = []
-        prev = -1
-        for row in r.rows(_POSTING_ROW, r.u32()):
-            if row[0] <= prev:
-                raise CorruptTable(f"'{identifier}' posts unordered module {row[0]}")
-            prev = row[0]
-            postings.append(interned.get(row) or intern(row, identifier))
-        return tuple(postings)
-
-    postings = r.table(read_postings)
+    rows, (ends,) = r.table("I")
+    end_list = ends.tolist()
+    if end_list != sorted(end_list):
+        row = first_false(map(operator.le, end_list, end_list[1:])) + 1
+        raise CorruptTable(f"posting ends decrease at '{key_at(rows, row)}'")
+    module_ids = r.column("I", ends[-1] if ends else 0)
+    flags = r.column("B", len(module_ids))
     if not r.at_end():
         raise CorruptTable("trailing bytes after index entries")
-    return GlobalIndex(flavor, modules, postings, excluded)
+
+    def identifier(posting: int) -> str:
+        return key_at(rows, bisect.bisect_right(end_list, posting))
+
+    ids = module_ids.tolist()
+    # A posting whose module id does not exceed the one before it must start
+    # its entry.
+    unordered = set(itertools.compress(itertools.count(1), map(operator.ge, ids, ids[1:])))
+    unordered.difference_update(end_list)
+    if unordered:
+        at = min(unordered)
+        raise CorruptTable(f"'{identifier(at)}' posts unordered module {ids[at]}")
+    if not names.keys() >= set(ids):
+        at = first_false(map(names.__contains__, ids))
+        raise CorruptTable(f"'{identifier(at)}' posts unknown module {ids[at]}")
+    check_flags(_POSTING_FLAGS, flags)
+    return GlobalIndex(flavor, modules, rows, ends, module_ids, flags, excluded, _Postings(names))
 
 
 def lookup(index: GlobalIndex, identifier: str) -> list[tuple[str, PostingFlags]]:

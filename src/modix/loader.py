@@ -232,8 +232,8 @@ class Session:
         for name in self.map.names:
             self._load_module(name, resolution=False)
         for name in self._load_order:
-            for ident in self._loaded[name].names:
-                self._resident.setdefault(ident, []).append(self._deserialize(name, ident))
+            for entry in self._loaded[name].entries():
+                self._resident.setdefault(entry.name, []).append(self._deserialize(name, entry))
 
     def _start_pch(self, index_path: str | Path | None, allow_stale: bool) -> None:
         try:
@@ -372,11 +372,11 @@ class Session:
             return False
         return True
 
-    def _deserialize(self, module_name: str, identifier: str) -> Candidate:
-        mf = self._loaded[module_name]
-        decl, payload = modfile.deserialize_decl(mf, identifier)
+    def _deserialize(self, module_name: str, entry: modfile.IdentEntry) -> Candidate:
+        """Decode the declaration of a row already found in a loaded module."""
+        decl, payload = modfile.deserialize_decl(self._loaded[module_name], entry)
         self._decls += 1
-        self._charge_read(mf.find(identifier).blob_len)
+        self._charge_read(entry.blob_len)
         return decl, module_name, self._payloads.setdefault(payload, payload)
 
     # -- resolution --
@@ -405,8 +405,10 @@ class Session:
         self._unredeemed.discard(entity.defining_module)
         return Resolution(ResolutionOutcome.RESOLVED, entity)
 
-    def _direct_hits(self, identifier: str) -> list[str]:
-        return [name for name in self._direct if self._loaded[name].find(identifier)]
+    def _direct_hits(self, identifier: str) -> list[tuple[str, modfile.IdentEntry]]:
+        """Each direct module holding the identifier, with its row."""
+        found = ((name, self._loaded[name].find(identifier)) for name in self._direct)
+        return [(name, entry) for name, entry in found if entry is not None]
 
     def _merge(self, candidates: list[Candidate]) -> Entity | _Marker:
         return merge_entities(candidates, self._merge_order) if candidates else _Marker.ABSENT
@@ -418,8 +420,8 @@ class Session:
         if identifier in self._touched:
             self._load_excluded()
             return self._resolve_lexical(identifier)
-        hits = [PCH_MODULE_NAME] if self._loaded[PCH_MODULE_NAME].find(identifier) else []
-        return self._merge([self._deserialize(n, identifier) for n in hits])
+        entry = self._loaded[PCH_MODULE_NAME].find(identifier)
+        return self._merge([] if entry is None else [self._deserialize(PCH_MODULE_NAME, entry)])
 
     def _resolve_textual(self, identifier: str) -> Entity | _Marker:
         if identifier in self._touched:
@@ -459,8 +461,8 @@ class Session:
                 candidate = (decl, rel, modfile.encode_payload(decl))
                 self._resident.setdefault(decl.name, []).append(candidate)
 
-    def _visible_postings(self, identifier: str) -> list[gmi_mod.Posting]:
-        return [p for p in self._index.entry(identifier) if p.module not in self._shadowed]
+    def _visible(self, postings: tuple[gmi_mod.Posting, ...]) -> list[gmi_mod.Posting]:
+        return [p for p in postings if p.module not in self._shadowed]
 
     def _load_posted(self, name: str, identifier: str) -> list[Candidate]:
         """Load the module an index posting names and return its declaration
@@ -468,29 +470,30 @@ class Session:
         module that was rebuilt without it or deleted."""
         if not self._load_if_present(name, resolution=True):
             return []
-        if self._loaded[name].find(identifier) is None:
-            return []
-        return [self._deserialize(name, identifier)]
+        entry = self._loaded[name].find(identifier)
+        return [] if entry is None else [self._deserialize(name, entry)]
 
     def _resolve_lexical(self, identifier: str) -> Entity | _Marker:
         candidates: list[Candidate] = []
-        for p in self._visible_postings(identifier):
+        for p in self._visible(self._index.entry(identifier)):
             candidates += self._load_posted(p.module, identifier)
-        candidates += [self._deserialize(n, identifier) for n in self._direct_hits(identifier)]
+        for name, entry in self._direct_hits(identifier):
+            candidates.append(self._deserialize(name, entry))
         return self._merge(candidates)
 
     def _resolve_semantic(self, identifier: str) -> Entity | _Marker:
         hits = self._direct_hits(identifier)
         candidates = [
-            self._deserialize(name, identifier)
-            for name in hits
-            if self._loaded[name].find(identifier).flags & DeclFlags.HAS_DEFINITION
+            self._deserialize(name, entry)
+            for name, entry in hits
+            if entry.flags & DeclFlags.HAS_DEFINITION
         ]
-        postings = self._visible_postings(identifier)
+        every = self._index.entry(identifier)
+        postings = self._visible(every)
         first = next((p for p in postings if p.flags & PostingFlags.DEFINES), None)
         posted = [] if first is None else self._load_posted(first.module, identifier)
         if all(decl.is_forward for decl, _, _ in posted) and any(
-            p.flags & PostingFlags.DEFINES for p in self._index.entry(identifier)
+            p.flags & PostingFlags.DEFINES for p in every
         ):
             # The top-ranked kind is out of reach (a local checkout shadows
             # it, or allow_stale let its module be rebuilt without it), but a

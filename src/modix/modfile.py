@@ -3,19 +3,25 @@ merge, and build the monolithic precompiled cache.
 
 File layout (all integers little-endian)::
 
-    magic "MODF" | version u32 = 3 | content_hash u64 |
+    magic "MODF" | version u32 = 4 | content_hash u64 |
     name (u32 len + UTF-8) |
     import_count u32 | imports (u32 len + UTF-8 each) |
-    ident_count u32 | entries sorted by name bytes:
-        (u32 len + UTF-8 name | flags u8 | blob_offset u64 | blob_len u32) |
+    identifier table, rows in name byte order (see ``_wire``):
+        ident_count u32 | key_end u32 x n | flags u8 x n |
+        blob_offset u64 x n | blob_len u32 x n | names (UTF-8, back to back) |
     blob_region_len u64 | blob_region bytes (blobs in table order)
 
     blob: origin path (u32 len + UTF-8) | origin line u32 | payload
     payload: kind tag u8 | name (u32 len + UTF-8) | the kind's fields
 
+Each row's name length lives in its ``key_end``, so a table is exactly as
+long as version 3's row-at-a-time one and ``summary_bytes`` is unchanged.
+A load checks the whole table in bulk, and a row becomes an `IdentEntry`
+only when `find` or `entries` asks for it.
+
 The content hash is BLAKE2b with an 8-byte digest over the whole file with
 the hash field zeroed, stored little-endian; every load and every index
-validation recomputes it.  Versions 1 and 2 are rejected.
+validation recomputes it.  Versions 1 to 3 are rejected.
 Each blob is the canonical serialization of one declaration.  Its origin
 (header path relative to the module root) is excluded from the payload bytes
 used for one-definition-rule comparisons so that byte-identical content in
@@ -29,13 +35,14 @@ Module files are immutable once written; readers never mutate shared state.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._wire import Reader, Writer, decode_flags, sealed
+from ._wire import Reader, Writer, check_flags, first_false, key_at, sealed
 from ._wire import self_hashes as content_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
@@ -52,7 +59,7 @@ from .errors import (
 )
 
 MAGIC = b"MODF"
-VERSION = 3
+VERSION = 4
 FILE_EXTENSION = ".pcm"
 PCH_MODULE_NAME = "__pch__"
 PCH_FILE_NAME = f"{PCH_MODULE_NAME}{FILE_EXTENSION}"
@@ -70,8 +77,8 @@ class DeclFlags(IntFlag):
     IS_FUNCTION = 8
 
 
-# One identifier-table row after its name: flags u8, blob_offset u64, blob_len u32.
-_ENTRY_ROW = struct.Struct("<BQI")
+# The identifier table's columns: flags u8, blob_offset u64, blob_len u32.
+_ENTRY_FIELDS = "BQI"
 _U32 = struct.Struct("<I")
 
 
@@ -123,24 +130,52 @@ class IdentEntry:
 class ModuleFile:
     """In-memory handle over one module file.  It carries no module id, and
     neither does the file, so files stay relocatable: a module's id is its
-    position in the module map.  `table` is in file (byte) order."""
+    position in the module map.
+
+    The identifier table stays in its columns: `rows` maps each name, in
+    file (byte) order, to its row index into `flags`, `blob_offsets` and
+    `blob_lens`.  `find` and `entries` build `IdentEntry` values on demand;
+    `table` is the whole-table view."""
 
     module_name: str
     imports: tuple[str, ...]
-    table: dict[str, IdentEntry]
+    rows: dict[str, int]
+    flags: Sequence[int]
+    blob_offsets: Sequence[int]
+    blob_lens: Sequence[int]
     blob_region: bytes
     content_hash: int
     summary_bytes: int
 
     def find(self, name: str) -> IdentEntry | None:
-        return self.table.get(name)
+        row = self.rows.get(name)
+        if row is None:
+            return None
+        flags = _DECL_FLAGS[self.flags[row]]
+        return IdentEntry(name, flags, self.blob_offsets[row], self.blob_lens[row])
+
+    def entries(self) -> Iterator[IdentEntry]:
+        """Every row as an `IdentEntry`, in file order."""
+        flags = map(_DECL_FLAGS.__getitem__, self.flags)
+        return map(IdentEntry, self.rows, flags, self.blob_offsets, self.blob_lens)
+
+    def blobs(self) -> Iterator[tuple[str, int, bytes]]:
+        """Every row's name, flags byte and blob, in file order, building no
+        `IdentEntry`."""
+        region = self.blob_region
+        spans = map(slice, self.blob_offsets, map(operator.add, self.blob_offsets, self.blob_lens))
+        return zip(self.rows, self.flags, map(region.__getitem__, spans))
+
+    @property
+    def table(self) -> dict[str, IdentEntry]:
+        return dict(zip(self.rows, self.entries()))
 
     def blob(self, entry: IdentEntry) -> bytes:
         return self.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self.table)
+        return tuple(self.rows)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -261,10 +296,11 @@ def _emit(module_name: str, imports: Sequence[str], rows: Sequence[tuple[str, De
     order, and patch the content hash."""
     region = bytearray()
 
-    def write_entry(row: tuple[DeclFlags, bytes]) -> None:
+    def entry_fields(row: tuple[DeclFlags, bytes]) -> tuple[int, int, int]:
         flags, blob = row
-        w.raw(_ENTRY_ROW.pack(int(flags), len(region), len(blob)))
+        offset = len(region)
         region.extend(blob)
+        return int(flags), offset, len(blob)
 
     w = Writer()
     w.raw(MAGIC)
@@ -274,7 +310,7 @@ def _emit(module_name: str, imports: Sequence[str], rows: Sequence[tuple[str, De
     w.u32(len(imports))
     for imp in imports:
         w.lpstr(imp)
-    w.table({name: (flags, blob) for name, flags, blob in rows}, write_entry)
+    w.table({name: (flags, blob) for name, flags, blob in rows}, _ENTRY_FIELDS, entry_fields)
     w.u64(len(region))
     w.raw(region)
     return sealed(w.getvalue())
@@ -319,8 +355,9 @@ def compile_module(
 
 
 def read_module_summary(data: bytes) -> ModuleFile:
-    """Parse module file bytes, validating framing, table order, flag bits,
-    blob bounds, and the content hash.
+    """Parse module file bytes, validating framing, table order, flag bytes,
+    blob bounds, and the content hash.  The table's checks run over whole
+    columns; only a failed one looks for the first bad row to name it.
 
     The returned handle retains the blob region, but for cost accounting a
     summary read is worth `summary_bytes` only (everything up to the blob
@@ -335,26 +372,25 @@ def read_module_summary(data: bytes) -> ModuleFile:
     stored_hash = r.u64()
     module_name = r.lpstr()
     imports = tuple(r.lpstr() for _ in range(r.u32()))
-
-    def read_entry(name: str) -> IdentEntry:
-        flags, blob_offset, blob_len = r.unpack(_ENTRY_ROW)
-        return IdentEntry(name, decode_flags(_DECL_FLAGS, flags), blob_offset, blob_len)
-
-    table = r.table(read_entry)
+    rows, (flags, blob_offsets, blob_lens) = r.table(_ENTRY_FIELDS)
+    check_flags(_DECL_FLAGS, flags)
     region_len = r.u64()
     summary_bytes = r.pos
     region = r.raw(region_len)
     if not r.at_end():
         raise CorruptTable("trailing bytes after blob region")
-    for e in table.values():
-        if e.blob_offset + e.blob_len > region_len:
-            raise CorruptTable(f"blob for '{e.name}' out of range")
+    if max(map(operator.add, blob_offsets, blob_lens), default=0) > region_len:
+        fits = (offset + length <= region_len for offset, length in zip(blob_offsets, blob_lens))
+        raise CorruptTable(f"blob for '{key_at(rows, first_false(fits))}' out of range")
     if content_hashes(data)[1] != stored_hash:
         raise HashMismatch(f"content hash mismatch in module '{module_name}'")
     return ModuleFile(
         module_name=module_name,
         imports=imports,
-        table=table,
+        rows=rows,
+        flags=flags,
+        blob_offsets=blob_offsets,
+        blob_lens=blob_lens,
         blob_region=region,
         content_hash=stored_hash,
         summary_bytes=summary_bytes,
@@ -373,12 +409,14 @@ def read_modules(module_dir: str | Path, names: Iterable[str]) -> Iterator[Modul
             yield read_module_summary(path.read_bytes())
 
 
-def deserialize_decl(module: ModuleFile, name: str) -> tuple[Decl, bytes]:
+def deserialize_decl(module: ModuleFile, entry: IdentEntry | str) -> tuple[Decl, bytes]:
     """Decode one declaration blob into the decl and its payload bytes;
-    costs `blob_len` bytes."""
-    entry = module.find(name)
-    if entry is None:
-        raise UnknownIdentifier(name)
+    costs `blob_len` bytes.  `entry` is the declaration's row, as a caller
+    that has already found it hands it in, or its name, to find here."""
+    if isinstance(entry, str):
+        name, entry = entry, module.find(entry)
+        if entry is None:
+            raise UnknownIdentifier(name)
     return decode_blob(module.blob(entry))
 
 
@@ -439,11 +477,10 @@ def build_pch(modules: Iterable[ModuleFile]) -> bytes:
     merged: dict[str, dict[EntityKind, tuple[bytes, str, bytes]]] = {}
     for mf in modules:
         module = mf.module_name
-        for name, entry in mf.table.items():
-            blob = mf.blob(entry)
+        for name, flags, blob in mf.blobs():
             payload = split_blob(blob)[1]
             facts = _TAG_FACTS.get(payload[0])
-            if facts is None or facts.entity is not merges_as(entry.flags):
+            if facts is None or facts.entity is not merges_as(flags):
                 raise CorruptTable(f"blob of '{name}' in module '{module}' does not match its flags")
             _fold(merged.setdefault(name, {}), facts.entity, name, (blob, module, payload))
     rows = []

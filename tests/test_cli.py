@@ -442,6 +442,17 @@ class TestExitCodes:
         ) + "all 5 modules fresh\n"
         assert sorted(hashed) == sorted((corpus / f"M{m}.pcm").read_bytes() for m in range(5))
 
+    def test_validate_builds_no_posting(self, corpus12, capsys, monkeypatch):
+        # Validation reads only the module rows of both indexes.
+        from modix import gmi
+
+        def refuse(*args):
+            raise AssertionError("modix validate built a Posting")
+
+        monkeypatch.setattr(gmi, "Posting", refuse)
+        assert main(["validate", str(corpus12)]) == 0
+        assert capsys.readouterr().out.endswith("all 12 modules fresh\n")
+
     def test_stale_index_blocks_run_unless_allowed(self, tmp_path, capsys):
         corpus = tmp_path / "c"
         generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)

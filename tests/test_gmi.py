@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -143,9 +144,13 @@ class TestValidate:
         assert validate_index(index, directory).all_fresh
 
 
-def _index_bytes(modules, entries):
+def _index_bytes(modules, entries, key_ends=None, posting_ends=None):
     """A semantic index with (module_id, name) rows and (identifier,
-    [(module_id, flags), ...]) entries, written as given."""
+    [(module_id, flags), ...]) entries, written as given, in the version 4
+    column layout; `key_ends` and `posting_ends` replace the columns the
+    entries give."""
+    heap = [identifier.encode("utf-8") for identifier, _ in entries]
+    postings = [posting for _, plist in entries for posting in plist]
     w = Writer()
     w.raw(MAGIC)
     w.u32(VERSION)
@@ -158,12 +163,11 @@ def _index_bytes(modules, entries):
         w.lpstr(name)
         w.u64(0)
     w.u32(len(entries))
-    for identifier, postings in entries:
-        w.lpstr(identifier)
-        w.u32(len(postings))
-        for module_id, flags in postings:
-            w.u32(module_id)
-            w.u8(flags)
+    w.column("I", key_ends or itertools.accumulate(map(len, heap)))
+    w.column("I", posting_ends or itertools.accumulate(len(plist) for _, plist in entries))
+    w.raw(b"".join(heap))
+    w.column("I", [module_id for module_id, _ in postings])
+    w.column("B", [flags for _, flags in postings])
     return sealed(w.getvalue())
 
 
@@ -216,6 +220,13 @@ class TestFormat:
         with pytest.raises(BadVersion, match="unsupported index version 2"):
             load_index(sealed(data))
 
+    def test_version_3_rejected(self, gpad_dir):
+        directory, module_map = gpad_dir
+        data = bytearray(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
+        data[4:8] = (3).to_bytes(4, "little")
+        with pytest.raises(BadVersion, match="unsupported index version 3"):
+            load_index(sealed(data))
+
     def test_self_hash_is_blake2b_64_with_the_field_zeroed(self, gpad_dir):
         directory, module_map = gpad_dir
         data = index_bytes(module_map, directory, IndexFlavor.LEXICAL)
@@ -233,7 +244,7 @@ class TestFormat:
         ]
 
     def test_posting_for_unknown_module_id_rejected(self):
-        with pytest.raises(CorruptTable):
+        with pytest.raises(CorruptTable, match="'A' posts unknown module 99"):
             load_index(_index_bytes([(0, "M0")], [("A", [(0, 1), (99, 1)])]))
 
     @pytest.mark.parametrize("flags", [4, 6, 0x80])
@@ -250,8 +261,37 @@ class TestFormat:
 
     @pytest.mark.parametrize("postings", [[(1, 3), (0, 3)], [(0, 1), (0, 3)]])
     def test_postings_not_in_module_id_order_rejected(self, postings):
-        with pytest.raises(CorruptTable):
+        with pytest.raises(CorruptTable, match="'A' posts unordered module 0"):
             load_index(_index_bytes([(0, "M0"), (1, "M1")], [("A", postings)]))
+
+    def test_unordered_posting_is_named_after_its_entry(self):
+        # Each entry's ids restart, so only a fall inside one is a fault.
+        entries = [("A", [(1, 1)]), ("B", [(0, 1), (1, 1)]), ("C", [(1, 1), (0, 1)])]
+        with pytest.raises(CorruptTable, match="'C' posts unordered module 0"):
+            load_index(_index_bytes([(0, "M0"), (1, "M1")], entries))
+
+    @pytest.mark.parametrize("key_ends, posting_ends, problem", [
+        ([1, 0], None, "table key ends decrease at row 1"),
+        ([1, 9], None, "truncated|trailing bytes"),
+        (None, [2, 1], "posting ends decrease at 'B'"),
+        (None, [1, 9], "truncated"),
+        (None, [1, 1], "trailing bytes after index entries"),
+    ], ids=["key-end-decreases", "key-end-past-heap", "posting-end-decreases",
+            "posting-end-past-postings", "posting-end-short"])
+    def test_version_4_column_faults_rejected(self, key_ends, posting_ends, problem):
+        entries = [("A", [(0, 1)]), ("B", [(0, 1)])]
+        with pytest.raises(CorruptTable, match=problem):
+            load_index(_index_bytes([(0, "M0")], entries, key_ends, posting_ends))
+
+    def test_index_bytes_writes_the_format(self, gpad_dir):
+        directory, module_map = gpad_dir
+        index = load_index(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
+        entries = [
+            (identifier, [(int(p.module[1:]), int(p.flags)) for p in postings])
+            for identifier, postings in index.postings.items()
+        ]
+        rebuilt = load_index(_index_bytes([(m.module_id, m.name) for m in index.modules], entries))
+        assert rebuilt.postings == index.postings
 
     @pytest.mark.parametrize("modules", [[(0, "M0"), (0, "M1")], [(0, "M0"), (1, "M0")]])
     def test_duplicate_module_id_or_name_rejected(self, modules):

@@ -18,6 +18,7 @@ from modix.errors import (
     MissingPch,
     MissingRootmap,
     ModuleNotFound,
+    OdrViolation,
     UnreadableFile,
     WrongFlavor,
 )
@@ -381,6 +382,58 @@ class TestPatchPoints:
             for need in (Need.FORWARD_OK, Need.DEFINITION):
                 session.resolve(name, need)
         assert session.stats().decls_deserialized > 0
+
+
+def _count_found_rows(monkeypatch) -> list[tuple[str, str]]:
+    """Record (module, name) for each `ModuleFile.find` that finds a row."""
+    find = modfile.ModuleFile.find
+    found: list[tuple[str, str]] = []
+
+    def counted(self, name):
+        entry = find(self, name)
+        if entry is not None:
+            found.append((self.module_name, name))
+        return entry
+
+    monkeypatch.setattr(modfile.ModuleFile, "find", counted)
+    return found
+
+
+class TestRowsFoundOnce:
+    """A candidate's row is found once and handed on to `deserialize_decl`,
+    so no session looks up the same row of the same module twice."""
+
+    @pytest.mark.parametrize("strategy", TestPatchPoints._MODULE_STRATEGIES)
+    def test_one_row_lookup_per_candidate(self, corpus12, monkeypatch, strategy):
+        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).names)
+        found = _count_found_rows(monkeypatch)
+        session = open_corpus_session(corpus12, strategy)
+        for name in names + ["Nope"]:
+            for need in (Need.FORWARD_OK, Need.DEFINITION):
+                session.resolve(name, need)
+        decoded = session.stats().decls_deserialized
+        assert decoded > 0
+        # Preload-all decodes every row as it walks the tables, finding none.
+        assert len(found) == (0 if strategy is Strategy.PRELOAD_ALL else decoded)
+        assert len(set(found)) == len(found)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_no_row_found_twice_with_checkouts(self, tmp_path, monkeypatch, strategy):
+        rng = random.Random(23)
+        for case in range(10):
+            corpus = build_random_corpus(rng, tmp_path / f"c{case}")
+            local = tmp_path / f"local{case}"
+            write_local_rebuilds(rng, corpus, local)
+            found = _count_found_rows(monkeypatch)
+            session = open_corpus_session(corpus.dir, strategy, local_roots=[str(local)])
+            # Each name once: a lookup that raises OdrViolation caches nothing.
+            for name in corpus.known + corpus.unknown:
+                try:
+                    session.resolve(name, Need.DEFINITION)
+                except OdrViolation:
+                    pass
+            assert len(set(found)) == len(found), case
+            monkeypatch.undo()
 
 
 class TestRelocatability:

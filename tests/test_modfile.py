@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modix import modfile
-from modix._wire import sealed
+from modix._wire import Writer, sealed
 from modix.bench import build_rootmap, open_corpus_session, write_corpus
 from modix.declang import (
     CallStmt,
@@ -45,7 +45,6 @@ from modix.modfile import (
     Entity,
     EntityKind,
     IdentEntry,
-    ModuleFile,
     build_pch,
     compile_module,
     deserialize_decl,
@@ -70,6 +69,30 @@ def _header(text, path="h.dh"):
 def _module(name, *header_texts, imports=()):
     headers = [_header(t, f"h{i}.dh") for i, t in enumerate(header_texts)]
     return compile_module(name, headers, imports)
+
+
+def _raw_module(keys, flags, spans, region, key_ends=None):
+    """Module "M"'s file with the identifier table written as given, in the
+    version 4 layout: `keys` (text or raw bytes) in the order given, their
+    flags bytes and (blob_offset, blob_len) spans, and the blob region.
+    `key_ends` replaces the ends the keys give.  Sealed, so the content
+    hash holds and only the table is at fault."""
+    heap = [key if isinstance(key, bytes) else key.encode("utf-8") for key in keys]
+    w = Writer()
+    w.raw(modfile.MAGIC)
+    w.u32(modfile.VERSION)
+    w.u64(0)
+    w.lpstr("M")
+    w.u32(0)  # no imports
+    w.u32(len(keys))
+    w.column("I", key_ends or itertools.accumulate(map(len, heap)))
+    w.column("B", flags)
+    w.column("Q", [offset for offset, _ in spans])
+    w.column("I", [length for _, length in spans])
+    w.raw(b"".join(heap))
+    w.u64(len(region))
+    w.raw(region)
+    return sealed(w.getvalue())
 
 
 class TestCompileAndSummary:
@@ -189,6 +212,13 @@ class TestFormatErrors:
         with pytest.raises(BadVersion, match="unsupported module file version 2"):
             read_module_summary(sealed(data))
 
+    def test_version_3_rejected(self):
+        # Version 3 wrote each table row whole; version 4 writes columns.
+        data = bytearray(_module("M", "struct A;"))
+        data[4:8] = (3).to_bytes(4, "little")
+        with pytest.raises(BadVersion, match="unsupported module file version 3"):
+            read_module_summary(sealed(data))
+
     def test_unknown_flag_bits_rejected(self):
         (decl,) = _header("struct A;").items
         data = modfile._emit("A", (), [("A", DeclFlags(0x81), encode_blob(decl))])
@@ -205,6 +235,35 @@ class TestFormatErrors:
             data = modfile._emit("A", (), [("A", DeclFlags(flags), encode_blob(decl))])
             with pytest.raises(CorruptTable, match=f"flags {flags:#04x} are never written"):
                 read_module_summary(data)
+
+    @pytest.mark.parametrize("keys, flags, spans, key_ends, problem", [
+        (["B", "A"], [2, 2], [(0, 1), (0, 1)], None, "table keys not strictly increasing at 'A'"),
+        (["A", "A"], [2, 2], [(0, 1), (0, 1)], None, "table keys not strictly increasing at 'A'"),
+        (["\u00e9", "z"], [2, 2], [(0, 1), (0, 1)], None, "table keys not strictly increasing at 'z'"),
+        # The key heap of a two-row table starts at byte 63.
+        ([b"A", b"\xff"], [2, 2], [(0, 1), (0, 1)], None, "invalid UTF-8 at byte 64"),
+        # An "\u00e9" split between two keys: the heap decodes, its keys do not.
+        ([b"a\xc3", b"\xa9b"], [2, 2], [(0, 1), (0, 1)], None, "invalid UTF-8 at byte 63"),
+        (["A", "B"], [2, 0x81], [(0, 1), (0, 1)], None, "unknown flag bits in 0x81"),
+        (["A", "B"], [2, 0x0D], [(0, 1), (0, 1)], None, "flags 0x0d are never written"),
+        (["A", "B"], [2, 2], [(0, 1), (1, 1)], None, "blob for 'B' out of range"),
+        (["A", "B"], [2, 2], [(0, 1), (2**64 - 1, 1)], None, "blob for 'B' out of range"),
+        # Only version 4 has these: a key_end that decreases, or that runs
+        # past the heap and into the blob region's length.
+        (["A", "B"], [2, 2], [(0, 1), (0, 1)], [2, 1], "table key ends decrease at row 1"),
+        (["A", "B"], [2, 2], [(0, 1), (0, 1)], [1, 9], "trailing bytes|truncated"),
+    ], ids=["order", "duplicate", "utf8-order", "bad-utf8", "split-char", "flag-bits",
+            "flags-no-kind", "blob-range", "blob-overflow", "key-end-decreases", "key-end-past-heap"])
+    def test_each_row_fault_raises_at_load(self, keys, flags, spans, key_ends, problem):
+        data = _raw_module(keys, flags, spans, b"\x00", key_ends)
+        with pytest.raises(CorruptTable, match=problem):
+            read_module_summary(data)
+
+    def test_raw_module_writes_the_format(self):
+        (decl,) = _header("struct A;").items
+        blob = encode_blob(decl)
+        data = _raw_module(["A"], [DeclFlags.HAS_FORWARD], [(0, len(blob))], blob)
+        assert data == modfile._emit("M", (), [("A", DeclFlags.HAS_FORWARD, blob)])
 
     def test_every_single_bit_flip_is_rejected(self):
         data = _module("M", "struct A { x: i32; p: ptr<B>; };", "struct B;\nenum E { a };",
@@ -707,6 +766,7 @@ def test_blob_payload_property(decl, origin_path, origin_line):
     payload = encode_payload(decl)
     assert decode_blob(blob) == (decl, payload)
     assert split_blob(blob) == (origin_path, payload)
-    entry = IdentEntry(decl.name, DeclFlags(0), 0, len(blob))
-    mf = ModuleFile("M", (), {decl.name: entry}, blob, 0, 0)
+    flags = modfile._KINDS[decl.kind].flags
+    mf = read_module_summary(modfile._emit("M", (), [(decl.name, flags, blob)]))
     assert deserialize_decl(mf, decl.name) == (decl, payload)
+    assert deserialize_decl(mf, mf.find(decl.name)) == (decl, payload)

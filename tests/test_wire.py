@@ -15,10 +15,11 @@ _KEYS = st.one_of(st.sampled_from(["", "é", "z", "²", "a"]), st.text(max_size=
 @example({"é": 1, "z": 2, "²": 3, "": 4})
 def test_table_round_trips_in_byte_order(rows):
     w = Writer()
-    w.table(rows, w.u32)
+    w.table(rows, "I", lambda value: (value,))
     r = Reader(w.getvalue())
-    decoded = r.table(lambda key: r.u32())
+    keys, (values,) = r.table("I")
     assert r.at_end()
+    decoded = {key: values[row] for key, row in keys.items()}
     assert decoded == rows
     assert list(decoded) == sorted(rows, key=lambda key: key.encode("utf-8"))
     assert byte_order(rows) == list(decoded)
@@ -35,9 +36,7 @@ _FIELDS = st.one_of(
         st.just("unpack"),
         st.tuples(st.integers(0, 2**8 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1)),
     ),
-    st.tuples(st.just("rows"), st.lists(st.tuples(
-        st.integers(0, 2**8 - 1), st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1),
-    ), max_size=3)),
+    st.tuples(st.just("column"), st.lists(st.integers(0, 2**64 - 1), max_size=3)),
 )
 
 
@@ -46,8 +45,8 @@ def _write(fields) -> bytes:
     for kind, value in fields:
         if kind == "unpack":
             w.raw(_ROW.pack(*value))
-        elif kind == "rows":
-            w.raw(b"".join(_ROW.pack(*row) for row in value))
+        elif kind == "column":
+            w.column("Q", value)
         else:
             getattr(w, kind)(value)
     return w.getvalue()
@@ -58,8 +57,8 @@ def _read(r: Reader, fields) -> list:
     for kind, value in fields:
         if kind == "unpack":
             out.append(r.unpack(_ROW))
-        elif kind == "rows":
-            out.append(list(r.rows(_ROW, len(value))))
+        elif kind == "column":
+            out.append(list(r.column("Q", len(value))))
         else:
             out.append(getattr(r, kind)())
     return out
