@@ -1,6 +1,6 @@
 """Little-endian binary plumbing shared by the module-file and index formats,
-including their one keyed-table codec, `Writer.table` and `Reader.table`,
-and their one self-hash, `self_hashes` and `sealed`.
+their one keyed-table codec, `Writer.table` and `Reader.table`, their one
+self-hash, `self_hashes` and `sealed`, and `read_artifact`, the one file reader.
 
 A table is laid out by column, so a load reads it in a few bulk calls and a
 lookup touches one row::
@@ -13,16 +13,19 @@ from each key to its row index, in file order, and one `array` per field."""
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import itertools
 import operator
+import os
+import stat
 import struct
 import sys
 from array import array
 from typing import Callable, Iterable, Mapping, TypeVar
 
-from .errors import CorruptTable
+from .errors import CorruptTable, UnreadableFile
 
 T = TypeVar("T")
 
@@ -47,6 +50,37 @@ def digest64(*parts: bytes | memoryview) -> int:
     for part in parts:
         h.update(part)
     return int.from_bytes(h.digest(), "little")
+
+
+# The errors that mean no file is there, as `Path.is_file()` reads them (ENXIO: a socket).
+_NO_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO})
+_READ_SIZE = 1 << 16
+
+
+def read_artifact(path: str | os.PathLike) -> bytes | None:
+    """The bytes of the regular file at `path`: one open, one `fstat`, reads
+    to end of file, one close.  None exactly where `Path.is_file()` is false
+    (a FIFO is opened without blocking, never read); any other OSError raises
+    UnreadableFile naming the path."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            status = os.fstat(fd)
+            if not stat.S_ISREG(status.st_mode):
+                return None
+            parts, size = [], status.st_size or _READ_SIZE  # /proc files report a size of 0
+            while part := os.read(fd, size):
+                parts.append(part)
+                size = _READ_SIZE  # the read that finds the end needs no file-sized buffer
+            return b"".join(parts)  # one part is returned as is
+        finally:
+            os.close(fd)
+    except ValueError:  # an embedded NUL names no file
+        return None
+    except OSError as exc:
+        if exc.errno in _NO_FILE:
+            return None
+        raise UnreadableFile(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 # Both formats keep their self-hash in the u64 after magic and version.

@@ -5,8 +5,8 @@ merge them, `index` to build a global index, `validate` to check index
 staleness, `run` for a script or REPL session, and `bench` for the strategy
 comparison harness.
 
-Exit codes: 0 success, 1 usage error, 2 corpus/ODR/staleness error (a text
-input that is missing or not valid UTF-8 included, named by its path).
+Exit codes: 0 success, 1 usage error, 2 corpus/ODR/staleness error (a file
+that cannot be read, or a text input missing or not UTF-8, named by its path).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import bench as bench_mod
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import parse_header  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .errors import MissingIndex, ModixError, reading
+from .errors import MissingIndex, ModixError
 from .gmi import IndexFlavor, Staleness
 from .interp import format_result, iter_script, repl
 from .loader import CostModel, Strategy, open_session
@@ -107,17 +107,18 @@ def _cmd_index(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
     index_paths = [Path(args.index) if args.index else corpus / gmi_mod.INDEX_FILE_NAME]
-    lexical = corpus / gmi_mod.LEXICAL_INDEX_FILE_NAME
-    if not args.index and lexical.is_file():
-        index_paths.append(lexical)
+    if not args.index:
+        index_paths.append(corpus / gmi_mod.LEXICAL_INDEX_FILE_NAME)
     statuses: dict[str, Staleness] = {}  # a module is fresh only if every index finds it so
     stale: list[Path] = []
     digests: dict[str, int | Staleness] = {}  # each module file is hashed once
     for index_path in index_paths:
-        if not index_path.is_file():
-            raise MissingIndex(f"index file not found: {index_path}")
-        with reading(index_path):
-            index = gmi_mod.load_index(index_path.read_bytes())
+        try:
+            index, _ = gmi_mod.read_index(index_path)
+        except MissingIndex:
+            if index_path is index_paths[0]:
+                raise
+            continue  # the lexical index is checked only where there is one
         report = gmi_mod.validate_index(index, corpus, digests=digests)
         for name, status in report.statuses:
             if statuses.get(name, Staleness.FRESH) is Staleness.FRESH:

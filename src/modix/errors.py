@@ -32,7 +32,7 @@ class ParseError(ModixError):
 
 
 class UnreadableFile(ModixError):
-    """A text input that cannot be read or is not valid UTF-8, named by path."""
+    """A file that cannot be read, or a text input missing or not UTF-8, named by path."""
 
 
 class DuplicateDefinition(ModixError):

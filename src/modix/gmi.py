@@ -39,10 +39,11 @@ from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, sealed
-from ._wire import self_hashes
+from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, read_artifact
+from ._wire import sealed, self_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, WrongFlavor
+from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex, WrongFlavor
+from .errors import reading
 from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, merges_as
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap, Overlay, root_file
@@ -233,6 +234,18 @@ def load_index(data: bytes) -> GlobalIndex:
     return GlobalIndex(flavor, modules, rows, ends, module_ids, flags, excluded, _Postings(names))
 
 
+def read_index(path: str | Path, overlay: Overlay | None = None) -> tuple[GlobalIndex, int]:
+    """The index file at `path`, remapped by the overlay if one is given, and
+    its size in bytes.  No file there raises MissingIndex naming `path`; a
+    corrupt one raises its CorruptModule prefixed with the file's path."""
+    real = overlay.apply(str(path)) if overlay is not None else path
+    data = read_artifact(real)
+    if data is None:
+        raise MissingIndex(f"index file not found: {path}")
+    with reading(real):
+        return load_index(data), len(data)
+
+
 def lookup(index: GlobalIndex, identifier: str) -> list[tuple[str, PostingFlags]]:
     """All modules containing the identifier, in module id order."""
     return [(p.module, p.flags) for p in index.entry(identifier)]
@@ -271,11 +284,12 @@ class StalenessReport:
         return tuple(name for name, s in self.statuses if s is status)
 
 
-def _file_digest(path: Path) -> int | Staleness:
+def _file_digest(path: str) -> int | Staleness:
     """A module file's content hash when its stored hash holds, else why not."""
-    if not path.is_file():
+    data = read_artifact(path)
+    if data is None:
         return Staleness.MISSING
-    hashes = content_hashes(path.read_bytes())
+    hashes = content_hashes(data)
     return hashes[0] if hashes is not None and hashes[0] == hashes[1] else Staleness.HASH_MISMATCH
 
 
@@ -292,7 +306,7 @@ def validate_index(
     statuses: list[tuple[str, Staleness]] = []
     for row in index.modules:
         if row.name not in digests:
-            path = Path(root_file(module_dir, row.name + FILE_EXTENSION, overlay))
+            path = root_file(module_dir, row.name + FILE_EXTENSION, overlay)
             digests[row.name] = _file_digest(path)
         status = digests[row.name]
         if not isinstance(status, Staleness):

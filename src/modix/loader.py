@@ -62,19 +62,18 @@ from . import modfile
 from .declang import HeaderAST, Need, parse_header
 from .errors import (
     IndexStale,
-    MissingIndex,
     MissingPch,
     MissingRootmap,
     ModuleNotFound,
     UnreadableFile,
     WrongFlavor,
-    reading,
 )
 from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
-from .modfile import PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile
+from .modfile import FILE_EXTENSION, PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile
 from .modfile import Candidate, merge_entities
 from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module
-from .modulemap import read_text, resolve_module_path, root_file
+from .modulemap import read_text, root_file
+from .modulemap import resolve_module_path  # noqa: F401 -- kept for perfbench/spans.py to wrap
 
 ROOTMAP_FILE_NAME = "modules.rootmap"
 
@@ -244,9 +243,7 @@ class Session:
 
     def _start_textual(self, index_path: str | Path | None, allow_stale: bool) -> None:
         path = root_file(self.paths.release_root, ROOTMAP_FILE_NAME, self.overlay)
-        if not Path(path).is_file():
-            raise MissingRootmap(f"no {ROOTMAP_FILE_NAME} in the release root")
-        text = read_text(path)
+        text = read_text(path, MissingRootmap(f"no {ROOTMAP_FILE_NAME} in the release root"))
         self._charge_read(len(text.encode("utf-8")))
         self._rootmap = {}
         for line in text.splitlines():
@@ -269,12 +266,7 @@ class Session:
         wanted = INDEX_FLAVORS.get(self.strategy, IndexFlavor.LEXICAL)
         if index_path is None:
             index_path = root_file(self.paths.release_root, gmi_mod.index_file_name(wanted))
-        real = Path(self.overlay.apply(str(index_path)))
-        if not real.is_file():
-            raise MissingIndex(f"index file not found: {index_path}")
-        data = real.read_bytes()
-        with reading(real):
-            index = gmi_mod.load_index(data)
+        index, size = gmi_mod.read_index(index_path, self.overlay)
         if index.flavor is not wanted:
             raise WrongFlavor(
                 f"strategy {self.strategy.value} needs a {wanted.name.lower()} index, "
@@ -287,7 +279,7 @@ class Session:
                     name for name, status in report.statuses if status is not Staleness.FRESH
                 ))
         self._index = index
-        self._charge_read(len(data))
+        self._charge_read(size)
 
     def _load_direct(self, allow_stale: bool) -> None:
         """Local checkouts shadow the release: their summaries come up eagerly
@@ -302,8 +294,9 @@ class Session:
             release = self.paths.release_root
             self._read_index(None, allow_stale)
             for name in self._direct:
+                path = root_file(release, name + FILE_EXTENSION, self.overlay)
                 try:
-                    path = resolve_module_path(SearchPaths((), release), name, self.overlay)
+                    release_copy = modfile.read_module(path, name)
                 except ModuleNotFound:
                     if not allow_stale:
                         raise
@@ -313,8 +306,6 @@ class Session:
                         if any(p.module == name for p in postings)
                     )
                 else:
-                    with reading(path):
-                        release_copy = modfile.read_module_summary(Path(path).read_bytes())
                     self._charge_read(release_copy.summary_bytes)
                     self._touched.update(release_copy.names)
                 self._touched.update(self._loaded[name].names)
@@ -348,9 +339,10 @@ class Session:
             return
         self._loading.add(name)
         try:
-            path = resolve_module_path(self.paths, name, self.overlay)
-            with reading(path):
-                mf = modfile.read_module_summary(Path(path).read_bytes())
+            path = find_local_module(self.paths, name, self.overlay) or root_file(
+                self.paths.release_root, name + FILE_EXTENSION, self.overlay
+            )
+            mf = modfile.read_module(path, name)
             for imp in mf.imports:
                 self._load_module(imp, resolution)
             self._charge_read(mf.summary_bytes)

@@ -36,13 +36,14 @@ Module files are immutable once written; readers never mutate shared state.
 from __future__ import annotations
 
 import operator
+import os
 import struct
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from ._wire import Reader, Writer, check_flags, first_false, key_at, sealed
+from ._wire import Reader, Writer, check_flags, first_false, key_at, read_artifact, sealed
 from ._wire import self_hashes as content_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .declang import Decl, DeclKind, HeaderAST, StructField, TypeRef
@@ -397,16 +398,20 @@ def read_module_summary(data: bytes) -> ModuleFile:
     )
 
 
+def read_module(path: str, name: str) -> ModuleFile:
+    """Module `name`'s summary from its file at `path`; no file raises ModuleNotFound."""
+    data = read_artifact(path)
+    if data is None:
+        raise ModuleNotFound(name)
+    with reading(path):
+        return read_module_summary(data)
+
+
 def read_modules(module_dir: str | Path, names: Iterable[str]) -> Iterator[ModuleFile]:
     """Summaries of `module_dir/<name>.pcm` for each name, in order, each
     read when the caller asks for it."""
-    module_dir = Path(module_dir)
     for name in names:
-        path = module_dir / f"{name}{FILE_EXTENSION}"
-        if not path.is_file():
-            raise ModuleNotFound(name)
-        with reading(path):
-            yield read_module_summary(path.read_bytes())
+        yield read_module(os.path.join(module_dir, name + FILE_EXTENSION), name)
 
 
 def deserialize_decl(module: ModuleFile, entry: IdentEntry | str) -> tuple[Decl, bytes]:

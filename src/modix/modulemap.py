@@ -7,6 +7,10 @@ maps, and `declang`'s token `Cursor` the rest.  Overlays remap path prefixes
 the way a virtual file system mount would, longest prefix first.  Search
 paths give locally built module files precedence over the release area.
 
+Every text input is read by `read_text`, one `_wire.read_artifact` call; no
+file there, a read error and bytes that are not UTF-8 raise UnreadableFile.
+`_module_file` probes without reading: it decides local-checkout shadowing.
+
 Everything here is read-only after construction and freely shareable.
 """
 
@@ -19,11 +23,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+from ._wire import read_artifact
 from .declang import NAME, WS, Cursor, TokenKind, tokenize
 from .errors import (
     DuplicateModule,
     EmptyModule,
     HeaderClaimedTwice,
+    ModixError,
     ModuleNotFound,
     ParseError,
     UnreadableFile,
@@ -33,14 +39,19 @@ from .modfile import FILE_EXTENSION
 FINAL_MAP_NAME = "module.modulemap"
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of a user file; failing to read or decode it raises
-    UnreadableFile, which names the path."""
+def read_text(path: str | Path, missing: ModixError | None = None) -> str:
+    """The UTF-8 text of a user file as `Path.read_text("utf-8")` gives it,
+    each CRLF and lone CR read as LF.  No regular file at `path` raises
+    `missing`, by default an UnreadableFile naming the path, as are a read
+    error and bytes that are not UTF-8."""
+    data = read_artifact(path)
+    if data is None:
+        raise missing or UnreadableFile(f"cannot read {path}: no such file")
     try:
-        return Path(path).read_text("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise UnreadableFile(f"cannot read {path}: {reason}") from exc
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"cannot read {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -137,7 +148,6 @@ def concat_modulemaps(maps: Sequence[tuple[str, Sequence[ModuleDef]]]) -> Module
 
 def load_modulemap(path: str | Path) -> ModuleMap:
     """Read and concatenate a single (already final) module map file."""
-    path = Path(path)
     return concat_modulemaps([(str(path), parse_modulemap(read_text(path)))])
 
 
