@@ -246,7 +246,8 @@ def compile_tree(
     """
     map_path = Path(map_path)
     root = map_path.parent
-    module_map = load_modulemap(map_path)
+    map_text = read_text(map_path)  # parsed here, then copied to the output
+    module_map = load_modulemap(map_path, map_text)
     owners = module_map.header_owners()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,7 +266,7 @@ def compile_tree(
         data = modfile.compile_module(d.name, asts, imports)
         (out / f"{d.name}{modfile.FILE_EXTENSION}").write_bytes(data)
         compiled.append(modfile.read_module_summary(data))
-    (out / FINAL_MAP_NAME).write_text(read_text(map_path), "utf-8")
+    (out / FINAL_MAP_NAME).write_text(map_text, "utf-8")
     (out / ROOTMAP_FILE_NAME).write_text(build_rootmap(compiled), "utf-8")
     return module_map, compiled
 

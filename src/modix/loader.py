@@ -3,7 +3,8 @@
 A session extends name lookup through one of five strategies:
 
 * ``preload-all``  -- read every module file (summaries and all blobs) up
-  front into the resident name table; lookups hit it only.
+  front into the resident name table, decoding each module's blobs in one
+  pass (``modfile.deserialize_module``); lookups hit it only.
 * ``pch``          -- read the single merged ``__pch__`` file's summary up
   front; blobs stream in lazily.
 * ``textual``      -- legacy fallback: a rootmap maps identifiers to header
@@ -21,7 +22,8 @@ payload bytes, sliced from the blob or encoded once when a header is parsed.
 
 Local checkouts replace their release modules under one rule: a name's
 candidates are the local declarations plus those of the release modules not
-checked out.  pch and textual, whose merged cache and rootmap cannot be so
+checked out.  A session probes the local roots for each module name at most
+once, and a session without local roots probes nothing.  pch and textual, whose merged cache and rootmap cannot be so
 filtered, resolve a name either copy of a checkout declares as lexical-gmi
 does, charging the lexical index, those release summaries and posted loads;
 the modules the index excludes load at the first such lookup.
@@ -56,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path, PurePath
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import HeaderAST, Need, parse_header
@@ -207,6 +209,7 @@ class Session:
         self._loading: set[str] = set()
         self._direct: list[str] = []
         self._shadowed: set[str] = set()
+        self._local: dict[str, str | None] = {}  # each probed name's local checkout
         self._touched: set[str] = set()
         self._index: GlobalIndex | None = None
         self._rootmap: dict[str, str] | None = None
@@ -230,9 +233,15 @@ class Session:
     def _start_preload(self, index_path: str | Path | None, allow_stale: bool) -> None:
         for name in self.map.names:
             self._load_module(name, resolution=False)
+        resident, payloads = self._resident, self._payloads
         for name in self._load_order:
-            for entry in self._loaded[name].entries():
-                self._resident.setdefault(entry.name, []).append(self._deserialize(name, entry))
+            mf = self._loaded[name]
+            rows = modfile.deserialize_module(mf)
+            self._decls += len(rows)
+            self._charge_reads(mf.blob_lens)
+            for ident, decl, payload in rows:
+                candidate = (decl, name, payloads.setdefault(payload, payload))
+                resident.setdefault(ident, []).append(candidate)
 
     def _start_pch(self, index_path: str | Path | None, allow_stale: bool) -> None:
         try:
@@ -285,8 +294,10 @@ class Session:
         """Local checkouts shadow the release: their summaries come up eagerly
         and index postings for them are ignored.  pch and textual also read the
         lexical index and the release copies' summaries (see the module doc)."""
+        if not self.paths.local_roots:
+            return
         for name in self.map.names:
-            if find_local_module(self.paths, name, self.overlay) is not None:
+            if self._local_copy(name) is not None:
                 self._shadowed.add(name)
                 self._load_module(name, resolution=False)
                 self._direct.append(name)
@@ -328,6 +339,12 @@ class Session:
         if self.cost.bytes_per_tick:
             self._read_ticks += -(-nbytes // self.cost.bytes_per_tick)
 
+    def _charge_reads(self, sizes: Sequence[int]) -> None:
+        """`_charge_read` of each size, in one step."""
+        self._bytes += sum(sizes)
+        if per_tick := self.cost.bytes_per_tick:
+            self._read_ticks += sum(-(-nbytes // per_tick) for nbytes in sizes)
+
     # -- module loading --
 
     def load_module(self, name: str) -> None:
@@ -339,7 +356,7 @@ class Session:
             return
         self._loading.add(name)
         try:
-            path = find_local_module(self.paths, name, self.overlay) or root_file(
+            path = self._local_copy(name) or root_file(
                 self.paths.release_root, name + FILE_EXTENSION, self.overlay
             )
             mf = modfile.read_module(path, name)
@@ -352,6 +369,14 @@ class Session:
                 self._unredeemed.add(name)
         finally:
             self._loading.discard(name)
+
+    def _local_copy(self, name: str) -> str | None:
+        """`find_local_module` of `name`, probed at most once per session."""
+        if not self.paths.local_roots:
+            return None
+        if name not in self._local:
+            self._local[name] = find_local_module(self.paths, name, self.overlay)
+        return self._local[name]
 
     def _load_if_present(self, name: str, resolution: bool) -> bool:
         """Load a module; False when its own file is missing.  A missing

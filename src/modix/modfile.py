@@ -17,7 +17,15 @@ File layout (all integers little-endian)::
 Each row's name length lives in its ``key_end``, so a table is exactly as
 long as version 3's row-at-a-time one and ``summary_bytes`` is unchanged.
 A load checks the whole table in bulk, and a row becomes an `IdentEntry`
-only when `find` or `entries` asks for it.
+only when `find` or `entries` asks for it; `deserialize_module` decodes a
+whole module's rows, in file order, and builds none.
+
+`decode_blob` is the one blob decoder: it unpacks each field in place with
+`struct.unpack_from` at a local offset, with no cursor object or call per
+field, and `encode_payload` builds its parts in one list joined once.  A
+decoded row must declare the row's own name, as a kind that merges as the
+row's flags say; `deserialize_decl` and `deserialize_module` raise
+CorruptTable naming the row otherwise.
 
 The content hash is BLAKE2b with an 8-byte digest over the whole file with
 the hash field zeroed, stored little-endian; every load and every index
@@ -38,6 +46,7 @@ from __future__ import annotations
 import operator
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from enum import IntEnum, IntFlag
 from pathlib import Path
@@ -81,6 +90,7 @@ class DeclFlags(IntFlag):
 # The identifier table's columns: flags u8, blob_offset u64, blob_len u32.
 _ENTRY_FIELDS = "BQI"
 _U32 = struct.Struct("<I")
+_U32X2 = struct.Struct("<II")
 
 
 class EntityKind(IntEnum):
@@ -108,6 +118,12 @@ _KINDS = {
     ),
 }
 _TAG_KINDS = {facts.tag: kind for kind, facts in _KINDS.items()}
+_TAG_BYTES = {kind: bytes((facts.tag,)) for kind, facts in _KINDS.items()}
+# The kinds the codec branches on, as plain names: reading a member off its
+# enum class goes through the enum's metaclass, about 100 ns a read on
+# Python 3.11 against 8 ns for a global.
+_STRUCT_DEF, _STRUCT_FWD = DeclKind.STRUCT_DEF, DeclKind.STRUCT_FWD
+_ENUM_DEF, _ALIAS, _FUNC_DECL = DeclKind.ENUM_DEF, DeclKind.ALIAS, DeclKind.FUNC_DECL
 _TAG_FACTS = {facts.tag: facts for facts in _KINDS.values()}
 # Every flags byte a module's table can hold (a kind's flags, alone or beside
 # a forward declaration) to the kind it merges as; loads reject other bytes.
@@ -198,39 +214,40 @@ Candidate = tuple[Decl, str, bytes]
 # --- declaration serialization ---
 
 
-def _write_type(w: Writer, ref: TypeRef) -> None:
-    w.u32(ref.indirection)
-    w.lpstr(ref.base)
-
-
-def _read_type(r: Reader) -> TypeRef:
-    indirection = r.u32()
-    return TypeRef(r.lpstr(), indirection)
-
-
 def encode_payload(decl: Decl) -> bytes:
     """Canonical payload bytes: kind tag, name, then the payload fields.
-    Origin is deliberately not part of this; ODR compares these bytes."""
-    w = Writer()
-    w.u8(_KINDS[decl.kind].tag)
-    w.lpstr(decl.name)
-    if decl.kind is DeclKind.STRUCT_DEF:
-        w.u32(len(decl.fields))
-        for f in decl.fields:
-            w.lpstr(f.name)
-            _write_type(w, f.type)
-    elif decl.kind is DeclKind.ENUM_DEF:
-        w.u32(len(decl.enumerators))
+    Origin is deliberately not part of this; ODR compares these bytes.
+    A type is its indirection u32, then its base name's length and bytes."""
+    pack = _U32.pack
+    name = decl.name.encode("utf-8")
+    kind = decl.kind
+    parts = [_TAG_BYTES[kind], pack(len(name)), name]
+    if kind is _STRUCT_FWD:
+        pass  # tested first: most declarations are forward ones
+    elif kind is _STRUCT_DEF:
+        parts.append(pack(len(decl.fields)))
+        for field in decl.fields:
+            name = field.name.encode("utf-8")
+            ref = field.type
+            base = ref.base.encode("utf-8")
+            parts += (pack(len(name)), name, _U32X2.pack(ref.indirection, len(base)), base)
+    elif kind is _ENUM_DEF:
+        parts.append(pack(len(decl.enumerators)))
         for name in decl.enumerators:
-            w.lpstr(name)
-    elif decl.kind is DeclKind.ALIAS:
-        _write_type(w, decl.alias_target)
-    elif decl.kind is DeclKind.FUNC_DECL:
-        w.u32(len(decl.params))
-        for p in decl.params:
-            _write_type(w, p)
-        _write_type(w, decl.returns)
-    return w.getvalue()
+            name = name.encode("utf-8")
+            parts += (pack(len(name)), name)
+    else:
+        # An alias's target, or a function's parameter count, parameters
+        # and return type.
+        if kind is _ALIAS:
+            types: tuple[TypeRef, ...] = (decl.alias_target,)
+        else:
+            parts.append(pack(len(decl.params)))
+            types = (*decl.params, decl.returns)
+        for ref in types:
+            base = ref.base.encode("utf-8")
+            parts += (_U32X2.pack(ref.indirection, len(base)), base)
+    return b"".join(parts)
 
 
 def _blob(origin: tuple[str, int], payload: bytes) -> bytes:
@@ -258,32 +275,106 @@ def split_blob(blob: bytes) -> tuple[str, bytes]:
 
 def decode_blob(blob: bytes) -> tuple[Decl, bytes]:
     """The declaration a blob encodes, and its payload: the bytes after the
-    origin, which are exactly `encode_payload` of that declaration."""
-    r = Reader(blob)
-    origin = (r.lpstr(), r.u32())
-    payload_start = r.pos
-    tag = r.u8()
-    kind = _TAG_KINDS.get(tag)
-    if kind is None:
-        raise CorruptTable(f"unknown declaration tag {tag}")
-    name = r.lpstr()
-    fields: tuple[StructField, ...] = ()
-    enumerators: tuple[str, ...] = ()
-    alias_target: TypeRef | None = None
-    params: tuple[TypeRef, ...] = ()
-    returns: TypeRef | None = None
-    if kind is DeclKind.STRUCT_DEF:
-        fields = tuple(
-            StructField(r.lpstr(), _read_type(r)) for _ in range(r.u32())
-        )
-    elif kind is DeclKind.ENUM_DEF:
-        enumerators = tuple(r.lpstr() for _ in range(r.u32()))
-    elif kind is DeclKind.ALIAS:
-        alias_target = _read_type(r)
-    elif kind is DeclKind.FUNC_DECL:
-        params = tuple(_read_type(r) for _ in range(r.u32()))
-        returns = _read_type(r)
-    if not r.at_end():
+    origin, which are exactly `encode_payload` of that declaration.
+
+    Each field is unpacked in place at a local offset and checked against
+    the blob's length, and each string is interned.  A field that overruns
+    the blob raises CorruptTable "truncated at byte N", N where that u32 or
+    that string's bytes start; a string that is not UTF-8, "invalid UTF-8
+    at byte N"."""
+    u32 = _U32.unpack_from
+    intern = sys.intern
+    end = len(blob)
+    pos = 0  # where the u32 being unpacked starts
+    start = 0  # where the string being decoded starts
+    try:
+        (n,) = u32(blob, 0)
+        start = 4
+        pos = 4 + n
+        if pos > end:
+            raise CorruptTable(f"truncated at byte {start}")
+        origin = (intern(blob[4:pos].decode("utf-8")), u32(blob, pos)[0])
+        payload_start = pos = pos + 4
+        if pos == end:
+            raise CorruptTable(f"truncated at byte {pos}")
+        kind = _TAG_KINDS.get(blob[pos])
+        if kind is None:
+            raise CorruptTable(f"unknown declaration tag {blob[pos]}")
+        pos += 1
+        (n,) = u32(blob, pos)
+        start = pos + 4
+        pos = start + n
+        if pos > end:
+            raise CorruptTable(f"truncated at byte {start}")
+        name = intern(blob[start:pos].decode("utf-8"))
+        fields: tuple[StructField, ...] = ()
+        enumerators: tuple[str, ...] = ()
+        alias_target: TypeRef | None = None
+        params: tuple[TypeRef, ...] = ()
+        returns: TypeRef | None = None
+        if kind is _STRUCT_FWD:
+            pass  # tested first: most rows are forward declarations
+        elif kind is _STRUCT_DEF:
+            (count,) = u32(blob, pos)
+            pos += 4
+            members = []
+            for _ in range(count):
+                (n,) = u32(blob, pos)
+                start = pos + 4
+                pos = start + n
+                if pos > end:
+                    raise CorruptTable(f"truncated at byte {start}")
+                member = intern(blob[start:pos].decode("utf-8"))
+                (indirection,) = u32(blob, pos)
+                pos += 4
+                (n,) = u32(blob, pos)
+                start = pos + 4
+                pos = start + n
+                if pos > end:
+                    raise CorruptTable(f"truncated at byte {start}")
+                base = intern(blob[start:pos].decode("utf-8"))
+                members.append(StructField(member, TypeRef(base, indirection)))
+            fields = tuple(members)
+        elif kind is _ENUM_DEF:
+            (count,) = u32(blob, pos)
+            pos += 4
+            members = []
+            for _ in range(count):
+                (n,) = u32(blob, pos)
+                start = pos + 4
+                pos = start + n
+                if pos > end:
+                    raise CorruptTable(f"truncated at byte {start}")
+                members.append(intern(blob[start:pos].decode("utf-8")))
+            enumerators = tuple(members)
+        else:
+            # An alias's target, or a function's parameters then its return
+            # type: one type after another.
+            count = 1
+            if kind is _FUNC_DECL:
+                (count,) = u32(blob, pos)
+                pos += 4
+                count += 1
+            types = []
+            for _ in range(count):
+                (indirection,) = u32(blob, pos)
+                pos += 4
+                (n,) = u32(blob, pos)
+                start = pos + 4
+                pos = start + n
+                if pos > end:
+                    raise CorruptTable(f"truncated at byte {start}")
+                types.append(TypeRef(intern(blob[start:pos].decode("utf-8")), indirection))
+            if kind is _ALIAS:
+                alias_target = types[0]
+            else:
+                params = tuple(types[:-1])
+                returns = types[-1]
+    except struct.error:
+        raise CorruptTable(f"truncated at byte {pos}") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptTable(f"invalid UTF-8 at byte {start}") from exc
+    if pos != end:
         raise CorruptTable("trailing bytes after declaration")
     decl = Decl(name, kind, fields, enumerators, alias_target, params, returns, origin)
     return decl, blob[payload_start:]
@@ -414,15 +505,43 @@ def read_modules(module_dir: str | Path, names: Iterable[str]) -> Iterator[Modul
         yield read_module(os.path.join(module_dir, name + FILE_EXTENSION), name)
 
 
+def _check_row(module: ModuleFile, name: str, flags: int, decl: Decl) -> None:
+    """A row's blob must declare the row's name, as a kind that merges as
+    the row's flags say; otherwise CorruptTable names the row."""
+    if decl.name != name:
+        problem = f"declares '{decl.name}'"
+    elif _KINDS[decl.kind].entity is not merges_as(flags):
+        problem = "does not match its flags"
+    else:
+        return
+    raise CorruptTable(f"blob of '{name}' in module '{module.module_name}' {problem}")
+
+
 def deserialize_decl(module: ModuleFile, entry: IdentEntry | str) -> tuple[Decl, bytes]:
     """Decode one declaration blob into the decl and its payload bytes;
     costs `blob_len` bytes.  `entry` is the declaration's row, as a caller
-    that has already found it hands it in, or its name, to find here."""
+    that has already found it hands it in, or its name, to find here.
+    A blob that does not fit its row raises `_check_row`'s CorruptTable."""
     if isinstance(entry, str):
         name, entry = entry, module.find(entry)
         if entry is None:
             raise UnknownIdentifier(name)
-    return decode_blob(module.blob(entry))
+    decl, payload = decode_blob(module.blob(entry))
+    _check_row(module, entry.name, entry.flags, decl)
+    return decl, payload
+
+
+def deserialize_module(module: ModuleFile) -> list[tuple[str, Decl, bytes]]:
+    """Every row's name, declaration and payload, in file order: one
+    `decode_blob` per row's blob, checked as `deserialize_decl` checks it,
+    building no `IdentEntry`; costs every `blob_len`.  A list, so the
+    decoding is done when this returns."""
+    rows = []
+    for name, flags, blob in module.blobs():
+        decl, payload = decode_blob(blob)
+        _check_row(module, name, flags, decl)
+        rows.append((name, decl, payload))
+    return rows
 
 
 # --- merging ---

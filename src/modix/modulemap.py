@@ -146,9 +146,12 @@ def concat_modulemaps(maps: Sequence[tuple[str, Sequence[ModuleDef]]]) -> Module
     return ModuleMap(tuple(defs))
 
 
-def load_modulemap(path: str | Path) -> ModuleMap:
-    """Read and concatenate a single (already final) module map file."""
-    return concat_modulemaps([(str(path), parse_modulemap(read_text(path)))])
+def load_modulemap(path: str | Path, text: str | None = None) -> ModuleMap:
+    """Read and concatenate a single (already final) module map file; a
+    caller that has read the file already hands in its `read_text`."""
+    if text is None:
+        text = read_text(path)
+    return concat_modulemaps([(str(path), parse_modulemap(text))])
 
 
 # --- overlays ---

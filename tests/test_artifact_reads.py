@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modix
-from modix.bench import open_corpus_session
+from modix import loader, modulemap
+from modix.bench import CorpusSpec, generate_corpus, open_corpus_session
 from modix.cli import main
 from modix.declang import Need
 from modix.errors import UnreadableFile
@@ -243,6 +244,45 @@ def test_gmi_open_stats_nothing(corpus12, monkeypatch, strategy):
     stats = _count(monkeypatch, "stat")
     open_corpus_session(corpus12, strategy)
     assert stats == []
+
+
+def test_local_checkout_is_probed_once_per_module(corpus12, tmp_path, monkeypatch):
+    # One stat per module name at the open (shadowing); the module loads that
+    # follow, the checkout's included, reuse those probes.
+    local = tmp_path / "local"
+    local.mkdir()
+    (local / "M3.pcm").write_bytes((corpus12 / "M3.pcm").read_bytes())
+    stats = _count(monkeypatch, "stat")
+    session = open_corpus_session(corpus12, Strategy.SEMANTIC_GMI, local_roots=[str(local)])
+    assert sorted(stats) == sorted(str(local / f"M{m}.pcm") for m in range(12))
+    for m in range(12):
+        session.resolve(f"S{m}_0", Need.DEFINITION)
+    assert len(stats) == 12
+    assert session.stats().modules_loaded > 1
+
+
+@pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL, Strategy.PRELOAD_ALL])
+def test_open_without_local_roots_probes_no_checkout(corpus12, monkeypatch, strategy):
+    probes = []
+    monkeypatch.setattr(loader, "find_local_module", lambda *args: probes.append(args))
+    open_corpus_session(corpus12, strategy)
+    assert probes == []
+
+
+def test_compile_reads_the_module_map_once(tmp_path, monkeypatch):
+    reads = []
+    real = modulemap.read_artifact
+
+    def counted(path):
+        reads.append(str(path))
+        return real(path)
+
+    monkeypatch.setattr(modulemap, "read_artifact", counted)
+    spec = CorpusSpec(
+        n_modules=12, defs_per_module=3, fwd_fanout=3, dup_fraction=0.5, import_density=1.0, seed=7,
+    )
+    generate_corpus(spec, tmp_path / "c")
+    assert [p for p in reads if p.endswith(FINAL_MAP_NAME)] == [str(tmp_path / "c" / FINAL_MAP_NAME)]
 
 
 def test_validate_stats_no_module_file_and_opens_each_once(corpus12, monkeypatch, capsys):

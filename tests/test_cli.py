@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import build_random_corpus
-from modix.bench import CorpusSpec, generate_corpus
+from modix import modfile
+from modix.bench import CorpusSpec, generate_corpus, write_corpus
 from modix.cli import main
-from modix.gmi import load_index
+from modix.declang import Decl, DeclKind, StructField, TypeRef
+from modix.gmi import IndexFlavor, build_index, index_file_name, load_index
 from modix.interp import PROMPT
 
 ARTIFACT_SUFFIXES = (".pcm", ".gmi", ".rootmap")
@@ -573,3 +575,29 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith(f"modix: error: {corpus12 / file_name}: ")
+
+
+class TestForeignBlob:
+    """A hash-valid row whose blob declares another name is a corrupt
+    module, not a crash in the merge."""
+
+    @pytest.mark.parametrize("strategy, bad", [
+        ("preload-all", "M1"), ("preload-all", "M0"), ("lexical-gmi", "M1"), ("semantic-gmi", "M0"),
+    ])
+    def test_run_exits_2(self, tmp_path, capsys, strategy, bad):
+        corpus = tmp_path / "c"
+        module_map = write_corpus(corpus, [
+            ("M0", {"a.dh": "struct A { x: i32; };\n"}), ("M1", {"b.dh": "struct A { x: i32; };\n"}),
+        ])
+        b = Decl("B", DeclKind.STRUCT_DEF, fields=(StructField("x", TypeRef("i32")),), origin=("b.dh", 1))
+        row = ("A", modfile.DeclFlags.HAS_DEFINITION, modfile.encode_blob(b))
+        (corpus / f"{bad}.pcm").write_bytes(modfile._emit(bad, (), [row]))
+        for flavor in IndexFlavor:
+            modules = modfile.read_modules(corpus, module_map.names)
+            (corpus / index_file_name(flavor)).write_bytes(build_index(module_map, modules, flavor))
+        script = tmp_path / "w.dscript"
+        script.write_text("sizeof(A);\n", "utf-8")
+        assert main(["run", "--strategy", strategy, "--dir", str(corpus), str(script)]) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert err == f"modix: error: blob of 'A' in module '{bad}' declares 'B'\n"

@@ -32,7 +32,7 @@ from modix.gmi import (
     validate_index,
 )
 from modix.interp import format_result, run_script
-from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Strategy, open_session
+from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Session, Strategy, open_session
 from modix.modfile import PCH_MODULE_NAME, compile_module, read_module_summary
 from modix.modulemap import Overlay, SearchPaths, find_local_module, load_modulemap
 
@@ -327,11 +327,12 @@ class TestCostHonesty:
 
 
 class TestPatchPoints:
-    """The traced `modfile.summaries_read` and `modfile.decls_decoded`
-    metrics count calls of these two functions, so each summary and each
-    declaration a session charges for must be exactly one call, and no
-    declaration is decoded twice.  `merge_entities` compares the payload
-    bytes its candidates carry, so a module strategy encodes nothing."""
+    """Each summary a session charges for is one `read_module_summary` call,
+    and each declaration one decoded row: a `deserialize_decl` call, or a
+    row that `deserialize_module` returns (preload-all decodes a whole
+    module per call).  No declaration is decoded twice.  `merge_entities`
+    compares the payload bytes its candidates carry, so a module strategy
+    encodes nothing."""
 
     _MODULE_STRATEGIES = [
         Strategy.PRELOAD_ALL, Strategy.PCH, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI,
@@ -340,32 +341,38 @@ class TestPatchPoints:
     @pytest.mark.parametrize("strategy", _MODULE_STRATEGIES)
     def test_modfile_calls_match_stats(self, corpus12, monkeypatch, strategy):
         names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).table)
-        calls = {"read_module_summary": 0, "deserialize_decl": 0}
+        calls = {"read_module_summary": 0, "decoded rows": 0}
         decoded: list[tuple[str, str]] = []
+        read_summary = modfile.read_module_summary
+        deserialize_decl = modfile.deserialize_decl
+        deserialize_module = modfile.deserialize_module
 
-        def count(name):
-            fn = getattr(modfile, name)
+        def counted_summary(data):
+            calls["read_module_summary"] += 1
+            return read_summary(data)
 
-            def counted(*args):
-                calls[name] += 1
-                if name == "deserialize_decl":
-                    mf, identifier = args
-                    decoded.append((mf.module_name, identifier))
-                return fn(*args)
+        def counted_decl(mf, entry):
+            decoded.append((mf.module_name, entry if isinstance(entry, str) else entry.name))
+            return deserialize_decl(mf, entry)
 
-            monkeypatch.setattr(modfile, name, counted)
+        def counted_module(mf):
+            rows = deserialize_module(mf)
+            decoded.extend((mf.module_name, name) for name, _, _ in rows)
+            return rows
 
-        count("read_module_summary")
-        count("deserialize_decl")
+        monkeypatch.setattr(modfile, "read_module_summary", counted_summary)
+        monkeypatch.setattr(modfile, "deserialize_decl", counted_decl)
+        monkeypatch.setattr(modfile, "deserialize_module", counted_module)
         session = open_corpus_session(corpus12, strategy)
         for name in names + ["Nope"]:
             for need in (Need.FORWARD_OK, Need.DEFINITION):
                 session.resolve(name, need)
         stats = session.stats()
+        calls["decoded rows"] = len(decoded)
         assert stats.modules_loaded > 0 and stats.decls_deserialized > 0
         assert calls == {
             "read_module_summary": stats.modules_loaded,
-            "deserialize_decl": stats.decls_deserialized,
+            "decoded rows": stats.decls_deserialized,
         }
         assert len(set(decoded)) == len(decoded)
 
@@ -434,6 +441,70 @@ class TestRowsFoundOnce:
                     pass
             assert len(set(found)) == len(found), case
             monkeypatch.undo()
+
+
+def _row_at_a_time_preload(self, index_path, allow_stale):
+    """Preload-all's startup as it was before `deserialize_module`, kept as
+    the reference: one `deserialize_decl` and one charge per row."""
+    for name in self.map.names:
+        self._load_module(name, resolution=False)
+    for name in self._load_order:
+        for entry in self._loaded[name].entries():
+            self._resident.setdefault(entry.name, []).append(self._deserialize(name, entry))
+
+
+class TestPreloadPass:
+    """A preload-all open decodes each module in one pass: one `decode_blob`
+    per row and no `IdentEntry`, with the stats and resident candidates of
+    the row-at-a-time reference."""
+
+    _COSTS = (CostModel(), CostModel(7, 3, 1), CostModel(5, 2, 0), CostModel(16384, 100, 7))
+
+    def _both(self, monkeypatch, corpus_dir, cost, local_roots=()):
+        session = open_corpus_session(corpus_dir, Strategy.PRELOAD_ALL, cost, local_roots)
+        with monkeypatch.context() as patch:
+            patch.setitem(
+                Session._STRATEGIES, Strategy.PRELOAD_ALL,
+                (_row_at_a_time_preload, Session._merge_resident),
+            )
+            reference = open_corpus_session(corpus_dir, Strategy.PRELOAD_ALL, cost, local_roots)
+        return session, reference
+
+    def _assert_same(self, session, reference):
+        assert session.stats() == reference.stats()
+        assert list(session._resident.items()) == list(reference._resident.items())
+
+    def test_one_decode_per_row_and_no_ident_entry(self, corpus12, monkeypatch):
+        decode = modfile.decode_blob
+        decoded = []
+
+        def counted(blob):
+            decoded.append(blob)
+            return decode(blob)
+
+        def refuse(*args):
+            raise AssertionError("a preload-all open built an IdentEntry")
+
+        monkeypatch.setattr(modfile, "decode_blob", counted)
+        monkeypatch.setattr(modfile, "IdentEntry", refuse)
+        session = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
+        rows = sum(len(mf.rows) for mf in session._loaded.values())
+        assert len(decoded) == rows == session.stats().decls_deserialized > 100
+
+    @pytest.mark.parametrize("cost", _COSTS)
+    def test_equals_the_reference_on_corpus12(self, corpus12, monkeypatch, cost):
+        self._assert_same(*self._both(monkeypatch, corpus12, cost))
+
+    def test_equals_the_reference_on_random_corpora(self, tmp_path, monkeypatch):
+        rng = random.Random(25)
+        for case in range(12):
+            corpus = build_random_corpus(rng, tmp_path / f"c{case}")
+            local_roots = ()
+            if case % 2:
+                write_local_rebuilds(rng, corpus, tmp_path / f"local{case}")
+                local_roots = (str(tmp_path / f"local{case}"),)
+            for cost in self._COSTS:
+                self._assert_same(*self._both(monkeypatch, corpus.dir, cost, local_roots))
 
 
 class TestRelocatability:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modix import modfile
-from modix._wire import Writer, sealed
+from modix._wire import Reader, Writer, sealed
 from modix.bench import build_rootmap, open_corpus_session, write_corpus
 from modix.declang import (
     CallStmt,
@@ -48,6 +48,7 @@ from modix.modfile import (
     build_pch,
     compile_module,
     deserialize_decl,
+    deserialize_module,
     decode_blob,
     encode_blob,
     encode_payload,
@@ -770,3 +771,186 @@ def test_blob_payload_property(decl, origin_path, origin_line):
     mf = read_module_summary(modfile._emit("M", (), [(decl.name, flags, blob)]))
     assert deserialize_decl(mf, decl.name) == (decl, payload)
     assert deserialize_decl(mf, mf.find(decl.name)) == (decl, payload)
+
+
+# --- the call-light decoder against the one it replaced ---
+
+
+def _reference_decode(blob: bytes) -> tuple[Decl, bytes]:
+    """`decode_blob` as format 4 first had it, one `Reader` call per field,
+    kept as the reference for the in-place decoder."""
+
+    def read_type(r: Reader) -> TypeRef:
+        indirection = r.u32()
+        return TypeRef(r.lpstr(), indirection)
+
+    r = Reader(blob)
+    origin = (r.lpstr(), r.u32())
+    payload_start = r.pos
+    tag = r.u8()
+    kind = modfile._TAG_KINDS.get(tag)
+    if kind is None:
+        raise CorruptTable(f"unknown declaration tag {tag}")
+    name = r.lpstr()
+    fields: tuple[StructField, ...] = ()
+    enumerators: tuple[str, ...] = ()
+    alias_target = None
+    params: tuple[TypeRef, ...] = ()
+    returns = None
+    if kind is DeclKind.STRUCT_DEF:
+        fields = tuple(StructField(r.lpstr(), read_type(r)) for _ in range(r.u32()))
+    elif kind is DeclKind.ENUM_DEF:
+        enumerators = tuple(r.lpstr() for _ in range(r.u32()))
+    elif kind is DeclKind.ALIAS:
+        alias_target = read_type(r)
+    elif kind is DeclKind.FUNC_DECL:
+        params = tuple(read_type(r) for _ in range(r.u32()))
+        returns = read_type(r)
+    if not r.at_end():
+        raise CorruptTable("trailing bytes after declaration")
+    decl = Decl(name, kind, fields, enumerators, alias_target, params, returns, origin)
+    return decl, blob[payload_start:]
+
+
+def _decoded(decode, blob):
+    """What a decoder returns for `blob`, or the class and message it raises."""
+    try:
+        return decode(blob)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _strings(decl: Decl) -> list[str]:
+    """Every string a decoded declaration holds."""
+    types = [f.type for f in decl.fields] + list(decl.params)
+    types += [ref for ref in (decl.alias_target, decl.returns) if ref is not None]
+    return [decl.name, decl.origin[0], *(f.name for f in decl.fields), *decl.enumerators,
+            *(ref.base for ref in types)]
+
+
+def _assert_decoders_agree(blob: bytes) -> None:
+    decoded = _decoded(decode_blob, blob)
+    assert decoded == _decoded(_reference_decode, blob), blob
+    if isinstance(decoded[0], Decl):
+        assert all(sys.intern(text) is text for text in _strings(decoded[0]))
+
+
+# Any text, non-ASCII included, in every name and in the origin.
+_any_text = st.text(max_size=4)
+
+
+@st.composite
+def _any_blob(draw):
+    decl = draw(_any_text.flatmap(lambda name: _decls(name, _any_text)))
+    origin = (draw(st.text(max_size=6)), draw(st.integers(0, 2**32 - 1)))
+    return encode_blob(dataclasses.replace(decl, origin=origin))
+
+
+class TestDecoderAgreesWithReference:
+    """`decode_blob` returns what the `Reader` decoder returned, or raises
+    the same class with the same message, for every kind, every truncation,
+    single-byte mutations and trailing bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_any_blob())
+    def test_every_truncation(self, blob):
+        assert decode_blob(blob) == _reference_decode(blob)
+        for cut in range(len(blob) + 1):
+            _assert_decoders_agree(blob[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_any_blob(), st.data())
+    def test_single_byte_mutations(self, blob, data):
+        for _ in range(8):
+            at = data.draw(st.integers(0, len(blob) - 1))
+            value = data.draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 0x7F, 0x80, 0xC3, 0xFF]))
+            _assert_decoders_agree(blob[:at] + bytes((value,)) + blob[at + 1:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_any_blob(), st.binary(min_size=1, max_size=8))
+    def test_trailing_bytes(self, blob, tail):
+        _assert_decoders_agree(blob + tail)
+
+    def test_every_kind_is_drawn(self):
+        kinds = set()
+
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(_any_blob())
+        def collect(blob):
+            kinds.add(decode_blob(blob)[0].kind)
+
+        collect()
+        assert kinds == set(DeclKind)
+
+    def test_every_corpus12_blob_cut_and_mutated(self, corpus12):
+        names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
+        blobs = [blob for mf in read_modules(corpus12, names) for _, _, blob in mf.blobs()]
+        assert len(blobs) > 100
+        for blob in blobs:
+            for at in range(len(blob)):
+                _assert_decoders_agree(blob[:at])
+                for value in (0x00, 0xFF, blob[at] ^ 0x80):
+                    _assert_decoders_agree(blob[:at] + bytes((value,)) + blob[at + 1:])
+            _assert_decoders_agree(blob + b"\x00")
+
+
+class TestRowChecks:
+    """A row's blob must declare the row's name, as a kind its flags allow."""
+
+    _B = Decl("B", DeclKind.STRUCT_DEF, fields=(StructField("x", TypeRef("i32")),), origin=("b.dh", 1))
+
+    @pytest.mark.parametrize("flags, decl, problem", [
+        (DeclFlags.HAS_DEFINITION, _B, "blob of 'A' in module 'M' declares 'B'"),
+        (DeclFlags.HAS_FORWARD, dataclasses.replace(_B, name="A"),
+         "blob of 'A' in module 'M' does not match its flags"),
+        (DeclFlags.HAS_DEFINITION | DeclFlags.IS_ALIAS, dataclasses.replace(_B, name="A"),
+         "blob of 'A' in module 'M' does not match its flags"),
+    ], ids=["name", "forward-row", "alias-row"])
+    def test_foreign_blob_is_corrupt(self, flags, decl, problem):
+        mf = read_module_summary(modfile._emit("M", (), [("A", flags, encode_blob(decl))]))
+        for deserialize in (lambda: deserialize_decl(mf, "A"), lambda: deserialize_module(mf)):
+            with pytest.raises(CorruptTable) as excinfo:
+                deserialize()
+            assert str(excinfo.value) == problem
+
+    def test_a_forward_beside_a_definition_matches(self):
+        decl = dataclasses.replace(self._B, name="A")
+        flags = DeclFlags.HAS_DEFINITION | DeclFlags.HAS_FORWARD
+        mf = read_module_summary(modfile._emit("M", (), [("A", flags, encode_blob(decl))]))
+        assert deserialize_module(mf) == [("A", decl, encode_payload(decl))]
+
+    def test_module_pass_equals_one_row_at_a_time(self, corpus12):
+        names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
+        for mf in read_modules(corpus12, [*names, modfile.PCH_MODULE_NAME]):
+            rows = deserialize_module(mf)
+            assert isinstance(rows, list)
+            assert rows == [(name, *deserialize_decl(mf, name)) for name in mf.rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_text.flatmap(lambda name: _decls(name, _any_text)))
+def test_encode_payload_equals_the_writer_encoding(decl):
+    def write_type(w: Writer, ref: TypeRef) -> None:
+        w.u32(ref.indirection)
+        w.lpstr(ref.base)
+
+    w = Writer()
+    w.u8(modfile._KINDS[decl.kind].tag)
+    w.lpstr(decl.name)
+    if decl.kind is DeclKind.STRUCT_DEF:
+        w.u32(len(decl.fields))
+        for f in decl.fields:
+            w.lpstr(f.name)
+            write_type(w, f.type)
+    elif decl.kind is DeclKind.ENUM_DEF:
+        w.u32(len(decl.enumerators))
+        for name in decl.enumerators:
+            w.lpstr(name)
+    elif decl.kind is DeclKind.ALIAS:
+        write_type(w, decl.alias_target)
+    elif decl.kind is DeclKind.FUNC_DECL:
+        w.u32(len(decl.params))
+        for p in decl.params:
+            write_type(w, p)
+        write_type(w, decl.returns)
+    assert encode_payload(decl) == w.getvalue()
