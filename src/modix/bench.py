@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import gmi as gmi_mod
 from . import modfile
@@ -242,7 +242,8 @@ def compile_tree(
     other module that owns a header it includes, in include order.  Origins
     are stored relative to the module's own directory, so the module files
     stay relocatable.  Writes `<name>.pcm` per module, a copy of the map and
-    the rootmap; returns the map and the summaries in map order.
+    the rootmap, which an ODR conflict between modules refuses (see
+    `build_rootmap`); returns the map and the summaries in map order.
     """
     map_path = Path(map_path)
     root = map_path.parent
@@ -271,23 +272,12 @@ def compile_tree(
     return module_map, compiled
 
 
-def build_rootmap(compiled: Sequence[modfile.ModuleFile]) -> str:
-    """One `IDENT HEADER` line per identifier, pointing at the header holding
-    its winning declaration: the top-ranked kind (`modfile.EntityKind`), then
-    the earliest module in `compiled`, which callers pass in module map order.
-    A winner's header is read from its blob's head, decoding no blob."""
-    best: dict[str, tuple[int, int, str, bytes]] = {}
-    for position, mf in enumerate(compiled):
-        for name, flags, blob in mf.blobs():
-            key = (-modfile.merges_as(flags), position)
-            current = best.get(name)
-            if current is None or key < current[:2]:
-                best[name] = (*key, mf.module_name, blob)
-    lines = [
-        f"{ident} {module}/{modfile.split_blob(blob)[0]}"
-        for ident, (_, _, module, blob) in sorted(best.items())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def build_rootmap(compiled: Iterable[modfile.ModuleFile]) -> str:
+    """One `IDENT HEADER` line per `modfile.fold_rows` winner of `compiled`,
+    given in module map order, pointing at the header its blob's head names;
+    an ODR conflict raises the fold's OdrViolation."""
+    winners = sorted(modfile.fold_rows(compiled).items())
+    return "".join(f"{name} {module}/{modfile.split_blob(blob)[0]}\n" for name, (module, _, blob) in winners)
 
 
 # --- harness ---

@@ -37,14 +37,14 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, read_artifact
 from ._wire import sealed, self_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex, WrongFlavor
 from .errors import reading
-from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, merges_as
+from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, fold_rows, merges_as
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap, Overlay, root_file
 
@@ -137,27 +137,35 @@ def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlav
 
     Map modules not handed in are excluded: they contribute no postings but
     are recorded so sessions know to consult them directly.  Each indexed
-    module's content hash is stored for staleness checks.
+    module's content hash is stored for staleness checks.  Each summary is
+    recorded as `modfile.fold_rows` takes it, so the build raises what the
+    fold raises; DEFINES marks the postings of the fold winner's kind.
     """
     rows: list[IndexedModule] = []
     postings: dict[str, list[tuple[int, EntityKind]]] = {}  # in map order
-    for mf in modules:
-        module_id = map.module_id(mf.module_name)
-        rows.append(IndexedModule(module_id, mf.module_name, mf.content_hash))
-        for name, flags in zip(mf.rows, mf.flags):
-            postings.setdefault(name, []).append((module_id, merges_as(flags)))
+
+    def recorded() -> Iterator[ModuleFile]:
+        for mf in modules:
+            module_id = map.module_id(mf.module_name)
+            rows.append(IndexedModule(module_id, mf.module_name, mf.content_hash))
+            for name, flags in zip(mf.rows, mf.flags):
+                postings.setdefault(name, []).append((module_id, merges_as(flags)))
+            yield mf
+
+    winners = fold_rows(recorded())
     indexed = {row.name for row in rows}
     excluded = [name for name in map.names if name not in indexed]
 
     module_ids: list[int] = []
     posting_flags: list[int] = []
 
-    def posting_end(plist: list[tuple[int, EntityKind]]) -> tuple[int]:
-        top = max(kind for _, kind in plist)
-        defines = flavor is IndexFlavor.SEMANTIC and top is not EntityKind.FORWARD
+    def posting_end(entry: tuple[list[tuple[int, EntityKind]], int]) -> tuple[int]:
+        plist, winner_flags = entry
+        top = merges_as(winner_flags) if flavor is IndexFlavor.SEMANTIC else None
         for module_id, kind in plist:
             module_ids.append(module_id)
-            posting_flags.append(_DEFINES if defines and kind is top else PostingFlags.MENTIONS)
+            defines = kind is top and top is not EntityKind.FORWARD
+            posting_flags.append(_DEFINES if defines else PostingFlags.MENTIONS)
         return (len(module_ids),)
 
     w = Writer()
@@ -173,7 +181,7 @@ def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlav
         w.u32(row.module_id)
         w.lpstr(row.name)
         w.u64(row.content_hash)
-    w.table(postings, "I", posting_end)
+    w.table({name: (plist, winners[name][1]) for name, plist in postings.items()}, "I", posting_end)
     w.column("I", module_ids)
     w.column("B", posting_flags)
     return sealed(w.getvalue())

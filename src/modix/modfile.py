@@ -34,9 +34,9 @@ Each blob is the canonical serialization of one declaration.  Its origin
 (header path relative to the module root) is excluded from the payload bytes
 used for one-definition-rule comparisons so that byte-identical content in
 differently named headers still de-duplicates.  The origin leads, so the
-payload is a slice found from the blob's head (`split_blob`): the `__pch__`
-build and the rootmap decode no blob, and a merge candidate carries the
-slice `deserialize_decl` returns, so merging encodes nothing.
+payload is a slice found from the blob's head (`split_blob`): the release
+fold (`fold_rows`) decodes no blob, and a merge candidate carries the slice
+`deserialize_decl` returns, so merging encodes nothing.
 
 Module files are immutable once written; readers never mutate shared state.
 """
@@ -105,17 +105,15 @@ class EntityKind(IntEnum):
     DEFINITION = 3
 
 
-# Every per-kind fact: a blob's first byte, its identifier-table flags and
-# the kind it merges as.
-_KindFacts = NamedTuple("_KindFacts", [("tag", int), ("flags", DeclFlags), ("entity", EntityKind)])
+# Every per-kind fact: its blob's first byte, its table flags, an `int`, and its merge kind.
+_KindFacts = NamedTuple("_KindFacts", [("tag", int), ("flags", int), ("entity", EntityKind)])
+_DEF, _FWD = DeclFlags.HAS_DEFINITION.value, DeclFlags.HAS_FORWARD.value
 _KINDS = {
-    DeclKind.STRUCT_DEF: _KindFacts(1, DeclFlags.HAS_DEFINITION, EntityKind.DEFINITION),
-    DeclKind.STRUCT_FWD: _KindFacts(2, DeclFlags.HAS_FORWARD, EntityKind.FORWARD),
-    DeclKind.ENUM_DEF: _KindFacts(3, DeclFlags.HAS_DEFINITION, EntityKind.DEFINITION),
-    DeclKind.ALIAS: _KindFacts(4, DeclFlags.HAS_DEFINITION | DeclFlags.IS_ALIAS, EntityKind.ALIAS),
-    DeclKind.FUNC_DECL: _KindFacts(
-        5, DeclFlags.HAS_DEFINITION | DeclFlags.IS_FUNCTION, EntityKind.FUNCTION
-    ),
+    DeclKind.STRUCT_DEF: _KindFacts(1, _DEF, EntityKind.DEFINITION),
+    DeclKind.STRUCT_FWD: _KindFacts(2, _FWD, EntityKind.FORWARD),
+    DeclKind.ENUM_DEF: _KindFacts(3, _DEF, EntityKind.DEFINITION),
+    DeclKind.ALIAS: _KindFacts(4, _DEF | DeclFlags.IS_ALIAS.value, EntityKind.ALIAS),
+    DeclKind.FUNC_DECL: _KindFacts(5, _DEF | DeclFlags.IS_FUNCTION.value, EntityKind.FUNCTION),
 }
 _TAG_KINDS = {facts.tag: kind for kind, facts in _KINDS.items()}
 _TAG_BYTES = {kind: bytes((facts.tag,)) for kind, facts in _KINDS.items()}
@@ -128,10 +126,9 @@ _TAG_FACTS = {facts.tag: facts for facts in _KINDS.values()}
 # Every flags byte a module's table can hold (a kind's flags, alone or beside
 # a forward declaration) to the kind it merges as; loads reject other bytes.
 _FLAGS_ENTITY = {
-    facts.flags | forward: facts.entity
-    for facts in _KINDS.values() for forward in (0, DeclFlags.HAS_FORWARD)
+    facts.flags | forward: facts.entity for facts in _KINDS.values() for forward in (0, _FWD)
 }
-_DECL_FLAGS = {int(flags): flags for flags in _FLAGS_ENTITY}
+_DECL_FLAGS = {flags: DeclFlags(flags) for flags in _FLAGS_ENTITY}
 merges_as = _FLAGS_ENTITY.__getitem__
 
 
@@ -383,12 +380,12 @@ def decode_blob(blob: bytes) -> tuple[Decl, bytes]:
 # --- file emission ---
 
 
-def _emit(module_name: str, imports: Sequence[str], rows: Sequence[tuple[str, DeclFlags, bytes]]) -> bytes:
+def _emit(module_name: str, imports: Sequence[str], rows: Sequence[tuple[str, int, bytes]]) -> bytes:
     """Emit file bytes for (name, flags, blob) rows, blobs laid out in table
     order, and patch the content hash."""
     region = bytearray()
 
-    def entry_fields(row: tuple[DeclFlags, bytes]) -> tuple[int, int, int]:
+    def entry_fields(row: tuple[int, bytes]) -> tuple[int, int, int]:
         flags, blob = row
         offset = len(region)
         region.extend(blob)
@@ -427,11 +424,11 @@ def compile_module(
             seen.add(imp)
             deduped.append(imp)
 
-    flags: dict[str, DeclFlags] = {}
+    flags: dict[str, int] = {}
     winner: dict[str, tuple[Decl, bytes]] = {}  # canonical blob source per name, with its payload
     for header in headers:
         for decl in header.items:
-            flags[decl.name] = flags.get(decl.name, DeclFlags(0)) | _KINDS[decl.kind].flags
+            flags[decl.name] = flags.get(decl.name, 0) | _KINDS[decl.kind].flags
             current = winner.get(decl.name)
             if decl.is_forward:
                 if current is None:
@@ -589,15 +586,15 @@ def merge_entities(
     return Entity(decl.name, kind, payload, module, decl)
 
 
-def build_pch(modules: Iterable[ModuleFile]) -> bytes:
-    """Merge whole modules, given in module map order, into one precompiled
-    cache named `__pch__`.  Each summary's raw rows are folded as the stream
-    yields it, keyed by each payload's tag, so per name only the first blob
-    of each kind is held, and an ODR conflict is raised at the first module
-    that brings one.  A name's row is its winning blob, verbatim, with that
-    kind's flags.  A blob head whose tag does not merge as its row's flags
-    raises CorruptTable; the rest of a payload is checked when decoded.
-    """
+def fold_rows(modules: Iterable[ModuleFile]) -> dict[str, tuple[str, int, bytes]]:
+    """The one release fold, which every release builder runs: each name's
+    winning row across whole modules, given in module map order, as its
+    module, its kind's flags and its blob, verbatim.  Each summary's raw rows
+    are folded (`_fold`) as the stream yields it, keyed by each payload's tag,
+    so one summary is held at a time, and the first ODR conflict in module
+    order raises OdrViolation.  A blob head whose tag does not merge as its
+    row's flags raises CorruptTable; the rest of a payload is checked when
+    decoded."""
     merged: dict[str, dict[EntityKind, tuple[bytes, str, bytes]]] = {}
     for mf in modules:
         module = mf.module_name
@@ -607,8 +604,13 @@ def build_pch(modules: Iterable[ModuleFile]) -> bytes:
             if facts is None or facts.entity is not merges_as(flags):
                 raise CorruptTable(f"blob of '{name}' in module '{module}' does not match its flags")
             _fold(merged.setdefault(name, {}), facts.entity, name, (blob, module, payload))
-    rows = []
-    for name, firsts in merged.items():
-        blob, _, payload = firsts[max(firsts)]
-        rows.append((name, _TAG_FACTS[payload[0]].flags, blob))
+    winners = zip(merged, (firsts[max(firsts)] for firsts in merged.values()))
+    return {name: (module, _TAG_FACTS[payload[0]].flags, blob) for name, (blob, module, payload) in winners}
+
+
+def build_pch(modules: Iterable[ModuleFile]) -> bytes:
+    """Merge whole modules, given in module map order, into one precompiled
+    cache named `__pch__`: one row per `fold_rows` winner, with its blob and
+    flags, so it raises what the fold raises."""
+    rows = [(name, flags, blob) for name, (_, flags, blob) in fold_rows(modules).items()]
     return _emit(PCH_MODULE_NAME, (), rows)

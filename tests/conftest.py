@@ -4,10 +4,11 @@
 all declaration kinds, forward-only names, byte-identical duplicates, names
 declared as kinds of different merge rank in different modules, import chains
 with occasional cycles.  `write_local_rebuilds` checks some of its modules
-out into a local root, rebuilt, and `index_bytes` indexes a corpus directory.
-Everything is seeded, so the suite is fully deterministic.  `single_edit` and
-`assert_same_parse` serve the Hypothesis tests that hold each pattern parser
-to its token `Cursor` parser.
+out into a local root, rebuilt, `redefine_one` breaks the one-definition rule
+in a `random_release` before it is written, and `index_bytes` indexes a
+corpus directory.  Everything is seeded, so the suite is fully deterministic.
+`single_edit` and `assert_same_parse` serve the Hypothesis tests that hold
+each pattern parser to its token `Cursor` parser.
 """
 
 from __future__ import annotations
@@ -46,7 +47,39 @@ def _random_type(rng: random.Random, type_names: list[str], allow_ref: bool = Tr
     return TypeRef(rng.choice(BUILTINS), rng.choice((0, 0, 0, 1)))
 
 
+@dataclass
+class RandomRelease:
+    """A random release before it is written: each module's declarations in
+    order and its imports, by module index (module `m` is `L<m>`)."""
+
+    decls: dict[int, list[Decl]]
+    imports: dict[int, list[str]]
+    known: list[str]  # identifiers present somewhere in the release
+    unknown: list[str]  # identifiers guaranteed absent
+
+    def sources(self) -> list[tuple[str, dict[str, str]]]:
+        """`write_corpus`'s module descriptions: one `lib.dh` per module, its
+        includes, then each declaration, a name's repeated forward or
+        non-forward declaration dropped."""
+        modules = []
+        for m, decls in self.decls.items():
+            seen: set[tuple[str, bool]] = set()
+            lines = [f'include "{imp}/lib.dh";' for imp in self.imports[m]]
+            for decl in decls:
+                if (decl.name, decl.is_forward) not in seen:
+                    seen.add((decl.name, decl.is_forward))
+                    lines.append(render_decl(decl))
+            modules.append((f"L{m}", {"lib.dh": "\n".join(lines) + "\n"}))
+        return modules
+
+
 def build_random_corpus(rng: random.Random, out_dir: Path) -> BuiltCorpus:
+    release = random_release(rng)
+    module_map = write_corpus(out_dir, release.sources())
+    return BuiltCorpus(Path(out_dir), module_map, sorted(set(release.known)), release.unknown)
+
+
+def random_release(rng: random.Random) -> RandomRelease:
     n = rng.randint(1, 8)
     module_names = [f"L{m}" for m in range(n)]
     decls_per_module: dict[int, list[Decl]] = {m: [] for m in range(n)}
@@ -157,26 +190,41 @@ def build_random_corpus(rng: random.Random, out_dir: Path) -> BuiltCorpus:
         count = rng.randint(0, min(2, len(candidates)))
         imports[m] = sorted(rng.sample(candidates, count))
 
-    modules = []
-    for m in range(n):
-        seen_nonfwd: set[str] = set()
-        seen_fwd: set[str] = set()
-        lines = [f'include "{imp}/lib.dh";' for imp in imports[m]]
-        for decl in decls_per_module[m]:
-            if decl.is_forward:
-                if decl.name in seen_fwd:
-                    continue
-                seen_fwd.add(decl.name)
-            else:
-                if decl.name in seen_nonfwd:
-                    continue
-                seen_nonfwd.add(decl.name)
-            lines.append(render_decl(decl))
-        modules.append((module_names[m], {"lib.dh": "\n".join(lines) + "\n"}))
-
-    module_map = write_corpus(out_dir, modules)
     unknown = [fresh("X") for _ in range(3)]
-    return BuiltCorpus(Path(out_dir), module_map, sorted(set(known)), unknown)
+    return RandomRelease(decls_per_module, imports, known, unknown)
+
+
+def redefine_one(rng: random.Random, release: RandomRelease) -> str:
+    """Declare one known name again, as the same kind with another payload,
+    in a module after one that declares it and that declares it as nothing
+    else; returns the name.  Where no module qualifies, one is added."""
+    decls = release.decls
+    holders: dict[str, set[int]] = {}
+    for m, items in decls.items():
+        for decl in items:
+            if not decl.is_forward:
+                holders.setdefault(decl.name, set()).add(m)
+
+    def choices() -> list[tuple[Decl, int]]:
+        return [
+            (decl, target) for m, items in decls.items() for decl in items if not decl.is_forward
+            for target in range(m + 1, len(decls)) if target not in holders[decl.name]
+        ]
+
+    if not choices():
+        added = len(decls)
+        decls[added], release.imports[added] = [], []
+    decl, target = rng.choice(choices())
+    if decl.kind is DeclKind.STRUCT_DEF:
+        other = dataclasses.replace(decl, fields=decl.fields + (StructField("odr", TypeRef("i64")),))
+    elif decl.kind is DeclKind.ENUM_DEF:
+        other = dataclasses.replace(decl, enumerators=decl.enumerators + ("odr",))
+    elif decl.kind is DeclKind.ALIAS:
+        other = dataclasses.replace(decl, alias_target=TypeRef("odr_t", 1))
+    else:
+        other = dataclasses.replace(decl, params=decl.params + (TypeRef("i64"),))
+    decls[target].append(other)
+    return decl.name
 
 
 def index_bytes(

@@ -8,11 +8,14 @@ import pytest
 
 from conftest import build_random_corpus
 from modix import modfile
-from modix.bench import CorpusSpec, generate_corpus, write_corpus
+from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.cli import main
 from modix.declang import Decl, DeclKind, StructField, TypeRef
-from modix.gmi import IndexFlavor, build_index, index_file_name, load_index
+from modix.errors import MissingIndex, MissingPch, MissingRootmap, OdrViolation
+from modix.gmi import IndexFlavor, build_index, load_index
 from modix.interp import PROMPT
+from modix.loader import INDEX_FLAVORS, Strategy
+from modix.modulemap import load_modulemap
 
 ARTIFACT_SUFFIXES = (".pcm", ".gmi", ".rootmap")
 
@@ -522,9 +525,11 @@ class TestExitCodes:
             'module A { header "A/a.dh" }\nmodule B { header "B/b.dh" }\n', "utf-8"
         )
         out = tmp_path / "build"
-        assert main(["compile", str(map_file), "-o", str(out)]) == 0
+        conflict = "modix: error: 'X' has conflicting definitions in modules 'A' and 'B'\n"
+        assert main(["compile", str(map_file), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == conflict
         assert main(["pch", str(out)]) == 2
-        assert "conflicting definitions" in capsys.readouterr().err
+        assert capsys.readouterr().err == conflict
 
 
 @pytest.fixture
@@ -586,18 +591,67 @@ class TestForeignBlob:
     ])
     def test_run_exits_2(self, tmp_path, capsys, strategy, bad):
         corpus = tmp_path / "c"
-        module_map = write_corpus(corpus, [
+        write_corpus(corpus, [
             ("M0", {"a.dh": "struct A { x: i32; };\n"}), ("M1", {"b.dh": "struct A { x: i32; };\n"}),
         ])
         b = Decl("B", DeclKind.STRUCT_DEF, fields=(StructField("x", TypeRef("i32")),), origin=("b.dh", 1))
         row = ("A", modfile.DeclFlags.HAS_DEFINITION, modfile.encode_blob(b))
+        # The indexes are the healthy release's: every builder refuses the
+        # foreign blob, whose payload differs from the other module's 'A'.
         (corpus / f"{bad}.pcm").write_bytes(modfile._emit(bad, (), [row]))
-        for flavor in IndexFlavor:
-            modules = modfile.read_modules(corpus, module_map.names)
-            (corpus / index_file_name(flavor)).write_bytes(build_index(module_map, modules, flavor))
+        for argv in (["pch"], ["index", "--semantic"], ["index", "--lexical"]):
+            assert main([*argv, str(corpus), "-o", str(tmp_path / "out")]) == 2
+            conflict = "'A' has conflicting definitions in modules 'M0' and 'M1'"
+            assert capsys.readouterr().err == f"modix: error: {conflict}\n"
         script = tmp_path / "w.dscript"
         script.write_text("sizeof(A);\n", "utf-8")
-        assert main(["run", "--strategy", strategy, "--dir", str(corpus), str(script)]) == 2
+        argv = ["run", "--strategy", strategy, "--dir", str(corpus), "--allow-stale", str(script)]
+        assert main(argv) == 2
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert err == f"modix: error: blob of 'A' in module '{bad}' declares 'B'\n"
+
+
+class TestOdrBreakingRelease:
+    """Every release builder refuses two modules that define one name
+    differently, with the first conflict in module order; only the module
+    files are left, so preload-all reports the conflict at the lookup and
+    every other strategy fails to open."""
+
+    @pytest.mark.parametrize("first, second", [
+        ("struct X { a: i32; };", "struct X { a: i64; };"),
+        ("enum X { a, b };", "enum X { a };"),
+        ("using X = i32;", "using X = ptr<i32>;"),
+        ("fn X() -> i32;", "fn X(i32) -> i32;"),
+    ], ids=["struct", "enum", "alias", "function"])
+    def test_every_builder_refuses_it(self, tmp_path, capsys, first, second):
+        root = tmp_path / "src"
+        for name, text in (("M0", first), ("M1", second)):
+            (root / name).mkdir(parents=True)
+            (root / name / "t.dh").write_text(text + "\n", "utf-8")
+        map_file = root / "module.modulemap"
+        map_file.write_text('module M0 { header "M0/t.dh" }\nmodule M1 { header "M1/t.dh" }\n', "utf-8")
+        out = tmp_path / "build"
+        conflict = "modix: error: 'X' has conflicting definitions in modules 'M0' and 'M1'\n"
+        for argv in (
+            ["compile", str(map_file), "-o", str(out)], ["pch", str(out)],
+            ["index", str(out), "--semantic"], ["index", str(out), "--lexical"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == conflict, argv
+        assert sorted(path.name for path in out.iterdir()) == ["M0.pcm", "M1.pcm", "module.modulemap"]
+
+        module_map = load_modulemap(out / "module.modulemap")
+        for flavor in IndexFlavor:
+            with pytest.raises(OdrViolation) as excinfo:
+                build_index(module_map, modfile.read_modules(out, module_map.names), flavor)
+            assert (excinfo.value.name, excinfo.value.module_a, excinfo.value.module_b) == ("X", "M0", "M1")
+
+        script = tmp_path / "w.dscript"
+        script.write_text("sizeof(X);\n", "utf-8")
+        assert main(["run", "--strategy", "preload-all", "--dir", str(out), str(script)]) == 0
+        assert capsys.readouterr().out == "fail odr-violation\n"
+        missing = {"pch": MissingPch, "textual": MissingRootmap}
+        for strategy in (Strategy.PCH, Strategy.TEXTUAL, *INDEX_FLAVORS):
+            with pytest.raises(missing.get(strategy.value, MissingIndex)):
+                open_corpus_session(out, strategy)

@@ -8,11 +8,12 @@ import pytest
 from conftest import build_random_corpus, index_bytes
 from modix.bench import compile_tree, open_corpus_session, write_corpus
 from modix.declang import parse_header, parse_statement
-from modix.errors import ParseError
-from modix.gmi import LEXICAL_INDEX_FILE_NAME, IndexFlavor
+from modix.errors import OdrViolation, ParseError
+from modix.gmi import IndexFlavor
 from modix.interp import FailReason, eval, format_result, iter_script, repl, run_script
 from modix.loader import LoadStats, Session, Strategy
 from modix.modfile import compile_module
+from modix.modulemap import load_modulemap
 
 
 @pytest.fixture
@@ -103,8 +104,9 @@ class TestSizeof:
 
 
 def _compile_release(corpus_dir, headers):
-    """Compile one `t.dh` per (module, text) and build the lexical index, but
-    no pch: `build_pch` merges, so it refuses an ODR conflict."""
+    """Compile one `t.dh` per (module, text) into a release that breaks the
+    ODR: `compile_tree` writes the module files, then its rootmap fold
+    refuses the release.  Returns the module map."""
     corpus_dir.mkdir()
     map_file = corpus_dir / "module.modulemap"
     for name, text in headers:
@@ -113,10 +115,9 @@ def _compile_release(corpus_dir, headers):
     map_file.write_text(
         "".join(f'module {name} {{ header "{name}/t.dh" }}\n' for name, _ in headers), "utf-8"
     )
-    module_map, _ = compile_tree(map_file, corpus_dir)
-    (corpus_dir / LEXICAL_INDEX_FILE_NAME).write_bytes(
-        index_bytes(module_map, corpus_dir, IndexFlavor.LEXICAL)
-    )
+    with pytest.raises(OdrViolation):
+        compile_tree(map_file, corpus_dir)
+    return load_modulemap(map_file)
 
 
 class TestOneWinnerRule:
@@ -172,11 +173,12 @@ class TestOneWinnerRule:
     )
     def test_conflicting_definitions_fail_odr_violation(self, tmp_path, second):
         corpus_dir = tmp_path / "odr"
-        _compile_release(corpus_dir, [("M0", "struct X { a: i32; };\n"), ("M1", second + "\n")])
-        for strategy in (Strategy.PRELOAD_ALL, Strategy.LEXICAL_GMI):
-            session = _session(corpus_dir, strategy)
-            for text in ("sizeof(X);", "new X;"):
-                assert format_result(_eval(session, text)) == "fail odr-violation", (strategy, text)
+        module_map = _compile_release(corpus_dir, [("M0", "struct X { a: i32; };\n"), ("M1", second + "\n")])
+        session = _session(corpus_dir, Strategy.PRELOAD_ALL)
+        for text in ("sizeof(X);", "new X;"):
+            assert format_result(_eval(session, text)) == "fail odr-violation", text
+        with pytest.raises(OdrViolation, match="'X' has conflicting definitions in modules 'M0' and 'M1'"):
+            index_bytes(module_map, corpus_dir, IndexFlavor.LEXICAL)
 
 
 class TestStatements:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_random_corpus, outcome_signature, random_workload, run_equivalence_check
-from conftest import index_bytes, write_local_rebuilds
+from conftest import index_bytes, random_release, redefine_one, write_local_rebuilds
 from modix import modfile
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.declang import Need, parse_header
@@ -1097,6 +1097,27 @@ class TestEquivalence:
             local = tmp_path / f"local{case}"
             write_local_rebuilds(rng, corpus, local)
             run_equivalence_check(corpus, random_workload(rng, corpus, 30), (str(local),))
+
+    def test_odr_breaking_release_is_refused(self, tmp_path):
+        # One same-kind redefinition with another payload over 30 seeded
+        # releases: the build refuses it with the pair preload-all reports
+        # at the lookup, and no other strategy opens.
+        rng = random.Random(1912)
+        missing = {Strategy.PCH: MissingPch, Strategy.TEXTUAL: MissingRootmap}
+        for case in range(30):
+            release = random_release(rng)
+            name = redefine_one(rng, release)
+            out = tmp_path / f"odr{case}"
+            with pytest.raises(OdrViolation) as built:
+                write_corpus(out, release.sources())
+            session = open_corpus_session(out, Strategy.PRELOAD_ALL)
+            with pytest.raises(OdrViolation) as resolved:
+                session.resolve(name, Need.DEFINITION)
+            pair = (built.value.module_a, built.value.module_b)
+            assert (built.value.name, pair) == (name, (resolved.value.module_a, resolved.value.module_b))
+            for strategy in (Strategy.PCH, Strategy.TEXTUAL, *INDEX_FLAVORS):
+                with pytest.raises(missing.get(strategy, MissingIndex)):
+                    open_corpus_session(out, strategy)
 
 
 class TestFalsePositiveElimination:

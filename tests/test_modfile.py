@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +39,8 @@ from modix.errors import (
     OdrViolation,
     UnknownIdentifier,
 )
-from modix.gmi import INDEX_FILE_NAME, IndexedModule, Posting, PostingFlags, load_index
+from modix.gmi import INDEX_FILE_NAME, IndexedModule, IndexFlavor, Posting, PostingFlags, build_index
+from modix.gmi import index_file_name, load_index
 from modix.interp import EvalResult, run_script
 from modix.modfile import (
     PCH_FILE_NAME,
@@ -554,12 +557,32 @@ class TestRawFold:
         def refuse(*args):
             raise AssertionError("a release build decoded or encoded a declaration")
 
-        names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
-        modules = list(read_modules(corpus12, names))
+        module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
+        modules = list(read_modules(corpus12, module_map.names))
         for name in ("decode_blob", "encode_blob", "encode_payload", "deserialize_decl"):
             monkeypatch.setattr(modfile, name, refuse)
         assert build_pch(modules) == (corpus12 / PCH_FILE_NAME).read_bytes()
         assert build_rootmap(modules) == (corpus12 / ROOTMAP_FILE_NAME).read_text("utf-8")
+        for flavor in IndexFlavor:
+            index = (corpus12 / index_file_name(flavor)).read_bytes()
+            assert build_index(module_map, modules, flavor) == index
+
+    def test_every_builder_runs_the_one_fold(self, corpus12, monkeypatch):
+        # No builder keeps a winner rule of its own: each reaches `_fold`.
+        class Folded(Exception):
+            pass
+
+        def fold(*args):
+            raise Folded
+
+        module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
+        modules = list(read_modules(corpus12, module_map.names))
+        monkeypatch.setattr(modfile, "_fold", fold)
+        builds = [build_pch, build_rootmap]
+        builds += [functools.partial(build_index, module_map, flavor=flavor) for flavor in IndexFlavor]
+        for build in builds:
+            with pytest.raises(Folded):
+                build(modules)
 
     @pytest.mark.parametrize("flags, blob, problem", [
         # A struct definition's blob in a forward declaration's row.
@@ -607,6 +630,26 @@ class TestLeanValues:
         modules = list(read_modules(corpus12, names))
         assert build_pch(iter(modules)) == build_pch(modules)
         assert build_pch(read_modules(corpus12, names)) == (corpus12 / PCH_FILE_NAME).read_bytes()
+
+    @pytest.mark.parametrize("flavor", list(IndexFlavor), ids=lambda flavor: flavor.name.lower())
+    def test_build_index_holds_one_summary_at_a_time(self, corpus12, flavor):
+        module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
+        modules = list(read_modules(corpus12, module_map.names))
+        assert build_index(module_map, iter(modules), flavor) == build_index(module_map, modules, flavor)
+        del modules
+        alive = []
+
+        def stream():
+            refs = []
+            for mf in read_modules(corpus12, module_map.names):
+                refs.append(weakref.ref(mf))
+                yield mf
+            del mf
+            alive.extend(ref for ref in refs if ref() is not None)
+
+        index = build_index(module_map, stream(), flavor)
+        assert index == (corpus12 / index_file_name(flavor)).read_bytes()
+        assert len(alive) == 1  # the last summary, still the builder's loop variable
 
     def test_value_types_have_no_dict(self, corpus12):
         mf = read_module_summary((corpus12 / "M0.pcm").read_bytes())
