@@ -28,8 +28,6 @@ from .gmi import (
     Staleness,
     build_index,
     load_index,
-    lookup,
-    lookup_definition,
     validate_index,
 )
 from .interp import EvalResult, FailReason, eval, iter_script, repl, run_script

@@ -243,14 +243,17 @@ def compile_tree(
     are stored relative to the module's own directory, so the module files
     stay relocatable.  Writes `<name>.pcm` per module, a copy of the map and
     the rootmap, which an ODR conflict between modules refuses (see
-    `build_rootmap`); returns the map and the summaries in map order.
+    `build_rootmap`); returns the map and the summaries in map order.  A
+    previous build's rootmap is removed first, so a tree that raises here
+    leaves none.
     """
+    out = Path(out_dir)
+    (out / ROOTMAP_FILE_NAME).unlink(missing_ok=True)
     map_path = Path(map_path)
     root = map_path.parent
     map_text = read_text(map_path)  # parsed here, then copied to the output
     module_map = load_modulemap(map_path, map_text)
     owners = module_map.header_owners()
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     compiled = []
     for d in module_map.defs:

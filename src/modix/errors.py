@@ -76,12 +76,6 @@ class HashMismatch(CorruptModule):
     pass
 
 
-class UnknownIdentifier(ModixError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"identifier '{name}' not present in module")
-
-
 class OdrInModule(ModixError):
     def __init__(self, name: str):
         self.name = name

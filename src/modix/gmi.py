@@ -19,7 +19,8 @@ first) to its own.  Module rows have distinct ids and names; each entry's
 postings have strictly increasing module ids, so the first defining posting
 is the lowest-id one.  The layout is exactly as long as version 3's
 row-at-a-time one.  A load checks every column in bulk and builds no
-`Posting`; `GlobalIndex.entry` builds an identifier's postings when asked.
+`Posting`; `GlobalIndex.entry`, the index's one lookup, builds an
+identifier's postings when asked.
 
 The self-hash is BLAKE2b-64 over the file with that field zeroed, like a
 module file's content hash (see ``modfile``), which each module row stores;
@@ -42,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, read_artifact
 from ._wire import sealed, self_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex, WrongFlavor
+from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex
 from .errors import reading
 from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, fold_rows, merges_as
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
@@ -107,7 +108,7 @@ class GlobalIndex:
     positions `posting_ends[i - 1]` (0 for the first) to `posting_ends[i]`
     of `posting_modules` and `posting_flags`.  `entry` returns one
     identifier's postings, each (module, flags) `Posting` built at its first
-    lookup and `shared` after; `postings` is the whole-table view."""
+    lookup and `shared` after: the index's one lookup."""
 
     flavor: IndexFlavor
     modules: tuple[IndexedModule, ...]
@@ -125,10 +126,6 @@ class GlobalIndex:
         span = slice(self.posting_ends[row - 1] if row else 0, self.posting_ends[row])
         keys = zip(self.posting_modules[span], self.posting_flags[span])
         return tuple(map(self.shared.__getitem__, keys))
-
-    @property
-    def postings(self) -> dict[str, tuple[Posting, ...]]:
-        return {identifier: self.entry(identifier) for identifier in self.rows}
 
 
 def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlavor) -> bytes:
@@ -252,23 +249,6 @@ def read_index(path: str | Path, overlay: Overlay | None = None) -> tuple[Global
         raise MissingIndex(f"index file not found: {path}")
     with reading(real):
         return load_index(data), len(data)
-
-
-def lookup(index: GlobalIndex, identifier: str) -> list[tuple[str, PostingFlags]]:
-    """All modules containing the identifier, in module id order."""
-    return [(p.module, p.flags) for p in index.entry(identifier)]
-
-
-def lookup_definition(index: GlobalIndex, identifier: str) -> str | None:
-    """The module defining the identifier: the lowest id among the modules
-    holding its top-ranked kind, or None when only forward declarations are
-    indexed."""
-    if index.flavor is not IndexFlavor.SEMANTIC:
-        raise WrongFlavor("lookup_definition requires a semantic index")
-    for p in index.entry(identifier):
-        if p.flags & PostingFlags.DEFINES:
-            return p.module
-    return None
 
 
 # --- staleness ---

@@ -19,6 +19,9 @@ Each strategy is one startup and one resolve method, paired in
 ``Session._STRATEGIES``.  The resident name table maps a name to its merge
 candidates: each declaration with its source (a module or a header) and its
 payload bytes, sliced from the blob or encoded once when a header is parsed.
+A lookup finds a candidate's row once, in its loaded module's ``rows``, and
+hands that row to ``modfile.deserialize_decl``; the index strategies read an
+identifier's postings through ``GlobalIndex.entry``.
 
 Local checkouts replace their release modules under one rule: a name's
 candidates are the local declarations plus those of the release modules not
@@ -313,8 +316,8 @@ class Session:
                         raise
                     # A deleted release copy declared what the index posts for it.
                     self._touched.update(
-                        ident for ident, postings in self._index.postings.items()
-                        if any(p.module == name for p in postings)
+                        ident for ident in self._index.rows
+                        if any(p.module == name for p in self._index.entry(ident))
                     )
                 else:
                     self._charge_read(release_copy.summary_bytes)
@@ -389,11 +392,12 @@ class Session:
             return False
         return True
 
-    def _deserialize(self, module_name: str, entry: modfile.IdentEntry) -> Candidate:
+    def _deserialize(self, module_name: str, row: int) -> Candidate:
         """Decode the declaration of a row already found in a loaded module."""
-        decl, payload = modfile.deserialize_decl(self._loaded[module_name], entry)
+        mf = self._loaded[module_name]
+        decl, payload = modfile.deserialize_decl(mf, row)
         self._decls += 1
-        self._charge_read(entry.blob_len)
+        self._charge_read(mf.blob_lens[row])
         return decl, module_name, self._payloads.setdefault(payload, payload)
 
     # -- resolution --
@@ -422,10 +426,10 @@ class Session:
         self._unredeemed.discard(entity.defining_module)
         return Resolution(ResolutionOutcome.RESOLVED, entity)
 
-    def _direct_hits(self, identifier: str) -> list[tuple[str, modfile.IdentEntry]]:
+    def _direct_hits(self, identifier: str) -> list[tuple[str, int]]:
         """Each direct module holding the identifier, with its row."""
-        found = ((name, self._loaded[name].find(identifier)) for name in self._direct)
-        return [(name, entry) for name, entry in found if entry is not None]
+        found = ((name, self._loaded[name].rows.get(identifier)) for name in self._direct)
+        return [(name, row) for name, row in found if row is not None]
 
     def _merge(self, candidates: list[Candidate]) -> Entity | _Marker:
         return merge_entities(candidates, self._merge_order) if candidates else _Marker.ABSENT
@@ -437,8 +441,8 @@ class Session:
         if identifier in self._touched:
             self._load_excluded()
             return self._resolve_lexical(identifier)
-        entry = self._loaded[PCH_MODULE_NAME].find(identifier)
-        return self._merge([] if entry is None else [self._deserialize(PCH_MODULE_NAME, entry)])
+        row = self._loaded[PCH_MODULE_NAME].rows.get(identifier)
+        return self._merge([] if row is None else [self._deserialize(PCH_MODULE_NAME, row)])
 
     def _resolve_textual(self, identifier: str) -> Entity | _Marker:
         if identifier in self._touched:
@@ -487,23 +491,23 @@ class Session:
         module that was rebuilt without it or deleted."""
         if not self._load_if_present(name, resolution=True):
             return []
-        entry = self._loaded[name].find(identifier)
-        return [] if entry is None else [self._deserialize(name, entry)]
+        row = self._loaded[name].rows.get(identifier)
+        return [] if row is None else [self._deserialize(name, row)]
 
     def _resolve_lexical(self, identifier: str) -> Entity | _Marker:
         candidates: list[Candidate] = []
         for p in self._visible(self._index.entry(identifier)):
             candidates += self._load_posted(p.module, identifier)
-        for name, entry in self._direct_hits(identifier):
-            candidates.append(self._deserialize(name, entry))
+        for name, row in self._direct_hits(identifier):
+            candidates.append(self._deserialize(name, row))
         return self._merge(candidates)
 
     def _resolve_semantic(self, identifier: str) -> Entity | _Marker:
         hits = self._direct_hits(identifier)
         candidates = [
-            self._deserialize(name, entry)
-            for name, entry in hits
-            if entry.flags & DeclFlags.HAS_DEFINITION
+            self._deserialize(name, row)
+            for name, row in hits
+            if self._loaded[name].flags[row] & DeclFlags.HAS_DEFINITION
         ]
         every = self._index.entry(identifier)
         postings = self._visible(every)

@@ -16,9 +16,9 @@ File layout (all integers little-endian)::
 
 Each row's name length lives in its ``key_end``, so a table is exactly as
 long as version 3's row-at-a-time one and ``summary_bytes`` is unchanged.
-A load checks the whole table in bulk, and a row becomes an `IdentEntry`
-only when `find` or `entries` asks for it; `deserialize_module` decodes a
-whole module's rows, in file order, and builds none.
+A load checks the whole table in bulk.  A row is its index into the
+columns: `ModuleFile.rows` maps a name to it, `deserialize_decl` decodes
+one row's blob and `deserialize_module` a whole module's, in file order.
 
 `decode_blob` is the one blob decoder: it unpacks each field in place with
 `struct.unpack_from` at a local offset, with no cursor object or call per
@@ -64,7 +64,6 @@ from .errors import (
     ModuleNotFound,
     OdrInModule,
     OdrViolation,
-    UnknownIdentifier,
     reading,
 )
 
@@ -128,16 +127,7 @@ _TAG_FACTS = {facts.tag: facts for facts in _KINDS.values()}
 _FLAGS_ENTITY = {
     facts.flags | forward: facts.entity for facts in _KINDS.values() for forward in (0, _FWD)
 }
-_DECL_FLAGS = {flags: DeclFlags(flags) for flags in _FLAGS_ENTITY}
 merges_as = _FLAGS_ENTITY.__getitem__
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class IdentEntry:
-    name: str
-    flags: DeclFlags
-    blob_offset: int
-    blob_len: int
 
 
 @dataclass
@@ -147,9 +137,8 @@ class ModuleFile:
     position in the module map.
 
     The identifier table stays in its columns: `rows` maps each name, in
-    file (byte) order, to its row index into `flags`, `blob_offsets` and
-    `blob_lens`.  `find` and `entries` build `IdentEntry` values on demand;
-    `table` is the whole-table view."""
+    file (byte) order, to its row, an index into `flags`, `blob_offsets`
+    and `blob_lens`."""
 
     module_name: str
     imports: tuple[str, ...]
@@ -161,31 +150,11 @@ class ModuleFile:
     content_hash: int
     summary_bytes: int
 
-    def find(self, name: str) -> IdentEntry | None:
-        row = self.rows.get(name)
-        if row is None:
-            return None
-        flags = _DECL_FLAGS[self.flags[row]]
-        return IdentEntry(name, flags, self.blob_offsets[row], self.blob_lens[row])
-
-    def entries(self) -> Iterator[IdentEntry]:
-        """Every row as an `IdentEntry`, in file order."""
-        flags = map(_DECL_FLAGS.__getitem__, self.flags)
-        return map(IdentEntry, self.rows, flags, self.blob_offsets, self.blob_lens)
-
     def blobs(self) -> Iterator[tuple[str, int, bytes]]:
-        """Every row's name, flags byte and blob, in file order, building no
-        `IdentEntry`."""
+        """Every row's name, flags byte and blob, in file order."""
         region = self.blob_region
         spans = map(slice, self.blob_offsets, map(operator.add, self.blob_offsets, self.blob_lens))
         return zip(self.rows, self.flags, map(region.__getitem__, spans))
-
-    @property
-    def table(self) -> dict[str, IdentEntry]:
-        return dict(zip(self.rows, self.entries()))
-
-    def blob(self, entry: IdentEntry) -> bytes:
-        return self.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -462,7 +431,7 @@ def read_module_summary(data: bytes) -> ModuleFile:
     module_name = r.lpstr()
     imports = tuple(r.lpstr() for _ in range(r.u32()))
     rows, (flags, blob_offsets, blob_lens) = r.table(_ENTRY_FIELDS)
-    check_flags(_DECL_FLAGS, flags)
+    check_flags(_FLAGS_ENTITY, flags)
     region_len = r.u64()
     summary_bytes = r.pos
     region = r.raw(region_len)
@@ -502,41 +471,37 @@ def read_modules(module_dir: str | Path, names: Iterable[str]) -> Iterator[Modul
         yield read_module(os.path.join(module_dir, name + FILE_EXTENSION), name)
 
 
-def _check_row(module: ModuleFile, name: str, flags: int, decl: Decl) -> None:
-    """A row's blob must declare the row's name, as a kind that merges as
-    the row's flags say; otherwise CorruptTable names the row."""
-    if decl.name != name:
+def _check_row(module: ModuleFile, row: int, decl: Decl) -> None:
+    """A row's blob must declare the row's own name, as a kind that merges
+    as the row's flags say; otherwise CorruptTable names the row."""
+    if module.rows.get(decl.name) != row:
         problem = f"declares '{decl.name}'"
-    elif _KINDS[decl.kind].entity is not merges_as(flags):
+    elif _KINDS[decl.kind].entity is not merges_as(module.flags[row]):
         problem = "does not match its flags"
     else:
         return
-    raise CorruptTable(f"blob of '{name}' in module '{module.module_name}' {problem}")
+    raise CorruptTable(f"blob of '{key_at(module.rows, row)}' in module '{module.module_name}' {problem}")
 
 
-def deserialize_decl(module: ModuleFile, entry: IdentEntry | str) -> tuple[Decl, bytes]:
-    """Decode one declaration blob into the decl and its payload bytes;
-    costs `blob_len` bytes.  `entry` is the declaration's row, as a caller
-    that has already found it hands it in, or its name, to find here.
-    A blob that does not fit its row raises `_check_row`'s CorruptTable."""
-    if isinstance(entry, str):
-        name, entry = entry, module.find(entry)
-        if entry is None:
-            raise UnknownIdentifier(name)
-    decl, payload = decode_blob(module.blob(entry))
-    _check_row(module, entry.name, entry.flags, decl)
+def deserialize_decl(module: ModuleFile, row: int) -> tuple[Decl, bytes]:
+    """Decode the declaration blob of row `row`, found in `module.rows`,
+    into the decl and its payload bytes; costs the row's blob length.  A
+    blob that does not fit its row raises `_check_row`'s CorruptTable."""
+    offset = module.blob_offsets[row]
+    decl, payload = decode_blob(module.blob_region[offset:offset + module.blob_lens[row]])
+    _check_row(module, row, decl)
     return decl, payload
 
 
 def deserialize_module(module: ModuleFile) -> list[tuple[str, Decl, bytes]]:
     """Every row's name, declaration and payload, in file order: one
-    `decode_blob` per row's blob, checked as `deserialize_decl` checks it,
-    building no `IdentEntry`; costs every `blob_len`.  A list, so the
-    decoding is done when this returns."""
+    `decode_blob` per row's blob, checked as `deserialize_decl` checks it;
+    costs every blob length.  A list, so the decoding is done when this
+    returns."""
     rows = []
-    for name, flags, blob in module.blobs():
+    for row, (name, _, blob) in enumerate(module.blobs()):
         decl, payload = decode_blob(blob)
-        _check_row(module, name, flags, decl)
+        _check_row(module, row, decl)
         rows.append((name, decl, payload))
     return rows
 

@@ -30,8 +30,6 @@ from modix.gmi import (
     IndexFlavor,
     PostingFlags,
     load_index,
-    lookup,
-    lookup_definition,
     validate_index,
 )
 from modix.loader import ResolutionOutcome, Strategy, open_session
@@ -170,7 +168,7 @@ def test_criterion_4_round_trip_and_format(tmp_path):
             assert mf.imports == imports
             assert set(mf.names) == set(header_items)
             for name, expected in header_items.items():
-                decl, _ = deserialize_decl(mf, name)
+                decl, _ = deserialize_decl(mf, mf.rows[name])
                 assert decl == expected
                 assert encode_blob(decl) == encode_blob(expected)
 
@@ -222,7 +220,7 @@ def test_criterion_5_odr_machinery(tmp_path):
         for path in sorted(corpus_dir.glob("M*.pcm")):
             modules.append(read_module_summary(path.read_bytes()))
         pch = read_module_summary(build_pch(modules))
-        assert len(pch.table) < sum(len(m.table) for m in modules)
+        assert len(pch.rows) < sum(len(m.rows) for m in modules)
 
 
 def test_criterion_6_cmssw_shape(cmssw_corpus, tmp_path):
@@ -232,8 +230,8 @@ def test_criterion_6_cmssw_shape(cmssw_corpus, tmp_path):
         # A definition owned by exactly one module keeps the local/release
         # comparison free of unrelated duplicate definers.
         cloned_module = identifier = None
-        for ident, postings in full_index.postings.items():
-            definers = [p for p in postings if p.flags & PostingFlags.DEFINES]
+        for ident in full_index.rows:
+            definers = [p for p in full_index.entry(ident) if p.flags & PostingFlags.DEFINES]
             if len(definers) == 1:
                 cloned_module = definers[0].module
                 identifier = ident
@@ -246,7 +244,7 @@ def test_criterion_6_cmssw_shape(cmssw_corpus, tmp_path):
         )
         index = load_index(index_path.read_bytes())
         assert index.excluded == (cloned_module,)
-        assert lookup_definition(index, identifier) is None
+        assert not any(p.flags & PostingFlags.DEFINES for p in index.entry(identifier))
 
         local_root = tmp_path / "checkout"
         local_root.mkdir()
@@ -302,11 +300,8 @@ def test_criterion_7_index_invariants(cmssw_corpus, tmp_path):
                 assert_index_consistent(index, directory, mapping)
             semantic = load_index((Path(directory) / INDEX_FILE_NAME).read_bytes())
             lexical = load_index((Path(directory) / LEXICAL_INDEX_FILE_NAME).read_bytes())
-            for identifier in semantic.postings:
-                assert lookup(lexical, identifier) == [
-                    (m, flags & ~PostingFlags.DEFINES)
-                    for m, flags in lookup(semantic, identifier)
+            assert list(semantic.rows) == list(lexical.rows)
+            for identifier in semantic.rows:
+                assert [(p.module, p.flags) for p in lexical.entry(identifier)] == [
+                    (p.module, p.flags & ~PostingFlags.DEFINES) for p in semantic.entry(identifier)
                 ]
-                definition = lookup_definition(semantic, identifier)
-                if definition is not None:
-                    assert definition in [m for m, _ in lookup(semantic, identifier)]

@@ -83,16 +83,16 @@ class TestGenerateCorpus:
         assert session.stats().decls_deserialized == 1
 
     def test_gpad_shape(self, tmp_path):
-        from modix.gmi import PostingFlags, load_index, lookup
+        from modix.gmi import PostingFlags, load_index
 
         generate_corpus(
             CorpusSpec(n_modules=6, defs_per_module=1, fwd_fanout=5, seed=7),
             tmp_path / "gpad",
         )
         index = load_index((tmp_path / "gpad" / "modules.gmi").read_bytes())
-        postings = lookup(index, "S0_0")
+        postings = index.entry("S0_0")
         assert len(postings) == 6
-        assert sum(1 for _, f in postings if f & PostingFlags.DEFINES) == 1
+        assert sum(1 for p in postings if p.flags & PostingFlags.DEFINES) == 1
 
     def test_deterministic_for_fixed_seed(self, tmp_path):
         spec = CorpusSpec(

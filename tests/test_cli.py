@@ -655,3 +655,29 @@ class TestOdrBreakingRelease:
         for strategy in (Strategy.PCH, Strategy.TEXTUAL, *INDEX_FLAVORS):
             with pytest.raises(missing.get(strategy.value, MissingIndex)):
                 open_corpus_session(out, strategy)
+
+    def test_refused_compile_leaves_no_rootmap_of_the_last_build(self, tmp_path, capsys):
+        """A tree compiled in place once, then edited to break the ODR: the
+        refused compile removes the previous build's rootmap, so textual
+        fails to open rather than read the new headers through the old map."""
+        root = tmp_path / "src"
+        for name, text in (("M0", "struct X { a: i32; };"), ("M1", "struct Y { b: i32; };")):
+            (root / name).mkdir(parents=True)
+            (root / name / "t.dh").write_text(text + "\n", "utf-8")
+        map_file = root / "module.modulemap"
+        map_file.write_text('module M0 { header "M0/t.dh" }\nmodule M1 { header "M1/t.dh" }\n', "utf-8")
+        script = tmp_path / "w.dscript"
+        script.write_text("sizeof(X);\n", "utf-8")
+        run = ["run", "--strategy", "textual", "--dir", str(root), str(script)]
+        assert main(["compile", str(map_file), "-o", str(root)]) == 0
+        assert main(run) == 0
+        capsys.readouterr()
+
+        (root / "M1" / "t.dh").write_text("struct X { a: i64; };\n", "utf-8")
+        assert main(["compile", str(map_file), "-o", str(root)]) == 2
+        conflict = "'X' has conflicting definitions in modules 'M0' and 'M1'"
+        assert capsys.readouterr().err == f"modix: error: {conflict}\n"
+        assert not (root / "modules.rootmap").exists()
+        assert main(run) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "modix: error: no modules.rootmap in the release root\n")

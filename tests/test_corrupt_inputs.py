@@ -6,27 +6,32 @@ mutation of a bare blob may still decode (a changed name, flag or count that
 stays consistent), but when it does not, the error is a CorruptModule
 subclass: no struct.error, IndexError, KeyError or ValueError escapes a
 reader.  Whole `.pcm` and `.gmi` files carry a self-hash, so a mutated file
-loads equal to the original or is rejected.
+loads equal to the original or is rejected.  A mutated file resealed with a
+valid hash gets past that check, and then every session open and lookup
+over it either succeeds or raises a ModixError.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modix.errors import CorruptModule
+from conftest import build_random_corpus
+from modix._wire import sealed
+from modix.bench import open_corpus_session
+from modix.declang import Need
+from modix.errors import CorruptModule, ModixError
 from modix.gmi import load_index
+from modix.loader import Strategy
 from modix.modfile import decode_blob, read_module_summary
 
 
 def _pch_blobs(corpus_dir) -> list[bytes]:
     mf = read_module_summary((corpus_dir / "__pch__.pcm").read_bytes())
-    return [
-        mf.blob_region[e.blob_offset:e.blob_offset + e.blob_len]
-        for e in mf.table.values()
-    ]
+    return [blob for _, _, blob in mf.blobs()]
 
 
 def _mutations(data: bytes, seed: int):
@@ -123,3 +128,40 @@ def test_no_index_bit_flip_loads_as_a_different_index(corpus12, file_name):
             continue
         loaded += 1
     assert loaded == 0
+
+
+def test_resealed_bit_flips_raise_only_modix_errors(tmp_path):
+    """Each trial flips one seeded bit past the hash field of one `.pcm`,
+    `__pch__.pcm` or `.gmi` of a random release and reseals the file, so its
+    hash passes.  Every strategy then opens with `allow_stale` and resolves
+    every known and unknown name under both needs; only a ModixError may
+    escape an open or a lookup."""
+    corpus = build_random_corpus(random.Random(3), tmp_path / "release")
+    files = sorted(path for path in corpus.dir.iterdir() if path.suffix in (".pcm", ".gmi"))
+    assert len(files) == len(corpus.map.names) + 3
+    rng = random.Random(0)
+    seen: Counter[str] = Counter()
+    for _ in range(200):
+        path = rng.choice(files)
+        original = path.read_bytes()
+        flipped = bytearray(original)
+        flipped[rng.randrange(16, len(original))] ^= 1 << rng.randrange(8)
+        path.write_bytes(sealed(bytes(flipped)))
+        try:
+            for strategy in Strategy:
+                try:
+                    session = open_corpus_session(corpus.dir, strategy, allow_stale=True)
+                except ModixError:
+                    seen["open refused"] += 1
+                    continue
+                for name in corpus.known + corpus.unknown:
+                    for need in Need:
+                        try:
+                            session.resolve(name, need)
+                        except ModixError:
+                            seen["lookup refused"] += 1
+                        else:
+                            seen["lookup answered"] += 1
+        finally:
+            path.write_bytes(original)
+    assert min(seen["open refused"], seen["lookup refused"], seen["lookup answered"]) > 0, seen

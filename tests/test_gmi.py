@@ -9,23 +9,24 @@ import pytest
 from conftest import index_bytes
 from modix.bench import compile_tree
 from modix.declang import parse_header
-from modix.errors import CorruptTable, BadMagic, BadVersion, HashMismatch, ModuleNotFound, WrongFlavor
+from modix.errors import CorruptTable, BadMagic, BadVersion, HashMismatch, ModuleNotFound
 from modix._wire import Writer, sealed
 from modix.gmi import (
     MAGIC,
     VERSION,
     IndexFlavor,
+    Posting,
     PostingFlags,
     Staleness,
     build_index,
     load_index,
-    lookup,
-    lookup_definition,
     validate_index,
 )
 from modix.modfile import DeclFlags, EntityKind, compile_module, deserialize_decl, merge_entities
 from modix.modfile import read_module_summary
 from modix.modulemap import FINAL_MAP_NAME, ModuleDef, concat_modulemaps
+
+_DEFINES = PostingFlags.MENTIONS | PostingFlags.DEFINES
 
 
 def _write_module(directory: Path, name: str, source: str, imports=()):
@@ -60,27 +61,27 @@ class TestBuildAndLookup:
     def test_single_module_posting(self, tmp_path):
         _write_module(tmp_path, "M0", "struct A { x: i32; };")
         index = _semantic(tmp_path, _map_for(["M0"]))
-        assert lookup(index, "A") == [("M0", PostingFlags.MENTIONS | PostingFlags.DEFINES)]
+        assert index.entry("A") == (Posting("M0", _DEFINES),)
 
     def test_gpad_has_six_postings_one_defines(self, gpad_dir):
         directory, module_map = gpad_dir
         index = _semantic(directory, module_map)
-        postings = lookup(index, "Gpad")
-        assert [name for name, _ in postings] == [f"M{i}" for i in range(6)]
-        defines = [name for name, flags in postings if flags & PostingFlags.DEFINES]
+        postings = index.entry("Gpad")
+        assert [p.module for p in postings] == [f"M{i}" for i in range(6)]
+        defines = [p.module for p in postings if p.flags & PostingFlags.DEFINES]
         assert defines == ["M0"]
 
     def test_exclusion_removes_postings_and_is_recorded(self, gpad_dir):
         directory, module_map = gpad_dir
         index = _semantic(directory, module_map, excluded=["M0"])
-        postings = lookup(index, "Gpad")
+        postings = index.entry("Gpad")
         assert len(postings) == 5
-        assert not any(flags & PostingFlags.DEFINES for _, flags in postings)
+        assert not any(p.flags & PostingFlags.DEFINES for p in postings)
         assert index.excluded == ("M0",)
 
     def test_unknown_identifier_is_empty(self, gpad_dir):
         directory, module_map = gpad_dir
-        assert lookup(_semantic(directory, module_map), "Nope") == []
+        assert _semantic(directory, module_map).entry("Nope") == ()
 
     def test_missing_module_file(self, tmp_path):
         with pytest.raises(ModuleNotFound):
@@ -90,30 +91,29 @@ class TestBuildAndLookup:
         directory, module_map = gpad_dir
         index = _lexical(directory, module_map)
         assert all(
-            flags == PostingFlags.MENTIONS for _, flags in lookup(index, "Gpad")
+            p.flags == PostingFlags.MENTIONS for p in index.entry("Gpad")
         )
 
 
 class TestLookupDefinition:
+    """A semantic session loads the first DEFINES posting of an identifier:
+    the lowest module id holding its top-ranked kind."""
+
     def test_gpad_defines_m0(self, gpad_dir):
         directory, module_map = gpad_dir
-        assert lookup_definition(_semantic(directory, module_map), "Gpad") == "M0"
+        postings = _semantic(directory, module_map).entry("Gpad")
+        assert [p.module for p in postings if p.flags & PostingFlags.DEFINES] == ["M0"]
 
     def test_forward_only_name_has_no_definition(self, tmp_path):
         _write_module(tmp_path, "M0", "struct Ghost;")
         index = _semantic(tmp_path, _map_for(["M0"]))
-        assert lookup_definition(index, "Ghost") is None
+        assert index.entry("Ghost") == (Posting("M0", PostingFlags.MENTIONS),)
 
     def test_identical_duplicates_pick_lowest_module_id(self, tmp_path):
         for name in ("A0", "A1", "A2"):
             _write_module(tmp_path, name, "struct Dup { x: i32; };")
-        index = _semantic(tmp_path, _map_for(["A0", "A1", "A2"]))
-        assert lookup_definition(index, "Dup") == "A0"
-
-    def test_wrong_flavor_rejected(self, gpad_dir):
-        directory, module_map = gpad_dir
-        with pytest.raises(WrongFlavor):
-            lookup_definition(_lexical(directory, module_map), "Gpad")
+        index = _semantic(tmp_path, _map_for(["A2", "A0", "A1"]))
+        assert index.entry("Dup") == tuple(Posting(name, _DEFINES) for name in ("A2", "A0", "A1"))
 
 
 class TestValidate:
@@ -238,10 +238,7 @@ class TestFormat:
 
     def test_written_index_loads(self):
         index = load_index(_index_bytes([(0, "M0"), (1, "M1")], [("A", [(0, 3), (1, 1)])]))
-        assert lookup(index, "A") == [
-            ("M0", PostingFlags.MENTIONS | PostingFlags.DEFINES),
-            ("M1", PostingFlags.MENTIONS),
-        ]
+        assert index.entry("A") == (Posting("M0", _DEFINES), Posting("M1", PostingFlags.MENTIONS))
 
     def test_posting_for_unknown_module_id_rejected(self):
         with pytest.raises(CorruptTable, match="'A' posts unknown module 99"):
@@ -287,11 +284,12 @@ class TestFormat:
         directory, module_map = gpad_dir
         index = load_index(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
         entries = [
-            (identifier, [(int(p.module[1:]), int(p.flags)) for p in postings])
-            for identifier, postings in index.postings.items()
+            (identifier, [(int(p.module[1:]), int(p.flags)) for p in index.entry(identifier)])
+            for identifier in index.rows
         ]
         rebuilt = load_index(_index_bytes([(m.module_id, m.name) for m in index.modules], entries))
-        assert rebuilt.postings == index.postings
+        assert list(rebuilt.rows) == list(index.rows)
+        assert all(rebuilt.entry(identifier) == index.entry(identifier) for identifier in index.rows)
 
     @pytest.mark.parametrize("modules", [[(0, "M0"), (0, "M1")], [(0, "M0"), (1, "M0")]])
     def test_duplicate_module_id_or_name_rejected(self, modules):
@@ -320,22 +318,23 @@ def assert_index_consistent(index, directory, module_map):
     for name, mf in tables.items():
         if name in excluded:
             continue
-        for entry in mf.table.values():
-            modules = [m for m, _ in lookup(index, entry.name)]
-            assert name in modules, f"{entry.name} missing posting for {name}"
+        for identifier in mf.rows:
+            modules = [p.module for p in index.entry(identifier)]
+            assert name in modules, f"{identifier} missing posting for {name}"
     # Soundness + semantic refinement.
-    for identifier, postings in index.postings.items():
+    for identifier in index.rows:
+        postings = index.entry(identifier)
         for posting in postings:
-            table_entry = tables[posting.module].find(identifier)
-            assert table_entry is not None, f"posting for absent {identifier}"
+            row = tables[posting.module].rows.get(identifier)
+            assert row is not None, f"posting for absent {identifier}"
             if posting.flags & PostingFlags.DEFINES:
-                assert table_entry.flags & DeclFlags.HAS_DEFINITION
+                assert tables[posting.module].flags[row] & DeclFlags.HAS_DEFINITION
         if index.flavor is not IndexFlavor.SEMANTIC:
             continue
         candidates = [
             (decl, p.module, payload)
             for p in postings
-            for decl, payload in [deserialize_decl(tables[p.module], identifier)]
+            for decl, payload in [deserialize_decl(tables[p.module], tables[p.module].rows[identifier])]
         ]
         entity = merge_entities(candidates, {name: i for i, name in enumerate(module_map.names)})
         winners = [m for _, m, payload in candidates if payload == entity.canonical_payload]
@@ -351,18 +350,15 @@ class TestInvariants:
 
     def test_semantic_refines_lexical(self, gpad_dir):
         directory, module_map = gpad_dir
-        semantic = _semantic(directory, module_map)
-        definition = lookup_definition(semantic, "Gpad")
-        assert definition in [m for m, _ in lookup(semantic, "Gpad")]
+        semantic, lexical = _semantic(directory, module_map), _lexical(directory, module_map)
+        defines = {p.module for p in semantic.entry("Gpad") if p.flags & PostingFlags.DEFINES}
+        assert defines < {p.module for p in lexical.entry("Gpad")}
 
     def test_stripping_defines_matches_lexical(self, gpad_dir):
         directory, module_map = gpad_dir
         semantic, lexical = _semantic(directory, module_map), _lexical(directory, module_map)
-        assert list(semantic.postings) == list(lexical.postings)
-        for sem_postings, lex_postings in zip(
-            semantic.postings.values(), lexical.postings.values()
-        ):
-            stripped = [
-                (p.module, p.flags & ~PostingFlags.DEFINES) for p in sem_postings
-            ]
-            assert stripped == [(p.module, p.flags) for p in lex_postings]
+        assert list(semantic.rows) == list(lexical.rows)
+        for identifier in semantic.rows:
+            postings = semantic.entry(identifier)
+            stripped = [Posting(p.module, p.flags & ~PostingFlags.DEFINES) for p in postings]
+            assert stripped == list(lexical.entry(identifier))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,7 +150,7 @@ class TestStartup:
         expected_content = 0
         for i in range(6):
             mf = read_module_summary((corpus_dir / f"M{i}.pcm").read_bytes())
-            expected_content += mf.summary_bytes + sum(e.blob_len for e in mf.table.values())
+            expected_content += mf.summary_bytes + sum(mf.blob_lens)
         assert stats.sim_memory_bytes == 6 * 1000 + expected_content
         assert stats.bytes_read == expected_content
 
@@ -319,7 +320,7 @@ class TestCostHonesty:
         for name in touched:
             session.resolve(name, Need.DEFINITION)
             session.resolve(name, Need.DEFINITION)  # cache: no double charge
-        expected = pch.summary_bytes + sum(pch.find(n).blob_len for n in touched)
+        expected = pch.summary_bytes + sum(pch.blob_lens[pch.rows[n]] for n in touched)
         stats = session.stats()
         assert stats.bytes_read == expected
         assert stats.sim_memory_bytes == expected
@@ -340,9 +341,9 @@ class TestPatchPoints:
 
     @pytest.mark.parametrize("strategy", _MODULE_STRATEGIES)
     def test_modfile_calls_match_stats(self, corpus12, monkeypatch, strategy):
-        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).table)
+        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).rows)
         calls = {"read_module_summary": 0, "decoded rows": 0}
-        decoded: list[tuple[str, str]] = []
+        decoded: list[tuple[str, int]] = []
         read_summary = modfile.read_module_summary
         deserialize_decl = modfile.deserialize_decl
         deserialize_module = modfile.deserialize_module
@@ -351,13 +352,13 @@ class TestPatchPoints:
             calls["read_module_summary"] += 1
             return read_summary(data)
 
-        def counted_decl(mf, entry):
-            decoded.append((mf.module_name, entry if isinstance(entry, str) else entry.name))
-            return deserialize_decl(mf, entry)
+        def counted_decl(mf, row):
+            decoded.append((mf.module_name, row))
+            return deserialize_decl(mf, row)
 
         def counted_module(mf):
             rows = deserialize_module(mf)
-            decoded.extend((mf.module_name, name) for name, _, _ in rows)
+            decoded.extend((mf.module_name, mf.rows[name]) for name, _, _ in rows)
             return rows
 
         monkeypatch.setattr(modfile, "read_module_summary", counted_summary)
@@ -378,7 +379,7 @@ class TestPatchPoints:
 
     @pytest.mark.parametrize("strategy", _MODULE_STRATEGIES)
     def test_merge_encodes_nothing(self, corpus12, monkeypatch, strategy):
-        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).table)
+        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).rows)
 
         def refuse(decl):
             raise AssertionError(f"encode_payload({decl.name!r}) called")
@@ -391,24 +392,42 @@ class TestPatchPoints:
         assert session.stats().decls_deserialized > 0
 
 
+class _CountedRows(dict):
+    """A summary's `rows` that records (module, name) for each `get` made
+    from `modix.loader` that finds a row: a session's row lookups, not the
+    check in `modfile` that a decoded blob declares its row's name."""
+
+    def __init__(self, module_name: str, rows: dict[str, int], found: list[tuple[str, str]]):
+        super().__init__(rows)
+        self.module_name = module_name
+        self.found = found
+
+    def get(self, name, default=None):
+        row = super().get(name, default)
+        if row is not None and sys._getframe(1).f_globals["__name__"] == "modix.loader":
+            self.found.append((self.module_name, name))
+        return row
+
+
 def _count_found_rows(monkeypatch) -> list[tuple[str, str]]:
-    """Record (module, name) for each `ModuleFile.find` that finds a row."""
-    find = modfile.ModuleFile.find
+    """Record (module, name) for each row a session finds by name in the
+    `rows` of a summary it read."""
+    read_summary = modfile.read_module_summary
     found: list[tuple[str, str]] = []
 
-    def counted(self, name):
-        entry = find(self, name)
-        if entry is not None:
-            found.append((self.module_name, name))
-        return entry
+    def counted(data):
+        mf = read_summary(data)
+        mf.rows = _CountedRows(mf.module_name, mf.rows, found)
+        return mf
 
-    monkeypatch.setattr(modfile.ModuleFile, "find", counted)
+    monkeypatch.setattr(modfile, "read_module_summary", counted)
     return found
 
 
 class TestRowsFoundOnce:
-    """A candidate's row is found once and handed on to `deserialize_decl`,
-    so no session looks up the same row of the same module twice."""
+    """A candidate's row is found once, by name in its module's `rows`, and
+    handed on to `deserialize_decl`, so no session looks up the same row of
+    the same module twice."""
 
     @pytest.mark.parametrize("strategy", TestPatchPoints._MODULE_STRATEGIES)
     def test_one_row_lookup_per_candidate(self, corpus12, monkeypatch, strategy):
@@ -449,14 +468,14 @@ def _row_at_a_time_preload(self, index_path, allow_stale):
     for name in self.map.names:
         self._load_module(name, resolution=False)
     for name in self._load_order:
-        for entry in self._loaded[name].entries():
-            self._resident.setdefault(entry.name, []).append(self._deserialize(name, entry))
+        for ident, row in self._loaded[name].rows.items():
+            self._resident.setdefault(ident, []).append(self._deserialize(name, row))
 
 
 class TestPreloadPass:
     """A preload-all open decodes each module in one pass: one `decode_blob`
-    per row and no `IdentEntry`, with the stats and resident candidates of
-    the row-at-a-time reference."""
+    per row and no `deserialize_decl` call, with the stats and resident
+    candidates of the row-at-a-time reference."""
 
     _COSTS = (CostModel(), CostModel(7, 3, 1), CostModel(5, 2, 0), CostModel(16384, 100, 7))
 
@@ -474,7 +493,7 @@ class TestPreloadPass:
         assert session.stats() == reference.stats()
         assert list(session._resident.items()) == list(reference._resident.items())
 
-    def test_one_decode_per_row_and_no_ident_entry(self, corpus12, monkeypatch):
+    def test_one_decode_per_row_and_no_row_at_a_time_decode(self, corpus12, monkeypatch):
         decode = modfile.decode_blob
         decoded = []
 
@@ -483,10 +502,10 @@ class TestPreloadPass:
             return decode(blob)
 
         def refuse(*args):
-            raise AssertionError("a preload-all open built an IdentEntry")
+            raise AssertionError("a preload-all open called deserialize_decl")
 
         monkeypatch.setattr(modfile, "decode_blob", counted)
-        monkeypatch.setattr(modfile, "IdentEntry", refuse)
+        monkeypatch.setattr(modfile, "deserialize_decl", refuse)
         session = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
         rows = sum(len(mf.rows) for mf in session._loaded.values())
         assert len(decoded) == rows == session.stats().decls_deserialized > 100
@@ -693,8 +712,9 @@ class TestLocalShadowing:
         resolution = session.resolve("Thing", Need.DEFINITION)
         assert resolution.succeeded
         local_mf = read_module_summary((local / "Pkg.pcm").read_bytes())
-        entry = local_mf.find("Thing")
-        blob = local_mf.blob_region[entry.blob_offset:entry.blob_offset + entry.blob_len]
+        row = local_mf.rows["Thing"]
+        offset = local_mf.blob_offsets[row]
+        blob = local_mf.blob_region[offset:offset + local_mf.blob_lens[row]]
         assert resolution.entity.canonical_payload in blob
 
     @staticmethod
@@ -941,7 +961,7 @@ class TestStaleIndex:
         # M1 forward-declares S0_0 (which M0 defines) and defines S1_0.
         corpus_dir, _ = gpad_corpus
         index = load_index((corpus_dir / INDEX_FILE_NAME).read_bytes())
-        names = list(index.postings)
+        names = list(index.rows)
         (corpus_dir / "M1.pcm").unlink()
         lexical = open_corpus_session(corpus_dir, Strategy.LEXICAL_GMI, allow_stale=True)
         semantic = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, allow_stale=True)

@@ -37,7 +37,6 @@ from modix.errors import (
     HashMismatch,
     OdrInModule,
     OdrViolation,
-    UnknownIdentifier,
 )
 from modix.gmi import INDEX_FILE_NAME, IndexedModule, IndexFlavor, Posting, PostingFlags, build_index
 from modix.gmi import index_file_name, load_index
@@ -47,7 +46,6 @@ from modix.modfile import (
     DeclFlags,
     Entity,
     EntityKind,
-    IdentEntry,
     build_pch,
     compile_module,
     deserialize_decl,
@@ -102,20 +100,17 @@ def _raw_module(keys, flags, spans, region, key_ends=None):
 class TestCompileAndSummary:
     def test_single_definition_flags(self):
         mf = read_module_summary(_module("M", "struct A { x: i32; };"))
-        (entry,) = mf.table.values()
-        assert entry.name == "A"
-        assert entry.flags == DeclFlags.HAS_DEFINITION
+        assert dict(zip(mf.rows, mf.flags)) == {"A": DeclFlags.HAS_DEFINITION}
 
     def test_definition_plus_forward_gets_both_flags(self):
         mf = read_module_summary(_module("M", "struct A;", "struct A { x: i32; };"))
-        (entry,) = mf.table.values()
-        assert entry.flags == DeclFlags.HAS_DEFINITION | DeclFlags.HAS_FORWARD
+        assert dict(zip(mf.rows, mf.flags)) == {"A": DeclFlags.HAS_DEFINITION | DeclFlags.HAS_FORWARD}
 
     def test_kind_flags(self):
         mf = read_module_summary(
             _module("M", "struct S;\nenum E { a };\nusing U = i32;\nfn f() -> i32;")
         )
-        flags = {e.name: e.flags for e in mf.table.values()}
+        flags = dict(zip(mf.rows, mf.flags))
         assert flags["S"] == DeclFlags.HAS_FORWARD
         assert flags["E"] == DeclFlags.HAS_DEFINITION
         assert flags["U"] == DeclFlags.HAS_DEFINITION | DeclFlags.IS_ALIAS
@@ -130,7 +125,7 @@ class TestCompileAndSummary:
         mf = read_module_summary(
             _module("M", "struct A { x: i32; };", "struct A { x: i32; };")
         )
-        assert len(mf.table) == 1
+        assert len(mf.rows) == 1
 
     def test_summary_round_trips_names_and_imports(self):
         data = _module("M", "struct B;\nstruct A { b: ptr<B>; };", imports=("Dep1", "Dep2"))
@@ -146,7 +141,7 @@ class TestCompileAndSummary:
     def test_table_strictly_sorted(self):
         data = _module("M", "struct Z;\nstruct A;\nstruct M;")
         mf = read_module_summary(data)
-        names = [e.name for e in mf.table.values()]
+        names = list(mf.rows)
         assert names == sorted(names)
 
     def test_each_payload_is_encoded_at_most_once(self, monkeypatch):
@@ -298,22 +293,17 @@ class TestDeserialize:
         src = "struct A { x: i32; p: ptr<B>; };"
         header = _header(src)
         mf = read_module_summary(compile_module("M", [header]))
-        assert deserialize_decl(mf, "A")[0] == header.items[0]
+        assert deserialize_decl(mf, mf.rows["A"])[0] == header.items[0]
 
     def test_forward_only_round_trips_as_forward(self):
         mf = read_module_summary(_module("M", "struct A;"))
-        decl, _ = deserialize_decl(mf, "A")
+        decl, _ = deserialize_decl(mf, mf.rows["A"])
         assert decl.kind is DeclKind.STRUCT_FWD
-
-    def test_unknown_identifier(self):
-        mf = read_module_summary(_module("M", "struct A;"))
-        with pytest.raises(UnknownIdentifier):
-            deserialize_decl(mf, "Nope")
 
     def test_bytes_accounting_is_exact(self):
         data = _module("M", "struct A { x: i32; };\nenum E { a, b };")
         mf = read_module_summary(data)
-        blob_total = sum(e.blob_len for e in mf.table.values())
+        blob_total = sum(mf.blob_lens)
         assert mf.summary_bytes + blob_total == len(data)
         assert len(mf.blob_region) == blob_total
 
@@ -321,9 +311,10 @@ class TestDeserialize:
         names = [f"n{i:02d}" for i in range(0, 40, 3)]
         text = "".join(f"struct {n};\n" for n in names)
         mf = read_module_summary(_module("M", text))
+        whole = deserialize_module(mf)
         for probe in names + ["n00x", "a", "zzz", ""]:
-            linear = next((e for e in mf.table.values() if e.name == probe), None)
-            assert mf.find(probe) == linear
+            linear = next((row for row, (name, _, _) in enumerate(whole) if name == probe), None)
+            assert mf.rows.get(probe) == linear
 
 
 def _def(name, field_type="i32", origin=("h.dh", 1)):
@@ -451,8 +442,7 @@ class TestBuildPch:
         mods = [self._mf("M0", "struct Gpad { x: i32; };")]
         mods += [self._mf(f"M{i}", "struct Gpad;") for i in range(1, 6)]
         pch = read_module_summary(build_pch(mods))
-        (entry,) = pch.table.values()
-        assert entry.flags == DeclFlags.HAS_DEFINITION
+        assert dict(zip(pch.rows, pch.flags)) == {"Gpad": DeclFlags.HAS_DEFINITION}
 
     def test_duplicated_content_dedups(self):
         shared = "struct Boost { x: i64; };"
@@ -461,8 +451,8 @@ class TestBuildPch:
             self._mf("M1", shared + "struct B;"),
         ]
         pch = read_module_summary(build_pch(mods))
-        assert len(pch.table) == 3
-        assert len(pch.table) < sum(len(m.table) for m in mods)
+        assert len(pch.rows) == 3
+        assert len(pch.rows) < sum(len(m.rows) for m in mods)
 
     def test_odr_violation_propagates(self):
         mods = [
@@ -485,7 +475,7 @@ class TestBuildPch:
     def test_pch_round_trips(self):
         mods = [self._mf("M0", "struct A { x: i32; };"), self._mf("M1", "struct A;")]
         pch = read_module_summary(build_pch(mods))
-        assert deserialize_decl(pch, "A")[0].kind is DeclKind.STRUCT_DEF
+        assert deserialize_decl(pch, pch.rows["A"])[0].kind is DeclKind.STRUCT_DEF
 
 
 def _reference_pch(modules) -> bytes:
@@ -494,8 +484,8 @@ def _reference_pch(modules) -> bytes:
     each name's winner."""
     merged: dict[str, dict[EntityKind, tuple]] = {}
     for mf in modules:
-        for name in mf.table:
-            decl, payload = deserialize_decl(mf, name)
+        for name, row in mf.rows.items():
+            decl, payload = deserialize_decl(mf, row)
             firsts = merged.setdefault(name, {})
             first = firsts.setdefault(modfile._KINDS[decl.kind].entity, (decl, mf.module_name, payload))
             if first[2] != payload:
@@ -608,18 +598,17 @@ class TestLeanValues:
     def test_decoded_name_is_its_table_key(self, corpus12):
         for path in sorted(corpus12.glob("*.pcm")):
             mf = read_module_summary(path.read_bytes())
-            for key in mf.table:
-                decl, _ = deserialize_decl(mf, key)
+            for key, row in mf.rows.items():
+                decl, _ = deserialize_decl(mf, row)
                 assert decl.name is key
-                assert mf.table[key].name is key
 
     def test_one_str_per_spelling_across_modules(self, corpus12):
         first: dict[str, str] = {}
         spellings = 0
         for path in sorted(corpus12.glob("*.pcm")):
             mf = read_module_summary(path.read_bytes())
-            for key in mf.table:
-                decl, _ = deserialize_decl(mf, key)
+            for key, row in mf.rows.items():
+                decl, _ = deserialize_decl(mf, row)
                 for text in (key, decl.name, *(f.type.base for f in decl.fields)):
                     assert first.setdefault(text, text) is text
                     spellings += 1
@@ -653,10 +642,10 @@ class TestLeanValues:
 
     def test_value_types_have_no_dict(self, corpus12):
         mf = read_module_summary((corpus12 / "M0.pcm").read_bytes())
-        decls = [deserialize_decl(mf, name)[0] for name in mf.table]
+        decls = [deserialize_decl(mf, row)[0] for row in mf.rows.values()]
         struct = next(d for d in decls if d.fields)
         values = [
-            *decls, *mf.table.values(), *struct.fields, struct.fields[0].type,
+            *decls, *struct.fields, struct.fields[0].type,
             merge_entities([(struct, "M0", encode_payload(struct))]),
             *load_index((corpus12 / INDEX_FILE_NAME).read_bytes()).entry(struct.name),
             LoadStats(),
@@ -696,7 +685,7 @@ class TestLeanValues:
         session = open_corpus_session(root, Strategy.PRELOAD_ALL)
         resolution = session.resolve("S", Need.DEFINITION)
         (result,) = run_script(session, "sizeof(S);")
-        decoded, _ = deserialize_decl(mf, "S")
+        decoded, _ = deserialize_decl(mf, mf.rows["S"])
 
         ref = TypeRef("T", 1)
         decl = Decl("S", DeclKind.STRUCT_DEF, fields=(StructField("p", ref),), origin=("h.dh", 1))
@@ -713,7 +702,6 @@ class TestLeanValues:
             (CallStmt("f"), parse_statement("call f;")),
             (DirectiveStmt("stats"), parse_statement(".stats")),
             (ModuleDef("M", ("M/h.dh",)), load_modulemap(root / FINAL_MAP_NAME).defs[0]),
-            (IdentEntry("S", DeclFlags.HAS_DEFINITION, 0, len(encode_blob(decl))), mf.table["S"]),
             (entity, resolution.entity),
             (Posting("M", PostingFlags.MENTIONS | PostingFlags.DEFINES), index.entry("S")[0]),
             (IndexedModule(0, "M", mf.content_hash), index.modules[0]),
@@ -725,7 +713,7 @@ class TestLeanValues:
 
     @pytest.mark.parametrize("type_name", [
         "TypeRef", "StructField", "Decl", "HeaderAST", "NewStmt", "DeclareStmt", "SizeOfStmt",
-        "CallStmt", "DirectiveStmt", "ModuleDef", "IdentEntry", "Entity", "Posting",
+        "CallStmt", "DirectiveStmt", "ModuleDef", "Entity", "Posting",
         "IndexedModule", "LoadStats", "Resolution", "EvalResult",
     ])
     def test_value_type_equals_and_hashes_by_value(self, built_and_read, type_name):
@@ -771,7 +759,7 @@ def test_compile_round_trip_property(source):
             by_name[decl.name] = decl
     assert set(mf.names) == set(by_name)
     for name, expected in by_name.items():
-        decl, _ = deserialize_decl(mf, name)
+        decl, _ = deserialize_decl(mf, mf.rows[name])
         assert decl == expected
         assert encode_blob(decl) == encode_blob(expected)
 
@@ -783,9 +771,9 @@ def _assert_rows_slice_their_payloads(corpus_dir) -> int:
     rows = 0
     for path in sorted(corpus_dir.glob("*.pcm")):
         mf = read_module_summary(path.read_bytes())
-        for name, entry in mf.table.items():
-            decl, payload = deserialize_decl(mf, name)
-            assert split_blob(mf.blob(entry)) == (decl.origin[0], encode_payload(decl))
+        for (_, _, blob), row in zip(mf.blobs(), mf.rows.values()):
+            decl, payload = deserialize_decl(mf, row)
+            assert split_blob(blob) == (decl.origin[0], encode_payload(decl))
             assert payload == encode_payload(decl)
             rows += 1
     return rows
@@ -812,8 +800,7 @@ def test_blob_payload_property(decl, origin_path, origin_line):
     assert split_blob(blob) == (origin_path, payload)
     flags = modfile._KINDS[decl.kind].flags
     mf = read_module_summary(modfile._emit("M", (), [(decl.name, flags, blob)]))
-    assert deserialize_decl(mf, decl.name) == (decl, payload)
-    assert deserialize_decl(mf, mf.find(decl.name)) == (decl, payload)
+    assert deserialize_decl(mf, 0) == (decl, payload)
 
 
 # --- the call-light decoder against the one it replaced ---
@@ -951,10 +938,22 @@ class TestRowChecks:
     ], ids=["name", "forward-row", "alias-row"])
     def test_foreign_blob_is_corrupt(self, flags, decl, problem):
         mf = read_module_summary(modfile._emit("M", (), [("A", flags, encode_blob(decl))]))
-        for deserialize in (lambda: deserialize_decl(mf, "A"), lambda: deserialize_module(mf)):
+        for deserialize in (lambda: deserialize_decl(mf, mf.rows["A"]), lambda: deserialize_module(mf)):
             with pytest.raises(CorruptTable) as excinfo:
                 deserialize()
             assert str(excinfo.value) == problem
+
+    def test_blob_declaring_another_rows_name_is_corrupt(self):
+        """The check that a blob declares its own row's name compares rows,
+        so a blob that declares a name another row holds is caught too."""
+        rows = [("A", DeclFlags.HAS_DEFINITION, encode_blob(self._B)),
+                ("B", DeclFlags.HAS_DEFINITION, encode_blob(self._B))]
+        mf = read_module_summary(modfile._emit("M", (), rows))
+        assert deserialize_decl(mf, mf.rows["B"])[0] == self._B
+        for deserialize in (lambda: deserialize_decl(mf, mf.rows["A"]), lambda: deserialize_module(mf)):
+            with pytest.raises(CorruptTable) as excinfo:
+                deserialize()
+            assert str(excinfo.value) == "blob of 'A' in module 'M' declares 'B'"
 
     def test_a_forward_beside_a_definition_matches(self):
         decl = dataclasses.replace(self._B, name="A")
@@ -967,7 +966,7 @@ class TestRowChecks:
         for mf in read_modules(corpus12, [*names, modfile.PCH_MODULE_NAME]):
             rows = deserialize_module(mf)
             assert isinstance(rows, list)
-            assert rows == [(name, *deserialize_decl(mf, name)) for name in mf.rows]
+            assert rows == [(name, *deserialize_decl(mf, row)) for name, row in mf.rows.items()]
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,11 +5,13 @@ that nothing in modix reads itself."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "modix"
 
 
 def test_every_span_patch_point_resolves_to_a_callable():
@@ -23,6 +25,29 @@ def test_every_span_patch_point_resolves_to_a_callable():
         if class_name:
             owner = getattr(owner, class_name)
         assert callable(getattr(owner, attr, None)), f"{owner_path}.{attr}"
+
+
+def test_every_wrap_only_import_is_a_span_patch_point():
+    """An import marked `# noqa: F401` in `src/modix` is kept only for
+    `spans.py` to wrap under that module's name, so each must be a patch
+    point.  Once the benchmark drops a patch point, this names the import to
+    delete."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    patched = {(owner, attr) for owner, attr, _layer in spans.PATCH_POINTS}
+    unpatched = []
+    for path in sorted(SOURCES.glob("*.py")):
+        module = "modix" if path.stem == "__init__" else f"modix.{path.stem}"
+        text = path.read_text("utf-8")
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                names = (alias.asname or alias.name for alias in node.names)
+                unpatched += [f"{path.name}:{node.lineno} {n}" for n in names if (module, n) not in patched]
+    assert not unpatched, f"wrap-only imports that no patch point wraps: {unpatched}"
 
 
 def test_parser_fast_paths_sit_under_their_patch_points():

@@ -1,6 +1,6 @@
 """Column tables, searched in place: the `_wire` table codec at its edges,
-lookups against the whole-table views, rows built only when asked for, and
-a layout exactly as long as the row-at-a-time one it replaced.
+row lookups against whole-table walks, index postings built only when asked
+for, and a layout exactly as long as the row-at-a-time one it replaced.
 
 `.pcm` and `.gmi` file sizes are the simulated currency: every
 `summary_bytes` and every charged index read is a byte count, so a format
@@ -25,7 +25,8 @@ from modix.bench import open_corpus_session
 from modix.declang import Decl, DeclKind, Need
 from modix.gmi import IndexFlavor, build_index, load_index
 from modix.loader import Strategy
-from modix.modfile import DeclFlags, encode_blob, read_module_summary
+from modix.modfile import DeclFlags, deserialize_decl, deserialize_module, encode_blob
+from modix.modfile import read_module_summary
 from modix.modulemap import FINAL_MAP_NAME, ModuleDef, concat_modulemaps, load_modulemap
 
 SIZES = Path(__file__).parent / "data" / "corpus12_sizes.txt"
@@ -58,9 +59,8 @@ def _v3_index_size(index: gmi.GlobalIndex) -> int:
     length-prefixed identifier, a u32 posting count and 5 bytes a posting."""
     size = 4 + 4 + 8 + 1 + 4 + sum(map(_lp, index.excluded))
     size += 4 + sum(4 + _lp(m.name) + 8 for m in index.modules)
-    return size + 4 + sum(
-        _lp(identifier) + 4 + 5 * len(postings) for identifier, postings in index.postings.items()
-    )
+    size += 4 + sum(_lp(identifier) + 4 for identifier in index.rows)
+    return size + 5 * len(index.posting_modules)
 
 
 def _assert_v3_sizes(directory: Path) -> int:
@@ -136,30 +136,35 @@ class TestCodecEdges:
             for name in names:
                 for probe in _neighbours(name):
                     if probe not in names:
-                        assert mf.find(probe) is None, probe
-            assert {name: mf.find(name) for name in names} == mf.table
-            assert list(mf.entries()) == list(mf.table.values())
+                        assert mf.rows.get(probe) is None, probe
+            assert [deserialize_decl(mf, mf.rows[name])[0].name for name in names] == names
+            assert [name for name, _, _ in deserialize_module(mf)] == list(mf.rows)
         every = {name for names in modules for name in names}
         for name in every:
             for probe in _neighbours(name):
                 if probe not in every:
                     assert index.entry(probe) == (), probe
-        assert {name: index.entry(name) for name in every} == index.postings
+        assert sorted(index.rows) == sorted(every)
+        walked = [p.module for name in index.rows for p in index.entry(name)]
+        assert walked == [f"M{m}" for m in index.posting_modules]
         for name in every:
             posted = [p.module for p in index.entry(name)]
-            assert posted == [mf.module_name for mf in summaries if mf.find(name)]
+            assert posted == [mf.module_name for mf in summaries if name in mf.rows]
 
 
 def test_corpus12_lookups_equal_the_whole_table(corpus12):
+    """Decoding each row found by name equals decoding the whole module,
+    and `GlobalIndex.entry` over every identifier walks every posting once,
+    in file order."""
     for path in sorted(corpus12.glob("*.pcm")):
         mf = read_module_summary(path.read_bytes())
-        assert {name: mf.find(name) for name in mf.names} == mf.table
         assert [name for name, _, _ in mf.blobs()] == list(mf.names)
-        assert [blob for _, _, blob in mf.blobs()] == [mf.blob(e) for e in mf.entries()]
-        assert [flags for _, flags, _ in mf.blobs()] == [e.flags for e in mf.entries()]
+        assert [(name, *deserialize_decl(mf, mf.rows[name])) for name in mf.names] == deserialize_module(mf)
     for name in (gmi.INDEX_FILE_NAME, gmi.LEXICAL_INDEX_FILE_NAME):
         index = load_index((corpus12 / name).read_bytes())
-        assert {identifier: index.entry(identifier) for identifier in index.rows} == index.postings
+        modules = {m.module_id: m.name for m in index.modules}
+        walked = [(p.module, p.flags) for identifier in index.rows for p in index.entry(identifier)]
+        assert walked == [(modules[m], flags) for m, flags in zip(index.posting_modules, index.posting_flags)]
 
 
 class TestRowsBuiltWhenAsked:
@@ -174,21 +179,12 @@ class TestRowsBuiltWhenAsked:
         return refuse
 
     def test_loads_build_no_row(self, corpus12, refuse):
-        refuse(modfile, "IdentEntry")
         refuse(gmi, "Posting")
         for path in sorted(corpus12.iterdir()):
             if path.suffix == ".pcm":
                 read_module_summary(path.read_bytes())
             elif path.suffix == ".gmi":
                 load_index(path.read_bytes())
-
-    def test_pch_open_builds_no_ident_entry(self, corpus12, refuse):
-        refuse(modfile, "IdentEntry")
-        session = open_corpus_session(corpus12, Strategy.PCH)
-        assert session.stats().load_order == (modfile.PCH_MODULE_NAME,)
-        name = read_module_summary((corpus12 / modfile.PCH_FILE_NAME).read_bytes()).names[0]
-        with pytest.raises(AssertionError, match="built IdentEntry"):
-            session.resolve(name, Need.DEFINITION)
 
     @pytest.mark.parametrize("strategy", [Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI])
     def test_gmi_open_builds_no_posting(self, corpus12, refuse, strategy):
