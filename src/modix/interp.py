@@ -31,6 +31,9 @@ from .loader import LoadStats, ResolutionOutcome, Session
 
 PROMPT = "modix> "
 SCRIPT_EXTENSION = ".dscript"
+# Enum members read per statement, as plain names (see modfile's kind names).
+_RESOLVED, _DEFINITION = ResolutionOutcome.RESOLVED, Need.DEFINITION
+_STRUCT_DEF, _ENUM_DEF, _ALIAS = DeclKind.STRUCT_DEF, DeclKind.ENUM_DEF, DeclKind.ALIAS
 
 
 class FailReason(Enum):
@@ -67,16 +70,16 @@ def _size_of_type(session: Session, ref: TypeRef, expanding: set[str]) -> int:
 def _size_of_name(session: Session, name: str, expanding: set[str]) -> int:
     if name in expanding:
         raise _EvalFail(FailReason.ALIAS_CYCLE)
-    resolution = session.resolve(name, Need.DEFINITION)
-    if resolution.outcome is not ResolutionOutcome.RESOLVED:
+    resolution = session.resolve(name, _DEFINITION)
+    if resolution.outcome is not _RESOLVED:
         raise _EvalFail(FailReason.NOT_FOUND)
     decl = resolution.entity.decl
     expanding = expanding | {name}
-    if decl.kind is DeclKind.ENUM_DEF:
+    if decl.kind is _ENUM_DEF:
         return ENUM_SIZE
-    if decl.kind is DeclKind.STRUCT_DEF:
+    if decl.kind is _STRUCT_DEF:
         return sum(_size_of_type(session, f.type, expanding) for f in decl.fields)
-    if decl.kind is DeclKind.ALIAS:
+    if decl.kind is _ALIAS:
         return _size_of_type(session, decl.alias_target, expanding)
     raise _EvalFail(FailReason.NOT_SIZEABLE)
 

@@ -4,7 +4,8 @@ A session extends name lookup through one of five strategies:
 
 * ``preload-all``  -- read every module file (summaries and all blobs) up
   front into the resident name table, decoding each module's blobs in one
-  pass (``modfile.deserialize_module``); lookups hit it only.
+  pass (``modfile.deserialize_module``) through one per-open memo, which
+  decodes each repeated blob head and payload once; lookups hit it only.
 * ``pch``          -- read the single merged ``__pch__`` file's summary up
   front; blobs stream in lazily.
 * ``textual``      -- legacy fallback: a rootmap maps identifiers to header
@@ -177,13 +178,17 @@ class Resolution:
         return self.outcome is not ResolutionOutcome.NOT_FOUND
 
 
-_NOT_FOUND = Resolution(ResolutionOutcome.NOT_FOUND)
-_IMPLICIT_FORWARD = Resolution(ResolutionOutcome.IMPLICIT_FORWARD)
-
-
 class _Marker(Enum):
     ABSENT = "absent"
     FORWARD_ONLY = "forward-only"
+
+
+_NOT_FOUND = Resolution(ResolutionOutcome.NOT_FOUND)
+_IMPLICIT_FORWARD = Resolution(ResolutionOutcome.IMPLICIT_FORWARD)
+# Enum members read per lookup, as plain names (see modfile's kind names).
+_ABSENT, _FORWARD_ONLY = _Marker.ABSENT, _Marker.FORWARD_ONLY
+_DEFINITION, _FORWARD_OK = Need.DEFINITION, Need.FORWARD_OK
+_RESOLVED, _FORWARD = ResolutionOutcome.RESOLVED, modfile.EntityKind.FORWARD
 
 
 class Session:
@@ -236,15 +241,14 @@ class Session:
     def _start_preload(self, index_path: str | Path | None, allow_stale: bool) -> None:
         for name in self.map.names:
             self._load_module(name, resolution=False)
-        resident, payloads = self._resident, self._payloads
+        resident, memo = self._resident, modfile.DecodeMemo()
         for name in self._load_order:
             mf = self._loaded[name]
-            rows = modfile.deserialize_module(mf)
+            rows = modfile.deserialize_module(mf, memo)
             self._decls += len(rows)
             self._charge_reads(mf.blob_lens)
             for ident, decl, payload in rows:
-                candidate = (decl, name, payloads.setdefault(payload, payload))
-                resident.setdefault(ident, []).append(candidate)
+                resident.setdefault(ident, []).append((decl, name, payload))
 
     def _start_pch(self, index_path: str | Path | None, allow_stale: bool) -> None:
         try:
@@ -416,15 +420,15 @@ class Session:
         return self._to_resolution(need, cached)
 
     def _to_resolution(self, need: Need, cached: Entity | _Marker) -> Resolution:
-        if cached is _Marker.ABSENT:
+        if cached is _ABSENT:
             return _NOT_FOUND
-        if cached is _Marker.FORWARD_ONLY:
-            return _IMPLICIT_FORWARD if need is Need.FORWARD_OK else _NOT_FOUND
+        if cached is _FORWARD_ONLY:
+            return _IMPLICIT_FORWARD if need is _FORWARD_OK else _NOT_FOUND
         entity = cached
-        if need is Need.DEFINITION and entity.kind is modfile.EntityKind.FORWARD:
+        if need is _DEFINITION and entity.kind is _FORWARD:
             return _NOT_FOUND
         self._unredeemed.discard(entity.defining_module)
-        return Resolution(ResolutionOutcome.RESOLVED, entity)
+        return Resolution(_RESOLVED, entity)
 
     def _direct_hits(self, identifier: str) -> list[tuple[str, int]]:
         """Each direct module holding the identifier, with its row."""
@@ -432,7 +436,7 @@ class Session:
         return [(name, row) for name, row in found if row is not None]
 
     def _merge(self, candidates: list[Candidate]) -> Entity | _Marker:
-        return merge_entities(candidates, self._merge_order) if candidates else _Marker.ABSENT
+        return merge_entities(candidates, self._merge_order) if candidates else _ABSENT
 
     def _merge_resident(self, identifier: str) -> Entity | _Marker:
         return self._merge(self._resident.get(identifier, []))
@@ -528,7 +532,7 @@ class Session:
             return self._merge(candidates)
         # Forward declarations alone never force a load; the equivalence
         # oracle keeps this synthesis honest.
-        return _Marker.FORWARD_ONLY if hits or postings else _Marker.ABSENT
+        return _FORWARD_ONLY if hits or postings else _ABSENT
 
     # Each strategy's startup and uncached resolve, side by side.
     _STRATEGIES = {

@@ -19,6 +19,8 @@ long as version 3's row-at-a-time one and ``summary_bytes`` is unchanged.
 A load checks the whole table in bulk.  A row is its index into the
 columns: `ModuleFile.rows` maps a name to it, `deserialize_decl` decodes
 one row's blob and `deserialize_module` a whole module's, in file order.
+`deserialize_module` decodes through a `DecodeMemo` a caller may share
+across modules, so a row whose blob head and payload both repeat is not decoded.
 
 `decode_blob` is the one blob decoder: it unpacks each field in place with
 `struct.unpack_from` at a local offset, with no cursor object or call per
@@ -493,15 +495,43 @@ def deserialize_decl(module: ModuleFile, row: int) -> tuple[Decl, bytes]:
     return decl, payload
 
 
-def deserialize_module(module: ModuleFile) -> list[tuple[str, Decl, bytes]]:
-    """Every row's name, declaration and payload, in file order: one
-    `decode_blob` per row's blob, checked as `deserialize_decl` checks it;
-    costs every blob length.  A list, so the decoding is done when this
-    returns."""
+def _at(decl: Decl, origin: tuple[str, int]) -> Decl:
+    """`decl` declared at `origin`, sharing every other value."""
+    return Decl(decl.name, decl.kind, decl.fields, decl.enumerators, decl.alias_target, decl.params, decl.returns, origin)
+
+
+class DecodeMemo:
+    """What `deserialize_module` decoded cleanly: each blob head's origin, and
+    each payload's canonical bytes, merge kind and first declaration."""
+
+    def __init__(self) -> None:
+        self.origins: dict[bytes, tuple[str, int]] = {}
+        self.payloads: dict[bytes, tuple[bytes, EntityKind, Decl]] = {}
+
+
+def deserialize_module(module: ModuleFile, memo: DecodeMemo | None = None) -> list[tuple[str, Decl, bytes]]:
+    """Every row's name, declaration and payload, in file order, checked as
+    `deserialize_decl` checks a row; costs every blob length.  A row whose
+    head and payload are both in `memo` takes its origin, payload and first
+    declaration's values; any other goes through `decode_blob`, so a damaged
+    blob raises what it raises.  A payload decodes alike behind any head."""
+    memo = memo or DecodeMemo()
+    origins, payloads, u32 = memo.origins, memo.payloads, _U32.unpack_from
     rows = []
-    for row, (name, _, blob) in enumerate(module.blobs()):
-        decl, payload = decode_blob(blob)
-        _check_row(module, row, decl)
+    for name, flags, blob in module.blobs():
+        split = 8 + u32(blob)[0] if len(blob) >= 4 else 0  # no head: decode_blob raises
+        head = blob[:split]
+        origin = origins.get(head)
+        hit = payloads.get(blob[split:])
+        if origin is None or hit is None:
+            decl, payload = decode_blob(blob)
+            origin = origins.setdefault(head, decl.origin)
+            if hit is None:
+                hit = payloads[payload] = (payload, _KINDS[decl.kind].entity, _at(decl, origin))
+        payload, entity, first = hit
+        decl = first if first.origin is origin else _at(first, origin)
+        if decl.name != name or entity is not _FLAGS_ENTITY[flags]:
+            _check_row(module, module.rows[name], decl)  # raises, naming the row
         rows.append((name, decl, payload))
     return rows
 

@@ -11,9 +11,11 @@ import pytest
 from conftest import build_random_corpus, outcome_signature, random_workload, run_equivalence_check
 from conftest import index_bytes, random_release, redefine_one, write_local_rebuilds
 from modix import modfile
+from modix._wire import _HASH_FIELD, sealed
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
-from modix.declang import Need, parse_header
+from modix.declang import Decl, DeclKind, Need, StructField, TypeRef, parse_header
 from modix.errors import (
+    CorruptTable,
     IndexStale,
     MissingIndex,
     MissingPch,
@@ -34,7 +36,7 @@ from modix.gmi import (
 )
 from modix.interp import format_result, run_script
 from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Session, Strategy, open_session
-from modix.modfile import PCH_MODULE_NAME, compile_module, read_module_summary
+from modix.modfile import PCH_MODULE_NAME, DeclFlags, compile_module, read_module_summary
 from modix.modulemap import Overlay, SearchPaths, find_local_module, load_modulemap
 
 ZERO_COST = CostModel(0, 0, 0)
@@ -356,8 +358,8 @@ class TestPatchPoints:
             decoded.append((mf.module_name, row))
             return deserialize_decl(mf, row)
 
-        def counted_module(mf):
-            rows = deserialize_module(mf)
+        def counted_module(mf, *memo):
+            rows = deserialize_module(mf, *memo)
             decoded.extend((mf.module_name, mf.rows[name]) for name, _, _ in rows)
             return rows
 
@@ -473,9 +475,10 @@ def _row_at_a_time_preload(self, index_path, allow_stale):
 
 
 class TestPreloadPass:
-    """A preload-all open decodes each module in one pass: one `decode_blob`
-    per row and no `deserialize_decl` call, with the stats and resident
-    candidates of the row-at-a-time reference."""
+    """A preload-all open decodes each module in one pass through one memo
+    shared by all of them: one `decode_blob` per row whose blob head or
+    payload is new to the open, and no `deserialize_decl` call, with the
+    stats, resident candidates and errors of the row-at-a-time reference."""
 
     _COSTS = (CostModel(), CostModel(7, 3, 1), CostModel(5, 2, 0), CostModel(16384, 100, 7))
 
@@ -493,7 +496,26 @@ class TestPreloadPass:
         assert session.stats() == reference.stats()
         assert list(session._resident.items()) == list(reference._resident.items())
 
-    def test_one_decode_per_row_and_no_row_at_a_time_decode(self, corpus12, monkeypatch):
+    def _outcomes(self, monkeypatch, corpus_dir):
+        """What the memoized open and the reference open each return, as
+        (stats, resident items), or raise, as (class, message)."""
+        outcomes = []
+        for startup in (Session._start_preload, _row_at_a_time_preload):
+            with monkeypatch.context() as patch:
+                patch.setitem(
+                    Session._STRATEGIES, Strategy.PRELOAD_ALL, (startup, Session._merge_resident)
+                )
+                try:
+                    session = open_corpus_session(corpus_dir, Strategy.PRELOAD_ALL)
+                except Exception as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    outcomes.append((session.stats(), list(session._resident.items())))
+        return outcomes
+
+    def test_one_decode_per_new_head_or_payload_and_no_row_at_a_time_decode(
+        self, corpus12, monkeypatch
+    ):
         decode = modfile.decode_blob
         decoded = []
 
@@ -507,8 +529,89 @@ class TestPreloadPass:
         monkeypatch.setattr(modfile, "decode_blob", counted)
         monkeypatch.setattr(modfile, "deserialize_decl", refuse)
         session = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
-        rows = sum(len(mf.rows) for mf in session._loaded.values())
-        assert len(decoded) == rows == session.stats().decls_deserialized > 100
+        heads, payloads, new = set(), set(), []
+        blobs = [blob for name in session._load_order for _, _, blob in session._loaded[name].blobs()]
+        for blob in blobs:
+            payload = modfile.split_blob(blob)[1]
+            head = blob[:len(blob) - len(payload)]
+            if head not in heads or payload not in payloads:
+                new.append(blob)
+            heads.add(head)
+            payloads.add(payload)
+        assert decoded == new
+        assert 0 < len(decoded) < len(blobs) == session.stats().decls_deserialized
+
+    def test_one_flipped_byte_raises_or_returns_what_the_reference_does(self, tmp_path, monkeypatch):
+        """Damage one byte past the hash field of one module file, resealed so
+        that the hash still holds, in random releases whose modules all open
+        with the same declarations, so that most modules repeat blob heads
+        and payloads an earlier module holds."""
+        rng = random.Random(28)
+        shared = [
+            Decl("Dup", DeclKind.STRUCT_DEF, fields=(StructField("x", TypeRef("i32")),)),
+            Decl("Fwd", DeclKind.STRUCT_FWD),
+        ]
+        corpora = []
+        for case in range(6):
+            release = random_release(rng)
+            for decls in release.decls.values():
+                decls[:0] = shared
+            corpora.append((tmp_path / f"c{case}", write_corpus(tmp_path / f"c{case}", release.sources())))
+        trials = 240
+        raised = 0
+        for trial in range(trials):
+            corpus_dir, module_map = corpora[trial % len(corpora)]
+            path = corpus_dir / f"{rng.choice(module_map.names)}.pcm"
+            original = path.read_bytes()
+            data = bytearray(original)
+            data[rng.randrange(_HASH_FIELD.stop, len(data))] ^= rng.randrange(1, 256)
+            path.write_bytes(sealed(bytes(data)))
+            try:
+                memoized, reference = self._outcomes(monkeypatch, corpus_dir)
+            finally:
+                path.write_bytes(original)
+            assert memoized == reference
+            raised += isinstance(memoized[0], type)
+        assert 0 < raised < trials
+
+    @staticmethod
+    def _release_with_faulty_row(root, row):
+        """Modules A, then B, whose file is replaced by one holding only
+        `row`, (name, flags, blob) built from A's blob of S."""
+        write_corpus(root, [
+            ("A", {"a.dh": "struct S { x: i32; p: ptr<S>; };\nstruct U;\n"}),
+            ("B", {"b.dh": "struct V;\n"}),
+        ])
+        a = read_module_summary((root / "A.pcm").read_bytes())
+        blob = next(blob for name, _, blob in a.blobs() if name == "S")
+        name, flags, faulty = row(blob, len(blob) - len(modfile.split_blob(blob)[1]))
+        (root / "B.pcm").write_bytes(modfile._emit("B", (), [(name, flags, faulty)]))
+        return faulty
+
+    @pytest.mark.parametrize("row, problem", [
+        (lambda blob, split: ("S", DeclFlags.HAS_FORWARD, blob),
+         "blob of 'S' in module 'B' does not match its flags"),
+        (lambda blob, split: ("T", DeclFlags.HAS_DEFINITION, blob),
+         "blob of 'T' in module 'B' declares 'S'"),
+    ], ids=["flags", "name"])
+    def test_a_memo_hit_is_still_checked_against_its_row(self, tmp_path, monkeypatch, row, problem):
+        self._release_with_faulty_row(tmp_path, row)
+        assert self._outcomes(monkeypatch, tmp_path) == [(CorruptTable, problem)] * 2
+
+    @pytest.mark.parametrize("row", [
+        lambda blob, split: ("S", DeclFlags.HAS_DEFINITION, blob[:3]),
+        lambda blob, split: ("S", DeclFlags.HAS_DEFINITION, blob[:split - 5]),
+        lambda blob, split: ("S", DeclFlags.HAS_DEFINITION, blob[:split - 2]),
+        lambda blob, split: ("S", DeclFlags.HAS_DEFINITION, blob[:split]),
+    ], ids=["under-4-bytes", "path-runs-past", "line-runs-past", "head-only"])
+    def test_a_damaged_head_after_the_same_head_raises_what_decode_blob_does(
+        self, tmp_path, monkeypatch, row
+    ):
+        faulty = self._release_with_faulty_row(tmp_path, row)
+        with pytest.raises(CorruptTable) as excinfo:
+            modfile.decode_blob(faulty)
+        expected = (CorruptTable, str(excinfo.value))
+        assert self._outcomes(monkeypatch, tmp_path) == [expected] * 2
 
     @pytest.mark.parametrize("cost", _COSTS)
     def test_equals_the_reference_on_corpus12(self, corpus12, monkeypatch, cost):

@@ -640,6 +640,31 @@ class TestLeanValues:
         assert index == (corpus12 / index_file_name(flavor)).read_bytes()
         assert len(alive) == 1  # the last summary, still the builder's loop variable
 
+    def test_preload_all_shares_decoded_values_and_drops_its_memo(self, corpus12, monkeypatch):
+        """Candidates whose payloads are byte-identical share the payload and
+        the decoded fields; candidates with identical blob heads share the
+        origin.  The memo behind that sharing is gone when the open returns."""
+        memos = []
+        memo_type = modfile.DecodeMemo
+
+        def recorded():
+            memo = memo_type()
+            memos.append(weakref.ref(memo))
+            return memo
+
+        monkeypatch.setattr(modfile, "DecodeMemo", recorded)
+        session = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
+        assert len(memos) == 1 and memos[0]() is None
+        by_payload: dict[bytes, tuple] = {}
+        by_origin: dict[tuple[str, int], tuple[str, int]] = {}
+        shared_fields = 0
+        for decl, module, payload in (c for cs in session._resident.values() for c in cs):
+            first_decl, first_module, first_payload = by_payload.setdefault(payload, (decl, module, payload))
+            assert payload is first_payload and decl.fields is first_decl.fields
+            shared_fields += bool(decl.fields) and module != first_module
+            assert by_origin.setdefault(decl.origin, decl.origin) is decl.origin
+        assert shared_fields > 0 and len(by_origin) < len(by_payload)
+
     def test_value_types_have_no_dict(self, corpus12):
         mf = read_module_summary((corpus12 / "M0.pcm").read_bytes())
         decls = [deserialize_decl(mf, row)[0] for row in mf.rows.values()]
