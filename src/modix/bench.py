@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import gmi as gmi_mod
 from . import modfile
-from .declang import Decl, DeclKind, StructField, TypeRef, parse_header, render_decl
+from .declang import Decl, DeclKind, FieldMemo, StructField, TypeRef, parse_header, render_decl
 from .errors import EmptyReport
 from .gmi import IndexFlavor
 from .interp import run_script
@@ -256,12 +256,13 @@ def compile_tree(
     owners = module_map.header_owners()
     out.mkdir(parents=True, exist_ok=True)
     compiled = []
+    memo = FieldMemo()  # struct bodies parsed once per build
     for d in module_map.defs:
         asts = []
         imports: list[str] = []
         for header in d.headers:
             origin = header[len(d.name) + 1:] if header.startswith(d.name + "/") else header
-            ast = parse_header(read_text(root / header), origin)
+            ast = parse_header(read_text(root / header), origin, memo)
             asts.append(ast)
             for include in ast.includes:
                 owner = owners.get(include)

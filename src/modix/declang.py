@@ -332,16 +332,49 @@ _ITEM = re.compile(
 _FIELDS = re.compile(_FIELD)
 _SLOT = re.compile(_TYPE)
 _WORD = re.compile(NAME)
+# Enum members read per item or statement, as plain names (see modfile's kind names).
+_STRUCT_DEF, _STRUCT_FWD, _ENUM_DEF = DeclKind.STRUCT_DEF, DeclKind.STRUCT_FWD, DeclKind.ENUM_DEF
+_ALIAS, _FUNC_DECL = DeclKind.ALIAS, DeclKind.FUNC_DECL
+_DEFINITION, _FORWARD_OK = Need.DEFINITION, Need.FORWARD_OK
 
 
-def parse_header(source: str, path: str) -> HeaderAST:
+class FieldMemo(dict[str, tuple[StructField, ...]]):
+    """A struct body's text -> its parsed fields, kept across headers by
+    `parse_header`'s caller.  Unlike a plain dict it can be weakly
+    referenced, so whether it outlives its owner can be checked."""
+
+    __slots__ = ("__weakref__",)
+
+
+def parse_header(
+    source: str, path: str, memo: dict[str, tuple[StructField, ...]] | None = None
+) -> HeaderAST:
     """Parse one header: by pattern when well-formed, else (and for every
-    error) with the token `Cursor`."""
-    return _match_header(source, path) or _parse_header_tokens(source, path)
+    error) with the token `Cursor`.  `memo`, a dict (such as a `FieldMemo`)
+    that the caller keeps across headers, maps a struct body's text to its
+    parsed fields, so a body that repeats is parsed once and its
+    declarations share one `fields` tuple."""
+    return _match_header(source, path, memo) or _parse_header_tokens(source, path)
 
 
-def _match_header(source: str, path: str) -> HeaderAST | None:
-    """The header `_ITEM` matches item after item, or None for the Cursor."""
+def _struct_fields(body: str) -> tuple[StructField, ...] | None:
+    """The fields `_FIELDS` matches in a struct body, or None if a type slot's
+    `ptr<`/`>` counts differ."""
+    fields = []
+    for field, *slot in _FIELDS.findall(body):
+        if (ref := _type_ref(*slot)) is None:
+            return None
+        fields.append(StructField(field, ref))
+    return tuple(fields)
+
+
+def _match_header(
+    source: str, path: str, memo: dict[str, tuple[StructField, ...]] | None = None
+) -> HeaderAST | None:
+    """The header `_ITEM` matches item after item, or None for the Cursor.
+    A struct body is looked up in `memo` first; only a balanced one is stored."""
+    if memo is None:
+        memo = {}
     items: list[Decl] = []
     includes: list[str] = []
     defined: set[str] = set()  # names of the non-forward declarations so far
@@ -354,26 +387,34 @@ def _match_header(source: str, path: str) -> HeaderAST | None:
         if include is not None:
             includes.append(include)
             continue
-        if name and body is None:
-            items.append(Decl(name, DeclKind.STRUCT_FWD, origin=(path, line)))
-            continue
+        origin = (path, line)
         if name:
-            fields = tuple(StructField(f, _type_ref(*slot)) for f, *slot in _FIELDS.findall(body))
-            kind, parts, refs = DeclKind.STRUCT_DEF, {"fields": fields}, [f.type for f in fields]
+            if body is None:
+                items.append(Decl(name, _STRUCT_FWD, (), (), None, (), None, origin))
+                continue
+            fields = memo.get(body)
+            if fields is None:
+                if (fields := _struct_fields(body)) is None:
+                    return None
+                memo[body] = fields
+            decl = Decl(name, _STRUCT_DEF, fields, (), None, (), None, origin)
         elif name := m["enum"]:
-            kind, refs = DeclKind.ENUM_DEF, []
-            parts = {"enumerators": tuple(_WORD.findall(m["enumerators"]))}
+            enumerators = tuple(_WORD.findall(m["enumerators"]))
+            decl = Decl(name, _ENUM_DEF, (), enumerators, None, (), None, origin)
         else:
             refs = [_type_ref(*slot) for slot in _SLOT.findall(m["target"] or m["signature"])]
+            for ref in refs:
+                if ref is None:
+                    return None
             if name := m["alias"]:
-                kind, parts = DeclKind.ALIAS, {"alias_target": refs[0]}
+                decl = Decl(name, _ALIAS, (), (), refs[0], (), None, origin)
             else:
-                name, kind = m["fn"], DeclKind.FUNC_DECL
-                parts = {"params": tuple(refs[:-1]), "returns": refs[-1]}
-        if None in refs or name in defined:
+                name = m["fn"]
+                decl = Decl(name, _FUNC_DECL, (), (), None, tuple(refs[:-1]), refs[-1], origin)
+        if name in defined:
             return None
         defined.add(name)
-        items.append(Decl(name, kind, **parts, origin=(path, line)))
+        items.append(decl)
     return HeaderAST(path, tuple(items), tuple(includes)) if pos == len(source) else None
 
 
@@ -497,13 +538,13 @@ def _parse_statement_tokens(source: str) -> Statement:
 def resolution_request(stmt: Statement) -> tuple[str, Need] | None:
     """The (identifier, need) a statement asks name lookup for, if any."""
     if isinstance(stmt, (NewStmt, SizeOfStmt)):
-        return (stmt.name, Need.DEFINITION)
+        return (stmt.name, _DEFINITION)
     if isinstance(stmt, CallStmt):
-        return (stmt.name, Need.FORWARD_OK)
+        return (stmt.name, _FORWARD_OK)
     if isinstance(stmt, DeclareStmt):
         if stmt.type.is_builtin:
             return None
-        need = Need.DEFINITION if stmt.type.indirection == 0 else Need.FORWARD_OK
+        need = _DEFINITION if stmt.type.indirection == 0 else _FORWARD_OK
         return (stmt.type.base, need)
     return None
 

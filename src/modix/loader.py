@@ -19,7 +19,9 @@ A session extends name lookup through one of five strategies:
 Each strategy is one startup and one resolve method, paired in
 ``Session._STRATEGIES``.  The resident name table maps a name to its merge
 candidates: each declaration with its source (a module or a header) and its
-payload bytes, sliced from the blob or encoded once when a header is parsed.
+payload bytes, sliced from the blob, or for a header's declaration encoded at
+its name's first merge.  textual parses each struct body once per session
+(``declang.parse_header``'s memo), so repeated bodies share their fields.
 A lookup finds a candidate's row once, in its loaded module's ``rows``, and
 hands that row to ``modfile.deserialize_decl``; the index strategies read an
 identifier's postings through ``GlobalIndex.entry``.
@@ -61,11 +63,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path, PurePath
+from pathlib import Path
 from typing import NamedTuple, Sequence
 from . import gmi as gmi_mod
 from . import modfile
-from .declang import HeaderAST, Need, parse_header
+from .declang import FieldMemo, HeaderAST, Need, parse_header
 from .errors import (
     IndexStale,
     MissingPch,
@@ -175,7 +177,7 @@ class Resolution:
 
     @property
     def succeeded(self) -> bool:
-        return self.outcome is not ResolutionOutcome.NOT_FOUND
+        return self.outcome is not _UNRESOLVED
 
 
 class _Marker(Enum):
@@ -188,7 +190,8 @@ _IMPLICIT_FORWARD = Resolution(ResolutionOutcome.IMPLICIT_FORWARD)
 # Enum members read per lookup, as plain names (see modfile's kind names).
 _ABSENT, _FORWARD_ONLY = _Marker.ABSENT, _Marker.FORWARD_ONLY
 _DEFINITION, _FORWARD_OK = Need.DEFINITION, Need.FORWARD_OK
-_RESOLVED, _FORWARD = ResolutionOutcome.RESOLVED, modfile.EntityKind.FORWARD
+_RESOLVED, _UNRESOLVED = ResolutionOutcome.RESOLVED, ResolutionOutcome.NOT_FOUND
+_FORWARD = modfile.EntityKind.FORWARD
 
 
 class Session:
@@ -222,6 +225,9 @@ class Session:
         self._index: GlobalIndex | None = None
         self._rootmap: dict[str, str] | None = None
         self._parsed_headers: set[str] = set()
+        self._fields = FieldMemo()  # textual's struct bodies, parsed once per session
+        # Each name's merge candidates.  textual commits them with no payload
+        # (None); `_resolve_textual` encodes them at the name's one merge.
         self._resident: dict[str, list[Candidate]] = {}
         self._payloads: dict[bytes, bytes] = {}  # each distinct payload, held once
         self._merge_order: dict[str, int] = {name: i for i, name in enumerate(map.names)}
@@ -455,7 +461,12 @@ class Session:
         header = self._rootmap.get(identifier)
         if header is not None:
             self._parse_header_cascade(header)
-        return self._merge_resident(identifier)
+        # A name merges once, as resolutions are cached: encode its payloads now.
+        candidates = []
+        for decl, rel, _ in self._resident.get(identifier, ()):
+            payload = modfile.encode_payload(decl)
+            candidates.append((decl, rel, self._payloads.setdefault(payload, payload)))
+        return self._merge(candidates)
 
     def _parse_header_cascade(self, relpath: str) -> None:
         """Parse a header and, transitively, every header it includes that is
@@ -469,10 +480,10 @@ class Session:
         def visit(rel: str) -> None:
             if rel in self._parsed_headers or rel in parsed:
                 return
-            if PurePath(rel).is_absolute() or ".." in PurePath(rel).parts:
+            if rel.startswith("/") or ".." in rel.split("/"):
                 raise UnreadableFile(f"cannot read {rel}: outside the release root")
             text = read_text(root_file(self.paths.release_root, rel, self.overlay))
-            ast = parse_header(text, rel)
+            ast = parse_header(text, rel, self._fields)
             parsed[rel] = (text, ast)
             for include in ast.includes:
                 visit(include)
@@ -483,8 +494,7 @@ class Session:
             self._charge_read(len(text.encode("utf-8")))
             self._merge_order[rel] = len(self._merge_order)
             for decl in ast.items:
-                candidate = (decl, rel, modfile.encode_payload(decl))
-                self._resident.setdefault(decl.name, []).append(candidate)
+                self._resident.setdefault(decl.name, []).append((decl, rel, None))
 
     def _visible(self, postings: tuple[gmi_mod.Posting, ...]) -> list[gmi_mod.Posting]:
         return [p for p in postings if p.module not in self._shadowed]

@@ -693,17 +693,28 @@ class TestTextual:
         assert after.bytes_read == before.bytes_read
         assert after.sim_memory_bytes == before.sim_memory_bytes
 
-    @pytest.mark.parametrize("via", ["rootmap", "include"])
-    def test_header_outside_release_root_raises_on_every_try(self, tmp_path, via):
+    @pytest.mark.parametrize(
+        "via, spelling",
+        [
+            ("rootmap", "../outside.dh"),
+            ("include", "{outside}"),
+            ("rootmap", "a/../../outside.dh"),
+            ("include", "./../outside.dh"),
+            ("rootmap", "/{outside}"),
+        ],
+        ids=["rootmap", "include", "climbs-past-a-dir", "dot-then-climbs", "double-slash"],
+    )
+    def test_header_outside_release_root_raises_on_every_try(self, tmp_path, via, spelling):
         corpus_dir = tmp_path / "release"
         write_corpus(corpus_dir, [("M", {"t.dh": "struct A { x: i32; };\n"})])
         outside = tmp_path / "outside.dh"
         outside.write_text("struct Secret { x: i32; };\n", "utf-8")
+        target = spelling.format(outside=outside)
         if via == "rootmap":
-            ident, target = "Secret", "../outside.dh"
+            ident = "Secret"
             line = f"Secret {target}\n"
         else:
-            ident, target = "Inner", str(outside)
+            ident = "Inner"
             (corpus_dir / "inner.dh").write_text(
                 f'include "{target}";\nstruct Inner {{ s: Secret; }};\n', "utf-8"
             )
@@ -715,6 +726,21 @@ class TestTextual:
             with pytest.raises(UnreadableFile, match=re.escape(target)):
                 session.resolve(ident, Need.DEFINITION)
         assert session.stats().headers_parsed == 0
+
+    @pytest.mark.parametrize("dirname", ["a..b", "..."])
+    def test_header_under_a_dotted_directory_parses(self, tmp_path, dirname):
+        """Only a `..` part climbs; a name that merely contains dots does not."""
+        corpus_dir = tmp_path / "release"
+        write_corpus(corpus_dir, [("M", {"t.dh": "struct A { x: i32; };\n"})])
+        (corpus_dir / dirname).mkdir()
+        (corpus_dir / dirname / "d.dh").write_text("struct Dotted { x: i64; };\n", "utf-8")
+        with open(corpus_dir / "modules.rootmap", "a", encoding="utf-8") as rootmap:
+            rootmap.write(f"Dotted {dirname}/d.dh\n")
+        session = open_corpus_session(corpus_dir, Strategy.TEXTUAL)
+        resolution = session.resolve("Dotted", Need.DEFINITION)
+        assert resolution.outcome is ResolutionOutcome.RESOLVED
+        assert resolution.entity.defining_module == f"{dirname}/d.dh"
+        assert session.stats().headers_parsed == 1
 
 
 class TestLocalShadowing:

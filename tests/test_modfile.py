@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import random
@@ -60,7 +61,7 @@ from modix.modfile import (
 )
 from modix.loader import ROOTMAP_FILE_NAME, LoadStats, Resolution, ResolutionOutcome, Strategy
 from modix.modulemap import FINAL_MAP_NAME, ModuleDef, load_modulemap
-from conftest import build_random_corpus
+from conftest import build_random_corpus, outcome_signature
 from test_declang import _decls
 
 
@@ -664,6 +665,51 @@ class TestLeanValues:
             shared_fields += bool(decl.fields) and module != first_module
             assert by_origin.setdefault(decl.origin, decl.origin) is decl.origin
         assert shared_fields > 0 and len(by_origin) < len(by_payload)
+
+    def test_textual_parses_each_struct_body_once_per_session(self, corpus12, monkeypatch):
+        """A textual session parses each struct body once: declarations whose
+        headers repeat a body share one `fields` tuple.  Sessions share no
+        memo, and a dropped session's memo is freed.  A payload is encoded at
+        its name's merge, once per merged candidate, not at each commit."""
+        encoded: list[str] = []
+        encode = modfile.encode_payload
+
+        def counted(decl):
+            encoded.append(decl.name)
+            return encode(decl)
+
+        monkeypatch.setattr(modfile, "encode_payload", counted)
+        rootmap = (corpus12 / ROOTMAP_FILE_NAME).read_text("utf-8")
+        names = [line.split()[0] for line in rootmap.splitlines()][::4]
+        session = open_corpus_session(corpus12, Strategy.TEXTUAL)
+        preload = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
+        for name in names:
+            before = len(encoded)
+            for need in Need:
+                assert outcome_signature(session, name, need) == outcome_signature(preload, name, need)
+            assert encoded[before:] == [name] * len(session._resident[name])
+        committed = [c for cs in session._resident.values() for c in cs]
+        assert len(encoded) < len(committed)
+
+        by_body: dict[tuple, tuple[tuple, str]] = {}
+        shared = 0
+        for decl, header, _ in committed:
+            if decl.fields:
+                first, first_header = by_body.setdefault(decl.fields, (decl.fields, header))
+                assert decl.fields is first
+                shared += header != first_header
+        assert shared > 0
+
+        other = open_corpus_session(corpus12, Strategy.TEXTUAL)
+        for name in names:
+            other.resolve(name, Need.DEFINITION)
+        assert other._fields is not session._fields
+        mine = {id(fields) for fields, _ in by_body.values()}
+        assert not mine & {id(d.fields) for cs in other._resident.values() for d, _, _ in cs if d.fields}
+        memo = weakref.ref(session._fields)
+        del session
+        gc.collect()
+        assert memo() is None
 
     def test_value_types_have_no_dict(self, corpus12):
         mf = read_module_summary((corpus12 / "M0.pcm").read_bytes())

@@ -103,3 +103,26 @@ def test_worker_api_contract(tmp_path):
     header, line = bench.emit_report([row], "csv").splitlines()
     assert header.split(",") == list(bench.CSV_COLUMNS)
     assert line.split(",")[:2] == ["contract", "semantic-gmi"]
+
+
+def test_traced_header_parses_match_headers_parsed(tmp_path, monkeypatch):
+    """`declang.headers_parsed.textual` is the span count of the
+    `loader.parse_header` patch point: each header a textual session parses
+    passes through that name exactly once, memo and all."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import modix.loader
+    from modix import bench, interp
+    from modix.loader import Strategy
+
+    spec = bench.CorpusSpec(n_modules=6, defs_per_module=2, fwd_fanout=2, dup_fraction=0.5, seed=3)
+    bench.generate_corpus(spec, tmp_path)
+    tracer = spans.Tracer()
+    monkeypatch.setattr(
+        modix.loader, "parse_header", tracer.wrap(modix.loader.parse_header, "declang", "parse_header")
+    )
+    session = bench.open_corpus_session(tmp_path, Strategy.TEXTUAL)
+    results = interp.run_script(session, "sizeof(S0_0);\nnew S3_1;\ncall S5_0;\nsizeof(S2_1);\nsizeof(S0_0);")
+    assert all(result.ok for result in results)
+    assert tracer.calls["parse_header"] == session.stats().headers_parsed > 0
