@@ -49,6 +49,7 @@ from .modfile import (
     build_pch,
     compile_module,
     deserialize_decl,
+    fold_rows,
     merge_entities,
     read_module_summary,
 )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import gmi as gmi_mod
 from . import modfile
@@ -26,8 +26,7 @@ from .declang import Decl, DeclKind, FieldMemo, StructField, TypeRef, parse_head
 from .errors import EmptyReport
 from .gmi import IndexFlavor
 from .interp import run_script
-from .loader import ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy
-from .loader import open_session
+from .loader import ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy, open_session
 from .modulemap import FINAL_MAP_NAME, ModuleMap, SearchPaths, load_modulemap, read_text
 
 CSV_COLUMNS = (
@@ -207,8 +206,8 @@ def write_corpus(
 ) -> ModuleMap:
     """Write the sources of (module name, {header name: text}) descriptions
     (headers, per-library maps and `module.modulemap`), then build the release
-    from them: module files and rootmap (`compile_tree`), PCH and both indexes.
-    Imports come from includes, as in `compile_tree`."""
+    from them: module files and rootmap (`compile_tree`), then the PCH and both
+    indexes from its one fold.  Imports come from includes, as in `compile_tree`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     map_texts: list[str] = []
@@ -224,26 +223,25 @@ def write_corpus(
         map_texts.append(map_text)
     (out / FINAL_MAP_NAME).write_text("".join(map_texts), "utf-8")
 
-    module_map, compiled = compile_tree(out / FINAL_MAP_NAME, out)
-    (out / modfile.PCH_FILE_NAME).write_bytes(modfile.build_pch(compiled))
+    module_map, release = compile_tree(out / FINAL_MAP_NAME, out)
+    (out / modfile.PCH_FILE_NAME).write_bytes(modfile.build_pch(release))
     for flavor in (IndexFlavor.SEMANTIC, IndexFlavor.LEXICAL):
-        (out / gmi_mod.index_file_name(flavor)).write_bytes(
-            gmi_mod.build_index(module_map, compiled, flavor)
-        )
+        index = gmi_mod.build_index(module_map, release, flavor)
+        (out / gmi_mod.index_file_name(flavor)).write_bytes(index)
     return module_map
 
 
 def compile_tree(
     map_path: str | Path, out_dir: str | Path
-) -> tuple[ModuleMap, list[modfile.ModuleFile]]:
+) -> tuple[ModuleMap, modfile.Release]:
     """Compile every module of a final module map into `out_dir`.
 
     Headers are read relative to the map's directory.  A module imports each
     other module that owns a header it includes, in include order.  Origins
     are stored relative to the module's own directory, so the module files
     stay relocatable.  Writes `<name>.pcm` per module, a copy of the map and
-    the rootmap, which an ODR conflict between modules refuses (see
-    `build_rootmap`); returns the map and the summaries in map order.  A
+    the rootmap, which an ODR conflict between modules refuses; returns the
+    map and the release its summaries fold to (`modfile.fold_rows`).  A
     previous build's rootmap is removed first, so a tree that raises here
     leaves none.
     """
@@ -255,7 +253,7 @@ def compile_tree(
     module_map = load_modulemap(map_path, map_text)
     owners = module_map.header_owners()
     out.mkdir(parents=True, exist_ok=True)
-    compiled = []
+    compiled = []  # each module's file bytes, read back one at a time by the fold
     memo = FieldMemo()  # struct bodies parsed once per build
     for d in module_map.defs:
         asts = []
@@ -270,18 +268,24 @@ def compile_tree(
                     imports.append(owner)
         data = modfile.compile_module(d.name, asts, imports)
         (out / f"{d.name}{modfile.FILE_EXTENSION}").write_bytes(data)
-        compiled.append(modfile.read_module_summary(data))
+        compiled.append(data)
     (out / FINAL_MAP_NAME).write_text(map_text, "utf-8")
-    (out / ROOTMAP_FILE_NAME).write_text(build_rootmap(compiled), "utf-8")
-    return module_map, compiled
+    release = modfile.fold_rows(map(modfile.read_module_summary, compiled))
+    (out / ROOTMAP_FILE_NAME).write_text(build_rootmap(module_map, release), "utf-8")
+    return module_map, release
 
 
-def build_rootmap(compiled: Iterable[modfile.ModuleFile]) -> str:
-    """One `IDENT HEADER` line per `modfile.fold_rows` winner of `compiled`,
-    given in module map order, pointing at the header its blob's head names;
-    an ODR conflict raises the fold's OdrViolation."""
-    winners = sorted(modfile.fold_rows(compiled).items())
-    return "".join(f"{name} {module}/{modfile.split_blob(blob)[0]}\n" for name, (module, _, blob) in winners)
+def build_rootmap(module_map: ModuleMap, release: modfile.Release) -> str:
+    """One `IDENT HEADER` line per winner of a folded release, naming the map
+    path its header was compiled from: `<module>/<origin>` where that module
+    lists it, else the origin its blob's head names."""
+    owners = module_map.header_owners()
+    lines = []
+    for name, (module, _, blob) in sorted(release.winners.items()):
+        origin = modfile.split_blob(blob)[0]
+        path = f"{module}/{origin}"
+        lines.append(f"{name} {path if owners.get(path) == module else origin}\n")
+    return "".join(lines)
 
 
 # --- harness ---

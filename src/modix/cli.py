@@ -83,7 +83,8 @@ def _cmd_pch(args: argparse.Namespace) -> int:
     corpus = Path(args.dir)
     module_map = load_modulemap(corpus / FINAL_MAP_NAME)
     out = Path(args.out) if args.out else corpus / modfile.PCH_FILE_NAME
-    out.write_bytes(modfile.build_pch(modfile.read_modules(corpus, module_map.names)))
+    release = modfile.fold_rows(modfile.read_modules(corpus, module_map.names))
+    out.write_bytes(modfile.build_pch(release))
     print(f"wrote {out}")
     return 0
 
@@ -95,9 +96,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
     for name in args.exclude:
         if name not in module_map.names:
             raise ModixError(f"cannot exclude '{name}': no such module in {map_path}")
-    indexed = [name for name in module_map.names if name not in args.exclude]
+    indexed = modfile.read_modules(corpus, (n for n in module_map.names if n not in args.exclude))
     flavor = IndexFlavor.SEMANTIC if args.semantic else IndexFlavor.LEXICAL
-    data = gmi_mod.build_index(module_map, modfile.read_modules(corpus, indexed), flavor)
+    data = gmi_mod.build_index(module_map, modfile.fold_rows(indexed), flavor)
     out = Path(args.out) if args.out else corpus / gmi_mod.index_file_name(flavor)
     out.write_bytes(data)
     print(f"wrote {out} ({flavor.name.lower()}, {len(data)} bytes)")

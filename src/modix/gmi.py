@@ -38,14 +38,13 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, read_artifact
 from ._wire import sealed, self_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
-from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex
-from .errors import reading
-from .modfile import FILE_EXTENSION, EntityKind, ModuleFile, content_hashes, fold_rows, merges_as
+from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex, reading
+from .modfile import FILE_EXTENSION, EntityKind, Release, content_hashes
 from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modulemap import ModuleMap, Overlay, root_file
 
@@ -128,39 +127,23 @@ class GlobalIndex:
         return tuple(map(self.shared.__getitem__, keys))
 
 
-def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlavor) -> bytes:
-    """Index the identifier tables of the summaries handed in, given in module
-    map order; a module's id is its position in the map.
-
-    Map modules not handed in are excluded: they contribute no postings but
-    are recorded so sessions know to consult them directly.  Each indexed
-    module's content hash is stored for staleness checks.  Each summary is
-    recorded as `modfile.fold_rows` takes it, so the build raises what the
-    fold raises; DEFINES marks the postings of the fold winner's kind.
-    """
-    rows: list[IndexedModule] = []
-    postings: dict[str, list[tuple[int, EntityKind]]] = {}  # in map order
-
-    def recorded() -> Iterator[ModuleFile]:
-        for mf in modules:
-            module_id = map.module_id(mf.module_name)
-            rows.append(IndexedModule(module_id, mf.module_name, mf.content_hash))
-            for name, flags in zip(mf.rows, mf.flags):
-                postings.setdefault(name, []).append((module_id, merges_as(flags)))
-            yield mf
-
-    winners = fold_rows(recorded())
-    indexed = {row.name for row in rows}
-    excluded = [name for name in map.names if name not in indexed]
+def build_index(map: ModuleMap, release: Release, flavor: IndexFlavor) -> bytes:
+    """Index a folded release (`modfile.fold_rows`); a module's id is its
+    position in the map.  Map modules not folded are excluded: they
+    contribute no postings but are recorded so sessions know to consult them
+    directly.  Each indexed module's content hash is stored for staleness
+    checks.  DEFINES marks the postings of a name's top-ranked kind, the
+    fold winner's."""
+    ids = {name: map.module_id(name) for name, _ in release.modules}
+    excluded = [name for name in map.names if name not in ids]
 
     module_ids: list[int] = []
     posting_flags: list[int] = []
 
-    def posting_end(entry: tuple[list[tuple[int, EntityKind]], int]) -> tuple[int]:
-        plist, winner_flags = entry
-        top = merges_as(winner_flags) if flavor is IndexFlavor.SEMANTIC else None
-        for module_id, kind in plist:
-            module_ids.append(module_id)
+    def posting_end(plist: list[tuple[str, EntityKind]]) -> tuple[int]:
+        top = max(kind for _, kind in plist) if flavor is IndexFlavor.SEMANTIC else None
+        for module, kind in plist:
+            module_ids.append(ids[module])
             defines = kind is top and top is not EntityKind.FORWARD
             posting_flags.append(_DEFINES if defines else PostingFlags.MENTIONS)
         return (len(module_ids),)
@@ -173,12 +156,12 @@ def build_index(map: ModuleMap, modules: Iterable[ModuleFile], flavor: IndexFlav
     w.u32(len(excluded))
     for name in byte_order(excluded):
         w.lpstr(name)
-    w.u32(len(rows))
-    for row in rows:
-        w.u32(row.module_id)
-        w.lpstr(row.name)
-        w.u64(row.content_hash)
-    w.table({name: (plist, winners[name][1]) for name, plist in postings.items()}, "I", posting_end)
+    w.u32(len(release.modules))
+    for name, content_hash in release.modules:
+        w.u32(ids[name])
+        w.lpstr(name)
+        w.u64(content_hash)
+    w.table(release.postings, "I", posting_end)
     w.column("I", module_ids)
     w.column("B", posting_flags)
     return sealed(w.getvalue())

@@ -581,31 +581,42 @@ def merge_entities(
     return Entity(decl.name, kind, payload, module, decl)
 
 
-def fold_rows(modules: Iterable[ModuleFile]) -> dict[str, tuple[str, int, bytes]]:
-    """The one release fold, which every release builder runs: each name's
-    winning row across whole modules, given in module map order, as its
-    module, its kind's flags and its blob, verbatim.  Each summary's raw rows
-    are folded (`_fold`) as the stream yields it, keyed by each payload's tag,
-    so one summary is held at a time, and the first ODR conflict in module
-    order raises OdrViolation.  A blob head whose tag does not merge as its
-    row's flags raises CorruptTable; the rest of a payload is checked when
-    decoded."""
+class Release(NamedTuple):
+    """A folded release (`fold_rows`), each part in module map order."""
+
+    modules: list[tuple[str, int]]  # each folded module's name and content hash
+    postings: dict[str, list[tuple[str, EntityKind]]]  # each name's (module, kind), one per module
+    winners: dict[str, tuple[str, int, bytes]]  # each name's winning module, kind's flags and blob
+
+
+def fold_rows(modules: Iterable[ModuleFile]) -> Release:
+    """The one release fold, and the one walk of a release's module rows:
+    every release builder is a view of its `Release`.  Each summary, given in
+    module map order, has its raw rows folded (`_fold`) as the stream yields
+    it, keyed by each payload's tag, so one summary is held at a time; the
+    first ODR conflict in module order raises OdrViolation, and a blob head
+    whose tag does not merge as its row's flags raises CorruptTable."""
+    release = Release([], {}, {})
     merged: dict[str, dict[EntityKind, tuple[bytes, str, bytes]]] = {}
     for mf in modules:
         module = mf.module_name
+        release.modules.append((module, mf.content_hash))
+        posting = [(module, kind) for kind in EntityKind]  # this module's, shared by its rows
         for name, flags, blob in mf.blobs():
             payload = split_blob(blob)[1]
             facts = _TAG_FACTS.get(payload[0])
             if facts is None or facts.entity is not merges_as(flags):
                 raise CorruptTable(f"blob of '{name}' in module '{module}' does not match its flags")
+            release.postings.setdefault(name, []).append(posting[facts.entity])
             _fold(merged.setdefault(name, {}), facts.entity, name, (blob, module, payload))
-    winners = zip(merged, (firsts[max(firsts)] for firsts in merged.values()))
-    return {name: (module, _TAG_FACTS[payload[0]].flags, blob) for name, (blob, module, payload) in winners}
+    for name, firsts in merged.items():
+        blob, module, payload = firsts[max(firsts)]
+        release.winners[name] = (module, _TAG_FACTS[payload[0]].flags, blob)
+    return release
 
 
-def build_pch(modules: Iterable[ModuleFile]) -> bytes:
-    """Merge whole modules, given in module map order, into one precompiled
-    cache named `__pch__`: one row per `fold_rows` winner, with its blob and
-    flags, so it raises what the fold raises."""
-    rows = [(name, flags, blob) for name, (_, flags, blob) in fold_rows(modules).items()]
+def build_pch(release: Release) -> bytes:
+    """The precompiled cache named `__pch__` of a folded release: one row per
+    winner, with its blob and flags."""
+    rows = [(name, flags, blob) for name, (_, flags, blob) in release.winners.items()]
     return _emit(PCH_MODULE_NAME, (), rows)

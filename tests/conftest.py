@@ -27,7 +27,7 @@ from modix.declang import render_decl
 from modix.errors import ModixError, OdrViolation
 from modix.gmi import IndexFlavor, build_index
 from modix.loader import ResolutionOutcome, Session, Strategy
-from modix.modfile import _KINDS, compile_module, read_module_summary, read_modules
+from modix.modfile import _KINDS, compile_module, fold_rows, read_module_summary, read_modules
 from modix.modulemap import ModuleMap
 
 BUILTINS = ("i32", "i64", "f64", "bool")
@@ -233,7 +233,7 @@ def index_bytes(
     """The index of the corpus's module files, all but `excluded`, as
     `modix index --exclude` builds it."""
     indexed = [name for name in module_map.names if name not in excluded]
-    return build_index(module_map, read_modules(corpus_dir, indexed), flavor)
+    return build_index(module_map, fold_rows(read_modules(corpus_dir, indexed)), flavor)
 
 
 def write_local_rebuilds(rng: random.Random, corpus: BuiltCorpus, local_dir: Path) -> None:

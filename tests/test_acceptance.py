@@ -40,6 +40,7 @@ from modix.modfile import (
     deserialize_decl,
     encode_blob,
     encode_payload,
+    fold_rows,
     merge_entities,
     read_module_summary,
 )
@@ -219,7 +220,7 @@ def test_criterion_5_odr_machinery(tmp_path):
         modules = []
         for path in sorted(corpus_dir.glob("M*.pcm")):
             modules.append(read_module_summary(path.read_bytes()))
-        pch = read_module_summary(build_pch(modules))
+        pch = read_module_summary(build_pch(fold_rows(modules)))
         assert len(pch.rows) < sum(len(m.rows) for m in modules)
 
 

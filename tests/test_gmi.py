@@ -23,7 +23,7 @@ from modix.gmi import (
     validate_index,
 )
 from modix.modfile import DeclFlags, EntityKind, compile_module, deserialize_decl, merge_entities
-from modix.modfile import read_module_summary
+from modix.modfile import fold_rows, read_module_summary, read_modules
 from modix.modulemap import FINAL_MAP_NAME, ModuleDef, concat_modulemaps
 
 _DEFINES = PostingFlags.MENTIONS | PostingFlags.DEFINES
@@ -175,9 +175,12 @@ class TestBuildFromSummaries:
     @pytest.mark.parametrize("flavor", list(IndexFlavor))
     @pytest.mark.parametrize("excluded", [(), ("M3",)])
     def test_compiled_summaries_index_as_the_files_do(self, corpus12, tmp_path, flavor, excluded):
-        module_map, compiled = compile_tree(corpus12 / FINAL_MAP_NAME, tmp_path)
-        handed = [mf for mf in compiled if mf.module_name not in excluded]
-        data = build_index(module_map, handed, flavor)
+        module_map, release = compile_tree(corpus12 / FINAL_MAP_NAME, tmp_path)
+        summaries = list(read_modules(tmp_path, module_map.names))
+        assert release == fold_rows(summaries)
+        if excluded:
+            release = fold_rows(mf for mf in summaries if mf.module_name not in excluded)
+        data = build_index(module_map, release, flavor)
         assert data == index_bytes(module_map, tmp_path, flavor, excluded)
         assert load_index(data).excluded == excluded
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import gc
 import hashlib
 import itertools
@@ -14,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from modix import modfile
 from modix._wire import Reader, Writer, sealed
-from modix.bench import build_rootmap, open_corpus_session, write_corpus
+from modix.bench import CorpusSpec, build_rootmap, generate_corpus, open_corpus_session, write_corpus
+from modix.cli import main
 from modix.declang import (
     CallStmt,
     Decl,
@@ -54,6 +54,7 @@ from modix.modfile import (
     decode_blob,
     encode_blob,
     encode_payload,
+    fold_rows,
     merge_entities,
     read_module_summary,
     read_modules,
@@ -433,7 +434,7 @@ class TestBuildPch:
 
     def test_disjoint_modules_sum_their_names(self):
         pch = read_module_summary(
-            build_pch([self._mf("M0", "struct A;"), self._mf("M1", "struct B;")])
+            build_pch(fold_rows([self._mf("M0", "struct A;"), self._mf("M1", "struct B;")]))
         )
         assert pch.module_name == "__pch__"
         assert pch.imports == ()
@@ -442,7 +443,7 @@ class TestBuildPch:
     def test_forwards_collapse_into_the_definition(self):
         mods = [self._mf("M0", "struct Gpad { x: i32; };")]
         mods += [self._mf(f"M{i}", "struct Gpad;") for i in range(1, 6)]
-        pch = read_module_summary(build_pch(mods))
+        pch = read_module_summary(build_pch(fold_rows(mods)))
         assert dict(zip(pch.rows, pch.flags)) == {"Gpad": DeclFlags.HAS_DEFINITION}
 
     def test_duplicated_content_dedups(self):
@@ -451,7 +452,7 @@ class TestBuildPch:
             self._mf("M0", shared + "struct A;"),
             self._mf("M1", shared + "struct B;"),
         ]
-        pch = read_module_summary(build_pch(mods))
+        pch = read_module_summary(build_pch(fold_rows(mods)))
         assert len(pch.rows) == 3
         assert len(pch.rows) < sum(len(m.rows) for m in mods)
 
@@ -461,7 +462,7 @@ class TestBuildPch:
             self._mf("M1", "struct A { x: i64; };"),
         ]
         with pytest.raises(OdrViolation):
-            build_pch(mods)
+            build_pch(fold_rows(mods))
 
     def test_odr_violation_is_raised_without_reading_further(self):
         def stream():
@@ -470,12 +471,12 @@ class TestBuildPch:
             raise AssertionError("the stream was read past the conflict")
 
         with pytest.raises(OdrViolation) as excinfo:
-            build_pch(stream())
+            build_pch(fold_rows(stream()))
         assert (excinfo.value.module_a, excinfo.value.module_b) == ("M0", "M1")
 
     def test_pch_round_trips(self):
         mods = [self._mf("M0", "struct A { x: i32; };"), self._mf("M1", "struct A;")]
-        pch = read_module_summary(build_pch(mods))
+        pch = read_module_summary(build_pch(fold_rows(mods)))
         assert deserialize_decl(pch, pch.rows["A"])[0].kind is DeclKind.STRUCT_DEF
 
 
@@ -516,22 +517,41 @@ _clashing_decl = st.sampled_from([
 _clashing_module = st.dictionaries(st.sampled_from("ABCD"), _clashing_decl, min_size=1)
 
 
+_FOLD_SOURCES = [
+    ("M0", {"t.dh": "struct A { x: i32; };\nstruct B;\n"}),
+    ("M1", {"t.dh": "struct A { x: i32; };\nstruct B { a: ptr<A>; };\nusing T = i32;\n"}),
+]
+
+
+def _counted_folds(monkeypatch) -> list:
+    """Record each call of `modfile.fold_rows`."""
+    calls = []
+    fold = modfile.fold_rows
+
+    def counted(modules):
+        calls.append(modules)
+        return fold(modules)
+
+    monkeypatch.setattr(modfile, "fold_rows", counted)
+    return calls
+
+
 class TestRawFold:
-    """`build_pch` folds raw rows: it equals the decode-and-re-encode
-    reference byte for byte, raises the same OdrViolation, and decodes and
-    encodes nothing."""
+    """`fold_rows` folds raw rows: the `build_pch` of its release equals the
+    decode-and-re-encode reference byte for byte, it raises the same
+    OdrViolation, it decodes and encodes nothing, and a build runs it once."""
 
     def test_equals_the_reference_on_corpus12(self, corpus12):
         names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
         modules = list(read_modules(corpus12, names))
-        assert build_pch(modules) == _reference_pch(modules) == (corpus12 / PCH_FILE_NAME).read_bytes()
+        assert build_pch(fold_rows(modules)) == _reference_pch(modules) == (corpus12 / PCH_FILE_NAME).read_bytes()
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_equals_the_reference_on_random_corpora(self, tmp_path_factory, seed):
         corpus = build_random_corpus(random.Random(seed), tmp_path_factory.mktemp("fold"))
         modules = list(read_modules(corpus.dir, corpus.map.names))
-        assert build_pch(modules) == _reference_pch(modules)
+        assert build_pch(fold_rows(modules)) == _reference_pch(modules)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_clashing_module, min_size=1, max_size=5))
@@ -542,38 +562,57 @@ class TestRawFold:
             )]))
             for m, decls in enumerate(sources)
         ]
-        assert _outcome(build_pch, modules) == _outcome(_reference_pch, modules)
+        assert _outcome(lambda modules: build_pch(fold_rows(modules)), modules) == _outcome(_reference_pch, modules)
 
-    def test_builds_decode_and_encode_nothing(self, corpus12, monkeypatch):
+    def test_builds_decode_and_encode_nothing(self, corpus12, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("a release build decoded or encoded a declaration")
 
         module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
         modules = list(read_modules(corpus12, module_map.names))
+        encode, compile_module = modfile.encode_payload, modfile.compile_module
         for name in ("decode_blob", "encode_blob", "encode_payload", "deserialize_decl"):
             monkeypatch.setattr(modfile, name, refuse)
-        assert build_pch(modules) == (corpus12 / PCH_FILE_NAME).read_bytes()
-        assert build_rootmap(modules) == (corpus12 / ROOTMAP_FILE_NAME).read_text("utf-8")
+        release = fold_rows(modules)
+        assert build_pch(release) == (corpus12 / PCH_FILE_NAME).read_bytes()
+        assert build_rootmap(module_map, release) == (corpus12 / ROOTMAP_FILE_NAME).read_text("utf-8")
         for flavor in IndexFlavor:
             index = (corpus12 / index_file_name(flavor)).read_bytes()
-            assert build_index(module_map, modules, flavor) == index
+            assert build_index(module_map, release, flavor) == index
 
-    def test_every_builder_runs_the_one_fold(self, corpus12, monkeypatch):
-        # No builder keeps a winner rule of its own: each reaches `_fold`.
-        class Folded(Exception):
-            pass
+        def compile_encoding(*args):
+            # Compiling encodes each declaration; nothing after it may.
+            modfile.encode_payload = encode
+            try:
+                return compile_module(*args)
+            finally:
+                modfile.encode_payload = refuse
 
-        def fold(*args):
-            raise Folded
+        monkeypatch.setattr(modfile, "compile_module", compile_encoding)
+        spec = CorpusSpec(
+            n_modules=12, defs_per_module=3, fwd_fanout=3,
+            dup_fraction=0.5, import_density=1.0, seed=7,
+        )
+        generate_corpus(spec, tmp_path)  # corpus12, through `write_corpus`
+        for path in corpus12.iterdir():
+            if path.is_file():
+                assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
-        module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
-        modules = list(read_modules(corpus12, module_map.names))
-        monkeypatch.setattr(modfile, "_fold", fold)
-        builds = [build_pch, build_rootmap]
-        builds += [functools.partial(build_index, module_map, flavor=flavor) for flavor in IndexFlavor]
-        for build in builds:
-            with pytest.raises(Folded):
-                build(modules)
+    def test_write_corpus_folds_once(self, tmp_path, monkeypatch):
+        folds = _counted_folds(monkeypatch)
+        write_corpus(tmp_path, _FOLD_SOURCES)
+        assert len(folds) == 1
+
+    def test_each_cli_step_folds_once(self, tmp_path, monkeypatch, capsys):
+        write_corpus(tmp_path, _FOLD_SOURCES)
+        folds = _counted_folds(monkeypatch)
+        for argv in (
+            ["compile", str(tmp_path / FINAL_MAP_NAME), "-o", str(tmp_path)], ["pch", str(tmp_path)],
+            ["index", str(tmp_path), "--semantic"], ["index", str(tmp_path), "--lexical"],
+        ):
+            folds.clear()
+            assert main(argv) == 0
+            assert len(folds) == 1, argv
 
     @pytest.mark.parametrize("flags, blob, problem", [
         # A struct definition's blob in a forward declaration's row.
@@ -588,7 +627,7 @@ class TestRawFold:
     def test_hash_valid_row_with_a_bad_head_is_corrupt(self, flags, blob, problem):
         mf = read_module_summary(modfile._emit("M", (), [("A", flags, blob)]))
         with pytest.raises(CorruptTable, match=problem):
-            build_pch([mf])
+            fold_rows([mf])
 
 
 class TestLeanValues:
@@ -615,18 +654,22 @@ class TestLeanValues:
                     spellings += 1
         assert spellings > 2 * len(first)
 
-    def test_build_pch_consumes_a_stream(self, corpus12):
+    def test_fold_rows_consumes_a_stream(self, corpus12):
         names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
         modules = list(read_modules(corpus12, names))
-        assert build_pch(iter(modules)) == build_pch(modules)
-        assert build_pch(read_modules(corpus12, names)) == (corpus12 / PCH_FILE_NAME).read_bytes()
+        assert fold_rows(iter(modules)) == fold_rows(modules)
+        assert build_pch(fold_rows(read_modules(corpus12, names))) == (corpus12 / PCH_FILE_NAME).read_bytes()
 
-    @pytest.mark.parametrize("flavor", list(IndexFlavor), ids=lambda flavor: flavor.name.lower())
-    def test_build_index_holds_one_summary_at_a_time(self, corpus12, flavor):
+    def test_fold_rows_shares_each_module_posting(self, corpus12):
+        names = load_modulemap(corpus12 / FINAL_MAP_NAME).names
+        postings = fold_rows(read_modules(corpus12, names)).postings
+        first: dict[tuple, tuple] = {}
+        for posting in itertools.chain.from_iterable(postings.values()):
+            assert first.setdefault(posting, posting) is posting
+        assert len(first) < sum(map(len, postings.values()))
+
+    def test_fold_rows_holds_one_summary_at_a_time(self, corpus12):
         module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
-        modules = list(read_modules(corpus12, module_map.names))
-        assert build_index(module_map, iter(modules), flavor) == build_index(module_map, modules, flavor)
-        del modules
         alive = []
 
         def stream():
@@ -637,9 +680,11 @@ class TestLeanValues:
             del mf
             alive.extend(ref for ref in refs if ref() is not None)
 
-        index = build_index(module_map, stream(), flavor)
-        assert index == (corpus12 / index_file_name(flavor)).read_bytes()
-        assert len(alive) == 1  # the last summary, still the builder's loop variable
+        release = fold_rows(stream())
+        assert len(alive) == 1  # the last summary, still the fold's loop variable
+        for flavor in IndexFlavor:
+            index = (corpus12 / index_file_name(flavor)).read_bytes()
+            assert build_index(module_map, release, flavor) == index
 
     def test_preload_all_shares_decoded_values_and_drops_its_memo(self, corpus12, monkeypatch):
         """Candidates whose payloads are byte-identical share the payload and

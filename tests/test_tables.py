@@ -131,7 +131,7 @@ class TestCodecEdges:
             [(f"M{m}.modulemap", [ModuleDef(f"M{m}", (f"M{m}/h.dh",))]) for m in range(len(modules))]
         )
         summaries = [read_module_summary(_module(f"M{m}", names)) for m, names in enumerate(modules)]
-        index = load_index(build_index(map_, summaries, IndexFlavor.SEMANTIC))
+        index = load_index(build_index(map_, modfile.fold_rows(summaries), IndexFlavor.SEMANTIC))
         for mf, names in zip(summaries, modules):
             for name in names:
                 for probe in _neighbours(name):
