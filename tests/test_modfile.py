@@ -668,7 +668,10 @@ class TestLeanValues:
             assert first.setdefault(posting, posting) is posting
         assert len(first) < sum(map(len, postings.values()))
 
-    def test_fold_rows_holds_one_summary_at_a_time(self, corpus12):
+    @pytest.mark.parametrize("flavor", list(IndexFlavor), ids=lambda flavor: flavor.name.lower())
+    def test_build_index_holds_one_summary_at_a_time(self, corpus12, flavor):
+        """The index is built from a release folded off a stream, and the
+        fold, the one step that reads summaries, holds one at a time."""
         module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
         alive = []
 
@@ -680,11 +683,9 @@ class TestLeanValues:
             del mf
             alive.extend(ref for ref in refs if ref() is not None)
 
-        release = fold_rows(stream())
+        index = build_index(module_map, fold_rows(stream()), flavor)
+        assert index == (corpus12 / index_file_name(flavor)).read_bytes()
         assert len(alive) == 1  # the last summary, still the fold's loop variable
-        for flavor in IndexFlavor:
-            index = (corpus12 / index_file_name(flavor)).read_bytes()
-            assert build_index(module_map, release, flavor) == index
 
     def test_preload_all_shares_decoded_values_and_drops_its_memo(self, corpus12, monkeypatch):
         """Candidates whose payloads are byte-identical share the payload and
