@@ -34,7 +34,6 @@ from .interp import EvalResult, FailReason, eval, iter_script, repl, run_script
 from .loader import (
     CostModel,
     LoadStats,
-    Mark,
     Resolution,
     ResolutionOutcome,
     Session,

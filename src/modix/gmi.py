@@ -251,9 +251,6 @@ class StalenessReport:
     def all_fresh(self) -> bool:
         return all(s is Staleness.FRESH for _, s in self.statuses)
 
-    def modules_with(self, status: Staleness) -> tuple[str, ...]:
-        return tuple(name for name, s in self.statuses if s is status)
-
 
 def _file_digest(path: str) -> int | Staleness:
     """A module file's content hash when its stored hash holds, else why not."""

@@ -23,11 +23,10 @@ from .declang import (
     Statement,
     TypeRef,
     parse_statement,
-    render_statement,
     resolution_request,
 )
 from .errors import LexError, OdrViolation, ParseError
-from .loader import LoadStats, ResolutionOutcome, Session
+from .loader import ResolutionOutcome, Session
 
 PROMPT = "modix> "
 SCRIPT_EXTENSION = ".dscript"
@@ -45,11 +44,9 @@ class FailReason(Enum):
 
 @dataclass(slots=True, unsafe_hash=True)
 class EvalResult:
-    echo: str
     ok: bool
     value: int | None = None
     fail_reason: FailReason | None = None
-    stats_delta: LoadStats = LoadStats()
     output: str | None = None
 
 
@@ -103,12 +100,10 @@ def _directive_output(session: Session, name: str) -> str:
 
 def eval(session: Session, stmt: Statement) -> EvalResult:
     """Evaluate one parsed statement against the session."""
-    echo = render_statement(stmt)
     if isinstance(stmt, DirectiveStmt):
         output = _directive_output(session, stmt.name) if stmt.name != "quit" else None
-        return EvalResult(echo, True, output=output)
+        return EvalResult(True, output=output)
 
-    mark = session.mark()
     ok = True
     value: int | None = None
     reason: FailReason | None = None
@@ -126,7 +121,7 @@ def eval(session: Session, stmt: Statement) -> EvalResult:
     except OdrViolation:
         ok, reason = False, FailReason.ODR_VIOLATION
 
-    return EvalResult(echo, ok, value, reason, session.stats(since=mark))
+    return EvalResult(ok, value, reason)
 
 
 def iter_script(session: Session, text: str) -> Iterator[EvalResult]:

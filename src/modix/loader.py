@@ -48,13 +48,6 @@ positives from session state, and adds the per-module overhead:
 ``sim_memory_bytes`` = bytes read + modules loaded * overhead bytes, and
 ``ticks`` = read ticks + modules loaded * overhead ticks.
 
-``mark()`` records where those counters stand, in constant time: an offset
-into the load order plus the raw counts.  ``stats(since=mark)`` returns the
-costs accrued after the mark, whose ``load_order`` holds only the modules
-loaded since; ``stats()`` alone is the same since an all-zero mark.  So a
-statement's cost delta takes constant time plus its new loads, however many
-modules the session already holds.
-
 Sessions are single-threaded by contract; distinct sessions over the same
 immutable corpus may run concurrently.
 """
@@ -64,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 from . import gmi as gmi_mod
 from . import modfile
 from .declang import FieldMemo, HeaderAST, Need, parse_header
@@ -148,22 +141,6 @@ class LoadStats:
         )
 
 
-class Mark(NamedTuple):
-    """Where a session's counters stood: ``Session.mark()``'s O(1) record,
-    from which ``Session.stats(since=...)`` derives the costs accrued since."""
-
-    load_offset: int = 0
-    decls_deserialized: int = 0
-    bytes_read: int = 0
-    read_ticks: int = 0
-    headers_parsed: int = 0
-    lookups: int = 0
-    false_positive_loads: int = 0
-
-
-_ORIGIN = Mark()
-
-
 class ResolutionOutcome(Enum):
     RESOLVED = "resolved"
     IMPLICIT_FORWARD = "implicit-forward"
@@ -213,10 +190,7 @@ class Session:
         self.cost = cost if cost is not None else CostModel()
         self.overlay = overlay if overlay is not None else Overlay()
 
-        self._loaded: dict[str, ModuleFile] = {}
-        # The same order as `_loaded`'s keys.  It is append-only, so a mark
-        # is an offset into it and a delta slices out just the new loads.
-        self._load_order: list[str] = []
+        self._loaded: dict[str, ModuleFile] = {}  # in load order
         self._loading: set[str] = set()
         self._direct: list[str] = []
         self._shadowed: set[str] = set()
@@ -227,7 +201,8 @@ class Session:
         self._parsed_headers: set[str] = set()
         self._fields = FieldMemo()  # textual's struct bodies, parsed once per session
         # Each name's merge candidates.  textual commits them with no payload
-        # (None); `_resolve_textual` encodes them at the name's one merge.
+        # (None); `_resolve_textual` encodes them at the name's one merge and
+        # then drops them.
         self._resident: dict[str, list[Candidate]] = {}
         self._payloads: dict[bytes, bytes] = {}  # each distinct payload, held once
         self._merge_order: dict[str, int] = {name: i for i, name in enumerate(map.names)}
@@ -248,8 +223,7 @@ class Session:
         for name in self.map.names:
             self._load_module(name, resolution=False)
         resident, memo = self._resident, modfile.DecodeMemo()
-        for name in self._load_order:
-            mf = self._loaded[name]
+        for name, mf in self._loaded.items():
             rows = modfile.deserialize_module(mf, memo)
             self._decls += len(rows)
             self._charge_reads(mf.blob_lens)
@@ -331,8 +305,8 @@ class Session:
                     )
                 else:
                     self._charge_read(release_copy.summary_bytes)
-                    self._touched.update(release_copy.names)
-                self._touched.update(self._loaded[name].names)
+                    self._touched.update(release_copy.rows)
+                self._touched.update(self._loaded[name].rows)
 
     def _load_excluded(self) -> None:
         """Modules excluded from the index are consulted directly as well; one
@@ -360,11 +334,8 @@ class Session:
 
     # -- module loading --
 
-    def load_module(self, name: str) -> None:
-        """Load one module (and its transitive imports first); idempotent."""
-        self._load_module(name, resolution=False)
-
     def _load_module(self, name: str, resolution: bool) -> None:
+        """Load one module (and its transitive imports first); idempotent."""
         if name in self._loaded or name in self._loading:
             return
         self._loading.add(name)
@@ -377,7 +348,6 @@ class Session:
                 self._load_module(imp, resolution)
             self._charge_read(mf.summary_bytes)
             self._loaded[name] = mf
-            self._load_order.append(name)
             if resolution:
                 self._unredeemed.add(name)
         finally:
@@ -461,12 +431,15 @@ class Session:
         header = self._rootmap.get(identifier)
         if header is not None:
             self._parse_header_cascade(header)
-        # A name merges once, as resolutions are cached: encode its payloads now.
+        # A name merges once, as resolutions are cached: encode its payloads
+        # now, and drop its candidates once the merge stands.
         candidates = []
         for decl, rel, _ in self._resident.get(identifier, ()):
             payload = modfile.encode_payload(decl)
             candidates.append((decl, rel, self._payloads.setdefault(payload, payload)))
-        return self._merge(candidates)
+        merged = self._merge(candidates)
+        self._resident.pop(identifier, None)
+        return merged
 
     def _parse_header_cascade(self, relpath: str) -> None:
         """Parse a header and, transitively, every header it includes that is
@@ -555,43 +528,20 @@ class Session:
 
     # -- stats --
 
-    def mark(self) -> Mark:
-        """Where the counters stand now; O(1), whatever has been loaded."""
-        return Mark(
-            len(self._load_order),
-            self._decls,
-            self._bytes,
-            self._read_ticks,
-            len(self._parsed_headers),
-            self._lookups,
-            len(self._unredeemed),
-        )
-
-    def stats(self, since: Mark | None = None) -> LoadStats:
-        """Pure value snapshot; no side effects.
-
-        With a ``mark()`` of this session, the costs accrued since that mark:
-        what ``stats() - before`` gives for a snapshot ``before`` taken at
-        the mark, without taking that snapshot.  Its ``load_order`` holds
-        only the modules loaded since, and its ``false_positive_loads`` may
-        be negative.  Without a mark, the costs since the session began.
-        """
-        base = _ORIGIN if since is None else since
-        order = self._load_order
-        loaded = len(order) - base.load_offset
-        bytes_read = self._bytes - base.bytes_read
-        read_ticks = self._read_ticks - base.read_ticks
-        # A slice from offset 0 would copy the whole order twice.
+    def stats(self) -> LoadStats:
+        """Pure value snapshot of the costs since the session began; no side
+        effects."""
+        loaded = len(self._loaded)
         return LoadStats(
             modules_loaded=loaded,
-            load_order=tuple(order[base.load_offset:] if base.load_offset else order),
-            decls_deserialized=self._decls - base.decls_deserialized,
-            bytes_read=bytes_read,
-            headers_parsed=len(self._parsed_headers) - base.headers_parsed,
-            sim_memory_bytes=bytes_read + loaded * self.cost.per_module_overhead_bytes,
-            ticks=read_ticks + loaded * self.cost.per_module_overhead_ticks,
-            lookups=self._lookups - base.lookups,
-            false_positive_loads=len(self._unredeemed) - base.false_positive_loads,
+            load_order=tuple(self._loaded),
+            decls_deserialized=self._decls,
+            bytes_read=self._bytes,
+            headers_parsed=len(self._parsed_headers),
+            sim_memory_bytes=self._bytes + loaded * self.cost.per_module_overhead_bytes,
+            ticks=self._read_ticks + loaded * self.cost.per_module_overhead_ticks,
+            lookups=self._lookups,
+            false_positive_loads=len(self._unredeemed),
         )
 
 

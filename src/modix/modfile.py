@@ -158,10 +158,6 @@ class ModuleFile:
         spans = map(slice, self.blob_offsets, map(operator.add, self.blob_offsets, self.blob_lens))
         return zip(self.rows, self.flags, map(region.__getitem__, spans))
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.rows)
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class Entity:

@@ -167,7 +167,7 @@ def test_criterion_4_round_trip_and_format(tmp_path):
             mf = read_module_summary(data)
             assert mf.module_name == f"Mod{case}"
             assert mf.imports == imports
-            assert set(mf.names) == set(header_items)
+            assert set(mf.rows) == set(header_items)
             for name, expected in header_items.items():
                 decl, _ = deserialize_decl(mf, mf.rows[name])
                 assert decl == expected

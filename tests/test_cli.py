@@ -11,7 +11,7 @@ from modix import modfile
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.cli import main
 from modix.declang import Decl, DeclKind, StructField, TypeRef
-from modix.errors import MissingIndex, MissingPch, MissingRootmap, OdrViolation
+from modix.errors import IndexStale, MissingIndex, MissingPch, MissingRootmap, OdrViolation
 from modix.gmi import load_index
 from modix.interp import PROMPT
 from modix.loader import INDEX_FLAVORS, Strategy
@@ -700,3 +700,39 @@ class TestOdrBreakingRelease:
         assert main(run) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "modix: error: no modules.rootmap in the release root\n")
+
+    def test_refused_compile_leaves_no_pch_of_the_last_build(self, tmp_path, capsys):
+        """A full release build, then a compile refused for an ODR conflict:
+        the refused compile removes the previous build's `__pch__.pcm`, so
+        pch fails to open rather than answer from the old merge, while the
+        indexes stay and are refused as stale."""
+        root = tmp_path / "src"
+        for name, text in (("M0", "struct X { a: i32; };"), ("M1", "struct Y { b: i32; };")):
+            (root / name).mkdir(parents=True)
+            (root / name / "t.dh").write_text(text + "\n", "utf-8")
+        map_file = root / "module.modulemap"
+        map_file.write_text('module M0 { header "M0/t.dh" }\nmodule M1 { header "M1/t.dh" }\n', "utf-8")
+        out = tmp_path / "build"
+        script = tmp_path / "w.dscript"
+        script.write_text("sizeof(X);\n", "utf-8")
+        run = ["run", "--strategy", "pch", "--dir", str(out), str(script)]
+        for argv in (
+            ["compile", str(map_file), "-o", str(out)], ["pch", str(out)],
+            ["index", str(out), "--semantic"], ["index", str(out), "--lexical"],
+        ):
+            assert main(argv) == 0, argv
+        assert main(run) == 0
+        assert capsys.readouterr().out.endswith("ok 4\n")
+
+        (root / "M1" / "t.dh").write_text("struct X { a: i64; };\n", "utf-8")
+        assert main(["compile", str(map_file), "-o", str(out)]) == 2
+        capsys.readouterr()
+        assert not (out / modfile.PCH_FILE_NAME).exists()
+        with pytest.raises(MissingPch):
+            open_corpus_session(out, Strategy.PCH)
+        assert main(run) == 2
+        assert capsys.readouterr() == ("", "modix: error: no __pch__.pcm under the search paths\n")
+        for strategy in INDEX_FLAVORS:
+            with pytest.raises(IndexStale) as excinfo:
+                open_corpus_session(out, strategy)
+            assert excinfo.value.stale_modules == ("M1",)

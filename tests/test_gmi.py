@@ -128,14 +128,15 @@ class TestValidate:
         index = _semantic(directory, module_map)
         _write_module(directory, "M3", "struct Gpad;\nstruct Extra;")
         report = validate_index(index, directory)
-        assert report.modules_with(Staleness.HASH_MISMATCH) == ("M3",)
+        assert tuple(name for name, s in report.statuses if s is Staleness.HASH_MISMATCH) == ("M3",)
         assert not report.all_fresh
 
     def test_deleted_module_is_missing(self, gpad_dir):
         directory, module_map = gpad_dir
         index = _semantic(directory, module_map)
         (directory / "M5.pcm").unlink()
-        assert validate_index(index, directory).modules_with(Staleness.MISSING) == ("M5",)
+        statuses = validate_index(index, directory).statuses
+        assert tuple(name for name, s in statuses if s is Staleness.MISSING) == ("M5",)
 
     def test_excluded_modules_are_not_validated(self, gpad_dir):
         directory, module_map = gpad_dir

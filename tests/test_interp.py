@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import io
-import random
 
 import pytest
 
-from conftest import build_random_corpus, index_bytes
+from conftest import index_bytes
 from modix.bench import compile_tree, open_corpus_session, write_corpus
 from modix.declang import parse_header, parse_statement
 from modix.errors import OdrViolation, ParseError
@@ -184,9 +183,10 @@ class TestOneWinnerRule:
 class TestStatements:
     def test_new_resolves_definition(self, sized_corpus):
         session = _session(sized_corpus, Strategy.SEMANTIC_GMI)
+        before = session.stats()
         result = _eval(session, "new A;")
         assert result.ok and result.value is None
-        assert result.stats_delta.modules_loaded == 1
+        assert (session.stats() - before).modules_loaded == 1
 
     def test_declare_pointer_to_unknown_fails(self, sized_corpus):
         result = _eval(_session(sized_corpus), "declare p: ptr<Unknown>;")
@@ -194,17 +194,14 @@ class TestStatements:
 
     def test_declare_builtin_needs_no_resolution(self, sized_corpus):
         session = _session(sized_corpus, Strategy.SEMANTIC_GMI)
+        before = session.stats()
         result = _eval(session, "declare n: i64;")
         assert result.ok
-        assert result.stats_delta.lookups == 0
+        assert (session.stats() - before).lookups == 0
 
     def test_call_needs_forward_only(self, sized_corpus):
         result = _eval(_session(sized_corpus), "call mk;")
         assert result.ok
-
-    def test_echo_is_canonical(self, sized_corpus):
-        result = _eval(_session(sized_corpus), "new   A ;")
-        assert result.echo == "new A;"
 
 
 class TestDirectives:
@@ -228,17 +225,23 @@ class TestRunScript:
         assert run_script(_session(sized_corpus), "") == []
 
     def test_stats_only_script(self, sized_corpus):
-        results = run_script(_session(sized_corpus), ".stats\n")
+        session = _session(sized_corpus)
+        before = session.stats()
+        results = run_script(session, ".stats\n")
         assert len(results) == 1
-        assert results[0].stats_delta.lookups == 0
+        assert (session.stats() - before).lookups == 0
 
     def test_quit_stops_evaluation(self, sized_corpus):
-        results = run_script(_session(sized_corpus), "new A;\n.quit\nnew B;\n")
-        assert [r.echo for r in results] == ["new A;"]
+        session = _session(sized_corpus, Strategy.SEMANTIC_GMI)
+        results = run_script(session, "new A;\n.quit\nnew B;\n")
+        assert [format_result(r) for r in results] == ["ok"]
+        assert session.stats().lookups == 1
 
     def test_comments_and_blanks_skipped(self, sized_corpus):
-        results = run_script(_session(sized_corpus), "\n// hi\nnew A;\n\n")
-        assert [r.echo for r in results] == ["new A;"]
+        session = _session(sized_corpus, Strategy.SEMANTIC_GMI)
+        results = run_script(session, "\n// hi\nnew A;\n\n")
+        assert [format_result(r) for r in results] == ["ok"]
+        assert session.stats().lookups == 1
 
     def test_parse_error_carries_script_line(self, sized_corpus):
         with pytest.raises(ParseError) as excinfo:
@@ -252,18 +255,24 @@ class TestRunScript:
         assert (err.line, err.col, str(err)) == (3, 18, "3:18: expected ';', got >")
 
     def test_deltas_sum_to_final_minus_startup(self, sized_corpus):
+        """Each statement's costs, the snapshot after it less the one before,
+        add up to what the script accrued: results stream as evaluated."""
         session = _session(sized_corpus, Strategy.SEMANTIC_GMI)
-        startup = session.stats()
-        results = run_script(
-            session, "new A;\nsizeof(B);\ncall mk;\ndeclare p: ptr<A>;\nsizeof(Nope);\n"
-        )
+        startup = before = session.stats()
+        deltas = []
+        script = "new A;\nsizeof(B);\ncall mk;\ndeclare p: ptr<A>;\nsizeof(Nope);\n"
+        for _ in iter_script(session, script):
+            after = session.stats()
+            deltas.append(after - before)
+            before = after
         final = session.stats()
+        assert len(deltas) == 5 and any(d.modules_loaded for d in deltas)
         for field in ("modules_loaded", "decls_deserialized", "bytes_read",
                       "headers_parsed", "sim_memory_bytes", "ticks", "lookups",
                       "false_positive_loads"):
-            total = sum(getattr(r.stats_delta, field) for r in results)
+            total = sum(getattr(d, field) for d in deltas)
             assert total == getattr(final, field) - getattr(startup, field), field
-        loads = tuple(name for r in results for name in r.stats_delta.load_order)
+        loads = tuple(name for d in deltas for name in d.load_order)
         assert startup.load_order + loads == final.load_order
 
     def test_script_loads_bounded_by_resolutions(self, sized_corpus):
@@ -272,55 +281,21 @@ class TestRunScript:
         assert session.stats().modules_loaded <= 3
 
 
-def _mixed_script(rng: random.Random, names: list[str], length: int) -> str:
-    """Definition and forward-only uses of `names`, builtins and directives."""
-    forms = (
-        "sizeof({});", "new {};", "declare v: {};", "declare p: ptr<{}>;", "call {};",
-    )
-    lines = []
-    for _ in range(length):
-        roll = rng.random()
-        if roll < 0.05:
-            lines.append(".stats")
-        elif roll < 0.1:
-            lines.append("declare n: i64;")
-        else:
-            lines.append(rng.choice(forms).format(rng.choice(names)))
-    return "\n".join(lines) + "\n"
-
-
 class TestStatsDelta:
-    def test_delta_equals_difference_of_snapshots_around_it(self, tmp_path):
-        loaded = parsed = redeemed = False  # the changes the corpora produced
-        for seed in range(6):
-            corpus = build_random_corpus(random.Random(seed), tmp_path / f"c{seed}")
-            script = _mixed_script(
-                random.Random(100 + seed), corpus.known + corpus.unknown, 60
-            )
-            for strategy in Strategy:
-                session = open_corpus_session(corpus.dir, strategy)
-                before = session.stats()
-                for result in iter_script(session, script):
-                    after = session.stats()
-                    assert result.stats_delta == after - before, (seed, strategy, result.echo)
-                    before = after
-                    loaded |= result.stats_delta.modules_loaded > 0
-                    parsed |= result.stats_delta.headers_parsed > 0
-                    redeemed |= result.stats_delta.false_positive_loads < 0
-        assert loaded and parsed and redeemed
-
     def test_statements_take_no_full_snapshot(self, sized_corpus, monkeypatch):
+        """A statement reads no stats snapshot and subtracts none; only the
+        `.stats` and `.loaded` directives take one, once each."""
         subtractions = []
-        marks = []
+        snapshots = []
         original_sub, original_stats = LoadStats.__sub__, Session.stats
 
         def counting_sub(self, other):
             subtractions.append(other)
             return original_sub(self, other)
 
-        def counting_stats(self, *args, **kwargs):
-            marks.append(kwargs.get("since", args[0] if args else None))
-            return original_stats(self, *args, **kwargs)
+        def counting_stats(self):
+            snapshots.append(self)
+            return original_stats(self)
 
         monkeypatch.setattr(LoadStats, "__sub__", counting_sub)
         monkeypatch.setattr(Session, "stats", counting_stats)
@@ -329,13 +304,11 @@ class TestStatsDelta:
             script = "new A;\nsizeof(B);\ncall mk;\ndeclare p: ptr<A>;\nsizeof(Nope);\n"
             results = run_script(session, script)
             assert len(results) == 5
-            assert subtractions == []
-            assert 0 < len(marks) <= 5 and None not in marks, strategy
-            marks.clear()
+            assert subtractions == [] and snapshots == [], strategy
 
             run_script(session, ".stats\n.loaded\n")
-            assert subtractions == [] and marks == [None, None]
-            marks.clear()
+            assert subtractions == [] and snapshots == [session, session]
+            snapshots.clear()
 
 
 class TestRepl:

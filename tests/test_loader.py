@@ -174,17 +174,17 @@ class TestLoadModule:
             module_map, SearchPaths((), str(corpus_dir)), Strategy.SEMANTIC_GMI,
             index_path=corpus_dir / INDEX_FILE_NAME,
         )
-        session.load_module("A")
+        session._load_module("A", resolution=False)
         assert session.stats().load_order == ("C", "B", "A")
 
     def test_reload_is_idempotent(self, tmp_path):
         _corpus_with_imports(tmp_path)
         corpus_dir = tmp_path / "chain"
         session = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI)
-        session.load_module("A")
+        session._load_module("A", resolution=False)
         before = session.stats()
-        session.load_module("A")
-        session.load_module("B")
+        session._load_module("A", resolution=False)
+        session._load_module("B", resolution=False)
         assert session.stats() == before
 
     def test_missing_import_names_the_import(self, tmp_path):
@@ -196,7 +196,7 @@ class TestLoadModule:
         (corpus_dir / "A.pcm").write_bytes(compile_module("A", [header], ["Ghost"]))
         session = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, allow_stale=True)
         with pytest.raises(ModuleNotFound) as excinfo:
-            session.load_module("A")
+            session._load_module("A", resolution=False)
         assert excinfo.value.name == "Ghost"
 
     def test_overhead_charged_once_per_module(self, tmp_path):
@@ -205,11 +205,11 @@ class TestLoadModule:
         cost = CostModel(per_module_overhead_bytes=7777, per_module_overhead_ticks=0, bytes_per_tick=0)
         session = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, cost)
         baseline = open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI, ZERO_COST)
-        session.load_module("A")
-        session.load_module("B")
+        session._load_module("A", resolution=False)
+        session._load_module("B", resolution=False)
         session.resolve("AT", Need.DEFINITION)
-        baseline.load_module("A")
-        baseline.load_module("B")
+        baseline._load_module("A", resolution=False)
+        baseline._load_module("B", resolution=False)
         baseline.resolve("AT", Need.DEFINITION)
         overhead = session.stats().sim_memory_bytes - baseline.stats().sim_memory_bytes
         assert overhead == 3 * 7777  # C, B, A each exactly once
@@ -433,7 +433,7 @@ class TestRowsFoundOnce:
 
     @pytest.mark.parametrize("strategy", TestPatchPoints._MODULE_STRATEGIES)
     def test_one_row_lookup_per_candidate(self, corpus12, monkeypatch, strategy):
-        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).names)
+        names = list(read_module_summary((corpus12 / "__pch__.pcm").read_bytes()).rows)
         found = _count_found_rows(monkeypatch)
         session = open_corpus_session(corpus12, strategy)
         for name in names + ["Nope"]:
@@ -469,8 +469,8 @@ def _row_at_a_time_preload(self, index_path, allow_stale):
     the reference: one `deserialize_decl` and one charge per row."""
     for name in self.map.names:
         self._load_module(name, resolution=False)
-    for name in self._load_order:
-        for ident, row in self._loaded[name].rows.items():
+    for name, mf in self._loaded.items():
+        for ident, row in mf.rows.items():
             self._resident.setdefault(ident, []).append(self._deserialize(name, row))
 
 
@@ -530,7 +530,7 @@ class TestPreloadPass:
         monkeypatch.setattr(modfile, "deserialize_decl", refuse)
         session = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
         heads, payloads, new = set(), set(), []
-        blobs = [blob for name in session._load_order for _, _, blob in session._loaded[name].blobs()]
+        blobs = [blob for mf in session._loaded.values() for _, _, blob in mf.blobs()]
         for blob in blobs:
             payload = modfile.split_blob(blob)[1]
             head = blob[:len(blob) - len(payload)]
@@ -692,6 +692,24 @@ class TestTextual:
         assert after.headers_parsed == 0
         assert after.bytes_read == before.bytes_read
         assert after.sim_memory_bytes == before.sim_memory_bytes
+
+    def test_conflicting_headers_raise_on_every_try(self, tmp_path):
+        """A merge drops its name's candidates only once it stands: headers
+        edited after the build to conflict raise at each lookup, and a
+        resolved name's candidates leave the resident table."""
+        corpus_dir = tmp_path / "release"
+        write_corpus(corpus_dir, [
+            ("M1", {"t.dh": "struct Y { b: i32; };\n"}),
+            ("M0", {"t.dh": 'include "M1/t.dh";\nstruct X { a: i32; };\n'}),
+        ])
+        (corpus_dir / "M1" / "t.dh").write_text("struct X { a: i64; };\nstruct Y { b: i32; };\n", "utf-8")
+        session = open_corpus_session(corpus_dir, Strategy.TEXTUAL)
+        for _ in range(3):
+            with pytest.raises(OdrViolation, match="modules 'M0/t.dh' and 'M1/t.dh'"):
+                session.resolve("X", Need.DEFINITION)
+        assert len(session._resident["X"]) == 2
+        assert session.resolve("Y", Need.DEFINITION).entity.defining_module == "M1/t.dh"
+        assert "Y" not in session._resident
 
     @pytest.mark.parametrize(
         "via, spelling",
@@ -970,9 +988,9 @@ class TestOneShadowingRule:
         for name in ("YT", "XT"):  # no checkout touches these names
             assert session.resolve(name, Need.DEFINITION).succeeded
         assert session.stats().load_order == (*pch, "L")
-        before = session.mark()
+        before = session.stats()
         assert session.resolve("LT", Need.DEFINITION).entity.defining_module == "L"
-        assert session.stats(since=before).load_order == ("Y", "X")
+        assert (session.stats() - before).load_order == ("Y", "X")
         session.resolve("LT", Need.FORWARD_OK)
         assert session.stats().load_order == (*pch, "L", "Y", "X")
 
@@ -1054,7 +1072,7 @@ class TestStaleIndex:
         path.write_bytes(data)
         index = load_index((corpus_dir / INDEX_FILE_NAME).read_bytes())
         report = validate_index(index, corpus_dir)
-        assert report.modules_with(Staleness.HASH_MISMATCH) == ("M3",)
+        assert tuple(name for name, s in report.statuses if s is Staleness.HASH_MISMATCH) == ("M3",)
         with pytest.raises(IndexStale) as excinfo:
             open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI)
         assert excinfo.value.stale_modules == ("M3",)

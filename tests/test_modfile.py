@@ -11,7 +11,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modix import modfile
+from modix import loader, modfile
 from modix._wire import Reader, Writer, sealed
 from modix.bench import CorpusSpec, build_rootmap, generate_corpus, open_corpus_session, write_corpus
 from modix.cli import main
@@ -134,7 +134,7 @@ class TestCompileAndSummary:
         mf = read_module_summary(data)
         assert mf.module_name == "M"
         assert mf.imports == ("Dep1", "Dep2")
-        assert mf.names == ("A", "B")
+        assert tuple(mf.rows) == ("A", "B")
 
     def test_self_import_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +164,7 @@ class TestCompileAndSummary:
         # cannot become a row, is encoded, each once.
         items = [decl for header in headers for decl in header.items]
         assert encoded == items[:5] + items[6:]
-        assert mf.names == ("A", "B", "U", "f")
+        assert tuple(mf.rows) == ("A", "B", "U", "f")
 
     def test_no_absolute_paths_inside(self, tmp_path):
         ast = parse_header("struct A { x: i32; };", "sub/a.dh")
@@ -438,7 +438,7 @@ class TestBuildPch:
         )
         assert pch.module_name == "__pch__"
         assert pch.imports == ()
-        assert pch.names == ("A", "B")
+        assert tuple(pch.rows) == ("A", "B")
 
     def test_forwards_collapse_into_the_definition(self):
         mods = [self._mf("M0", "struct Gpad { x: i32; };")]
@@ -716,25 +716,35 @@ class TestLeanValues:
         """A textual session parses each struct body once: declarations whose
         headers repeat a body share one `fields` tuple.  Sessions share no
         memo, and a dropped session's memo is freed.  A payload is encoded at
-        its name's merge, once per merged candidate, not at each commit."""
+        its name's merge, once per merged candidate, not at each commit, and
+        the merge drops the name's resident candidates."""
+        rootmap = (corpus12 / ROOTMAP_FILE_NAME).read_text("utf-8")
+        names = [line.split()[0] for line in rootmap.splitlines()][::4]
+        preload = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
+        expected = {(name, need): outcome_signature(preload, name, need) for name in names for need in Need}
         encoded: list[str] = []
-        encode = modfile.encode_payload
+        merged: list[list] = []  # each merge's candidates
+        encode, merge = modfile.encode_payload, loader.merge_entities
 
         def counted(decl):
             encoded.append(decl.name)
             return encode(decl)
 
+        def recorded(candidates, order):
+            merged.append(candidates)
+            return merge(candidates, order)
+
         monkeypatch.setattr(modfile, "encode_payload", counted)
-        rootmap = (corpus12 / ROOTMAP_FILE_NAME).read_text("utf-8")
-        names = [line.split()[0] for line in rootmap.splitlines()][::4]
+        monkeypatch.setattr(loader, "merge_entities", recorded)
         session = open_corpus_session(corpus12, Strategy.TEXTUAL)
-        preload = open_corpus_session(corpus12, Strategy.PRELOAD_ALL)
         for name in names:
-            before = len(encoded)
+            before, merges = len(encoded), len(merged)
             for need in Need:
-                assert outcome_signature(session, name, need) == outcome_signature(preload, name, need)
-            assert encoded[before:] == [name] * len(session._resident[name])
-        committed = [c for cs in session._resident.values() for c in cs]
+                assert outcome_signature(session, name, need) == expected[name, need]
+            (candidates,) = merged[merges:]
+            assert encoded[before:] == [name] * len(candidates)
+            assert name not in session._resident
+        committed = [c for cs in (*merged, *session._resident.values()) for c in cs]
         assert len(encoded) < len(committed)
 
         by_body: dict[tuple, tuple[tuple, str]] = {}
@@ -747,11 +757,13 @@ class TestLeanValues:
         assert shared > 0
 
         other = open_corpus_session(corpus12, Strategy.TEXTUAL)
+        merges = len(merged)
         for name in names:
             other.resolve(name, Need.DEFINITION)
         assert other._fields is not session._fields
         mine = {id(fields) for fields, _ in by_body.values()}
-        assert not mine & {id(d.fields) for cs in other._resident.values() for d, _, _ in cs if d.fields}
+        theirs = (*merged[merges:], *other._resident.values())
+        assert not mine & {id(d.fields) for cs in theirs for d, _, _ in cs if d.fields}
         memo = weakref.ref(session._fields)
         del session
         gc.collect()
@@ -801,7 +813,9 @@ class TestLeanValues:
         index = load_index((root / INDEX_FILE_NAME).read_bytes())
         session = open_corpus_session(root, Strategy.PRELOAD_ALL)
         resolution = session.resolve("S", Need.DEFINITION)
+        before = session.stats()
         (result,) = run_script(session, "sizeof(S);")
+        cost = session.stats() - before
         decoded, _ = deserialize_decl(mf, mf.rows["S"])
 
         ref = TypeRef("T", 1)
@@ -822,9 +836,9 @@ class TestLeanValues:
             (entity, resolution.entity),
             (Posting("M", PostingFlags.MENTIONS | PostingFlags.DEFINES), index.entry("S")[0]),
             (IndexedModule(0, "M", mf.content_hash), index.modules[0]),
-            (LoadStats(lookups=1), result.stats_delta),
+            (LoadStats(lookups=1), cost),
             (Resolution(ResolutionOutcome.RESOLVED, entity), resolution),
-            (EvalResult("sizeof(S);", True, 8, None, LoadStats(lookups=1)), result),
+            (EvalResult(True, 8), result),
         ]
         return {type(hand).__name__: (hand, read) for hand, read in pairs}
 
@@ -874,7 +888,7 @@ def test_compile_round_trip_property(source):
     for decl in header.items:
         if decl.name not in by_name or by_name[decl.name].is_forward:
             by_name[decl.name] = decl
-    assert set(mf.names) == set(by_name)
+    assert set(mf.rows) == set(by_name)
     for name, expected in by_name.items():
         decl, _ = deserialize_decl(mf, mf.rows[name])
         assert decl == expected

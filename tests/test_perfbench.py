@@ -70,7 +70,8 @@ def test_parser_fast_paths_sit_under_their_patch_points():
 def test_worker_api_contract(tmp_path):
     """`perfbench/worker.py` builds a `BenchRow` by these six keywords, flattens
     `Session.stats()` with `dataclasses.asdict` and subtracts one `LoadStats`
-    from another; nothing in modix itself does all three."""
+    from another; nothing in modix itself does all three.  It reads an
+    evaluated statement only through `interp.format_result`."""
     import dataclasses
 
     from modix import bench, interp
@@ -80,7 +81,9 @@ def test_worker_api_contract(tmp_path):
     session = bench.open_corpus_session(tmp_path, Strategy.SEMANTIC_GMI)
     startup = session.stats()
     (evaluated,) = interp.run_script(session, "sizeof(S2_0);")
-    assert evaluated.ok
+    assert interp.format_result(evaluated) == "ok 1"
+    (evaluated,) = interp.run_script(session, "sizeof(Nope);")
+    assert interp.format_result(evaluated) == "fail not-found"
     final = session.stats()
 
     workload = final - startup

@@ -50,7 +50,7 @@ def _v3_module_size(mf: modfile.ModuleFile) -> tuple[int, int]:
     each table row a length-prefixed name, flags u8, blob_offset u64 and
     blob_len u32."""
     summary = 4 + 4 + 8 + _lp(mf.module_name) + 4 + sum(map(_lp, mf.imports))
-    summary += 4 + sum(_lp(name) + 13 for name in mf.names) + 8
+    summary += 4 + sum(_lp(name) + 13 for name in mf.rows) + 8
     return summary + len(mf.blob_region), summary
 
 
@@ -158,8 +158,8 @@ def test_corpus12_lookups_equal_the_whole_table(corpus12):
     in file order."""
     for path in sorted(corpus12.glob("*.pcm")):
         mf = read_module_summary(path.read_bytes())
-        assert [name for name, _, _ in mf.blobs()] == list(mf.names)
-        assert [(name, *deserialize_decl(mf, mf.rows[name])) for name in mf.names] == deserialize_module(mf)
+        assert [name for name, _, _ in mf.blobs()] == list(mf.rows)
+        assert [(name, *deserialize_decl(mf, mf.rows[name])) for name in mf.rows] == deserialize_module(mf)
     for name in (gmi.INDEX_FILE_NAME, gmi.LEXICAL_INDEX_FILE_NAME):
         index = load_index((corpus12 / name).read_bytes())
         modules = {m.module_id: m.name for m in index.modules}
