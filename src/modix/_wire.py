@@ -111,21 +111,15 @@ def byte_order(keys: Iterable[str]) -> list[str]:
     return sorted(keys)
 
 
-def decode_flags(known: Mapping[int, T], value: int) -> T:
-    """A flags byte through its table of the bytes a format writes; any
-    other byte raises CorruptTable, naming bits outside every written byte."""
-    if value in known:
-        return known[value]
-    if value & ~functools.reduce(int.__or__, known, 0):
-        raise CorruptTable(f"unknown flag bits in {value:#04x}")
-    raise CorruptTable(f"flags {value:#04x} are never written")
-
-
 def check_flags(known: Mapping[int, T], column: array) -> None:
     """Reject a column of flags bytes in one pass: the first byte outside
-    `known` raises `decode_flags`'s CorruptTable."""
+    `known`, the bytes a format writes, raises CorruptTable, naming any bits
+    outside every written byte."""
     if column.tobytes().translate(None, bytes(known)):
-        decode_flags(known, next(value for value in column if value not in known))
+        value = next(value for value in column if value not in known)
+        if value & ~functools.reduce(int.__or__, known, 0):
+            raise CorruptTable(f"unknown flag bits in {value:#04x}")
+        raise CorruptTable(f"flags {value:#04x} are never written")
 
 
 def first_false(checks: Iterable[bool]) -> int:

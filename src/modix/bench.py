@@ -27,7 +27,7 @@ from .errors import EmptyReport
 from .gmi import IndexFlavor
 from .interp import run_script
 from .loader import ROOTMAP_FILE_NAME, CostModel, LoadStats, Session, Strategy, open_session
-from .modulemap import FINAL_MAP_NAME, ModuleMap, SearchPaths, load_modulemap, read_text
+from .modulemap import FINAL_MAP_NAME, ModuleMap, Overlay, SearchPaths, load_modulemap, read_text
 
 CSV_COLUMNS = (
     "scenario",
@@ -312,12 +312,16 @@ def open_corpus_session(
     cost: CostModel | None = None,
     local_roots: Sequence[str] = (),
     allow_stale: bool = False,
+    index_path: str | Path | None = None,
+    overlay: Overlay = Overlay(),
 ) -> Session:
-    """Open a session over a generated corpus directory."""
+    """Open a session over a corpus directory, the release root: its
+    `module.modulemap`, with `local_roots` ahead of it in precedence order
+    (see `Session` for the rest).  `modix run` opens through here."""
     corpus_dir = Path(corpus_dir)
     module_map = load_modulemap(corpus_dir / FINAL_MAP_NAME)
     paths = SearchPaths(tuple(str(r) for r in local_roots), str(corpus_dir))
-    return open_session(module_map, paths, strategy, cost, allow_stale=allow_stale)
+    return open_session(module_map, paths, strategy, cost, index_path, allow_stale, overlay)
 
 
 def run_benchmark(

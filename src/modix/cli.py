@@ -26,8 +26,8 @@ from .declang import parse_header  # noqa: F401 -- kept for perfbench/spans.py t
 from .errors import MissingIndex, ModixError
 from .gmi import IndexFlavor, Staleness
 from .interp import format_result, iter_script, repl
-from .loader import CostModel, Strategy, open_session
-from .modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, load_modulemap, parse_overlay
+from .loader import CostModel, Strategy
+from .modulemap import FINAL_MAP_NAME, Overlay, load_modulemap, parse_overlay
 from .modulemap import read_text
 
 
@@ -67,10 +67,8 @@ def _cost_model(pairs: list[str]) -> CostModel:
         raise _UsageError(f"bad --cost: {exc}") from None
 
 
-def _load_overlay(path: str | None) -> Overlay | None:
-    if path is None:
-        return None
-    return parse_overlay(read_text(path))
+def _load_overlay(path: str | None) -> Overlay:
+    return Overlay() if path is None else parse_overlay(read_text(path))
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -120,11 +118,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             if index_path is index_paths[0]:
                 raise
             continue  # the lexical index is checked only where there is one
-        report = gmi_mod.validate_index(index, corpus, digests=digests)
-        for name, status in report.statuses:
+        verdict = gmi_mod.validate_index(index, corpus, digests=digests)
+        for name, status in verdict.items():
             if statuses.get(name, Staleness.FRESH) is Staleness.FRESH:
                 statuses[name] = status
-        if not report.all_fresh:
+        if any(status is not Staleness.FRESH for status in verdict.values()):
             stale.append(index_path)
     for name, status in statuses.items():
         print(f"{name}: {status.value}")
@@ -137,19 +135,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    strategy = _strategy(args.strategy)
-    cost = _cost_model(args.cost)
-    corpus = Path(args.dir)
-    module_map = load_modulemap(corpus / FINAL_MAP_NAME)
-    paths = SearchPaths(tuple(args.local), str(corpus))
-    session = open_session(
-        module_map,
-        paths,
-        strategy,
-        cost=cost,
-        index_path=args.index,
-        allow_stale=args.allow_stale,
-        overlay=_load_overlay(args.overlay),
+    session = bench_mod.open_corpus_session(
+        args.dir,
+        _strategy(args.strategy),
+        _cost_model(args.cost),
+        args.local,
+        args.allow_stale,
+        args.index,
+        _load_overlay(args.overlay),
     )
     if args.script:
         text = read_text(args.script)

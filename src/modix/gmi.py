@@ -222,11 +222,11 @@ def load_index(data: bytes) -> GlobalIndex:
     return GlobalIndex(flavor, modules, rows, ends, module_ids, flags, excluded, _Postings(names))
 
 
-def read_index(path: str | Path, overlay: Overlay | None = None) -> tuple[GlobalIndex, int]:
-    """The index file at `path`, remapped by the overlay if one is given, and
-    its size in bytes.  No file there raises MissingIndex naming `path`; a
-    corrupt one raises its CorruptModule prefixed with the file's path."""
-    real = overlay.apply(str(path)) if overlay is not None else path
+def read_index(path: str | Path, overlay: Overlay = Overlay()) -> tuple[GlobalIndex, int]:
+    """The index file at `path`, remapped by the overlay, and its size in
+    bytes.  No file there raises MissingIndex naming `path`; a corrupt one
+    raises its CorruptModule prefixed with the file's path."""
+    real = overlay.apply(str(path))
     data = read_artifact(real)
     if data is None:
         raise MissingIndex(f"index file not found: {path}")
@@ -243,15 +243,6 @@ class Staleness(Enum):
     MISSING = "missing"
 
 
-@dataclass(frozen=True)
-class StalenessReport:
-    statuses: tuple[tuple[str, Staleness], ...]
-
-    @property
-    def all_fresh(self) -> bool:
-        return all(s is Staleness.FRESH for _, s in self.statuses)
-
-
 def _file_digest(path: str) -> int | Staleness:
     """A module file's content hash when its stored hash holds, else why not."""
     data = read_artifact(path)
@@ -264,14 +255,15 @@ def _file_digest(path: str) -> int | Staleness:
 def validate_index(
     index: GlobalIndex,
     module_dir: str | Path,
-    overlay: Overlay | None = None,
+    overlay: Overlay = Overlay(),
     digests: dict[str, int | Staleness] | None = None,
-) -> StalenessReport:
-    """Compare stored hashes against the module files on disk, remapped by
-    the overlay if one is given; touches nothing.  `digests` memoizes each
-    module's `_file_digest`, so checking several indexes hashes a file once."""
+) -> dict[str, Staleness]:
+    """Each indexed module's staleness, in index module order: its stored
+    hash against its module file on disk, remapped by the overlay; touches
+    nothing.  `digests` memoizes each module's `_file_digest`, so checking
+    several indexes hashes a file once."""
     digests = {} if digests is None else digests
-    statuses: list[tuple[str, Staleness]] = []
+    verdict: dict[str, Staleness] = {}
     for row in index.modules:
         if row.name not in digests:
             path = root_file(module_dir, row.name + FILE_EXTENSION, overlay)
@@ -279,5 +271,5 @@ def validate_index(
         status = digests[row.name]
         if not isinstance(status, Staleness):
             status = Staleness.FRESH if status == row.content_hash else Staleness.HASH_MISMATCH
-        statuses.append((row.name, status))
-    return StalenessReport(tuple(statuses))
+        verdict[row.name] = status
+    return verdict

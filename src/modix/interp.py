@@ -82,6 +82,8 @@ def _size_of_name(session: Session, name: str, expanding: set[str]) -> int:
 
 
 def _directive_output(session: Session, name: str) -> str:
+    """The output of `.stats`, `.loaded` or `.strategy`, the directives
+    `eval` passes here."""
     if name == "stats":
         s = session.stats()
         return (
@@ -93,9 +95,7 @@ def _directive_output(session: Session, name: str) -> str:
     if name == "loaded":
         order = session.stats().load_order
         return "\n".join(order) if order else "(no modules loaded)"
-    if name == "strategy":
-        return session.strategy.value
-    return ""
+    return session.strategy.value
 
 
 def eval(session: Session, stmt: Statement) -> EvalResult:

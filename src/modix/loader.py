@@ -172,7 +172,10 @@ _FORWARD = modfile.EntityKind.FORWARD
 
 
 class Session:
-    """One interpreter session: fixed strategy, cumulative stats."""
+    """One interpreter session: fixed strategy, cumulative stats.  Opening
+    one charges the strategy's startup costs.  An index strategy reads its
+    flavor's index file in the release root, or `index_path` when given; the
+    other strategies ignore `index_path`."""
 
     def __init__(
         self,
@@ -182,13 +185,13 @@ class Session:
         cost: CostModel | None = None,
         index_path: str | Path | None = None,
         allow_stale: bool = False,
-        overlay: Overlay | None = None,
+        overlay: Overlay = Overlay(),
     ):
         self.map = map
         self.paths = paths
         self.strategy = strategy
         self.cost = cost if cost is not None else CostModel()
-        self.overlay = overlay if overlay is not None else Overlay()
+        self.overlay = overlay
 
         self._loaded: dict[str, ModuleFile] = {}  # in load order
         self._loading: set[str] = set()
@@ -204,7 +207,6 @@ class Session:
         # (None); `_resolve_textual` encodes them at the name's one merge and
         # then drops them.
         self._resident: dict[str, list[Candidate]] = {}
-        self._payloads: dict[bytes, bytes] = {}  # each distinct payload, held once
         self._merge_order: dict[str, int] = {name: i for i, name in enumerate(map.names)}
         self._cache: dict[str, Entity | _Marker] = {}
         self._unredeemed: set[str] = set()
@@ -269,11 +271,10 @@ class Session:
                 f"got {index.flavor.name.lower()}"
             )
         if not allow_stale:
-            report = validate_index(index, self.paths.release_root, self.overlay)
-            if not report.all_fresh:
-                raise IndexStale(tuple(
-                    name for name, status in report.statuses if status is not Staleness.FRESH
-                ))
+            verdict = validate_index(index, self.paths.release_root, self.overlay)
+            stale = tuple(name for name, status in verdict.items() if status is not Staleness.FRESH)
+            if stale:
+                raise IndexStale(stale)
         self._index = index
         self._charge_read(size)
 
@@ -378,7 +379,7 @@ class Session:
         decl, payload = modfile.deserialize_decl(mf, row)
         self._decls += 1
         self._charge_read(mf.blob_lens[row])
-        return decl, module_name, self._payloads.setdefault(payload, payload)
+        return decl, module_name, payload
 
     # -- resolution --
 
@@ -433,11 +434,10 @@ class Session:
             self._parse_header_cascade(header)
         # A name merges once, as resolutions are cached: encode its payloads
         # now, and drop its candidates once the merge stands.
-        candidates = []
-        for decl, rel, _ in self._resident.get(identifier, ()):
-            payload = modfile.encode_payload(decl)
-            candidates.append((decl, rel, self._payloads.setdefault(payload, payload)))
-        merged = self._merge(candidates)
+        merged = self._merge([
+            (decl, rel, modfile.encode_payload(decl))
+            for decl, rel, _ in self._resident.get(identifier, ())
+        ])
         self._resident.pop(identifier, None)
         return merged
 
@@ -545,16 +545,4 @@ class Session:
         )
 
 
-def open_session(
-    map: ModuleMap,
-    paths: SearchPaths,
-    strategy: Strategy,
-    cost: CostModel | None = None,
-    index_path: str | Path | None = None,
-    allow_stale: bool = False,
-    overlay: Overlay | None = None,
-) -> Session:
-    """Open a session, charging the strategy's startup costs.  An index
-    strategy reads its flavor's index file in the release root, or
-    `index_path` when given; the other strategies ignore `index_path`."""
-    return Session(map, paths, strategy, cost, index_path, allow_stale, overlay)
+open_session = Session  # the name `bench` opens sessions by, which perfbench/spans.py wraps

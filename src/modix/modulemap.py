@@ -209,25 +209,24 @@ class SearchPaths:
     release_root: str
 
 
-def root_file(root: str | Path, name: str, overlay: Overlay | None = None) -> str:
+def root_file(root: str | Path, name: str, overlay: Overlay = Overlay()) -> str:
     """`<root>/<name>` joined with `os.path.join`, then remapped by the
     overlay; every file under a search root is spelled this one way, so one
     overlay line matches all of them."""
-    path = os.path.join(root, name)
-    return overlay.apply(path) if overlay is not None else path
+    return overlay.apply(os.path.join(root, name))
 
 
-def _module_file(root: str, module_name: str, overlay: Overlay | None) -> str | None:
+def _module_file(root: str, module_name: str, overlay: Overlay) -> str | None:
     candidate = root_file(root, module_name + FILE_EXTENSION, overlay)
     return candidate if os.path.isfile(candidate) else None
 
 
 def find_local_module(
-    paths: SearchPaths, module_name: str, overlay: Overlay | None = None
+    paths: SearchPaths, module_name: str, overlay: Overlay = Overlay()
 ) -> str | None:
-    """First `<root>/<module_name>.pcm` under the local roots, or None.  With
-    an overlay, candidates are remapped before the existence check; with no
-    local roots, nothing is looked up."""
+    """First `<root>/<module_name>.pcm` under the local roots, or None.
+    Candidates are remapped by the overlay before the existence check; with
+    no local roots, nothing is looked up."""
     for root in paths.local_roots:
         found = _module_file(root, module_name, overlay)
         if found is not None:
@@ -236,7 +235,7 @@ def find_local_module(
 
 
 def resolve_module_path(
-    paths: SearchPaths, module_name: str, overlay: Overlay | None = None
+    paths: SearchPaths, module_name: str, overlay: Overlay = Overlay()
 ) -> str:
     """`find_local_module`'s answer, else `<release_root>/<module_name>.pcm`."""
     found = find_local_module(paths, module_name, overlay) or _module_file(

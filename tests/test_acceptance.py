@@ -29,6 +29,7 @@ from modix.gmi import (
     LEXICAL_INDEX_FILE_NAME,
     IndexFlavor,
     PostingFlags,
+    Staleness,
     load_index,
     validate_index,
 )
@@ -187,7 +188,7 @@ def test_criterion_4_round_trip_and_format(tmp_path):
             read_module_summary(path.read_bytes())  # validates framing + hash
         for index_name in (INDEX_FILE_NAME, LEXICAL_INDEX_FILE_NAME):
             index = load_index((corpus_dir / index_name).read_bytes())
-            assert validate_index(index, corpus_dir).all_fresh
+            assert set(validate_index(index, corpus_dir).values()) == {Staleness.FRESH}
 
 
 def test_criterion_5_odr_machinery(tmp_path):
@@ -274,7 +275,7 @@ def test_criterion_6_cmssw_shape(cmssw_corpus, tmp_path):
         ).entity.canonical_payload
         assert resolution.entity.canonical_payload != release_payload
 
-        assert validate_index(index, corpus_dir).all_fresh
+        assert set(validate_index(index, corpus_dir).values()) == {Staleness.FRESH}
 
 
 def test_criterion_7_index_invariants(cmssw_corpus, tmp_path):

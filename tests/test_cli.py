@@ -135,6 +135,51 @@ class TestWorkflow:
         assert main(argv) == 2
         assert "index file not found" in capsys.readouterr().err
 
+    def test_run_opens_through_open_corpus_session(self, tmp_path, capsys, monkeypatch):
+        from modix import bench
+
+        corpus_dir = tmp_path / "corpus"
+        generate_corpus(CorpusSpec(n_modules=3, fwd_fanout=1, seed=1), corpus_dir)
+        virtual = tmp_path / "not-there"
+        overlay = tmp_path / "overlay.txt"
+        overlay.write_text(f"{virtual} -> {corpus_dir}\n", "utf-8")
+        local = tmp_path / "local"
+        local.mkdir()
+        script = tmp_path / "s.dscript"
+        script.write_text("new S0_0;\n", "utf-8")
+        opened = []
+        open_corpus = bench.open_corpus_session
+
+        def counted(*args, **kwargs):
+            opened.append(open_corpus(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(bench, "open_corpus_session", counted)
+        assert main([
+            "run", "--strategy", "semantic-gmi", "--dir", str(corpus_dir), "--local", str(local),
+            "--index", str(virtual / "modules.gmi"), "--allow-stale", "--overlay", str(overlay),
+            "--cost", "bytes_per_tick=1", str(script),
+        ]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        (session,) = opened
+        assert session.strategy is Strategy.SEMANTIC_GMI
+        assert (session.paths.local_roots, session.paths.release_root) == ((str(local),), str(corpus_dir))
+        assert session.overlay.mappings == ((str(virtual), str(corpus_dir)),)
+        assert session.cost.bytes_per_tick == 1
+
+    def test_run_reads_the_overlay_before_the_module_map(self, tmp_path, capsys):
+        overlay = tmp_path / "overlay.txt"
+        overlay.write_text("a ->\n", "utf-8")
+        argv = ["run", "--strategy", "pch", "--dir", str(tmp_path / "no-corpus")]
+        assert main(argv + ["--overlay", str(overlay)]) == 2
+        assert capsys.readouterr().err == (
+            "modix: error: 1:1: expected 'VIRTUAL -> REAL' mapping, got a ->\n"
+        )
+        overlay.write_text("a -> b\n", "utf-8")
+        assert main(argv + ["--overlay", str(overlay)]) == 2
+        map_path = tmp_path / "no-corpus" / "module.modulemap"
+        assert capsys.readouterr().err == f"modix: error: cannot read {map_path}: no such file\n"
+
     def test_compile_derives_imports_from_includes(self, tmp_path):
         map_file = _write_source_tree(tmp_path)
         out = tmp_path / "build"
@@ -375,6 +420,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err == f"modix: error: index file not found: {corpus / 'modules.gmi'}\n"
+
+    def test_validate_without_the_lexical_index_checks_the_semantic_one(self, tmp_path, capsys):
+        from modix.declang import parse_header
+        from modix.modfile import compile_module
+
+        corpus = tmp_path / "c"
+        generate_corpus(CorpusSpec(n_modules=2, seed=1), corpus)
+        (corpus / "modules.lexical.gmi").unlink()
+        assert main(["validate", str(corpus)]) == 0
+        assert capsys.readouterr() == ("M0: fresh\nM1: fresh\nall 2 modules fresh\n", "")
+        header = parse_header("struct S1_0 { z: bool; };", "types.dh")
+        (corpus / "M1.pcm").write_bytes(compile_module("M1", [header]))
+        assert main(["validate", str(corpus)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "M0: fresh\nM1: hash-mismatch\n"
+        assert err == f"index is stale: {corpus / 'modules.gmi'}\n"
 
     def test_excluding_a_module_not_in_the_map_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "c"

@@ -215,6 +215,15 @@ class TestParseHeader:
         assert enum.enumerators == ("a", "b", "c")
         assert alias.alias_target == TypeRef("E", 2)
 
+    def test_unbalanced_ptr_in_a_struct_body_falls_to_the_cursor(self):
+        """The header pattern matches the body but declines its type slot,
+        so the token parser reports the missing '>'."""
+        source = "struct T { b: i32; };\nstruct S { a: ptr<ptr<i32>; };\n"
+        assert _match_header(source, "h.dh") is None
+        with pytest.raises(ParseError) as excinfo:
+            parse_header(source, "h.dh")
+        assert str(excinfo.value) == "2:27: expected '>', got ;"
+
     def test_parse_error_carries_position_and_expected(self):
         with pytest.raises(ParseError) as excinfo:
             parse_header("struct A {", "a.dh")
@@ -321,6 +330,11 @@ class TestParseStatement:
         assert parse_statement("  .quit  ") == DirectiveStmt("quit")
         with pytest.raises(ParseError):
             parse_statement(".bogus")
+
+    def test_other_keyword_is_not_a_statement(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_statement("struct X;")
+        assert str(excinfo.value) == "1:1: expected statement, got struct"
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):

@@ -119,30 +119,32 @@ class TestLookupDefinition:
 class TestValidate:
     def test_untouched_corpus_is_fresh(self, gpad_dir):
         directory, module_map = gpad_dir
-        report = validate_index(_semantic(directory, module_map), directory)
-        assert report.all_fresh
-        assert len(report.statuses) == 6
+        verdict = validate_index(_semantic(directory, module_map), directory)
+        assert list(verdict) == list(module_map.names)  # index module order
+        assert set(verdict.values()) == {Staleness.FRESH}
 
     def test_recompiled_module_is_hash_mismatch(self, gpad_dir):
         directory, module_map = gpad_dir
         index = _semantic(directory, module_map)
         _write_module(directory, "M3", "struct Gpad;\nstruct Extra;")
-        report = validate_index(index, directory)
-        assert tuple(name for name, s in report.statuses if s is Staleness.HASH_MISMATCH) == ("M3",)
-        assert not report.all_fresh
+        verdict = validate_index(index, directory)
+        assert {name: s for name, s in verdict.items() if s is not Staleness.FRESH} == {
+            "M3": Staleness.HASH_MISMATCH
+        }
 
     def test_deleted_module_is_missing(self, gpad_dir):
         directory, module_map = gpad_dir
         index = _semantic(directory, module_map)
         (directory / "M5.pcm").unlink()
-        statuses = validate_index(index, directory).statuses
-        assert tuple(name for name, s in statuses if s is Staleness.MISSING) == ("M5",)
+        verdict = validate_index(index, directory)
+        assert tuple(name for name, s in verdict.items() if s is Staleness.MISSING) == ("M5",)
 
     def test_excluded_modules_are_not_validated(self, gpad_dir):
         directory, module_map = gpad_dir
         index = _semantic(directory, module_map, excluded=["M0"])
         (directory / "M0.pcm").unlink()
-        assert validate_index(index, directory).all_fresh
+        verdict = validate_index(index, directory)
+        assert "M0" not in verdict and set(verdict.values()) == {Staleness.FRESH}
 
 
 def _index_bytes(modules, entries, key_ends=None, posting_ends=None):

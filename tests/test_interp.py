@@ -7,7 +7,7 @@ import pytest
 from conftest import index_bytes
 from modix.bench import compile_tree, open_corpus_session, write_corpus
 from modix.declang import parse_header, parse_statement
-from modix.errors import OdrViolation, ParseError
+from modix.errors import LexError, OdrViolation, ParseError
 from modix.gmi import IndexFlavor
 from modix.interp import FailReason, eval, format_result, iter_script, repl, run_script
 from modix.loader import LoadStats, Session, Strategy
@@ -254,6 +254,14 @@ class TestRunScript:
         err = excinfo.value
         assert (err.line, err.col, str(err)) == (3, 18, "3:18: expected ';', got >")
 
+    def test_lex_error_carries_script_line(self, sized_corpus):
+        session = _session(sized_corpus)
+        with pytest.raises(LexError) as excinfo:
+            run_script(session, "new A;\n\nsizeof(S$);\nnew B;\n")
+        err = excinfo.value
+        assert (err.line, err.col, str(err)) == (3, 9, "3:9: invalid statement")
+        assert session.stats().lookups == 1
+
     def test_deltas_sum_to_final_minus_startup(self, sized_corpus):
         """Each statement's costs, the snapshot after it less the one before,
         add up to what the script accrued: results stream as evaluated."""
@@ -321,6 +329,12 @@ class TestRepl:
         assert "ok 12" in output
         assert "preload-all" in output
         assert "parse error" in output or "error" in output
+
+    def test_repl_skips_blank_and_comment_lines(self, sized_corpus):
+        stdin = io.StringIO("\n   \n// a comment\nsizeof(A);\n")
+        stdout = io.StringIO()
+        repl(_session(sized_corpus), stdin, stdout)
+        assert stdout.getvalue() == "modix> " * 4 + "ok 12\nmodix> \n"
 
     def test_repl_ends_on_eof(self, sized_corpus):
         stdin = io.StringIO("new A;\n")

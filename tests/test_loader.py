@@ -68,6 +68,11 @@ def forward_only_corpus(tmp_path):
 
 
 class TestStartup:
+    def test_open_session_is_session(self):
+        import modix.loader
+
+        assert modix.loader.open_session is modix.loader.Session
+
     def test_preload_all_loads_everything(self, gpad_corpus):
         corpus_dir, _ = gpad_corpus
         session = open_corpus_session(corpus_dir, Strategy.PRELOAD_ALL)
@@ -132,7 +137,7 @@ class TestStartup:
         virtual = str(tmp_path / "mounted")
         overlay = Overlay(((virtual, str(corpus_dir)),))
         for strategy in INDEX_FLAVORS:
-            for root, remap in ((str(corpus_dir), None), (virtual, overlay)):
+            for root, remap in ((str(corpus_dir), Overlay()), (virtual, overlay)):
                 session = open_session(module_map, SearchPaths((), root), strategy, overlay=remap)
                 assert session.resolve("S0_0", Need.DEFINITION).succeeded, (strategy, root)
 
@@ -962,6 +967,17 @@ class TestOneShadowingRule:
                 open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
             assert excinfo.value.stale_modules == ("M1",)
 
+    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL], ids=lambda s: s.value)
+    def test_deleted_release_copy_of_an_excluded_checkout(self, tmp_path, strategy):
+        # The index excludes M1, so it finds nothing stale, and no posting can
+        # stand in for the deleted release copy: only --allow-stale opens.
+        corpus_dir, local = self._checkout(tmp_path, "struct X;", ("M1",))
+        (corpus_dir / "M1.pcm").unlink()
+        with pytest.raises(ModuleNotFound) as excinfo:
+            open_corpus_session(corpus_dir, strategy, local_roots=[str(local)])
+        assert excinfo.value.name == "M1"
+        open_corpus_session(corpus_dir, strategy, local_roots=[str(local)], allow_stale=True)
+
     @staticmethod
     def _excluded_checkout(tmp_path):
         """Release Y, X (importing Y) and L; the lexical index excludes X; L,
@@ -1071,8 +1087,8 @@ class TestStaleIndex:
         data[read_module_summary(bytes(data)).summary_bytes] ^= 0x01
         path.write_bytes(data)
         index = load_index((corpus_dir / INDEX_FILE_NAME).read_bytes())
-        report = validate_index(index, corpus_dir)
-        assert tuple(name for name, s in report.statuses if s is Staleness.HASH_MISMATCH) == ("M3",)
+        verdict = validate_index(index, corpus_dir)
+        assert tuple(name for name, s in verdict.items() if s is Staleness.HASH_MISMATCH) == ("M3",)
         with pytest.raises(IndexStale) as excinfo:
             open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI)
         assert excinfo.value.stale_modules == ("M3",)

@@ -233,6 +233,12 @@ class TestOverlay:
         with pytest.raises(ParseError):
             parse_overlay("just a line\n")
 
+    @pytest.mark.parametrize("line", ["a ->", "-> b", "  ->  "])
+    def test_parse_overlay_rejects_an_empty_side(self, line):
+        with pytest.raises(ParseError) as excinfo:
+            parse_overlay(f"/v -> /r\n{line}\n")
+        assert str(excinfo.value) == f"2:1: expected 'VIRTUAL -> REAL' mapping, got {line.strip()}"
+
     @given(st.text(alphabet="ab/", max_size=12))
     def test_overlay_never_changes_unmapped_paths(self, path):
         assert Overlay(()).apply(path) == path

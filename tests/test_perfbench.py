@@ -68,17 +68,21 @@ def test_parser_fast_paths_sit_under_their_patch_points():
 
 
 def test_worker_api_contract(tmp_path):
-    """`perfbench/worker.py` builds a `BenchRow` by these six keywords, flattens
-    `Session.stats()` with `dataclasses.asdict` and subtracts one `LoadStats`
-    from another; nothing in modix itself does all three.  It reads an
-    evaluated statement only through `interp.format_result`."""
+    """`perfbench/worker.py` opens a session by `bench.open_corpus_session`
+    with two positional arguments, builds a `BenchRow` by these six keywords,
+    flattens `Session.stats()` with `dataclasses.asdict` and subtracts one
+    `LoadStats` from another; nothing in modix itself does all three.  It
+    reads an evaluated statement only through `interp.format_result`."""
     import dataclasses
 
     from modix import bench, interp
     from modix.loader import LoadStats, Strategy
+    from modix.modulemap import Overlay
 
     bench.generate_corpus(bench.CorpusSpec(n_modules=3, fwd_fanout=1, seed=1), tmp_path)
-    session = bench.open_corpus_session(tmp_path, Strategy.SEMANTIC_GMI)
+    session = bench.open_corpus_session(str(tmp_path), Strategy.SEMANTIC_GMI)
+    assert (session.paths.local_roots, session.paths.release_root) == ((), str(tmp_path))
+    assert session.overlay == Overlay()
     startup = session.stats()
     (evaluated,) = interp.run_script(session, "sizeof(S2_0);")
     assert interp.format_result(evaluated) == "ok 1"
