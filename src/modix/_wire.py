@@ -1,6 +1,6 @@
 """Little-endian binary plumbing shared by the module-file and index formats,
 their one keyed-table codec, `Writer.table` and `Reader.table`, their one
-self-hash, `self_hashes` and `sealed`, and `read_artifact`, the one file reader.
+self-hash (`self_hashes`, `stored_hash`, `sealed`), and `read_artifact`, the one file reader.
 
 A table is laid out by column, so a load reads it in a few bulk calls and a
 lookup touches one row::
@@ -57,21 +57,23 @@ _NO_FILE = frozenset({errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO})
 _READ_SIZE = 1 << 16
 
 
-def read_artifact(path: str | os.PathLike) -> bytes | None:
-    """The bytes of the regular file at `path`: one open, one `fstat`, reads
-    to end of file, one close.  None exactly where `Path.is_file()` is false
-    (a FIFO is opened without blocking, never read); any other OSError raises
-    UnreadableFile naming the path."""
+def read_artifact(path: str | os.PathLike, limit: int | None = None) -> bytes | None:
+    """The bytes of the regular file at `path`, or its first `limit` bytes: one
+    open, one `fstat`, reads to end of file or to the limit, one close.  None
+    exactly where `Path.is_file()` is false (a FIFO is opened without blocking,
+    never read); any other OSError raises UnreadableFile naming the path."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
             status = os.fstat(fd)
             if not stat.S_ISREG(status.st_mode):
                 return None
-            parts, size = [], status.st_size or _READ_SIZE  # /proc files report a size of 0
-            while part := os.read(fd, size):
+            left = sys.maxsize if limit is None else limit
+            parts, size = [], min(status.st_size or _READ_SIZE, left)  # /proc files report 0
+            while size and (part := os.read(fd, size)):
                 parts.append(part)
-                size = _READ_SIZE  # the read that finds the end needs no file-sized buffer
+                left -= len(part)
+                size = min(_READ_SIZE, left)  # the read that finds the end needs no big buffer
             return b"".join(parts)  # one part is returned as is
         finally:
             os.close(fd)
@@ -83,18 +85,22 @@ def read_artifact(path: str | os.PathLike) -> bytes | None:
         raise UnreadableFile(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-# Both formats keep their self-hash in the u64 after magic and version.
+# Both formats keep their self-hash in the u64 after magic and version: a file's head.
 _HASH_FIELD = slice(8, 16)
+HEAD_SIZE = _HASH_FIELD.stop
+
+
+def stored_hash(data: bytes | bytearray) -> int | None:
+    """The hash field's value in file bytes or a head; None if they are too short to hold it."""
+    return int.from_bytes(data[_HASH_FIELD], "little") if len(data) >= HEAD_SIZE else None
 
 
 def self_hashes(data: bytes | bytearray) -> tuple[int, int] | None:
-    """(stored, computed) self-hash of file bytes: the value of the hash
-    field, and BLAKE2b-64 over the bytes with that field zeroed.
-    None when the bytes are too short to hold the field."""
-    if len(data) < _HASH_FIELD.stop:
+    """(`stored_hash`, BLAKE2b-64 over the bytes with the hash field zeroed) of
+    file bytes; None when they are too short to hold the field."""
+    if (stored := stored_hash(data)) is None:
         return None
     with memoryview(data) as view:
-        stored = int.from_bytes(view[_HASH_FIELD], "little")
         return stored, digest64(view[:_HASH_FIELD.start], bytes(8), view[_HASH_FIELD.stop:])
 
 

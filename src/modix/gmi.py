@@ -24,8 +24,9 @@ identifier's postings when asked.
 
 The self-hash is BLAKE2b-64 over the file with that field zeroed, like a
 module file's content hash (see ``modfile``), which each module row stores;
-loads check the self-hash before decoding, and validation rehashes every
-indexed module file in full and compares.  Versions 1 to 3 are rejected.
+loads check the self-hash before decoding.  `modix validate` rehashes every
+indexed module file in full (`file_digest`); an index open compares only the
+stored hash in its 16-byte head (`file_head`).  Versions 1 to 3 are rejected.
 
 Indexes are immutable after load; building is a batch single-writer step.
 """
@@ -38,10 +39,10 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, read_artifact
-from ._wire import sealed, self_hashes
+from ._wire import HEAD_SIZE, sealed, self_hashes, stored_hash
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex, reading
 from .modfile import FILE_EXTENSION, EntityKind, Release, content_hashes
@@ -243,13 +244,20 @@ class Staleness(Enum):
     MISSING = "missing"
 
 
-def _file_digest(path: str) -> int | Staleness:
+def file_digest(path: str) -> int | Staleness:
     """A module file's content hash when its stored hash holds, else why not."""
-    data = read_artifact(path)
-    if data is None:
+    if (data := read_artifact(path)) is None:
         return Staleness.MISSING
     hashes = content_hashes(data)
     return hashes[0] if hashes is not None and hashes[0] == hashes[1] else Staleness.HASH_MISMATCH
+
+
+def file_head(path: str) -> int | Staleness:
+    """A module file's stored hash, from its 16-byte head and not checked, else why not."""
+    if (head := read_artifact(path, HEAD_SIZE)) is None:
+        return Staleness.MISSING
+    stored = stored_hash(head)
+    return Staleness.HASH_MISMATCH if stored is None else stored
 
 
 def validate_index(
@@ -257,17 +265,17 @@ def validate_index(
     module_dir: str | Path,
     overlay: Overlay = Overlay(),
     digests: dict[str, int | Staleness] | None = None,
+    probe: Callable[[str], int | Staleness] = file_digest,
 ) -> dict[str, Staleness]:
     """Each indexed module's staleness, in index module order: its stored
-    hash against its module file on disk, remapped by the overlay; touches
-    nothing.  `digests` memoizes each module's `_file_digest`, so checking
-    several indexes hashes a file once."""
+    hash against what `probe` finds in its module file on disk, remapped by
+    the overlay; touches nothing.  `digests` memoizes each module's probe,
+    so checking several indexes reads a file once."""
     digests = {} if digests is None else digests
     verdict: dict[str, Staleness] = {}
     for row in index.modules:
         if row.name not in digests:
-            path = root_file(module_dir, row.name + FILE_EXTENSION, overlay)
-            digests[row.name] = _file_digest(path)
+            digests[row.name] = probe(root_file(module_dir, row.name + FILE_EXTENSION, overlay))
         status = digests[row.name]
         if not isinstance(status, Staleness):
             status = Staleness.FRESH if status == row.content_hash else Staleness.HASH_MISMATCH

@@ -24,7 +24,9 @@ its name's first merge.  textual parses each struct body once per session
 (``declang.parse_header``'s memo), so repeated bodies share their fields.
 A lookup finds a candidate's row once, in its loaded module's ``rows``, and
 hands that row to ``modfile.deserialize_decl``; the index strategies read an
-identifier's postings through ``GlobalIndex.entry``.
+identifier's postings through ``GlobalIndex.entry``.  An index open compares
+only the stored hash in each indexed module file's 16-byte head, uncharged: a
+load rehashes the whole file, and ``modix validate`` hashes each file once, in full.
 
 Local checkouts replace their release modules under one rule: a name's
 candidates are the local declarations plus those of the release modules not
@@ -69,7 +71,7 @@ from .errors import (
     UnreadableFile,
     WrongFlavor,
 )
-from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, validate_index
+from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, file_head, validate_index
 from .modfile import FILE_EXTENSION, PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile
 from .modfile import Candidate, merge_entities
 from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module
@@ -271,9 +273,8 @@ class Session:
                 f"got {index.flavor.name.lower()}"
             )
         if not allow_stale:
-            verdict = validate_index(index, self.paths.release_root, self.overlay)
-            stale = tuple(name for name, status in verdict.items() if status is not Staleness.FRESH)
-            if stale:
+            verdict = validate_index(index, self.paths.release_root, self.overlay, probe=file_head)
+            if stale := tuple(name for name, s in verdict.items() if s is not Staleness.FRESH):
                 raise IndexStale(stale)
         self._index = index
         self._charge_read(size)

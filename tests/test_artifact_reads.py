@@ -1,10 +1,12 @@
 """Every artifact and text input is read by one function, `_wire.read_artifact`:
-one open, one fstat, reads to end of file, one close, and no probe ahead.
+one open, one fstat, reads to end of file or to a byte limit, one close, and no
+probe ahead.
 
-Here: what the reader returns for each kind of path, `read_text` against
-`Path.read_text`, a read error at each read site surfacing as UnreadableFile,
-the stat and open counts of a gmi session open and of `modix validate`, and a
-static check that nothing in `modix` reads or probes a file another way.
+Here: what the reader returns for each kind of path, with and without a
+limit, `read_text` against `Path.read_text`, a read error at each read site
+surfacing as UnreadableFile, the stat, open and byte counts of a gmi session
+open and of `modix validate`, and a static check that nothing in `modix` reads
+or probes a file another way.
 """
 
 from __future__ import annotations
@@ -110,6 +112,45 @@ class TestReadArtifact:
         with pytest.raises(UnreadableFile, match=f"cannot read {tmp_path / 'x'}: Permission denied"):
             read_artifact(tmp_path / "x")
 
+    def test_limit_reads_a_prefix(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_bytes(bytes(range(100)))
+        assert read_artifact(path, 16) == bytes(range(16))
+        assert read_artifact(path, 0) == b""
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16])
+    def test_limit_past_the_end_reads_the_whole_file(self, tmp_path, size):
+        path = tmp_path / "file"
+        path.write_bytes(bytes(range(size)))
+        assert read_artifact(path, 16) == bytes(range(size))
+
+    def test_limit_continues_short_reads(self, tmp_path, monkeypatch):
+        path = tmp_path / "file"
+        path.write_bytes(os.urandom(10_000))
+        read = os.read
+        sizes = []
+
+        def short(fd, n):
+            sizes.append(n)
+            return read(fd, min(n, 4096))
+
+        monkeypatch.setattr(os, "read", short)
+        assert read_artifact(path, 5000) == path.read_bytes()[:5000]
+        assert sizes == [5000, 904]
+
+    def test_limit_finds_no_file_where_is_file_is_false(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"x")
+        os.mkfifo(tmp_path / "fifo")
+        for name in ("fifo", "absent", "file/below", "."):
+            assert read_artifact(tmp_path / name, 16) is None, name
+
+    def test_limit_read_error_names_the_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "file"
+        path.write_bytes(b"data")
+        _fail_reads(monkeypatch, "file")
+        with pytest.raises(UnreadableFile, match=f"cannot read {path}: Input/output error"):
+            read_artifact(path, 16)
+
     def test_descriptor_closed_after_read_error(self, tmp_path, monkeypatch):
         (tmp_path / "file").write_bytes(b"data")
         closed = []
@@ -184,6 +225,7 @@ _SITES = {
     "validate_index": ("M3.pcm", lambda c: validate_index(read_index(c / INDEX_FILE_NAME)[0], c)),
     "read_index": (INDEX_FILE_NAME, lambda c: read_index(c / INDEX_FILE_NAME)),
     "gmi open": (INDEX_FILE_NAME, lambda c: open_corpus_session(c, Strategy.SEMANTIC_GMI)),
+    "gmi open heads": ("M3.pcm", lambda c: open_corpus_session(c, Strategy.LEXICAL_GMI)),
     "module load": ("M0.pcm", lambda c: open_corpus_session(c, Strategy.SEMANTIC_GMI).resolve(
         "S0_0", Need.DEFINITION)),
     "preload": ("M5.pcm", lambda c: open_corpus_session(c, Strategy.PRELOAD_ALL)),
@@ -283,6 +325,52 @@ def test_compile_reads_the_module_map_once(tmp_path, monkeypatch):
     )
     generate_corpus(spec, tmp_path / "c")
     assert [p for p in reads if p.endswith(FINAL_MAP_NAME)] == [str(tmp_path / "c" / FINAL_MAP_NAME)]
+
+
+def _count_bytes(monkeypatch) -> dict[str, int]:
+    """Bytes `os.read` returns, summed by the path each descriptor was opened for."""
+    read_bytes: dict[str, int] = {}
+    paths: dict[int, str] = {}
+    open_, read = os.open, os.read
+
+    def opened(path, flags, *args):
+        fd = open_(path, flags, *args)
+        paths[fd] = str(path)
+        return fd
+
+    def counted(fd, n):
+        data = read(fd, n)
+        read_bytes[paths[fd]] = read_bytes.get(paths[fd], 0) + len(data)
+        return data
+
+    monkeypatch.setattr(os, "open", opened)
+    monkeypatch.setattr(os, "read", counted)
+    return read_bytes
+
+
+@pytest.mark.parametrize("strategy", [Strategy.SEMANTIC_GMI, Strategy.LEXICAL_GMI])
+def test_gmi_open_reads_the_head_of_each_module_not_loaded(corpus12, monkeypatch, strategy):
+    read_bytes = _count_bytes(monkeypatch)
+    session = open_corpus_session(corpus12, strategy)
+    pcm = {str(corpus12 / f"M{m}.pcm") for m in range(12)}
+    assert {p: n for p, n in read_bytes.items() if p.endswith(".pcm")} == dict.fromkeys(pcm, 16)
+    for ident in ("S0_0", "S7_1"):
+        session.resolve(ident, Need.DEFINITION)
+    loaded = {str(corpus12 / f"{name}.pcm") for name in session.stats().load_order}
+    assert 0 < len(loaded) < 12
+    for path in pcm - loaded:
+        assert read_bytes[path] == 16, path
+    for path in loaded:
+        assert read_bytes[path] == 16 + os.path.getsize(path), path
+
+
+def test_validate_reads_each_module_file_once_in_full(corpus12, monkeypatch, capsys):
+    read_bytes = _count_bytes(monkeypatch)
+    assert main(["validate", str(corpus12)]) == 0
+    capsys.readouterr()
+    sizes = {str(path): path.stat().st_size for path in corpus12.glob("M*.pcm")}
+    assert len(sizes) == 12
+    assert {p: n for p, n in read_bytes.items() if p.endswith(".pcm")} == sizes
 
 
 def test_validate_stats_no_module_file_and_opens_each_once(corpus12, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 import re
 import sys
@@ -13,9 +14,11 @@ from conftest import index_bytes, random_release, redefine_one, write_local_rebu
 from modix import modfile
 from modix._wire import _HASH_FIELD, sealed
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
+from modix.cli import main
 from modix.declang import Decl, DeclKind, Need, StructField, TypeRef, parse_header
 from modix.errors import (
     CorruptTable,
+    HashMismatch,
     IndexStale,
     MissingIndex,
     MissingPch,
@@ -30,8 +33,10 @@ from modix.gmi import (
     LEXICAL_INDEX_FILE_NAME,
     IndexFlavor,
     Staleness,
+    file_head,
     index_file_name,
     load_index,
+    read_index,
     validate_index,
 )
 from modix.interp import format_result, run_script
@@ -1079,9 +1084,23 @@ class TestStaleIndex:
             assert excinfo.value.stale_modules == ("M1",)
             open_corpus_session(corpus_dir, strategy, allow_stale=True)
 
-    def test_flipped_blob_byte_is_stale(self, gpad_corpus):
-        # The hash field is left as it was, so only a full rehash notices.
+    def test_flipped_blob_byte_is_stale(self, gpad_corpus, capsys):
+        # The hash field is left as it was, so only a full rehash notices:
+        # `modix validate` finds M3 stale, while an index open reads only its
+        # head and opens, and each lookup that loads M3 refuses it.
         corpus_dir, _ = gpad_corpus
+        needs = (Need.FORWARD_OK, Need.DEFINITION)
+        names = [f"S{m}_0" for m in range(6)] + ["Unknown"]
+        preload = open_corpus_session(corpus_dir, Strategy.PRELOAD_ALL)
+        expected = {(i, n): outcome_signature(preload, i, n) for i in names for n in needs}
+        loads_m3 = {}
+        for strategy in INDEX_FLAVORS:
+            for ident in names:
+                session = open_corpus_session(corpus_dir, strategy)
+                session.resolve(ident, Need.DEFINITION)
+                loads_m3[strategy, ident] = "M3" in session.stats().load_order
+            assert loads_m3[strategy, "S3_0"] and not loads_m3[strategy, "Unknown"], strategy
+        assert not loads_m3[Strategy.SEMANTIC_GMI, "S0_0"]  # lexical loads M3 for every S*_0
         path = corpus_dir / "M3.pcm"
         data = bytearray(path.read_bytes())
         data[read_module_summary(bytes(data)).summary_bytes] ^= 0x01
@@ -1089,9 +1108,67 @@ class TestStaleIndex:
         index = load_index((corpus_dir / INDEX_FILE_NAME).read_bytes())
         verdict = validate_index(index, corpus_dir)
         assert tuple(name for name, s in verdict.items() if s is Staleness.HASH_MISMATCH) == ("M3",)
-        with pytest.raises(IndexStale) as excinfo:
-            open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI)
-        assert excinfo.value.stale_modules == ("M3",)
+        for (strategy, ident), loads in loads_m3.items():
+            for need in needs:
+                session = open_corpus_session(corpus_dir, strategy)
+                if loads:
+                    with pytest.raises(HashMismatch, match=f"{path}: .* in module 'M3'"):
+                        session.resolve(ident, need)
+                else:
+                    assert outcome_signature(session, ident, need) == expected[ident, need]
+        assert main(["validate", str(corpus_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "".join(f"M{m}: {'hash-mismatch' if m == 3 else 'fresh'}\n" for m in range(6))
+        assert err == "".join(
+            f"index is stale: {corpus_dir / name}\n"
+            for name in (INDEX_FILE_NAME, LEXICAL_INDEX_FILE_NAME)
+        )
+
+    @pytest.mark.parametrize("size", [0, 8, 15])
+    def test_module_file_cut_below_its_head_is_stale(self, gpad_corpus, size):
+        corpus_dir, _ = gpad_corpus
+        path = corpus_dir / "M3.pcm"
+        path.write_bytes(path.read_bytes()[:size])
+        self._assert_open_stale(corpus_dir, Staleness.HASH_MISMATCH)
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_module_file_that_is_no_regular_file_is_missing(self, gpad_corpus, kind):
+        # A FIFO is opened without blocking and never read.
+        corpus_dir, _ = gpad_corpus
+        path = corpus_dir / "M3.pcm"
+        path.unlink()
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        self._assert_open_stale(corpus_dir, Staleness.MISSING)
+
+    @staticmethod
+    def _assert_open_stale(corpus_dir, status):
+        for strategy, flavor in INDEX_FLAVORS.items():
+            with pytest.raises(IndexStale) as excinfo:
+                open_corpus_session(corpus_dir, strategy)
+            assert excinfo.value.stale_modules == ("M3",)
+            index, _ = read_index(corpus_dir / index_file_name(flavor))
+            assert validate_index(index, corpus_dir, probe=file_head)["M3"] is status
+            assert validate_index(index, corpus_dir)["M3"] is status
+
+    @pytest.mark.parametrize("added", ["", "struct Z { c: i32; };\n"], ids=["widened", "added"])
+    def test_module_rebuilt_in_place_is_stale_at_open(self, tmp_path, added):
+        # A rebuilt module's file carries a new self-hash in its head.
+        corpus_dir = tmp_path / "release"
+        write_corpus(corpus_dir, [
+            ("M0", {"t.dh": "struct X { a: i32; };\n"}),
+            ("M1", {"t.dh": "struct Y { b: i32; };\n"}),
+        ])
+        text = "struct X { a: i64; b: i64; };\n" + added
+        (corpus_dir / "M0" / "t.dh").write_text(text, "utf-8")
+        header = parse_header(text, "M0/t.dh")
+        (corpus_dir / "M0.pcm").write_bytes(compile_module("M0", [header]))
+        for strategy in INDEX_FLAVORS:
+            with pytest.raises(IndexStale) as excinfo:
+                open_corpus_session(corpus_dir, strategy)
+            assert excinfo.value.stale_modules == ("M0",)
 
     @pytest.mark.parametrize(
         "module, headers, s0_definition",
