@@ -315,12 +315,16 @@ def open_corpus_session(
     index_path: str | Path | None = None,
     overlay: Overlay = Overlay(),
 ) -> Session:
-    """Open a session over a corpus directory, the release root: its
-    `module.modulemap`, with `local_roots` ahead of it in precedence order
-    (see `Session` for the rest).  `modix run` opens through here."""
+    """Open a session over a corpus directory, the release root, with
+    `local_roots` ahead of it in precedence order (see `Session` for the
+    rest).  `modix run` opens through here.  It parses `module.modulemap` only
+    when `Session.reads_map`: pch and textual without local roots read only
+    their artifact, so a missing or broken map does not fail their opens."""
     corpus_dir = Path(corpus_dir)
-    module_map = load_modulemap(corpus_dir / FINAL_MAP_NAME)
     paths = SearchPaths(tuple(str(r) for r in local_roots), str(corpus_dir))
+    module_map = ModuleMap(())
+    if Session.reads_map(strategy, paths.local_roots):
+        module_map = load_modulemap(corpus_dir / FINAL_MAP_NAME)
     return open_session(module_map, paths, strategy, cost, index_path, allow_stale, overlay)
 
 

@@ -36,6 +36,12 @@ filtered, resolve a name either copy of a checkout declares as lexical-gmi
 does, charging the lexical index, those release summaries and posted loads;
 the modules the index excludes load at the first such lookup.
 
+Only some sessions read the release's module map (``Session.reads_map``):
+preload-all loads every map module, the index strategies merge in map order,
+and local roots are probed by map name.  pch merges one candidate per name,
+its ``__pch__`` row, and textual ranks headers in parse order: without local
+roots they need no module order, so a missing or broken map cannot fail them.
+
 Costs are simulated, not measured: every module load charges a fixed
 per-module overhead (standing in for eager side effects such as source-location
 preallocation), every byte that the strategy logically reads is counted, and
@@ -526,6 +532,11 @@ class Session:
         Strategy.LEXICAL_GMI: (_start_index, _resolve_lexical),
         Strategy.SEMANTIC_GMI: (_start_index, _resolve_semantic),
     }
+
+    @staticmethod
+    def reads_map(strategy: Strategy, local_roots: Sequence[str]) -> bool:
+        """Whether a session needs its module map (see the module doc)."""
+        return bool(local_roots) or strategy not in (Strategy.PCH, Strategy.TEXTUAL)
 
     # -- stats --
 

@@ -285,7 +285,8 @@ def run_equivalence_check(
 ) -> None:
     """Assert all five strategies agree on the workload's outcome sequence,
     an ODR violation, with the pair of modules it names, being one more
-    outcome."""
+    outcome.  Each session opens through `open_corpus_session`, so without
+    local roots the pch and textual sessions checked here read no module map."""
     from modix.bench import open_corpus_session
 
     def signature(session: Session, ident: str, need: Need) -> tuple:

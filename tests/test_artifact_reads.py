@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modix
-from modix import loader, modulemap
+from modix import gmi, loader, modfile, modulemap
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session
 from modix.cli import main
 from modix.declang import Need
@@ -235,6 +235,8 @@ _SITES = {
     "header": ("M0/types.dh", lambda c: open_corpus_session(c, Strategy.TEXTUAL).resolve(
         "S0_0", Need.DEFINITION)),
     "module map": (FINAL_MAP_NAME, lambda c: load_modulemap(c / FINAL_MAP_NAME)),
+    "module map preload open": (FINAL_MAP_NAME, lambda c: open_corpus_session(c, Strategy.PRELOAD_ALL)),
+    "module map index open": (FINAL_MAP_NAME, lambda c: open_corpus_session(c, Strategy.LEXICAL_GMI)),
 }
 
 
@@ -244,6 +246,13 @@ def test_read_error_at_each_site_is_unreadable(corpus12, monkeypatch, site):
     _fail_reads(monkeypatch, suffix)
     with pytest.raises(UnreadableFile, match=r"cannot read \S*" + suffix + ": Input/output error"):
         act(corpus12)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL])
+def test_map_read_error_leaves_artifact_opens_alone(corpus12, monkeypatch, strategy):
+    _fail_reads(monkeypatch, FINAL_MAP_NAME)
+    session = open_corpus_session(corpus12, strategy)
+    assert session.resolve("S0_0", Need.DEFINITION).succeeded
 
 
 @pytest.mark.parametrize("suffix", ["M3.pcm", INDEX_FILE_NAME, "modules.lexical.gmi"])
@@ -311,20 +320,49 @@ def test_open_without_local_roots_probes_no_checkout(corpus12, monkeypatch, stra
     assert probes == []
 
 
-def test_compile_reads_the_module_map_once(tmp_path, monkeypatch):
+def _record_reads(monkeypatch, root: Path) -> list[str]:
+    """The path under `root` of each file `read_artifact` reads, in order,
+    through every module that imports it."""
     reads = []
-    real = modulemap.read_artifact
+    real = read_artifact
 
-    def counted(path):
-        reads.append(str(path))
-        return real(path)
+    def recorded(path, *limit):
+        reads.append(Path(path).relative_to(root).as_posix())
+        return real(path, *limit)
 
-    monkeypatch.setattr(modulemap, "read_artifact", counted)
+    for module in (gmi, modfile, modulemap):
+        monkeypatch.setattr(module, "read_artifact", recorded)
+    return reads
+
+
+@pytest.mark.parametrize("strategy, artifact", [
+    (Strategy.PCH, "__pch__.pcm"), (Strategy.TEXTUAL, "modules.rootmap"),
+])
+def test_artifact_open_reads_only_its_artifact(corpus12, monkeypatch, strategy, artifact):
+    reads = _record_reads(monkeypatch, corpus12)
+    open_corpus_session(corpus12, strategy)
+    assert reads == [artifact]
+
+
+@pytest.mark.parametrize("strategy, local", [
+    (Strategy.PRELOAD_ALL, False), (Strategy.LEXICAL_GMI, False), (Strategy.SEMANTIC_GMI, False),
+    (Strategy.PCH, True), (Strategy.TEXTUAL, True),
+])
+def test_open_reads_the_module_map_once(corpus12, tmp_path, monkeypatch, strategy, local):
+    (tmp_path / "local").mkdir()
+    local_roots = [str(tmp_path / "local")] if local else []
+    reads = _record_reads(monkeypatch, corpus12)
+    open_corpus_session(corpus12, strategy, local_roots=local_roots)
+    assert reads.count(FINAL_MAP_NAME) == 1
+
+
+def test_compile_reads_the_module_map_once(tmp_path, monkeypatch):
+    reads = _record_reads(monkeypatch, tmp_path / "c")
     spec = CorpusSpec(
         n_modules=12, defs_per_module=3, fwd_fanout=3, dup_fraction=0.5, import_density=1.0, seed=7,
     )
     generate_corpus(spec, tmp_path / "c")
-    assert [p for p in reads if p.endswith(FINAL_MAP_NAME)] == [str(tmp_path / "c" / FINAL_MAP_NAME)]
+    assert reads.count(FINAL_MAP_NAME) == 1
 
 
 def _count_bytes(monkeypatch) -> dict[str, int]:

@@ -170,7 +170,7 @@ class TestWorkflow:
     def test_run_reads_the_overlay_before_the_module_map(self, tmp_path, capsys):
         overlay = tmp_path / "overlay.txt"
         overlay.write_text("a ->\n", "utf-8")
-        argv = ["run", "--strategy", "pch", "--dir", str(tmp_path / "no-corpus")]
+        argv = ["run", "--strategy", "preload-all", "--dir", str(tmp_path / "no-corpus")]
         assert main(argv + ["--overlay", str(overlay)]) == 2
         assert capsys.readouterr().err == (
             "modix: error: 1:1: expected 'VIRTUAL -> REAL' mapping, got a ->\n"
@@ -661,6 +661,37 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith(f"modix: error: {corpus12 / file_name}: ")
+
+
+class TestMapFreeRuns:
+    """pch and textual without --local read only their artifact, so they run
+    as before with no module map; a run with --local still reads the map."""
+
+    SCRIPT = "new S1_0;\nsizeof(S1_1);\ndeclare x: ptr<S4_2>;\nsizeof(S9_0);\nnew Nope;\n.stats\n"
+
+    @pytest.mark.parametrize("strategy", ["pch", "textual"])
+    def test_run_prints_the_same_without_the_map(self, corpus12, tmp_path, capsys, strategy):
+        script = tmp_path / "w.dscript"
+        script.write_text(self.SCRIPT, "utf-8")
+        argv = ["run", "--strategy", strategy, "--dir", str(corpus12), str(script)]
+        assert main(argv) == 0
+        intact = capsys.readouterr()
+        assert "ok" in intact.out and intact.err == ""
+        (corpus12 / "module.modulemap").unlink()
+        assert main(argv) == 0
+        assert capsys.readouterr() == intact
+
+    @pytest.mark.parametrize("strategy", ["pch", "textual"])
+    def test_local_run_without_the_map_exits_2(self, corpus12, tmp_path, capsys, strategy):
+        script = tmp_path / "w.dscript"
+        script.write_text(self.SCRIPT, "utf-8")
+        (tmp_path / "local").mkdir()
+        map_path = corpus12 / "module.modulemap"
+        map_path.unlink()
+        argv = ["run", "--strategy", strategy, "--dir", str(corpus12),
+                "--local", str(tmp_path / "local"), str(script)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"modix: error: cannot read {map_path}: no such file\n"
 
 
 class TestForeignBlob:

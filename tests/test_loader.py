@@ -25,6 +25,7 @@ from modix.errors import (
     MissingRootmap,
     ModuleNotFound,
     OdrViolation,
+    ParseError,
     UnreadableFile,
     WrongFlavor,
 )
@@ -42,7 +43,7 @@ from modix.gmi import (
 from modix.interp import format_result, run_script
 from modix.loader import INDEX_FLAVORS, CostModel, ResolutionOutcome, Session, Strategy, open_session
 from modix.modfile import PCH_MODULE_NAME, DeclFlags, compile_module, read_module_summary
-from modix.modulemap import Overlay, SearchPaths, find_local_module, load_modulemap
+from modix.modulemap import FINAL_MAP_NAME, Overlay, SearchPaths, find_local_module, load_modulemap
 
 ZERO_COST = CostModel(0, 0, 0)
 
@@ -1378,6 +1379,39 @@ class TestEquivalence:
             for strategy in (Strategy.PCH, Strategy.TEXTUAL, *INDEX_FLAVORS):
                 with pytest.raises(missing.get(strategy, MissingIndex)):
                     open_corpus_session(out, strategy)
+
+
+class TestMapFreeOpens:
+    """pch and textual without local roots never read `module.modulemap`, so
+    a session's answers and stats do not depend on it."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL])
+    def test_sweep_is_the_same_with_the_map_present_deleted_or_malformed(
+        self, corpus12, tmp_path, strategy
+    ):
+        import shutil
+
+        corpus = tmp_path / "c"
+        shutil.copytree(corpus12, corpus)
+        names = [*read_module_summary((corpus / "__pch__.pcm").read_bytes()).rows, "Nope"]
+
+        def sweep() -> list:
+            session = open_corpus_session(corpus, strategy)
+            seen = [session.stats()]
+            for need in (Need.FORWARD_OK, Need.DEFINITION):
+                for name in names:
+                    seen.append((session.resolve(name, need), session.stats()))
+            return seen
+
+        intact = sweep()
+        assert sum(r.succeeded for r, _ in intact[1:]) > len(names)
+        map_path = corpus / FINAL_MAP_NAME
+        map_path.unlink()
+        assert sweep() == intact
+        map_path.write_text("module { broken\n", "utf-8")
+        with pytest.raises(ParseError):
+            open_corpus_session(corpus, Strategy.PRELOAD_ALL)
+        assert sweep() == intact
 
 
 class TestFalsePositiveElimination:
