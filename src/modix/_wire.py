@@ -1,6 +1,6 @@
-"""Little-endian binary plumbing shared by the module-file and index formats,
-their one keyed-table codec, `Writer.table` and `Reader.table`, their one
-self-hash (`self_hashes`, `stored_hash`, `sealed`), and `read_artifact`, the one file reader.
+"""Little-endian binary plumbing shared by the module-file and index formats:
+their one keyed-table codec, `Writer.table` and `Reader.table`, their one self-hash
+(`self_hashes`, `stored_hash(es)`, `sealed`), and `read_artifact`, the one file reader.
 
 A table is laid out by column, so a load reads it in a few bulk calls and a
 lookup touches one row::
@@ -9,7 +9,8 @@ lookup touches one row::
 
 Keys are the UTF-8 heap slices between consecutive `key_end`s (the first
 starts at 0), strictly increasing in byte order.  A loaded table is a dict
-from each key to its row index, in file order, and one `array` per field."""
+from each key to its row index, in file order, and one `array` per field;
+`Writer.rows` and `Reader.rows` do the rows after the count, keys in any order."""
 
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ import hashlib
 import itertools
 import operator
 import os
-import stat
 import struct
 import sys
 from array import array
-from typing import Callable, Iterable, Mapping, TypeVar
+from stat import S_ISREG
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import CorruptTable, UnreadableFile
 
@@ -66,14 +67,14 @@ def read_artifact(path: str | os.PathLike, limit: int | None = None) -> bytes | 
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
             status = os.fstat(fd)
-            if not stat.S_ISREG(status.st_mode):
+            if not S_ISREG(status.st_mode):
                 return None
             left = sys.maxsize if limit is None else limit
-            parts, size = [], min(status.st_size or _READ_SIZE, left)  # /proc files report 0
-            while size and (part := os.read(fd, size)):
+            parts, size = [], status.st_size or _READ_SIZE  # /proc files report 0
+            while left and (part := os.read(fd, size if size < left else left)):
                 parts.append(part)
                 left -= len(part)
-                size = min(_READ_SIZE, left)  # the read that finds the end needs no big buffer
+                size = _READ_SIZE  # the read that finds the end needs no big buffer
             return b"".join(parts)  # one part is returned as is
         finally:
             os.close(fd)
@@ -93,6 +94,12 @@ HEAD_SIZE = _HASH_FIELD.stop
 def stored_hash(data: bytes | bytearray) -> int | None:
     """The hash field's value in file bytes or a head; None if they are too short to hold it."""
     return int.from_bytes(data[_HASH_FIELD], "little") if len(data) >= HEAD_SIZE else None
+
+
+def stored_hashes(heads: Sequence[bytes | None]) -> array | None:
+    """Each head's `stored_hash`, as one column; None unless every head holds one."""
+    fields = b"" if None in heads else b"".join([head[_HASH_FIELD] for head in heads])
+    return Reader(fields).column("Q", len(heads)) if len(fields) == 8 * len(heads) else None
 
 
 def self_hashes(data: bytes | bytearray) -> tuple[int, int] | None:
@@ -181,10 +188,14 @@ class Writer:
         byte order."""
         keys = byte_order(rows)
         values = [row(rows[key]) for key in keys]
-        heap = [key.encode("utf-8") for key in keys]
         self.u32(len(keys))
+        self.rows(keys, fields, zip(*values) if values else [()] * len(fields))
+
+    def rows(self, keys: Sequence[str], fields: str, columns: Iterable[Iterable[int]]) -> None:
+        """A table's rows after its count, `keys` in the order given."""
+        heap = [key.encode("utf-8") for key in keys]
         self.column("I", itertools.accumulate(map(len, heap)))
-        for code, column in zip(fields, zip(*values) if values else [()] * len(fields)):
+        for code, column in zip(fields, columns):
             self.column(code, column)
         self.raw(b"".join(heap))
 
@@ -259,10 +270,17 @@ class Reader:
 
     def table(self, fields: str) -> tuple[dict[str, int], list[array]]:
         """A `Writer.table`: each key mapped to its row index, in file order,
-        and one column per struct code of `fields`.  Every key is checked
-        and interned, in bulk: key ends that decrease, keys that are not
-        UTF-8 or that do not strictly increase raise CorruptTable."""
+        and its columns (see `rows`); keys not strictly increasing raise CorruptTable."""
         count = self.u32()
+        keys, columns = self.rows(count, fields)
+        rows = dict(zip(keys, range(count)))
+        if len(rows) != count or keys != sorted(keys):
+            row = first_false(map(operator.lt, keys, itertools.islice(keys, 1, None))) + 1
+            raise CorruptTable(f"table keys not strictly increasing at '{keys[row]}'")
+        return rows, columns
+
+    def rows(self, count: int, fields: str) -> tuple[list[str], list[array]]:
+        """`count` rows of a `Writer.rows`, keys interned; bad key ends or UTF-8 raise CorruptTable."""
         ends = self.column("I", count).tolist()
         columns = [self.column(code, count) for code in fields]
         heap_start = self.pos
@@ -284,12 +302,7 @@ class Reader:
                     keys.append(heap[start:end].decode("utf-8"))
                 except UnicodeDecodeError:
                     raise CorruptTable(f"invalid UTF-8 at byte {heap_start + start}") from None
-        keys = list(map(sys.intern, keys))  # one str per spelling
-        rows = dict(zip(keys, range(count)))
-        if len(rows) != count or keys != sorted(keys):
-            row = first_false(map(operator.lt, keys, itertools.islice(keys, 1, None))) + 1
-            raise CorruptTable(f"table keys not strictly increasing at '{keys[row]}'")
-        return rows, columns
+        return list(map(sys.intern, keys)), columns  # one str per spelling
 
     def at_end(self) -> bool:
         return self.pos == len(self.data)

@@ -318,8 +318,9 @@ def open_corpus_session(
     """Open a session over a corpus directory, the release root, with
     `local_roots` ahead of it in precedence order (see `Session` for the
     rest).  `modix run` opens through here.  It parses `module.modulemap` only
-    when `Session.reads_map`: pch and textual without local roots read only
-    their artifact, so a missing or broken map does not fail their opens."""
+    when `Session.reads_map`: pch, textual and index sessions without local
+    roots read only their artifact (and an index's module heads), so a
+    missing or broken map does not fail their opens."""
     corpus_dir = Path(corpus_dir)
     paths = SearchPaths(tuple(str(r) for r in local_roots), str(corpus_dir))
     module_map = ModuleMap(())

@@ -574,18 +574,6 @@ def render_decl(decl: Decl) -> str:
     return f"fn {decl.name}({params}) -> {render_type(decl.returns)};"
 
 
-def render_statement(stmt: Statement) -> str:
-    if isinstance(stmt, NewStmt):
-        return f"new {stmt.name};"
-    if isinstance(stmt, DeclareStmt):
-        return f"declare {stmt.var}: {render_type(stmt.type)};"
-    if isinstance(stmt, SizeOfStmt):
-        return f"sizeof({stmt.name});"
-    if isinstance(stmt, CallStmt):
-        return f"call {stmt.name};"
-    return f".{stmt.name}"
-
-
 def render_header(ast: HeaderAST) -> str:
     """Canonical text: includes first, then one declaration per line, LF."""
     lines = [f'include "{inc}";' for inc in ast.includes]

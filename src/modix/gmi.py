@@ -7,26 +7,29 @@ lets a session load one module and skip those that merely forward-declare it.
 
 File layout (little-endian)::
 
-    magic "GMIX" | version u32 = 4 | self_hash u64 | flavor u8 (1 lexical, 2 semantic) |
-    excluded_count u32 | excluded names (u32 len + UTF-8 each) |
-    module_count u32 | rows: (module_id u32 | u32 len + name | content_hash u64) |
+    magic "GMIX" | version u32 = 5 | self_hash u64 | flavor u8 (1 lexical, 2 semantic) |
+    excluded_count u32 | excluded names (u32 len + UTF-8 each), in map order |
+    module table, rows in map order (see ``_wire.Writer.rows``):
+        module_count u32 | module_id u32 x m | name_end u32 x m | content_hash u64 x m | names |
     identifier table, rows in identifier byte order (see ``_wire``):
         entry_count u32 | key_end u32 x n | posting_end u32 x n | identifiers |
     module_id u32 x p | flags u8 x p    (p postings, every entry's back to back)
 
+An indexed module's id is its map position; the excluded modules take the
+positions no id has, in order, so the index records the merge order and an
+index session reads no module map (rebuild the index after editing the map).
 An entry's postings run from the previous entry's ``posting_end`` (0 for the
-first) to its own.  Module rows have distinct ids and names; each entry's
-postings have strictly increasing module ids, so the first defining posting
-is the lowest-id one.  The layout is exactly as long as version 3's
-row-at-a-time one.  A load checks every column in bulk and builds no
-`Posting`; `GlobalIndex.entry`, the index's one lookup, builds an
-identifier's postings when asked.
+first) to its own, with strictly increasing module ids, so the first defining
+posting is the lowest-id one.  The layout is as long as versions 3 and 4.  A
+load checks every column in bulk and builds no `Posting`; `GlobalIndex.entry`,
+the index's one lookup, builds an identifier's postings when asked.
 
 The self-hash is BLAKE2b-64 over the file with that field zeroed, like a
 module file's content hash (see ``modfile``), which each module row stores;
 loads check the self-hash before decoding.  `modix validate` rehashes every
-indexed module file in full (`file_digest`); an index open compares only the
-stored hash in its 16-byte head (`file_head`).  Versions 1 to 3 are rejected.
+indexed module file in full (`file_digest`); an index open compares their
+16-byte heads with the hash column at once (`heads_match`).  Versions 1 to 4
+are rejected.
 
 Indexes are immutable after load; building is a batch single-writer step.
 """
@@ -41,8 +44,8 @@ from enum import Enum, IntFlag
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ._wire import Reader, Writer, byte_order, check_flags, first_false, key_at, read_artifact
-from ._wire import HEAD_SIZE, sealed, self_hashes, stored_hash
+from ._wire import Reader, Writer, check_flags, first_false, key_at, read_artifact
+from ._wire import HEAD_SIZE, sealed, self_hashes, stored_hash, stored_hashes
 from ._wire import fnv1a_64  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .errors import BadMagic, BadVersion, CorruptTable, HashMismatch, MissingIndex, reading
 from .modfile import FILE_EXTENSION, EntityKind, Release, content_hashes
@@ -50,7 +53,7 @@ from .modfile import read_module_summary  # noqa: F401 -- kept for perfbench/spa
 from .modulemap import ModuleMap, Overlay, root_file
 
 MAGIC = b"GMIX"
-VERSION = 4
+VERSION = 5
 INDEX_FILE_NAME = "modules.gmi"
 LEXICAL_INDEX_FILE_NAME = "modules.lexical.gmi"
 
@@ -94,24 +97,20 @@ class _Postings(dict):
         return posting
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class IndexedModule:
-    module_id: int
-    name: str
-    content_hash: int
-
-
 @dataclass(frozen=True)
 class GlobalIndex:
-    """A loaded index, its identifier table still in columns: `rows` maps
-    each identifier, in file order, to its row; row i's postings are
+    """A loaded index, in columns: `module_names` and `module_hashes` in map
+    order, `order` each indexed or `excluded` module's map position, and
+    `rows` each identifier's row, in file order; row i's postings are
     positions `posting_ends[i - 1]` (0 for the first) to `posting_ends[i]`
     of `posting_modules` and `posting_flags`.  `entry` returns one
     identifier's postings, each (module, flags) `Posting` built at its first
     lookup and `shared` after: the index's one lookup."""
 
     flavor: IndexFlavor
-    modules: tuple[IndexedModule, ...]
+    module_names: tuple[str, ...]
+    module_hashes: Sequence[int]
+    order: dict[str, int]
     rows: dict[str, int]
     posting_ends: Sequence[int]
     posting_modules: Sequence[int]
@@ -155,13 +154,11 @@ def build_index(map: ModuleMap, release: Release, flavor: IndexFlavor) -> bytes:
     w.u64(0)  # self-hash patched below
     w.u8(flavor.value)
     w.u32(len(excluded))
-    for name in byte_order(excluded):
+    for name in excluded:
         w.lpstr(name)
     w.u32(len(release.modules))
-    for name, content_hash in release.modules:
-        w.u32(ids[name])
-        w.lpstr(name)
-        w.u64(content_hash)
+    w.column("I", ids.values())
+    w.rows(list(ids), "Q", [[content_hash for _, content_hash in release.modules]])
     w.table(release.postings, "I", posting_end)
     w.column("I", module_ids)
     w.column("B", posting_flags)
@@ -170,7 +167,8 @@ def build_index(map: ModuleMap, release: Release, flavor: IndexFlavor) -> bytes:
 
 def load_index(data: bytes) -> GlobalIndex:
     """Parse index bytes, validating the self-hash, framing, the module
-    rows and every column: identifiers strictly increasing, posting ends
+    table (ids in range, no id or name twice) and every column of the
+    identifier table: identifiers strictly increasing, posting ends
     non-decreasing, each posting's module known and its flags a byte that
     `build_index` writes, and each entry's module ids strictly increasing.
     The checks run over whole columns; only a failed one looks for the first
@@ -188,12 +186,17 @@ def load_index(data: bytes) -> GlobalIndex:
     except ValueError as exc:
         raise CorruptTable("unknown index flavor") from exc
     excluded = tuple(r.lpstr() for _ in range(r.u32()))
-    modules = tuple(
-        IndexedModule(r.u32(), r.lpstr(), r.u64()) for _ in range(r.u32())
-    )
-    names = {m.module_id: m.name for m in modules}
-    if len(names) != len(modules) or len(set(names.values())) != len(modules):
-        raise CorruptTable("duplicate module id or name in the module table")
+    count = r.u32()
+    positions = r.column("I", count).tolist()
+    module_names, (hashes,) = r.rows(count, "Q")
+    total = count + len(excluded)
+    names = dict(zip(positions, module_names))
+    if len(names) != count or max(positions, default=-1) >= total:
+        raise CorruptTable(f"module ids repeat or reach past {total} modules")
+    order = dict(zip(module_names, positions))
+    order.update(zip(excluded, sorted(set(range(total)).difference(positions))))
+    if len(order) != total:
+        raise CorruptTable("duplicate module name in the module table")
 
     rows, (ends,) = r.table("I")
     end_list = ends.tolist()
@@ -220,7 +223,8 @@ def load_index(data: bytes) -> GlobalIndex:
         at = first_false(map(names.__contains__, ids))
         raise CorruptTable(f"'{identifier(at)}' posts unknown module {ids[at]}")
     check_flags(_POSTING_FLAGS, flags)
-    return GlobalIndex(flavor, modules, rows, ends, module_ids, flags, excluded, _Postings(names))
+    return GlobalIndex(flavor, tuple(module_names), hashes, order, rows, ends, module_ids, flags,
+                       excluded, _Postings(names))
 
 
 def read_index(path: str | Path, overlay: Overlay = Overlay()) -> tuple[GlobalIndex, int]:
@@ -260,6 +264,20 @@ def file_head(path: str) -> int | Staleness:
     return Staleness.HASH_MISMATCH if stored is None else stored
 
 
+def _module_files(index: GlobalIndex, module_dir: str | Path, overlay: Overlay) -> list[str]:
+    """Each indexed module's file, spelled as `root_file` does, in index order."""
+    prefix = root_file(module_dir, "")  # each path is then one concatenation
+    paths = [prefix + name + FILE_EXTENSION for name in index.module_names]
+    return list(map(overlay.apply, paths)) if overlay.mappings else paths
+
+
+def heads_match(index: GlobalIndex, module_dir: str | Path, overlay: Overlay = Overlay()) -> bool:
+    """Whether every indexed module file's 16-byte head stores the hash the
+    index records, decided by one comparison with the index's hash column."""
+    heads = [read_artifact(path, HEAD_SIZE) for path in _module_files(index, module_dir, overlay)]
+    return stored_hashes(heads) == index.module_hashes
+
+
 def validate_index(
     index: GlobalIndex,
     module_dir: str | Path,
@@ -273,11 +291,12 @@ def validate_index(
     so checking several indexes reads a file once."""
     digests = {} if digests is None else digests
     verdict: dict[str, Staleness] = {}
-    for row in index.modules:
-        if row.name not in digests:
-            digests[row.name] = probe(root_file(module_dir, row.name + FILE_EXTENSION, overlay))
-        status = digests[row.name]
+    paths = _module_files(index, module_dir, overlay)
+    for name, path, content_hash in zip(index.module_names, paths, index.module_hashes):
+        if name not in digests:
+            digests[name] = probe(path)
+        status = digests[name]
         if not isinstance(status, Staleness):
-            status = Staleness.FRESH if status == row.content_hash else Staleness.HASH_MISMATCH
-        verdict[row.name] = status
+            status = Staleness.FRESH if status == content_hash else Staleness.HASH_MISMATCH
+        verdict[name] = status
     return verdict

@@ -25,8 +25,9 @@ its name's first merge.  textual parses each struct body once per session
 A lookup finds a candidate's row once, in its loaded module's ``rows``, and
 hands that row to ``modfile.deserialize_decl``; the index strategies read an
 identifier's postings through ``GlobalIndex.entry``.  An index open compares
-only the stored hash in each indexed module file's 16-byte head, uncharged: a
-load rehashes the whole file, and ``modix validate`` hashes each file once, in full.
+only the stored hash in each indexed module file's 16-byte head, uncharged
+(``gmi.heads_match``): a load rehashes the whole file, and ``modix validate``
+hashes each file once, in full.
 
 Local checkouts replace their release modules under one rule: a name's
 candidates are the local declarations plus those of the release modules not
@@ -37,10 +38,10 @@ does, charging the lexical index, those release summaries and posted loads;
 the modules the index excludes load at the first such lookup.
 
 Only some sessions read the release's module map (``Session.reads_map``):
-preload-all loads every map module, the index strategies merge in map order,
-and local roots are probed by map name.  pch merges one candidate per name,
-its ``__pch__`` row, and textual ranks headers in parse order: without local
-roots they need no module order, so a missing or broken map cannot fail them.
+preload-all loads every map module, and local roots are probed by map name.
+The index strategies merge in the order their index records, pch merges one
+candidate per name, its ``__pch__`` row, and textual ranks headers in parse
+order, so without local roots a missing or broken map cannot fail them.
 
 Costs are simulated, not measured: every module load charges a fixed
 per-module overhead (standing in for eager side effects such as source-location
@@ -68,6 +69,7 @@ from pathlib import Path
 from typing import Sequence
 from . import gmi as gmi_mod
 from . import modfile
+from ._wire import byte_order
 from .declang import FieldMemo, HeaderAST, Need, parse_header
 from .errors import (
     IndexStale,
@@ -263,6 +265,7 @@ class Session:
 
     def _start_index(self, index_path: str | Path | None, allow_stale: bool) -> None:
         self._read_index(index_path, allow_stale)
+        self._merge_order = self._index.order
         self._load_direct(allow_stale)
         self._load_excluded()
 
@@ -278,7 +281,7 @@ class Session:
                 f"strategy {self.strategy.value} needs a {wanted.name.lower()} index, "
                 f"got {index.flavor.name.lower()}"
             )
-        if not allow_stale:
+        if not (allow_stale or gmi_mod.heads_match(index, self.paths.release_root, self.overlay)):
             verdict = validate_index(index, self.paths.release_root, self.overlay, probe=file_head)
             if stale := tuple(name for name, s in verdict.items() if s is not Staleness.FRESH):
                 raise IndexStale(stale)
@@ -319,7 +322,7 @@ class Session:
     def _load_excluded(self) -> None:
         """Modules excluded from the index are consulted directly as well; one
         whose import is missing raises here again at the next call."""
-        for name in self._index.excluded:
+        for name in byte_order(self._index.excluded):
             if name in self._shadowed:
                 continue
             if self._load_if_present(name, resolution=False):
@@ -536,7 +539,7 @@ class Session:
     @staticmethod
     def reads_map(strategy: Strategy, local_roots: Sequence[str]) -> bool:
         """Whether a session needs its module map (see the module doc)."""
-        return bool(local_roots) or strategy not in (Strategy.PCH, Strategy.TEXTUAL)
+        return bool(local_roots) or strategy is Strategy.PRELOAD_ALL
 
     # -- stats --
 

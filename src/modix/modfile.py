@@ -219,10 +219,6 @@ def _blob(origin: tuple[str, int], payload: bytes) -> bytes:
     return b"".join((_U32.pack(len(path)), path, _U32.pack(origin[1]), payload))
 
 
-def encode_blob(decl: Decl) -> bytes:
-    return _blob(decl.origin, encode_payload(decl))
-
-
 def split_blob(blob: bytes) -> tuple[str, bytes]:
     """A blob's origin path and its payload, read from the blob's head
     without decoding the declaration.  A head that leaves no payload, or a

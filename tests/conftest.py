@@ -7,6 +7,7 @@ with occasional cycles.  `write_local_rebuilds` checks some of its modules
 out into a local root, rebuilt, `redefine_one` breaks the one-definition rule
 in a `random_release` before it is written, and `index_bytes` indexes a
 corpus directory.  Everything is seeded, so the suite is fully deterministic.
+`encode_blob` writes one declaration's blob as `compile_module` does.
 `single_edit` and `assert_same_parse` serve the Hypothesis tests that hold
 each pattern parser to its token `Cursor` parser.
 """
@@ -27,10 +28,16 @@ from modix.declang import render_decl
 from modix.errors import ModixError, OdrViolation
 from modix.gmi import IndexFlavor, build_index
 from modix.loader import ResolutionOutcome, Session, Strategy
-from modix.modfile import _KINDS, compile_module, fold_rows, read_module_summary, read_modules
+from modix.modfile import _KINDS, _blob, compile_module, encode_payload, fold_rows
+from modix.modfile import read_module_summary, read_modules
 from modix.modulemap import ModuleMap
 
 BUILTINS = ("i32", "i64", "f64", "bool")
+
+
+def encode_blob(decl: Decl) -> bytes:
+    """A declaration's blob as `compile_module` writes it: its origin, then its payload."""
+    return _blob(decl.origin, encode_payload(decl))
 
 
 @dataclass

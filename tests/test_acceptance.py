@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_random_corpus, index_bytes, random_workload, run_equivalence_check
+from conftest import build_random_corpus, encode_blob, index_bytes, random_workload, run_equivalence_check
 from modix.bench import (
     CorpusSpec,
     generate_corpus,
@@ -39,7 +39,6 @@ from modix.modfile import (
     build_pch,
     compile_module,
     deserialize_decl,
-    encode_blob,
     encode_payload,
     fold_rows,
     merge_entities,

@@ -26,7 +26,7 @@ from modix.cli import main
 from modix.declang import Need
 from modix.errors import UnreadableFile
 from modix.gmi import INDEX_FILE_NAME, read_index, validate_index
-from modix.loader import Strategy
+from modix.loader import INDEX_FLAVORS, Strategy
 from modix.modfile import read_modules
 from modix.modulemap import FINAL_MAP_NAME, load_modulemap, read_text
 from modix._wire import read_artifact
@@ -236,7 +236,8 @@ _SITES = {
         "S0_0", Need.DEFINITION)),
     "module map": (FINAL_MAP_NAME, lambda c: load_modulemap(c / FINAL_MAP_NAME)),
     "module map preload open": (FINAL_MAP_NAME, lambda c: open_corpus_session(c, Strategy.PRELOAD_ALL)),
-    "module map index open": (FINAL_MAP_NAME, lambda c: open_corpus_session(c, Strategy.LEXICAL_GMI)),
+    "module map index open": (FINAL_MAP_NAME, lambda c: open_corpus_session(
+        c, Strategy.LEXICAL_GMI, local_roots=[str(c / "M0")])),
 }
 
 
@@ -248,7 +249,9 @@ def test_read_error_at_each_site_is_unreadable(corpus12, monkeypatch, site):
         act(corpus12)
 
 
-@pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL])
+@pytest.mark.parametrize("strategy", [
+    Strategy.PCH, Strategy.TEXTUAL, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI,
+])
 def test_map_read_error_leaves_artifact_opens_alone(corpus12, monkeypatch, strategy):
     _fail_reads(monkeypatch, FINAL_MAP_NAME)
     session = open_corpus_session(corpus12, strategy)
@@ -345,7 +348,7 @@ def test_artifact_open_reads_only_its_artifact(corpus12, monkeypatch, strategy, 
 
 
 @pytest.mark.parametrize("strategy, local", [
-    (Strategy.PRELOAD_ALL, False), (Strategy.LEXICAL_GMI, False), (Strategy.SEMANTIC_GMI, False),
+    (Strategy.PRELOAD_ALL, False), (Strategy.LEXICAL_GMI, True), (Strategy.SEMANTIC_GMI, True),
     (Strategy.PCH, True), (Strategy.TEXTUAL, True),
 ])
 def test_open_reads_the_module_map_once(corpus12, tmp_path, monkeypatch, strategy, local):
@@ -354,6 +357,19 @@ def test_open_reads_the_module_map_once(corpus12, tmp_path, monkeypatch, strateg
     reads = _record_reads(monkeypatch, corpus12)
     open_corpus_session(corpus12, strategy, local_roots=local_roots)
     assert reads.count(FINAL_MAP_NAME) == 1
+
+
+@pytest.mark.parametrize("strategy", [Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI])
+def test_index_open_reads_its_index_and_each_module_head(corpus12, monkeypatch, strategy):
+    # No module map: the index records the merge order.
+    reads = _record_reads(monkeypatch, corpus12)
+    read_bytes = _count_bytes(monkeypatch)
+    open_corpus_session(corpus12, strategy)
+    index = gmi.index_file_name(INDEX_FLAVORS[strategy])
+    modules = [f"M{m}.pcm" for m in range(12)]
+    assert reads == [index, *modules]
+    heads = {str(corpus12 / module): 16 for module in modules}
+    assert read_bytes == {str(corpus12 / index): (corpus12 / index).stat().st_size, **heads}
 
 
 def test_compile_reads_the_module_map_once(tmp_path, monkeypatch):

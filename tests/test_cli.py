@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import build_random_corpus
+from conftest import build_random_corpus, encode_blob
 from modix import modfile
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session, write_corpus
 from modix.cli import main
@@ -664,12 +664,13 @@ class TestCorruptArtifacts:
 
 
 class TestMapFreeRuns:
-    """pch and textual without --local read only their artifact, so they run
-    as before with no module map; a run with --local still reads the map."""
+    """pch, textual and the index strategies without --local read only their
+    artifact (an index also its modules' heads), so they run as before with
+    no module map; a run with --local still reads the map."""
 
     SCRIPT = "new S1_0;\nsizeof(S1_1);\ndeclare x: ptr<S4_2>;\nsizeof(S9_0);\nnew Nope;\n.stats\n"
 
-    @pytest.mark.parametrize("strategy", ["pch", "textual"])
+    @pytest.mark.parametrize("strategy", ["pch", "textual", "lexical-gmi", "semantic-gmi"])
     def test_run_prints_the_same_without_the_map(self, corpus12, tmp_path, capsys, strategy):
         script = tmp_path / "w.dscript"
         script.write_text(self.SCRIPT, "utf-8")
@@ -681,7 +682,7 @@ class TestMapFreeRuns:
         assert main(argv) == 0
         assert capsys.readouterr() == intact
 
-    @pytest.mark.parametrize("strategy", ["pch", "textual"])
+    @pytest.mark.parametrize("strategy", ["pch", "textual", "lexical-gmi", "semantic-gmi"])
     def test_local_run_without_the_map_exits_2(self, corpus12, tmp_path, capsys, strategy):
         script = tmp_path / "w.dscript"
         script.write_text(self.SCRIPT, "utf-8")
@@ -707,7 +708,7 @@ class TestForeignBlob:
             ("M0", {"a.dh": "struct A { x: i32; };\n"}), ("M1", {"b.dh": "struct A { x: i32; };\n"}),
         ])
         b = Decl("B", DeclKind.STRUCT_DEF, fields=(StructField("x", TypeRef("i32")),), origin=("b.dh", 1))
-        row = ("A", modfile.DeclFlags.HAS_DEFINITION, modfile.encode_blob(b))
+        row = ("A", modfile.DeclFlags.HAS_DEFINITION, encode_blob(b))
         # The indexes are the healthy release's: every builder refuses the
         # foreign blob, whose payload differs from the other module's 'A'.
         (corpus / f"{bad}.pcm").write_bytes(modfile._emit(bad, (), [row]))

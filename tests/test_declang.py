@@ -23,7 +23,7 @@ from modix.declang import (
     parse_statement,
     render_decl,
     render_header,
-    render_statement,
+    render_type,
     resolution_request,
     tokenize,
     Token,
@@ -34,6 +34,20 @@ from modix.declang import (
     _parse_statement_tokens,
 )
 from modix.errors import DuplicateDefinition, LexError, ParseError
+
+
+def render_statement(stmt) -> str:
+    """A statement's canonical text, which `parse_statement` reads back."""
+    if isinstance(stmt, NewStmt):
+        return f"new {stmt.name};"
+    if isinstance(stmt, DeclareStmt):
+        return f"declare {stmt.var}: {render_type(stmt.type)};"
+    if isinstance(stmt, SizeOfStmt):
+        return f"sizeof({stmt.name});"
+    if isinstance(stmt, CallStmt):
+        return f"call {stmt.name};"
+    return f".{stmt.name}"
+
 
 # --- the character-loop scanner `tokenize` replaced, kept as its reference ---
 

@@ -147,24 +147,27 @@ class TestValidate:
         assert "M0" not in verdict and set(verdict.values()) == {Staleness.FRESH}
 
 
-def _index_bytes(modules, entries, key_ends=None, posting_ends=None):
-    """A semantic index with (module_id, name) rows and (identifier,
-    [(module_id, flags), ...]) entries, written as given, in the version 4
-    column layout; `key_ends` and `posting_ends` replace the columns the
-    entries give."""
+def _index_bytes(modules, entries, key_ends=None, posting_ends=None, excluded=()):
+    """A semantic index with (module_id, name) module rows, the `excluded`
+    names and (identifier, [(module_id, flags), ...]) entries, written as
+    given, in the version 5 column layout; `key_ends` and `posting_ends`
+    replace the columns the entries give."""
     heap = [identifier.encode("utf-8") for identifier, _ in entries]
     postings = [posting for _, plist in entries for posting in plist]
+    names = [name.encode("utf-8") for _, name in modules]
     w = Writer()
     w.raw(MAGIC)
     w.u32(VERSION)
     w.u64(0)  # self-hash, sealed below
     w.u8(IndexFlavor.SEMANTIC.value)
-    w.u32(0)  # no excluded modules
-    w.u32(len(modules))
-    for module_id, name in modules:
-        w.u32(module_id)
+    w.u32(len(excluded))
+    for name in excluded:
         w.lpstr(name)
-        w.u64(0)
+    w.u32(len(modules))
+    w.column("I", [module_id for module_id, _ in modules])
+    w.column("I", itertools.accumulate(map(len, names)))
+    w.column("Q", [0] * len(modules))
+    w.raw(b"".join(names))
     w.u32(len(entries))
     w.column("I", key_ends or itertools.accumulate(map(len, heap)))
     w.column("I", posting_ends or itertools.accumulate(len(plist) for _, plist in entries))
@@ -195,7 +198,8 @@ class TestFormat:
         index = load_index(data)
         assert index.flavor is IndexFlavor.SEMANTIC
         assert index.excluded == ("M5",)
-        assert [m.name for m in index.modules] == [f"M{i}" for i in range(5)]
+        assert index.module_names == tuple(f"M{i}" for i in range(5))
+        assert index.order == {f"M{i}": i for i in range(6)}
         assert index_bytes(module_map, directory, IndexFlavor.SEMANTIC, ["M5"]) == data
 
     def test_bad_magic_and_truncation(self, gpad_dir):
@@ -231,6 +235,13 @@ class TestFormat:
         data = bytearray(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
         data[4:8] = (3).to_bytes(4, "little")
         with pytest.raises(BadVersion, match="unsupported index version 3"):
+            load_index(sealed(data))
+
+    def test_version_4_rejected(self, gpad_dir):
+        directory, module_map = gpad_dir
+        data = bytearray(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
+        data[4:8] = (4).to_bytes(4, "little")
+        with pytest.raises(BadVersion, match="unsupported index version 4"):
             load_index(sealed(data))
 
     def test_self_hash_is_blake2b_64_with_the_field_zeroed(self, gpad_dir):
@@ -293,7 +304,8 @@ class TestFormat:
             (identifier, [(int(p.module[1:]), int(p.flags)) for p in index.entry(identifier)])
             for identifier in index.rows
         ]
-        rebuilt = load_index(_index_bytes([(m.module_id, m.name) for m in index.modules], entries))
+        modules = [(index.order[name], name) for name in index.module_names]
+        rebuilt = load_index(_index_bytes(modules, entries))
         assert list(rebuilt.rows) == list(index.rows)
         assert all(rebuilt.entry(identifier) == index.entry(identifier) for identifier in index.rows)
 
@@ -301,6 +313,24 @@ class TestFormat:
     def test_duplicate_module_id_or_name_rejected(self, modules):
         with pytest.raises(CorruptTable):
             load_index(_index_bytes(modules, [("A", [(0, 1)])]))
+
+    @pytest.mark.parametrize("modules, excluded, problem", [
+        ([(0, "M0"), (2, "M2")], (), "module ids repeat or reach past 2 modules"),
+        ([(0, "M0"), (3, "M3")], ("M1",), "module ids repeat or reach past 3 modules"),
+        ([(1, "M0"), (1, "M1")], ("M2",), "module ids repeat or reach past 3 modules"),
+        ([(0, "M0"), (1, "M1")], ("M0",), "duplicate module name"),
+        ([(0, "M0")], ("M1", "M1"), "duplicate module name"),
+    ], ids=["out-of-range", "out-of-range-with-excluded", "repeated-id", "name-also-excluded",
+            "excluded-twice"])
+    def test_module_table_faults_rejected(self, modules, excluded, problem):
+        with pytest.raises(CorruptTable, match=problem):
+            load_index(_index_bytes(modules, [("A", [(0, 1)])], excluded=excluded))
+
+    def test_excluded_modules_take_the_free_positions_in_order(self):
+        index = load_index(_index_bytes([(1, "B"), (3, "D")], [("A", [(1, 1)])], excluded=("Z", "A")))
+        assert index.order == {"Z": 0, "B": 1, "A": 2, "D": 3}
+        assert index.module_names == ("B", "D")
+        assert index.excluded == ("Z", "A")
 
     @pytest.mark.parametrize("identifiers", [("B", "A"), ("A", "A"), ("é", "z")])
     def test_identifiers_not_strictly_increasing_rejected(self, identifiers):

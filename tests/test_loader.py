@@ -1381,37 +1381,77 @@ class TestEquivalence:
                     open_corpus_session(out, strategy)
 
 
-class TestMapFreeOpens:
-    """pch and textual without local roots never read `module.modulemap`, so
-    a session's answers and stats do not depend on it."""
+def _shared_definition(corpus: Path) -> tuple[str, str, str]:
+    """A name that two of corpus12's modules define: the name, its first
+    definer in map order and a later one."""
+    definers: dict[str, list[str]] = {}
+    for m in range(12):
+        mf = read_module_summary((corpus / f"M{m}.pcm").read_bytes())
+        for name, row in mf.rows.items():
+            if mf.flags[row] & DeclFlags.HAS_DEFINITION:
+                definers.setdefault(name, []).append(f"M{m}")
+    name, found = next((name, found) for name, found in definers.items() if len(found) > 1)
+    return name, found[0], found[1]
 
-    @pytest.mark.parametrize("strategy", [Strategy.PCH, Strategy.TEXTUAL])
-    def test_sweep_is_the_same_with_the_map_present_deleted_or_malformed(
-        self, corpus12, tmp_path, strategy
-    ):
+
+class TestMapFreeOpens:
+    """Without local roots, pch and textual never read `module.modulemap`,
+    nor do the index strategies, whose index records the merge order, so a
+    session's answers and stats do not depend on it."""
+
+    @pytest.fixture
+    def corpora(self, corpus12, tmp_path) -> list[Path]:
+        """corpus12, and a copy whose indexes exclude a module that defines
+        a name first, ahead of a later indexed definer."""
         import shutil
 
-        corpus = tmp_path / "c"
-        shutil.copytree(corpus12, corpus)
-        names = [*read_module_summary((corpus / "__pch__.pcm").read_bytes()).rows, "Nope"]
+        copies = []
+        for name in ("c", "excluded"):
+            shutil.copytree(corpus12, tmp_path / name)
+            copies.append(tmp_path / name)
+        _, first, _ = _shared_definition(corpus12)
+        for flavor in ("--lexical", "--semantic"):
+            assert main(["index", str(copies[1]), flavor, "--exclude", first]) == 0
+        return copies
 
-        def sweep() -> list:
-            session = open_corpus_session(corpus, strategy)
-            seen = [session.stats()]
-            for need in (Need.FORWARD_OK, Need.DEFINITION):
-                for name in names:
-                    seen.append((session.resolve(name, need), session.stats()))
-            return seen
+    @pytest.mark.parametrize("strategy", [
+        Strategy.PCH, Strategy.TEXTUAL, Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI,
+    ])
+    def test_sweep_is_the_same_with_the_map_present_deleted_or_malformed(
+        self, corpora, strategy
+    ):
+        for corpus in corpora:
+            names = [*read_module_summary((corpus / "__pch__.pcm").read_bytes()).rows, "Nope"]
 
-        intact = sweep()
-        assert sum(r.succeeded for r, _ in intact[1:]) > len(names)
-        map_path = corpus / FINAL_MAP_NAME
-        map_path.unlink()
-        assert sweep() == intact
-        map_path.write_text("module { broken\n", "utf-8")
-        with pytest.raises(ParseError):
-            open_corpus_session(corpus, Strategy.PRELOAD_ALL)
-        assert sweep() == intact
+            def sweep() -> list:
+                session = open_corpus_session(corpus, strategy)
+                seen = [session.stats()]
+                for need in (Need.FORWARD_OK, Need.DEFINITION):
+                    for name in names:
+                        seen.append((session.resolve(name, need), session.stats()))
+                return seen
+
+            intact = sweep()
+            assert sum(r.succeeded for r, _ in intact[1:]) > len(names)
+            map_path = corpus / FINAL_MAP_NAME
+            map_path.unlink()
+            assert sweep() == intact
+            map_path.write_text("module { broken\n", "utf-8")
+            with pytest.raises(ParseError):
+                open_corpus_session(corpus, Strategy.PRELOAD_ALL)
+            assert sweep() == intact
+
+    @pytest.mark.parametrize("strategy", list(INDEX_FLAVORS))
+    def test_excluded_module_ahead_in_the_map_wins_the_merge(self, corpora, strategy):
+        corpus = corpora[1]
+        name, first, later = _shared_definition(corpus)
+        assert load_index((corpus / INDEX_FILE_NAME).read_bytes()).excluded == (first,)
+        expected = open_corpus_session(corpus, Strategy.PRELOAD_ALL).resolve(name, Need.DEFINITION)
+        assert expected.entity.defining_module == first
+        (corpus / FINAL_MAP_NAME).unlink()
+        session = open_corpus_session(corpus, strategy)
+        assert session.resolve(name, Need.DEFINITION) == expected
+        assert later in session.stats().load_order
 
 
 class TestFalsePositiveElimination:

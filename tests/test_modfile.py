@@ -39,7 +39,7 @@ from modix.errors import (
     OdrInModule,
     OdrViolation,
 )
-from modix.gmi import INDEX_FILE_NAME, IndexedModule, IndexFlavor, Posting, PostingFlags, build_index
+from modix.gmi import INDEX_FILE_NAME, IndexFlavor, Posting, PostingFlags, build_index
 from modix.gmi import index_file_name, load_index
 from modix.interp import EvalResult, run_script
 from modix.modfile import (
@@ -52,7 +52,6 @@ from modix.modfile import (
     deserialize_decl,
     deserialize_module,
     decode_blob,
-    encode_blob,
     encode_payload,
     fold_rows,
     merge_entities,
@@ -62,7 +61,7 @@ from modix.modfile import (
 )
 from modix.loader import ROOTMAP_FILE_NAME, LoadStats, Resolution, ResolutionOutcome, Strategy
 from modix.modulemap import FINAL_MAP_NAME, ModuleDef, load_modulemap
-from conftest import build_random_corpus, outcome_signature
+from conftest import build_random_corpus, encode_blob, outcome_signature
 from test_declang import _decls
 
 
@@ -571,7 +570,7 @@ class TestRawFold:
         module_map = load_modulemap(corpus12 / FINAL_MAP_NAME)
         modules = list(read_modules(corpus12, module_map.names))
         encode, compile_module = modfile.encode_payload, modfile.compile_module
-        for name in ("decode_blob", "encode_blob", "encode_payload", "deserialize_decl"):
+        for name in ("decode_blob", "encode_payload", "deserialize_decl"):
             monkeypatch.setattr(modfile, name, refuse)
         release = fold_rows(modules)
         assert build_pch(release) == (corpus12 / PCH_FILE_NAME).read_bytes()
@@ -835,7 +834,6 @@ class TestLeanValues:
             (ModuleDef("M", ("M/h.dh",)), load_modulemap(root / FINAL_MAP_NAME).defs[0]),
             (entity, resolution.entity),
             (Posting("M", PostingFlags.MENTIONS | PostingFlags.DEFINES), index.entry("S")[0]),
-            (IndexedModule(0, "M", mf.content_hash), index.modules[0]),
             (LoadStats(lookups=1), cost),
             (Resolution(ResolutionOutcome.RESOLVED, entity), resolution),
             (EvalResult(True, 8), result),
@@ -845,7 +843,7 @@ class TestLeanValues:
     @pytest.mark.parametrize("type_name", [
         "TypeRef", "StructField", "Decl", "HeaderAST", "NewStmt", "DeclareStmt", "SizeOfStmt",
         "CallStmt", "DirectiveStmt", "ModuleDef", "Entity", "Posting",
-        "IndexedModule", "LoadStats", "Resolution", "EvalResult",
+        "LoadStats", "Resolution", "EvalResult",
     ])
     def test_value_type_equals_and_hashes_by_value(self, built_and_read, type_name):
         """Value types are slotted and not frozen, so `unsafe_hash=True` is

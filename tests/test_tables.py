@@ -18,14 +18,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import build_random_corpus
+from conftest import build_random_corpus, encode_blob
 from modix import gmi, modfile
 from modix._wire import Reader, Writer
 from modix.bench import open_corpus_session
 from modix.declang import Decl, DeclKind, Need
 from modix.gmi import IndexFlavor, build_index, load_index
 from modix.loader import Strategy
-from modix.modfile import DeclFlags, deserialize_decl, deserialize_module, encode_blob
+from modix.modfile import DeclFlags, deserialize_decl, deserialize_module
 from modix.modfile import read_module_summary
 from modix.modulemap import FINAL_MAP_NAME, ModuleDef, concat_modulemaps, load_modulemap
 
@@ -58,7 +58,7 @@ def _v3_index_size(index: gmi.GlobalIndex) -> int:
     """The length of an index in the version 3 layout: each entry a
     length-prefixed identifier, a u32 posting count and 5 bytes a posting."""
     size = 4 + 4 + 8 + 1 + 4 + sum(map(_lp, index.excluded))
-    size += 4 + sum(4 + _lp(m.name) + 8 for m in index.modules)
+    size += 4 + sum(4 + _lp(name) + 8 for name in index.module_names)
     size += 4 + sum(_lp(identifier) + 4 for identifier in index.rows)
     return size + 5 * len(index.posting_modules)
 
@@ -162,7 +162,7 @@ def test_corpus12_lookups_equal_the_whole_table(corpus12):
         assert [(name, *deserialize_decl(mf, mf.rows[name])) for name in mf.rows] == deserialize_module(mf)
     for name in (gmi.INDEX_FILE_NAME, gmi.LEXICAL_INDEX_FILE_NAME):
         index = load_index((corpus12 / name).read_bytes())
-        modules = {m.module_id: m.name for m in index.modules}
+        modules = {index.order[name]: name for name in index.module_names}
         walked = [(p.module, p.flags) for identifier in index.rows for p in index.entry(identifier)]
         assert walked == [(modules[m], flags) for m, flags in zip(index.posting_modules, index.posting_flags)]
 
