@@ -27,9 +27,8 @@ the index's one lookup, builds an identifier's postings when asked.
 The self-hash is BLAKE2b-64 over the file with that field zeroed, like a
 module file's content hash (see ``modfile``), which each module row stores;
 loads check the self-hash before decoding.  `modix validate` rehashes every
-indexed module file in full (`file_digest`); an index open compares their
-16-byte heads with the hash column at once (`heads_match`).  Versions 1 to 4
-are rejected.
+indexed module file in full (`validate_index`); an index open reads only their
+16-byte heads (`stale_heads`).  Versions 1 to 4 are rejected.
 
 Indexes are immutable after load; building is a batch single-writer step.
 """
@@ -42,7 +41,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._wire import Reader, Writer, check_flags, first_false, key_at, read_artifact
 from ._wire import HEAD_SIZE, sealed, self_hashes, stored_hash, stored_hashes
@@ -256,45 +255,40 @@ def file_digest(path: str) -> int | Staleness:
     return hashes[0] if hashes is not None and hashes[0] == hashes[1] else Staleness.HASH_MISMATCH
 
 
-def file_head(path: str) -> int | Staleness:
-    """A module file's stored hash, from its 16-byte head and not checked, else why not."""
-    if (head := read_artifact(path, HEAD_SIZE)) is None:
-        return Staleness.MISSING
-    stored = stored_hash(head)
-    return Staleness.HASH_MISMATCH if stored is None else stored
-
-
-def _module_files(index: GlobalIndex, module_dir: str | Path, overlay: Overlay) -> list[str]:
+def _module_files(index: GlobalIndex, module_dir: str | Path, overlay: Overlay = Overlay()) -> list[str]:
     """Each indexed module's file, spelled as `root_file` does, in index order."""
     prefix = root_file(module_dir, "")  # each path is then one concatenation
     paths = [prefix + name + FILE_EXTENSION for name in index.module_names]
     return list(map(overlay.apply, paths)) if overlay.mappings else paths
 
 
-def heads_match(index: GlobalIndex, module_dir: str | Path, overlay: Overlay = Overlay()) -> bool:
-    """Whether every indexed module file's 16-byte head stores the hash the
-    index records, decided by one comparison with the index's hash column."""
+def stale_heads(
+    index: GlobalIndex, module_dir: str | Path, overlay: Overlay = Overlay()
+) -> tuple[str, ...]:
+    """The indexed modules, in index order, whose file, remapped by the
+    overlay, is missing or whose 16-byte head does not store the hash the
+    index records.  Each head is read once; one comparison with the index's
+    hash column clears a fresh index."""
     heads = [read_artifact(path, HEAD_SIZE) for path in _module_files(index, module_dir, overlay)]
-    return stored_hashes(heads) == index.module_hashes
+    if stored_hashes(heads) == index.module_hashes:
+        return ()
+    rows = zip(index.module_names, heads, index.module_hashes)
+    return tuple(name for name, head, recorded in rows if head is None or stored_hash(head) != recorded)
 
 
 def validate_index(
-    index: GlobalIndex,
-    module_dir: str | Path,
-    overlay: Overlay = Overlay(),
-    digests: dict[str, int | Staleness] | None = None,
-    probe: Callable[[str], int | Staleness] = file_digest,
+    index: GlobalIndex, module_dir: str | Path, digests: dict[str, int | Staleness] | None = None
 ) -> dict[str, Staleness]:
     """Each indexed module's staleness, in index module order: its stored
-    hash against what `probe` finds in its module file on disk, remapped by
-    the overlay; touches nothing.  `digests` memoizes each module's probe,
-    so checking several indexes reads a file once."""
+    hash against its module file on disk, rehashed in full (`file_digest`);
+    touches nothing.  `digests` memoizes each module's digest, so checking
+    several indexes reads a file once."""
     digests = {} if digests is None else digests
     verdict: dict[str, Staleness] = {}
-    paths = _module_files(index, module_dir, overlay)
+    paths = _module_files(index, module_dir)
     for name, path, content_hash in zip(index.module_names, paths, index.module_hashes):
         if name not in digests:
-            digests[name] = probe(path)
+            digests[name] = file_digest(path)
         status = digests[name]
         if not isinstance(status, Staleness):
             status = Staleness.FRESH if status == content_hash else Staleness.HASH_MISMATCH

@@ -24,9 +24,9 @@ its name's first merge.  textual parses each struct body once per session
 (``declang.parse_header``'s memo), so repeated bodies share their fields.
 A lookup finds a candidate's row once, in its loaded module's ``rows``, and
 hands that row to ``modfile.deserialize_decl``; the index strategies read an
-identifier's postings through ``GlobalIndex.entry``.  An index open compares
+identifier's postings through ``GlobalIndex.entry``.  An index open checks
 only the stored hash in each indexed module file's 16-byte head, uncharged
-(``gmi.heads_match``): a load rehashes the whole file, and ``modix validate``
+(``gmi.stale_heads``): a load rehashes the whole file, and ``modix validate``
 hashes each file once, in full.
 
 Local checkouts replace their release modules under one rule: a name's
@@ -79,7 +79,8 @@ from .errors import (
     UnreadableFile,
     WrongFlavor,
 )
-from .gmi import GlobalIndex, IndexFlavor, PostingFlags, Staleness, file_head, validate_index
+from .gmi import GlobalIndex, IndexFlavor, PostingFlags
+from .gmi import validate_index  # noqa: F401 -- kept for perfbench/spans.py to wrap
 from .modfile import FILE_EXTENSION, PCH_FILE_NAME, PCH_MODULE_NAME, DeclFlags, Entity, ModuleFile
 from .modfile import Candidate, merge_entities
 from .modulemap import ModuleMap, Overlay, SearchPaths, find_local_module
@@ -281,10 +282,8 @@ class Session:
                 f"strategy {self.strategy.value} needs a {wanted.name.lower()} index, "
                 f"got {index.flavor.name.lower()}"
             )
-        if not (allow_stale or gmi_mod.heads_match(index, self.paths.release_root, self.overlay)):
-            verdict = validate_index(index, self.paths.release_root, self.overlay, probe=file_head)
-            if stale := tuple(name for name, s in verdict.items() if s is not Staleness.FRESH):
-                raise IndexStale(stale)
+        if not allow_stale and (stale := gmi_mod.stale_heads(index, self.paths.release_root, self.overlay)):
+            raise IndexStale(stale)
         self._index = index
         self._charge_read(size)
 

@@ -541,32 +541,21 @@ def _fold(firsts: dict[EntityKind, tuple], kind: EntityKind, name: str, candidat
         raise OdrViolation(name, first[1], candidate[1])
 
 
-def merge_entities(
-    decls: Sequence[Candidate],
-    module_order: Mapping[str, int] | None = None,
-) -> Entity:
+def merge_entities(decls: Sequence[Candidate], module_order: Mapping[str, int]) -> Entity:
     """Collapse same-name declarations from several modules into one entity.
 
     Each candidate is folded (`_fold`) in module order, lowest module id
     first and then module name, so neither the entity (the first candidate
     of the top-ranked kind) nor, among several conflicts, the one reported
-    (the first met) depends on input order.
+    (the first met) depends on input order.  A module missing from the order
+    (`__pch__`, or a checkout of a module mapped after the index was built)
+    ranks last.
     """
     if not decls:
         raise ValueError("merge_entities requires at least one declaration")
     name = decls[0][0].name
-    for decl, _, _ in decls:
-        if decl.name != name:
-            raise ValueError(f"mixed names in merge: '{name}' vs '{decl.name}'")
-
-    def order(candidate: Candidate) -> tuple[int, str]:
-        module = candidate[1]
-        if module_order is not None and module in module_order:
-            return (module_order[module], module)
-        return (2**32, module)
-
     firsts: dict[EntityKind, Candidate] = {}
-    for candidate in sorted(decls, key=order):
+    for candidate in sorted(decls, key=lambda c: (module_order.get(c[1], 2**32), c[1])):
         _fold(firsts, _KINDS[candidate[0].kind].entity, name, candidate)
     kind = max(firsts)
     decl, module, payload = firsts[kind]

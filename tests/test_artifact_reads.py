@@ -23,11 +23,11 @@ import modix
 from modix import gmi, loader, modfile, modulemap
 from modix.bench import CorpusSpec, generate_corpus, open_corpus_session
 from modix.cli import main
-from modix.declang import Need
-from modix.errors import UnreadableFile
+from modix.declang import Need, parse_header
+from modix.errors import IndexStale, UnreadableFile
 from modix.gmi import INDEX_FILE_NAME, read_index, validate_index
 from modix.loader import INDEX_FLAVORS, Strategy
-from modix.modfile import read_modules
+from modix.modfile import compile_module, read_module_summary, read_modules
 from modix.modulemap import FINAL_MAP_NAME, load_modulemap, read_text
 from modix._wire import read_artifact
 
@@ -400,6 +400,29 @@ def _count_bytes(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(os, "open", opened)
     monkeypatch.setattr(os, "read", counted)
     return read_bytes
+
+
+@pytest.mark.parametrize("strategy", [Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI])
+def test_stale_index_open_reads_each_head_once(gpad_corpus, monkeypatch, strategy):
+    # One module file deleted, one cut inside its head, one rebuilt in place:
+    # the open names all three, in index order, from one read of each head.
+    corpus_dir, _ = gpad_corpus
+    (corpus_dir / "M1.pcm").unlink()
+    cut = corpus_dir / "M3.pcm"
+    cut.write_bytes(cut.read_bytes()[:8])
+    rebuilt = corpus_dir / "M4.pcm"
+    imports = read_module_summary(rebuilt.read_bytes()).imports
+    header = parse_header((corpus_dir / "M4" / "types.dh").read_text("utf-8"), "M4/types.dh")
+    rebuilt.write_bytes(compile_module("M4", [header], imports))
+    reads = _record_reads(monkeypatch, corpus_dir)
+    read_bytes = _count_bytes(monkeypatch)
+    with pytest.raises(IndexStale) as excinfo:
+        open_corpus_session(corpus_dir, strategy)
+    assert excinfo.value.stale_modules == ("M1", "M3", "M4")
+    modules = [f"M{m}.pcm" for m in range(6)]
+    assert reads == [gmi.index_file_name(INDEX_FLAVORS[strategy]), *modules]
+    heads = {str(corpus_dir / module): 16 for module in modules if module != "M1.pcm"}
+    assert {p: n for p, n in read_bytes.items() if p.endswith(".pcm")} == {**heads, str(cut): 8}
 
 
 @pytest.mark.parametrize("strategy", [Strategy.SEMANTIC_GMI, Strategy.LEXICAL_GMI])

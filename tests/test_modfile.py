@@ -377,9 +377,10 @@ class TestMergeEntities:
         with pytest.raises(OdrViolation):
             merge_entities([_c(f1, "M1"), _c(f2, "M2")], _ORDER)
 
-    def test_mixed_names_rejected(self):
-        with pytest.raises(ValueError):
-            merge_entities([_c(_def("A"), "M1"), _c(_def("B"), "M2")], _ORDER)
+    def test_module_missing_from_the_order_ranks_last(self):
+        # `__pch__`, or a checkout of a module mapped after the index was built.
+        candidates = [_c(_def("A"), modfile.PCH_MODULE_NAME), _c(_def("A"), "M9")]
+        assert merge_entities(candidates, _ORDER).defining_module == "M9"
 
     def test_order_insensitive(self):
         decls = [
@@ -774,7 +775,7 @@ class TestLeanValues:
         struct = next(d for d in decls if d.fields)
         values = [
             *decls, *struct.fields, struct.fields[0].type,
-            merge_entities([(struct, "M0", encode_payload(struct))]),
+            merge_entities([(struct, "M0", encode_payload(struct))], {}),
             *load_index((corpus12 / INDEX_FILE_NAME).read_bytes()).entry(struct.name),
             LoadStats(),
         ]
