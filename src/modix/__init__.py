@@ -57,7 +57,6 @@ from .modulemap import (
     ModuleMap,
     Overlay,
     SearchPaths,
-    concat_modulemaps,
     load_modulemap,
     parse_modulemap,
     parse_overlay,

@@ -249,24 +249,12 @@ class Reader:
         return column
 
     def lpstr(self) -> str:
-        # The hottest read of every format, so its length prefix is
-        # unpacked inline rather than through `u32`.
-        pos = self.pos
-        data = self.data
+        start = self.pos + 4
+        data = self.raw(self.u32())
         try:
-            (n,) = _U32.unpack_from(data, pos)
-        except struct.error:
-            raise CorruptTable(f"truncated at byte {pos}") from None
-        start = pos + 4
-        end = start + n
-        if end > len(data):
-            raise CorruptTable(f"truncated at byte {start}")
-        try:
-            text = sys.intern(data[start:end].decode("utf-8"))  # one str per spelling
+            return sys.intern(data.decode("utf-8"))  # one str per spelling
         except UnicodeDecodeError as exc:
             raise CorruptTable(f"invalid UTF-8 at byte {start}") from exc
-        self.pos = end
-        return text
 
     def table(self, fields: str) -> tuple[dict[str, int], list[array]]:
         """A `Writer.table`: each key mapped to its row index, in file order,

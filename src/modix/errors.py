@@ -102,11 +102,10 @@ class EmptyModule(ModixError):
 
 
 class DuplicateModule(ModixError):
-    def __init__(self, name: str, file_a: str, file_b: str):
+    def __init__(self, name: str, path: str):
         self.name = name
-        self.file_a = file_a
-        self.file_b = file_b
-        super().__init__(f"module '{name}' defined in both {file_a} and {file_b}")
+        self.path = path
+        super().__init__(f"module '{name}' defined twice in {path}")
 
 
 class HeaderClaimedTwice(ModixError):

@@ -1,15 +1,16 @@
 """Module maps, virtual path overlays, and module file search paths.
 
-A per-library map reads `module NAME { header "PATH" ... }`; a release
-concatenates the per-library maps into one `module.modulemap`, which is where
-module ids (0-based positions) live.  A compiled pattern parses well-formed
-maps, and `declang`'s token `Cursor` the rest.  Overlays remap path prefixes
-the way a virtual file system mount would, longest prefix first.  Search
-paths give locally built module files precedence over the release area.
+A release's one `module.modulemap` lists `module NAME { header "PATH" ... }`
+per module, and a module's id is its 0-based position there.  A compiled
+pattern parses well-formed maps, and `declang`'s token `Cursor` the rest.
+Overlays remap path prefixes the way a virtual file system mount would,
+longest prefix first.  Search paths give locally built module files
+precedence over the release area.
 
-Every text input is read by `read_text`, one `_wire.read_artifact` call; no
-file there, a read error and bytes that are not UTF-8 raise UnreadableFile.
-`_module_file` probes without reading: it decides local-checkout shadowing.
+Every file is read through `_wire.read_artifact`: a text input by `read_text`,
+where no file there, a read error and bytes that are not UTF-8 raise
+UnreadableFile, and a module file by `_module_file`'s 0-byte probe, which
+decides local-checkout shadowing and raises UnreadableFile on a read error.
 
 Everything here is read-only after construction and freely shareable.
 """
@@ -21,7 +22,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 from ._wire import read_artifact
 from .declang import NAME, WS, Cursor, TokenKind, tokenize
@@ -62,7 +62,7 @@ class ModuleDef:
 
 @dataclass(frozen=True)
 class ModuleMap:
-    """Concatenated release map; a module's id is its position."""
+    """A release's module map; a module's id is its position."""
 
     defs: tuple[ModuleDef, ...]
 
@@ -128,30 +128,23 @@ def _parse_modulemap_tokens(text: str) -> list[ModuleDef]:
     return defs
 
 
-def concat_modulemaps(maps: Sequence[tuple[str, Sequence[ModuleDef]]]) -> ModuleMap:
-    """Concatenate per-library maps in input order, assigning positional ids."""
-    seen_modules: dict[str, str] = {}
-    seen_headers: dict[str, str] = {}
-    defs: list[ModuleDef] = []
-    for source_file, file_defs in maps:
-        for d in file_defs:
-            if d.name in seen_modules:
-                raise DuplicateModule(d.name, seen_modules[d.name], source_file)
-            seen_modules[d.name] = source_file
-            for h in d.headers:
-                if h in seen_headers:
-                    raise HeaderClaimedTwice(h, seen_headers[h], d.name)
-                seen_headers[h] = d.name
-            defs.append(d)
-    return ModuleMap(tuple(defs))
-
-
 def load_modulemap(path: str | Path, text: str | None = None) -> ModuleMap:
-    """Read and concatenate a single (already final) module map file; a
-    caller that has read the file already hands in its `read_text`."""
+    """Read one module map file (a caller that has read it hands in its
+    `read_text`) and check it: a module or header listed twice is refused."""
     if text is None:
         text = read_text(path)
-    return concat_modulemaps([(str(path), parse_modulemap(text))])
+    defs = parse_modulemap(text)
+    names: set[str] = set()
+    owners: dict[str, str] = {}
+    for d in defs:
+        if d.name in names:
+            raise DuplicateModule(d.name, str(path))
+        names.add(d.name)
+        for h in d.headers:
+            if h in owners:
+                raise HeaderClaimedTwice(h, owners[h], d.name)
+            owners[h] = d.name
+    return ModuleMap(tuple(defs))
 
 
 # --- overlays ---
@@ -218,14 +211,15 @@ def root_file(root: str | Path, name: str, overlay: Overlay = Overlay()) -> str:
 
 def _module_file(root: str, module_name: str, overlay: Overlay) -> str | None:
     candidate = root_file(root, module_name + FILE_EXTENSION, overlay)
-    return candidate if os.path.isfile(candidate) else None
+    return candidate if read_artifact(candidate, 0) is not None else None
 
 
 def find_local_module(
     paths: SearchPaths, module_name: str, overlay: Overlay = Overlay()
 ) -> str | None:
     """First `<root>/<module_name>.pcm` under the local roots, or None.
-    Candidates are remapped by the overlay before the existence check; with
+    Candidates are remapped by the overlay before the probe, a 0-byte
+    `read_artifact`, so one that cannot be read raises UnreadableFile; with
     no local roots, nothing is looked up."""
     for root in paths.local_roots:
         found = _module_file(root, module_name, overlay)

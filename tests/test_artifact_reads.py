@@ -277,6 +277,42 @@ def test_run_exits_2_on_read_error(corpus12, monkeypatch, capsys, tmp_path, stra
     assert f"cannot read {corpus12 / suffix}: Input/output error" in capsys.readouterr().err
 
 
+@pytest.fixture
+def refused_checkout(corpus12, tmp_path, monkeypatch) -> Path:
+    """A local root whose `M0.pcm` cannot be opened or stat'ed (EACCES), as
+    under a directory the user may not search: root ignores mode bits."""
+    local = tmp_path / "local"
+    local.mkdir()
+    checkout = local / "M0.pcm"
+    checkout.write_bytes((corpus12 / "M0.pcm").read_bytes())
+    for name in ("open", "stat"):
+        def refuse(path, *args, real=getattr(os, name), **kwargs):
+            if os.fspath(path) == str(checkout):
+                raise PermissionError(errno.EACCES, "Permission denied")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, name, refuse)
+    return local
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_unreadable_checkout_is_refused(corpus12, refused_checkout, strategy):
+    # Not skipped for the release copy: a checkout that exists but cannot be
+    # read raises, as an unreadable release module does.
+    with pytest.raises(UnreadableFile, match=f"^cannot read {refused_checkout / 'M0.pcm'}: Permission denied$"):
+        open_corpus_session(corpus12, strategy, local_roots=[str(refused_checkout)])
+
+
+def test_run_exits_2_on_unreadable_checkout(corpus12, refused_checkout, capsys, tmp_path):
+    script = tmp_path / "script.txt"
+    script.write_text("sizeof(S0_0);\n", "utf-8")
+    argv = ["run", "--strategy", "semantic-gmi", "--dir", str(corpus12),
+            "--local", str(refused_checkout), str(script)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"modix: error: cannot read {refused_checkout / 'M0.pcm'}: Permission denied\n"
+
+
 # --- no probe ahead of a read ---
 
 
@@ -301,17 +337,21 @@ def test_gmi_open_stats_nothing(corpus12, monkeypatch, strategy):
 
 
 def test_local_checkout_is_probed_once_per_module(corpus12, tmp_path, monkeypatch):
-    # One stat per module name at the open (shadowing); the module loads that
-    # follow, the checkout's included, reuse those probes.
+    # One 0-byte read per module name at the open (shadowing), and no stat;
+    # the module loads that follow, the checkout's included, reuse those probes.
     local = tmp_path / "local"
     local.mkdir()
     (local / "M3.pcm").write_bytes((corpus12 / "M3.pcm").read_bytes())
     stats = _count(monkeypatch, "stat")
+    reads = _record_reads(monkeypatch, corpus12, limits=True)
     session = open_corpus_session(corpus12, Strategy.SEMANTIC_GMI, local_roots=[str(local)])
-    assert sorted(stats) == sorted(str(local / f"M{m}.pcm") for m in range(12))
+    probes = sorted(path for path, limit in reads if limit == 0)
+    assert probes == sorted((local / f"M{m}.pcm").as_posix() for m in range(12))
     for m in range(12):
         session.resolve(f"S{m}_0", Need.DEFINITION)
-    assert len(stats) == 12
+    assert sorted(path for path, limit in reads if limit == 0) == probes
+    assert [path for path, _ in reads].count((local / "M3.pcm").as_posix()) == 2  # probe, load
+    assert stats == []
     assert session.stats().modules_loaded > 1
 
 
@@ -323,15 +363,18 @@ def test_open_without_local_roots_probes_no_checkout(corpus12, monkeypatch, stra
     assert probes == []
 
 
-def _record_reads(monkeypatch, root: Path) -> list[str]:
-    """The path under `root` of each file `read_artifact` reads, in order,
-    through every module that imports it."""
+def _record_reads(monkeypatch, root: Path, limits: bool = False) -> list:
+    """Each file `read_artifact` reads, in order, through every module that
+    imports it: its path relative to `root`, or as given when outside it,
+    paired with its byte limit (None for the whole file) when `limits`."""
     reads = []
     real = read_artifact
 
-    def recorded(path, *limit):
-        reads.append(Path(path).relative_to(root).as_posix())
-        return real(path, *limit)
+    def recorded(path, limit=None):
+        path = Path(path)
+        name = (path.relative_to(root) if path.is_relative_to(root) else path).as_posix()
+        reads.append((name, limit) if limits else name)
+        return real(path, limit)
 
     for module in (gmi, modfile, modulemap):
         monkeypatch.setattr(module, "read_artifact", recorded)
@@ -352,11 +395,15 @@ def test_artifact_open_reads_only_its_artifact(corpus12, monkeypatch, strategy, 
     (Strategy.PCH, True), (Strategy.TEXTUAL, True),
 ])
 def test_open_reads_the_module_map_once(corpus12, tmp_path, monkeypatch, strategy, local):
+    # With a local root, the open also probes it once for each map module.
     (tmp_path / "local").mkdir()
     local_roots = [str(tmp_path / "local")] if local else []
-    reads = _record_reads(monkeypatch, corpus12)
+    reads = _record_reads(monkeypatch, corpus12, limits=True)
     open_corpus_session(corpus12, strategy, local_roots=local_roots)
-    assert reads.count(FINAL_MAP_NAME) == 1
+    assert [path for path, _ in reads].count(FINAL_MAP_NAME) == 1
+    modules = [f"M{m}.pcm" for m in range(12)] + ["__pch__.pcm"] * (strategy is Strategy.PCH)
+    probes = sorted((tmp_path / "local" / name).as_posix() for name in modules) if local else []
+    assert sorted(path for path, limit in reads if limit == 0) == probes
 
 
 @pytest.mark.parametrize("strategy", [Strategy.LEXICAL_GMI, Strategy.SEMANTIC_GMI])
@@ -465,17 +512,18 @@ def test_validate_stats_no_module_file_and_opens_each_once(corpus12, monkeypatch
 
 SOURCES = sorted(Path(modix.__file__).parent.glob("*.py"))
 
-# Methods that read or probe a file (`read_text` called by its bare name is
-# modix's own, built on the reader), and the builtin `open`.
-_FILE_METHODS = {"read_bytes", "read_text", "is_file", "isfile", "exists", "stat", "open"}
+# Methods that read, probe or list files (`read_text` called by its bare name
+# is modix's own, built on the reader), and the builtin `open`.
+_FILE_METHODS = {
+    "read_bytes", "read_text", "is_file", "isfile", "isdir", "islink", "exists", "lexists",
+    "stat", "lstat", "access", "getsize", "open", "scandir", "listdir", "iterdir", "glob", "rglob",
+}
 
-# (file, function, call) of each one allowed: the reader's own open, the
-# bundled spec read from the package's resources, and the probe that decides
-# whether a local checkout shadows a module.
+# (file, function, call) of each one allowed: the reader's own open and the
+# bundled spec read from the package's resources.
 ALLOWED = {
     ("_wire.py", "read_artifact", "open"),
     ("cli.py", "_cmd_bench", "read_text"),
-    ("modulemap.py", "_module_file", "isfile"),
 }
 
 
@@ -513,6 +561,17 @@ def test_every_file_is_read_by_the_reader():
     "def f(p):\n    return os.stat(p)\n",
     "def f(p):\n    return open(p, 'rb')\n",
     "def read_artifact(p):\n    return p.read_bytes()\n",
+    "def f(p):\n    return os.path.isdir(p)\n",
+    "def f(p):\n    return os.path.islink(p)\n",
+    "def f(p):\n    return os.path.lexists(p)\n",
+    "def f(p):\n    return os.lstat(p)\n",
+    "def f(p):\n    return os.access(p, os.R_OK)\n",
+    "def f(p):\n    return os.path.getsize(p)\n",
+    "def f(p):\n    return list(os.scandir(p))\n",
+    "def f(p):\n    return os.listdir(p)\n",
+    "def f(p):\n    return list(p.iterdir())\n",
+    "def f(p):\n    return list(p.glob('*.pcm'))\n",
+    "def f(p):\n    return list(p.rglob('*.pcm'))\n",
 ])
 def test_scan_rejects(source):
     assert len(scan(source, "_wire.py")) == 1

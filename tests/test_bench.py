@@ -41,6 +41,10 @@ class TestCorpusSpec:
             CorpusSpec(n_modules=3, dup_fraction=1.5)
         with pytest.raises(ValueError):
             CorpusSpec(n_modules=3, framework_modules=4)
+        with pytest.raises(ValueError, match="defs_per_module must be >= 1"):
+            CorpusSpec(n_modules=3, defs_per_module=0)
+        with pytest.raises(ValueError, match="import_density must be >= 0"):
+            CorpusSpec(n_modules=3, import_density=-1)
 
     def test_load_spec(self):
         spec = load_spec("# hi\nn_modules = 6\nfwd_fanout = 5\ndup_fraction = 0.25\nseed = 3\n")
@@ -63,6 +67,19 @@ class TestCorpusSpec:
         ],
     )
     def test_load_spec_names_line_and_key_of_a_bad_value(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            load_spec(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_modules = 4\ndefs_per_module = 0", "line 2: defs_per_module must be >= 1"),
+            ("# range\nimport_density = -1\nn_modules = 4",
+             "line 2: import_density must be >= 0"),
+        ],
+    )
+    def test_load_spec_names_the_line_of_an_out_of_range_value(self, text, message):
         with pytest.raises(ValueError) as excinfo:
             load_spec(text)
         assert str(excinfo.value) == message

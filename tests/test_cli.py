@@ -612,6 +612,18 @@ class TestExitCodes:
         assert main(["pch", str(out)]) == 2
         assert capsys.readouterr().err == conflict
 
+    def test_module_listed_twice_exits_2(self, tmp_path, capsys):
+        root = tmp_path / "dup"
+        (root / "A").mkdir(parents=True)
+        (root / "A" / "a.dh").write_text("struct X { x: i32; };\n", "utf-8")
+        (root / "A" / "b.dh").write_text("struct Y { y: i32; };\n", "utf-8")
+        map_file = root / "module.modulemap"
+        map_file.write_text(
+            'module A { header "A/a.dh" }\nmodule A { header "A/b.dh" }\n', "utf-8"
+        )
+        assert main(["compile", str(map_file), "-o", str(tmp_path / "build")]) == 2
+        assert capsys.readouterr().err == f"modix: error: module 'A' defined twice in {map_file}\n"
+
 
 @pytest.fixture
 def corpus12(tmp_path):

@@ -24,7 +24,7 @@ from modix.gmi import (
 )
 from modix.modfile import DeclFlags, EntityKind, compile_module, deserialize_decl, merge_entities
 from modix.modfile import fold_rows, read_module_summary, read_modules
-from modix.modulemap import FINAL_MAP_NAME, ModuleDef, concat_modulemaps
+from modix.modulemap import FINAL_MAP_NAME, ModuleDef, ModuleMap
 
 _DEFINES = PostingFlags.MENTIONS | PostingFlags.DEFINES
 
@@ -35,9 +35,7 @@ def _write_module(directory: Path, name: str, source: str, imports=()):
 
 
 def _map_for(names):
-    return concat_modulemaps(
-        [(f"{n}.modulemap", [ModuleDef(n, (f"{n}/h.dh",))]) for n in names]
-    )
+    return ModuleMap(tuple(ModuleDef(n, (f"{n}/h.dh",)) for n in names))
 
 
 @pytest.fixture
@@ -242,6 +240,13 @@ class TestFormat:
         data = bytearray(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
         data[4:8] = (4).to_bytes(4, "little")
         with pytest.raises(BadVersion, match="unsupported index version 4"):
+            load_index(sealed(data))
+
+    def test_unknown_flavor_rejected(self, gpad_dir):
+        directory, module_map = gpad_dir
+        data = bytearray(index_bytes(module_map, directory, IndexFlavor.SEMANTIC))
+        data[16] = 3  # the flavor byte, after magic, version and self-hash
+        with pytest.raises(CorruptTable, match="^unknown index flavor$"):
             load_index(sealed(data))
 
     def test_self_hash_is_blake2b_64_with_the_field_zeroed(self, gpad_dir):

@@ -770,6 +770,24 @@ class TestTextual:
         assert resolution.entity.defining_module == f"{dirname}/d.dh"
         assert session.stats().headers_parsed == 1
 
+    def test_rootmap_comments_blanks_and_repeats_resolve_as_the_clean_rootmap(self, gpad_corpus):
+        # A `#` line, a blank line and a line with no header are skipped, and
+        # of a name listed twice the first line wins.
+        corpus_dir, _ = gpad_corpus
+        rootmap = corpus_dir / "modules.rootmap"
+        clean = rootmap.read_text("utf-8")
+        idents = [line.split()[0] for line in clean.splitlines()]
+
+        def resolve_all():
+            session = open_corpus_session(corpus_dir, Strategy.TEXTUAL)
+            return [session.resolve(ident, Need.DEFINITION) for ident in idents]
+
+        expected = resolve_all()
+        assert all(resolution.succeeded for resolution in expected)
+        first = idents[0]
+        rootmap.write_text(f"# release rootmap\n\n{first}\n{clean}{first} absent/a.dh\n", "utf-8")
+        assert resolve_all() == expected
+
 
 class TestLocalShadowing:
     @pytest.fixture
@@ -1511,6 +1529,16 @@ class TestCostIdentities:
                             assert stats.ticks == (
                                 stats.bytes_read + loaded * cost.per_module_overhead_ticks
                             ), (case, strategy, ident)
+
+
+class TestStatsDifference:
+    def test_stats_of_two_sessions_do_not_subtract(self, gpad_corpus):
+        corpus_dir, _ = gpad_corpus
+        first, second = (open_corpus_session(corpus_dir, Strategy.SEMANTIC_GMI) for _ in range(2))
+        first.resolve("S0_0", Need.DEFINITION)
+        second.resolve("S1_0", Need.DEFINITION)
+        with pytest.raises(ValueError, match="not from the same session timeline"):
+            first.stats() - second.stats()
 
 
 class TestMonotonicity:

@@ -377,6 +377,10 @@ class TestMergeEntities:
         with pytest.raises(OdrViolation):
             merge_entities([_c(f1, "M1"), _c(f2, "M2")], _ORDER)
 
+    def test_no_candidates_raise(self):
+        with pytest.raises(ValueError, match="at least one declaration"):
+            merge_entities([], {})
+
     def test_module_missing_from_the_order_ranks_last(self):
         # `__pch__`, or a checkout of a module mapped after the index was built.
         candidates = [_c(_def("A"), modfile.PCH_MODULE_NAME), _c(_def("A"), "M9")]

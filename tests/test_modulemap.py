@@ -16,7 +16,7 @@ from modix.modulemap import (
     ModuleDef,
     Overlay,
     SearchPaths,
-    concat_modulemaps,
+    load_modulemap,
     parse_modulemap,
     parse_overlay,
     resolve_module_path,
@@ -162,46 +162,30 @@ def test_map_pattern_declines_or_agrees_with_cursor(text):
     assert_same_parse(parse_modulemap, _match_modulemap, _parse_modulemap_tokens, text)
 
 
-class TestConcat:
-    def _defs(self, name, *headers):
-        return [ModuleDef(name, headers)]
+class TestLoadModulemap:
+    def _map(self, tmp_path, *modules):
+        path = tmp_path / "module.modulemap"
+        path.write_text("".join(f'module {m} {{ header "{h}" }}\n' for m, h in modules), "utf-8")
+        return path
 
-    def test_positional_ids(self):
-        m = concat_modulemaps(
-            [("A.modulemap", self._defs("A", "a.dh")), ("B.modulemap", self._defs("B", "b.dh"))]
-        )
-        assert m.module_id("A") == 0
-        assert m.module_id("B") == 1
-        assert m.names == ("A", "B")
+    def test_positional_ids(self, tmp_path):
+        m = load_modulemap(self._map(tmp_path, ("B", "b.dh"), ("A", "a.dh")))
+        assert m.module_id("B") == 0
+        assert m.module_id("A") == 1
+        assert m.names == ("B", "A")
 
-    def test_duplicate_module_rejected(self):
-        with pytest.raises(DuplicateModule) as excinfo:
-            concat_modulemaps(
-                [("f1", self._defs("X", "a.dh")), ("f2", self._defs("X", "b.dh"))]
-            )
-        assert (excinfo.value.file_a, excinfo.value.file_b) == ("f1", "f2")
+    def test_repeated_module_rejected(self, tmp_path):
+        path = self._map(tmp_path, ("X", "a.dh"), ("Y", "b.dh"), ("X", "c.dh"))
+        with pytest.raises(DuplicateModule, match=f"^module 'X' defined twice in {path}$") as excinfo:
+            load_modulemap(path)
+        assert (excinfo.value.name, excinfo.value.path) == ("X", str(path))
 
-    def test_header_claimed_twice_rejected(self):
+    def test_header_claimed_twice_rejected(self, tmp_path):
         with pytest.raises(HeaderClaimedTwice) as excinfo:
-            concat_modulemaps(
-                [("f1", self._defs("A", "h.dh")), ("f2", self._defs("B", "h.dh"))]
-            )
-        assert (excinfo.value.module_a, excinfo.value.module_b) == ("A", "B")
-
-    def test_concat_is_associative(self):
-        parts = [
-            ("f1", self._defs("A", "a.dh")),
-            ("f2", self._defs("B", "b.dh")),
-            ("f3", self._defs("C", "c.dh")),
-        ]
-        flat = concat_modulemaps(parts)
-        nested_defs = concat_modulemaps(parts[:2]).defs + concat_modulemaps(parts[2:]).defs
-        assert tuple(d.name for d in flat.defs) == tuple(d.name for d in nested_defs)
-        assert flat.module_id("C") == 2
-
-    def test_stable_under_identical_input(self):
-        parts = [("f1", self._defs("A", "a.dh")), ("f2", self._defs("B", "b.dh"))]
-        assert concat_modulemaps(parts) == concat_modulemaps(parts)
+            load_modulemap(self._map(tmp_path, ("A", "h.dh"), ("B", "h.dh")))
+        assert (excinfo.value.path, excinfo.value.module_a, excinfo.value.module_b) == (
+            "h.dh", "A", "B",
+        )
 
 
 class TestOverlay:

@@ -27,7 +27,7 @@ from modix.gmi import IndexFlavor, build_index, load_index
 from modix.loader import Strategy
 from modix.modfile import DeclFlags, deserialize_decl, deserialize_module
 from modix.modfile import read_module_summary
-from modix.modulemap import FINAL_MAP_NAME, ModuleDef, concat_modulemaps, load_modulemap
+from modix.modulemap import FINAL_MAP_NAME, ModuleDef, ModuleMap, load_modulemap
 
 SIZES = Path(__file__).parent / "data" / "corpus12_sizes.txt"
 
@@ -127,9 +127,7 @@ class TestCodecEdges:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(_KEYS, unique=True, max_size=6), min_size=1, max_size=3))
     def test_neighbours_miss_and_lookups_equal_the_whole_table(self, modules):
-        map_ = concat_modulemaps(
-            [(f"M{m}.modulemap", [ModuleDef(f"M{m}", (f"M{m}/h.dh",))]) for m in range(len(modules))]
-        )
+        map_ = ModuleMap(tuple(ModuleDef(f"M{m}", (f"M{m}/h.dh",)) for m in range(len(modules))))
         summaries = [read_module_summary(_module(f"M{m}", names)) for m, names in enumerate(modules)]
         index = load_index(build_index(map_, modfile.fold_rows(summaries), IndexFlavor.SEMANTIC))
         for mf, names in zip(summaries, modules):
